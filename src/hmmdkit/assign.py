@@ -18,6 +18,7 @@ from .core import (
     GuardExceeded,
     Number,
     ValidationError,
+    dominates,
     guard_limit,
     non_dominated,
 )
@@ -193,11 +194,5 @@ def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
     _check_guard(inst)
     betas = _cell_betas(inst, None)
     sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
-
-    def dom(x: AssignmentSolution, y: AssignmentSolution) -> bool:
-        a = _adjusted(inst.frame, x.objective_vector)
-        b = _adjusted(inst.frame, y.objective_vector)
-        return all(u >= v for u, v in zip(a, b)) and any(u > v for u, v in zip(a, b))
-
-    front = non_dominated(sols, dom)
+    front = non_dominated(sols, dominates, lambda s: _adjusted(inst.frame, s.objective_vector))
     return sorted(front, key=lambda s: sorted(s.pairs))

@@ -413,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
             + (f" (default {default})" if default else " (default: from the file)"),
         )
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="reserved for randomized helpers")
         p.add_argument("--oracle", action="store_true", help="cross-check against the exact counterpart")
         p.add_argument("--weights", default=None, help="comma-separated scalarization weights")
     return parser
@@ -438,8 +437,6 @@ def run_command(args: argparse.Namespace) -> int:
         raise _usage(
             f"unknown method {method!r} for {args.command} (choose from: {', '.join(methods)})"
         )
-    if args.seed < 0:
-        raise _usage("--seed must be a nonnegative integer")
     weights = _parse_weights(args.weights)
     if weights is not None and not takes_weights:
         raise _usage(f"--weights is not applicable to {args.command}")

@@ -20,6 +20,7 @@ Number = Union[int, float, Fraction]
 TOLERANCE = 1e-9
 
 T = TypeVar("T")
+K = TypeVar("K")
 
 
 class ValidationError(ValueError):
@@ -222,31 +223,34 @@ def dominates(a: EstimateVector, b: EstimateVector) -> bool:
     return ge_all and any(x > y for x, y in zip(a, b))
 
 
-def non_dominated(items: Sequence[T], dom: Callable[[T, T], bool]) -> list[T]:
-    """Items not strictly dominated by any other, in input order."""
-    return [
-        a
-        for i, a in enumerate(items)
-        if not any(dom(b, a) for j, b in enumerate(items) if j != i)
-    ]
+def non_dominated(
+    items: Sequence[T], dom: Callable[[K, K], bool], key: Callable[[T], K] | None = None
+) -> list[T]:
+    """Items whose key no other item's key strictly dominates, in input order.
+
+    Only the distinct (hashable) keys are compared; the default key is the
+    item. ``dom`` must be strict, so equal keys never dominate each other
+    and the result equals an all-pairs comparison of the items.
+    """
+    keys = list(items) if key is None else [key(x) for x in items]
+    distinct = list(dict.fromkeys(keys))
+    alive = {k for k in distinct if not any(dom(o, k) for o in distinct)}
+    return [x for x, k in zip(items, keys) if k in alive]
 
 
-def pareto_layers(items: Sequence[T], dom: Callable[[T, T], bool]) -> list[int]:
-    """1-based layer index per item: peel the non-dominated set repeatedly."""
-    n = len(items)
-    layer = [0] * n
-    remaining = list(range(n))
+def pareto_layers(
+    items: Sequence[T], dom: Callable[[K, K], bool], key: Callable[[T], K] | None = None
+) -> list[int]:
+    """1-based layer index per item: peel the non-dominated keys repeatedly."""
+    keys = list(items) if key is None else [key(x) for x in items]
+    remaining = list(dict.fromkeys(keys))
+    layer: dict[K, int] = {}
     current = 1
     while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(dom(items[j], items[i]) for j in remaining if j != i)
-        ]
+        front = non_dominated(remaining, dom)
         if not front:  # cannot happen for a strict partial order
             raise ValidationError("dominance relation admits a cycle")
-        for i in front:
-            layer[i] = current
-        remaining = [i for i in remaining if i not in set(front)]
+        layer.update(dict.fromkeys(front, current))
+        remaining = [k for k in remaining if k not in layer]
         current += 1
-    return layer
+    return [layer[k] for k in keys]

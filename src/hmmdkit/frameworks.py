@@ -2,7 +2,7 @@
 
 run_three_set_pipeline: cluster two element sets, assign the clusters,
 then pick one action per matched element pair under a shared budget.
-design_trajectory: one decision per stage scored like a morphological
+design_trajectory: one decision per stage, solved as a morphological
 composition over inter-stage compatibilities. evaluate_integration_tree:
 bottom-up ordinal evaluation through total lookup tables. plan_improvement:
 one improvement action per system part within a budget.
@@ -18,17 +18,24 @@ from typing import Sequence
 from .assign import AssignmentInstance, assign_greedy
 from .cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
 from .core import (
+    Best,
     CriteriaFrame,
     EstimateVector,
-    GuardExceeded,
     Number,
     OrdinalScale,
     ValidationError,
     as_frac,
     guard_limit,
-    non_dominated,
 )
-from .morph import DEFAULT_COMPAT_SCALE, QualityVector, n_dominates
+from .morph import (
+    DEFAULT_COMPAT_SCALE,
+    ComposeOptions,
+    DesignAlternative,
+    MorphNode,
+    MorphSystem,
+    QualityVector,
+    compose_node,
+)
 from .select import (
     MCKP_TABLE_GUARD,
     Group,
@@ -39,9 +46,6 @@ from .select import (
     mckp_exact_dp,
     mckp_greedy,
 )
-
-TRAJECTORY_GUARD = 10**6
-
 
 # ------------------------------------------------------------------ pipeline
 
@@ -229,6 +233,9 @@ class Stage:
         object.__setattr__(self, "decisions", tuple(self.decisions))
         if not self.decisions:
             raise ValidationError("a stage needs at least one decision")
+        for d, p in self.decisions:
+            if p < 1:
+                raise ValidationError(f"decision {d!r}: priority {p} is below 1")
 
 
 @dataclass(frozen=True)
@@ -272,12 +279,7 @@ class Trajectory:
 @dataclass(frozen=True)
 class TrajectoryOptions:
     all_pairs: bool = False
-    max_combinations: int | None = None
-
-    def limit(self) -> int:
-        if self.max_combinations is not None:
-            return self.max_combinations
-        return guard_limit(TRAJECTORY_GUARD)
+    max_combinations: int | None = None  # None: guard default (env-overridable)
 
 
 def design_trajectory(
@@ -285,51 +287,38 @@ def design_trajectory(
 ) -> list[Trajectory]:
     """Dominance-maximal stage-decision sequences.
 
-    Quality mirrors morphological composition: w is the worst compatibility
-    between consecutive choices (all stage pairs with all_pairs), counts
-    collect the priorities of the chosen decisions.
+    The spec becomes a one-level morphological system: one leaf part per
+    stage, with compatibilities between consecutive stages (all stage
+    pairs with all_pairs), every one of which must be given. Zero-valued
+    links stay allowed. Output order is compose_node's canonical order.
     """
     options = options or TrajectoryOptions()
-    total = 1
-    for s in spec.stages:
-        total *= len(s.decisions)
-    limit = options.limit()
-    if total > limit:
-        raise GuardExceeded(f"{total} trajectories exceed guard {limit}")
-    prio = spec.priorities()
-    max_priority = max(max(prio.values()), 3)
-    hi = spec.compat_scale.hi
-
-    def link(a: str, b: str) -> int:
-        v = spec.compat.get((a, b))
-        if v is None:
-            raise ValidationError(
-                f"missing compatibility between stage decisions {a!r} and {b!r}"
-            )
-        return v
-
-    results = []
-    for combo in itertools.product(*(s.decisions for s in spec.stages)):
-        path = tuple(d for d, _ in combo)
-        if options.all_pairs:
-            pairs = list(itertools.combinations(path, 2))
-        else:
-            pairs = list(zip(path, path[1:]))
-        w = min((link(a, b) for a, b in pairs), default=hi)
-        counts = [0] * max_priority
-        for d in path:
-            counts[prio[d] - 1] += 1
-        results.append(Trajectory(path, QualityVector(w, tuple(counts))))
-    front = non_dominated(results, lambda x, y: n_dominates(x.quality, y.quality))
-    width = max(len(t.quality.counts) for t in front)
-    return sorted(
-        front,
-        key=lambda t: (
-            -t.quality.w,
-            tuple(-c for c in t.quality.cumulative(width)),
-            t.path,
-        ),
+    stages = [s.decisions for s in spec.stages]
+    n = len(stages)
+    linked = itertools.combinations(range(n), 2) if options.all_pairs else zip(range(n), range(1, n))
+    compat = {}
+    for i, j in linked:
+        for (a, _), (b, _) in itertools.product(stages[i], stages[j]):
+            if (a, b) not in spec.compat:
+                raise ValidationError(
+                    f"missing compatibility between stage decisions {a!r} and {b!r}"
+                )
+            compat[("trajectory", a, b)] = spec.compat[(a, b)]
+    parts = tuple(
+        MorphNode(str(i), alternatives=tuple(DesignAlternative(d, p) for d, p in ds))
+        for i, ds in enumerate(stages)
     )
+    system = MorphSystem(
+        MorphNode("trajectory", children=parts),
+        compat,
+        compat_scale=spec.compat_scale,
+        priority_scale=OrdinalScale(1, max(3, *spec.priorities().values()), Best.LOW),
+    )
+    compose = ComposeOptions(allow_zero_w=True, max_combinations=options.max_combinations)
+    return [
+        Trajectory(tuple(da for _, da in d.selection), d.quality)
+        for d in compose_node(system, "trajectory", options=compose)
+    ]
 
 
 # ----------------------------------------------------------- integration tree

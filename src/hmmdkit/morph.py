@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -117,7 +118,7 @@ class MorphSystem:
                 )
             # when every child is a leaf the pair must join two distinct
             # children; nodes with internal children may also reference
-            # derived composite ids, which exist only during synthesis
+            # derived composite ids, which synthesis checks once it names them
             if all(c.is_leaf for c in owner.children):
                 homes = {
                     alt.id: c.id for c in owner.children for alt in c.alternatives
@@ -304,8 +305,7 @@ def compose_node(
                 quality=quality,
             )
         )
-    front = non_dominated(feasible, lambda x, y: n_dominates(x.quality, y.quality))
-    return _canonical_sort(front)
+    return _canonical_sort(non_dominated(feasible, n_dominates, attrgetter("quality")))
 
 
 def priorities_from_quality(
@@ -317,9 +317,7 @@ def priorities_from_quality(
     parts = {d.quality.m for d in decisions}
     if len(parts) != 1:
         raise ValidationError(f"mixed part counts: {sorted(parts)}")
-    layers = pareto_layers(
-        list(decisions), lambda x, y: n_dominates(x.quality, y.quality)
-    )
+    layers = pareto_layers(decisions, n_dominates, attrgetter("quality"))
     return dict(zip(decisions, layers))
 
 
@@ -363,6 +361,15 @@ def synthesize_tree_trace(
             das, leaves = expand(child)
             child_das[child.id] = das
             child_leaves[child.id] = leaves
+        homes = {da.id: cid for cid, das in child_das.items() for da in das}
+        for node_id, a, b in system.compat:
+            if node_id == node.id and (
+                a not in homes or b not in homes or homes[a] == homes[b]
+            ):
+                raise ValidationError(
+                    f"node {node.id!r}: compatibility key ({a!r}, {b!r}) names no "
+                    "pair of alternatives from two different children"
+                )
         decisions = compose_node(system, node.id, child_das, options)
         if not decisions:
             raise ValidationError(

@@ -950,7 +950,6 @@ _NUMERIC_KEYS = {
     "budget",
     "p",
     "q",
-    "runtime_ms",
     "time",
 }
 

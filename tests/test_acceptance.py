@@ -358,12 +358,10 @@ def test_criterion_5_oracle_equivalence():
         inst = _random_assignment(rng)
         entries = _assign_brute(inst)
         exact = assign_exact(inst)
+        betas = scalarize(inst.frame, [v for row in inst.cells for v in row])
         best_obj = max(
             sum(
-                scalarize(
-                    inst.frame,
-                    [v for row in inst.cells for v in row],
-                )[
+                betas[
                     inst.agents.index(a) * len(inst.positions) + inst.positions.index(p)
                 ]
                 for a, p in pairs

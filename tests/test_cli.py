@@ -64,6 +64,13 @@ def test_unknown_flag_exits_2(capsys):
     assert err.count("\n") == 1
 
 
+def test_seed_flag_is_not_accepted(capsys):
+    code, out, err = run(capsys, "synth", "--input", COURSE, "--seed", "1")
+    assert code == 2
+    assert err.startswith("hmmdkit: error: usage:")
+    assert err.count("\n") == 1
+
+
 def test_weights_rejected_where_not_applicable(capsys):
     code, out, err = run(capsys, "synth", "--input", COURSE, "--weights", "1,2")
     assert code == 2

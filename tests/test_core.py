@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -15,6 +16,7 @@ from hmmdkit.core import (
     non_dominated,
     pareto_layers,
 )
+from hmmdkit.morph import QualityVector, n_dominates
 
 
 def rows(*vals):
@@ -127,3 +129,76 @@ def test_non_dominated_and_layers():
     assert front == [pts[0]]
     layers = pareto_layers(pts, dominates)
     assert layers == [1, 2, 3, 2, 2]
+
+
+# ------------------------------------------------- keyed front vs all-pairs oracle
+
+
+def oracle_non_dominated(items, dom):
+    """All-pairs filter: items not strictly dominated by any other item."""
+    return [
+        a
+        for i, a in enumerate(items)
+        if not any(dom(b, a) for j, b in enumerate(items) if j != i)
+    ]
+
+
+def oracle_pareto_layers(items, dom):
+    """All-pairs peeling: 1-based layer index per item."""
+    n = len(items)
+    layer = [0] * n
+    remaining = list(range(n))
+    current = 1
+    while remaining:
+        front = [
+            i
+            for i in remaining
+            if not any(dom(items[j], items[i]) for j in remaining if j != i)
+        ]
+        if not front:
+            raise ValidationError("dominance relation admits a cycle")
+        for i in front:
+            layer[i] = current
+        remaining = [i for i in remaining if i not in set(front)]
+        current += 1
+    return layer
+
+
+def _random_quality(rng):
+    parts, levels = 3, 3
+    cuts = sorted(rng.randint(0, parts) for _ in range(levels - 1))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [parts])]
+    return QualityVector(rng.randint(0, 3), tuple(counts))
+
+
+#: key kind -> (seeded key generator, strict dominance on those keys)
+KEY_KINDS = {
+    "quality": (_random_quality, n_dominates),
+    "estimate": (lambda rng: EstimateVector([rng.randint(0, 2) for _ in range(3)]), dominates),
+    "tuple": (lambda rng: tuple(rng.randint(0, 3) for _ in range(2)), dominates),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEY_KINDS))
+def test_keyed_front_matches_all_pairs_oracle(kind):
+    draw, dom = KEY_KINDS[kind]
+    rng = random.Random(f"keyed-front:{kind}")
+    for _ in range(120):
+        pool = [draw(rng) for _ in range(rng.randint(1, 6))]
+        # few distinct keys, many items: the keyed path must see repeats
+        items = [(i, rng.choice(pool)) for i in range(rng.randint(1, 30))]
+        key = itemgetter(1)
+        keyed_dom = lambda x, y: dom(x[1], y[1])
+        assert non_dominated(items, dom, key) == oracle_non_dominated(items, keyed_dom)
+        assert pareto_layers(items, dom, key) == oracle_pareto_layers(items, keyed_dom)
+        keys = [k for _, k in items]
+        assert non_dominated(keys, dom) == oracle_non_dominated(keys, dom)
+        assert pareto_layers(keys, dom) == oracle_pareto_layers(keys, dom)
+
+
+def test_pareto_layers_rejects_a_cyclic_relation():
+    def beats(a, b):  # rock-paper-scissors: strict but not transitive
+        return (a - b) % 3 == 1
+
+    with pytest.raises(ValidationError, match="cycle"):
+        pareto_layers([0, 1, 2, 2], beats)

@@ -325,11 +325,16 @@ def _brute_trajectories(spec, all_pairs):
         for d in path:
             counts[prio[d] - 1] += 1
         out.append(Trajectory(path, QualityVector(w, tuple(counts))))
-    return {
+    front = [
         t
         for t in out
         if not any(n_dominates(o.quality, t.quality) for o in out if o != t)
-    }
+    ]
+    # canonical order: descending w, descending cumulative counts, then path
+    return sorted(
+        front,
+        key=lambda t: (-t.quality.w, tuple(-c for c in t.quality.cumulative()), t.path),
+    )
 
 
 @pytest.mark.parametrize("all_pairs", [False, True])
@@ -338,7 +343,9 @@ def test_trajectory_front_equals_brute_force(all_pairs):
     for _ in range(40):
         spec = random_trajectory_spec(rng, all_pairs=all_pairs)
         got = design_trajectory(spec, TrajectoryOptions(all_pairs=all_pairs))
-        assert set(got) == _brute_trajectories(spec, all_pairs)
+        expected = _brute_trajectories(spec, all_pairs)
+        assert set(got) == set(expected)
+        assert got == expected
 
 
 # ---------------------------------------------------------- integration tree

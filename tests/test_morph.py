@@ -162,6 +162,21 @@ def test_root_tables_between_derived_composites_constrain_synthesis():
     )
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [("typo", "also_typo"), ("E_1", "ghost"), ("E_1", "E_2"), ("E_9", "H_1")],
+)
+def test_unmatched_compat_key_at_internal_child_node_rejected(left, right):
+    # "S" has internal children, so its keys can only be checked once
+    # synthesis has named the derived composites E_k and H_k
+    base = course_system()
+    compat = dict(base.compat)
+    compat[("S", left, right)] = 0
+    system = MorphSystem(base.root, compat)
+    with pytest.raises(ValidationError, match=rf"'S'.*'{left}', '{right}'"):
+        synthesize_tree(system)
+
+
 # --------------------------------------------------------------- compose_node
 
 

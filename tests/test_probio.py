@@ -210,6 +210,23 @@ def test_morph_compat_typo_rejected_at_parse():
         parse_problem(json.dumps(doc))
 
 
+@pytest.mark.parametrize("priority", [0, -7])
+def test_trajectory_priority_below_one_rejected(priority):
+    doc = {
+        "spec_version": 1,
+        "problem_type": "trajectory",
+        "payload": {
+            "stages": [
+                {"time": 1, "decisions": [{"id": "a", "priority": 1}]},
+                {"time": 2, "decisions": [{"id": "b", "priority": priority}]},
+            ],
+            "compat": [{"from": "a", "to": "b", "value": 2}],
+        },
+    }
+    with pytest.raises(ParseError, match=r"\$\.payload\.stages\[1\].*below 1"):
+        parse_problem(json.dumps(doc))
+
+
 def test_number_encoding():
     assert encode_number(Fraction(5)) == 5
     assert encode_number(Fraction(5, 4)) == "1.25"
