@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable
 
 from .assign import AssignmentInstance
 from .cluster import DissimilarityMatrix, Linkage
@@ -52,20 +53,6 @@ from .route import TspInstance
 from .select import Group, GroupRule, Item, KnapsackInstance, MckpInstance
 
 SPEC_VERSION = 1
-
-PROBLEM_TYPES = (
-    "rank",
-    "knapsack",
-    "mckp",
-    "cluster",
-    "assign",
-    "tsp",
-    "morph",
-    "trajectory",
-    "integrate",
-    "pipeline",
-    "improve",
-)
 
 
 class ParseError(ValidationError):
@@ -117,16 +104,15 @@ def _fail(path: str, message: str) -> None:
     raise ParseError(path, message)
 
 
-def _obj(raw: Any, path: str, required: Sequence[str], optional: Sequence[str], strict: bool) -> dict:
+def _obj(raw: Any, path: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
     if not isinstance(raw, dict):
         _fail(path, f"expected an object, got {type(raw).__name__}")
     missing = sorted(set(required) - set(raw))
     if missing:
         _fail(path, f"missing keys {missing}")
-    if strict:
-        unknown = sorted(set(raw) - set(required) - set(optional))
-        if unknown:
-            _fail(path, f"unknown keys {unknown}")
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if unknown:
+        _fail(path, f"unknown keys {unknown}")
     return raw
 
 
@@ -181,104 +167,222 @@ def _number(raw: Any, path: str) -> Any:
     _fail(path, f"expected a number, got {raw!r}")
 
 
-def _wrap(path: str):
+class _wrap:
     """Re-raise domain validation errors with position information."""
 
-    class _Ctx:
-        def __enter__(self):
-            return self
+    def __init__(self, path: str) -> None:
+        self.path = path
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, ValidationError) and not issubclass(exc_type, ParseError):
-                raise ParseError(path, str(exc)) from exc
-            return False
+    def __enter__(self) -> None:
+        pass
 
-    return _Ctx()
-
-
-# ------------------------------------------------------------ shared pieces
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if isinstance(exc, ValidationError) and not isinstance(exc, ParseError):
+            raise ParseError(self.path, str(exc)) from exc
+        return False
 
 
-def _parse_frame(raw: Any, path: str, strict: bool) -> CriteriaFrame:
-    items = _list(raw, path, min_len=1)
-    crits = []
-    for i, c in enumerate(items):
-        p = f"{path}[{i}]"
-        d = _obj(c, p, required=("id",), optional=("direction", "weight"), strict=strict)
-        direction_raw = d.get("direction", "max")
-        if direction_raw not in ("max", "min"):
-            _fail(f"{p}.direction", f"expected 'max' or 'min', got {direction_raw!r}")
-        direction = Direction.MAXIMIZE if direction_raw == "max" else Direction.MINIMIZE
-        weight = _frac(d.get("weight", 1), f"{p}.weight")
-        with _wrap(p):
-            crits.append(Criterion(_str(d["id"], f"{p}.id"), direction, weight))
-    with _wrap(path):
-        return CriteriaFrame(tuple(crits))
+# -------------------------------------------------------------------- codecs
+#
+# A codec reads one JSON shape into a value with parse(raw, path) and
+# writes the value back with dump(value). Each problem type is one record
+# in _PROBLEMS, so a payload key is named in one place only.
 
 
-def _frame_payload(frame: CriteriaFrame) -> list[dict]:
-    return [
-        {
-            "id": c.id,
-            "direction": "max" if c.direction is Direction.MAXIMIZE else "min",
-            "weight": encode_number(c.weight),
-        }
-        for c in frame.criteria
-    ]
+class _Leaf:
+    """A scalar: ``parse`` checks and converts it, ``dump`` encodes it."""
+
+    def __init__(self, parse: Callable[[Any, str], Any], dump: Callable[[Any], Any] = lambda v: v) -> None:
+        self.parse, self.dump = parse, dump
 
 
-def _parse_vector(raw: Any, path: str) -> EstimateVector:
-    vals = _list(raw, path, min_len=1)
-    return EstimateVector([_frac(v, f"{path}[{i}]") for i, v in enumerate(vals)])
+def _choice(enum: type[Enum]) -> _Leaf:
+    """An enum member written as its value."""
+    values = tuple(e.value for e in enum)
+    expected = ", ".join(map(repr, values[:-1])) + f" or {values[-1]!r}"
+
+    def parse(raw: Any, path: str) -> Enum:
+        if raw not in values:
+            _fail(path, f"expected {expected}, got {raw!r}")
+        return enum(raw)
+
+    return _Leaf(parse, attrgetter("value"))
 
 
-def _vector_payload(v: EstimateVector) -> list:
-    return [encode_number(x) for x in v.values]
+class _List:
+    """An array of ``item``; ``build`` makes the value from the parsed tuple
+    and ``entries`` reads the entries back from it."""
+
+    def __init__(self, item: Any, min_len: int = 0, build: Callable = tuple, entries: Callable = iter) -> None:
+        self.item, self.min_len, self.build, self.entries = item, min_len, build, entries
+
+    def parse(self, raw: Any, path: str) -> Any:
+        parse = self.item.parse
+        vals = tuple(parse(x, f"{path}[{i}]") for i, x in enumerate(_list(raw, path, self.min_len)))
+        with _wrap(path):
+            return self.build(vals)
+
+    def dump(self, value: Any) -> list:
+        return [self.item.dump(x) for x in self.entries(value)]
 
 
-def _parse_matrix(raw: Any, path: str) -> tuple[tuple[Any, ...], ...]:
-    rows = _list(raw, path, min_len=1)
-    return tuple(
-        tuple(
-            _number(v, f"{path}[{i}][{j}]")
-            for j, v in enumerate(_list(row, f"{path}[{i}]"))
-        )
-        for i, row in enumerate(rows)
+class _Map:
+    """An object with free keys and ``value`` entries."""
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def parse(self, raw: Any, path: str) -> dict:
+        _obj(raw, path, (), raw)  # any key is allowed
+        return {k: self.value.parse(v, f"{path}.{k}") for k, v in raw.items()}
+
+    def dump(self, value: dict) -> dict:
+        return {k: self.value.dump(v) for k, v in value.items()}
+
+
+def _getter(get: Any) -> Callable[[Any], Any]:
+    if isinstance(get, str):
+        return attrgetter(get)
+    if isinstance(get, int):
+        return itemgetter(get)
+    return get
+
+
+class _Record:
+    """An object with fixed keys, one ``(key, codec, getter[, default])``
+    field each; a field without a default is required.
+
+    The getter reads the field back from the built value: a dotted
+    attribute name, a tuple index or a callable. The parsed fields go to
+    ``build`` in table order, after the record's path when ``with_path``
+    is set. ``dump`` leaves out a field whose getter returns None.
+    """
+
+    def __init__(self, *fields: tuple, build: Callable = lambda *vals: vals, with_path: bool = False) -> None:
+        self.fields = [(key, codec, _getter(get), default) for key, codec, get, *default in fields]
+        self.keys = [f[0] for f in self.fields]
+        self.required = [key for key, _, _, default in self.fields if not default]
+        self.build, self.with_path = build, with_path
+
+    def parse(self, raw: Any, path: str) -> Any:
+        _obj(raw, path, self.required, self.keys)
+        vals = [
+            codec.parse(raw[key], f"{path}.{key}") if key in raw else default[0]
+            for key, codec, _, default in self.fields
+        ]
+        with _wrap(path):
+            return self.build(path, *vals) if self.with_path else self.build(*vals)
+
+    def dump(self, value: Any) -> dict:
+        out = {}
+        for key, codec, get, _ in self.fields:
+            x = get(value)
+            if x is not None:
+                out[key] = codec.dump(x)
+        return out
+
+
+class _Table:
+    """Rows parsed into ``{key: value}``: the last field is the value, the
+    others the key (a single key field is the key itself). A repeated key
+    is an error; rows are written sorted by key."""
+
+    def __init__(self, *fields: tuple, min_len: int = 0) -> None:
+        self.row = _Record(*((key, codec, i) for i, (key, codec) in enumerate(fields)))
+        self.flat, self.min_len = len(fields) > 2, min_len
+
+    def parse(self, raw: Any, path: str) -> dict:
+        table = {}
+        for i, row in enumerate(_list(raw, path, self.min_len)):
+            *key, value = self.row.parse(row, f"{path}[{i}]")
+            key = tuple(key) if self.flat else key[0]
+            if key in table:
+                _fail(f"{path}[{i}]", f"duplicate entry for {key!r}")
+            table[key] = value
+        return table
+
+    def dump(self, table: dict) -> list:
+        return [self.row.dump((*k, v) if self.flat else (k, v)) for k, v in sorted(table.items())]
+
+
+class _Ref:
+    """Forward reference for a recursive shape; set ``target`` once it exists."""
+
+    target: Any
+
+    def parse(self, raw: Any, path: str) -> Any:
+        return self.target.parse(raw, path)
+
+    def dump(self, value: Any) -> Any:
+        return self.target.dump(value)
+
+
+# ------------------------------------------------------------ shared shapes
+
+
+_STR, _INT, _BOOL = _Leaf(_str), _Leaf(_int), _Leaf(_bool)
+_FRAC, _NUM = _Leaf(_frac, encode_number), _Leaf(_number, encode_number)
+_LINKAGE = _choice(Linkage)
+_IDS = _List(_STR, 1)
+_VECTOR = _List(_FRAC, 1, EstimateVector)
+_MATRIX = _List(_List(_NUM), 1)
+_CELLS = _List(_List(_VECTOR), 1)
+_SET = _Record(("ids", _IDS, "ids"), ("matrix", _MATRIX, "d"), build=DissimilarityMatrix)
+_FRAME = _List(
+    _Record(
+        ("id", _STR, "id"),
+        ("direction", _choice(Direction), "direction", Direction.MAXIMIZE),
+        ("weight", _FRAC, "weight", Fraction(1)),
+        build=Criterion,
+    ),
+    1,
+    CriteriaFrame,
+    attrgetter("criteria"),
+)
+
+
+def _scale(best: Best) -> _Record:
+    return _Record(("lo", _INT, "lo"), ("hi", _INT, "hi"), build=lambda lo, hi: OrdinalScale(lo, hi, best))
+
+
+def _items(value_key: str) -> _List:
+    return _List(
+        _Record(("id", _STR, "id"), (value_key, _VECTOR, "value"), ("cost", _FRAC, "cost"), build=Item), 1
     )
 
 
-def _matrix_payload(m) -> list[list]:
-    return [[encode_number(v) for v in row] for row in m]
+_ITEMS = _items("value")
 
+_MORPH_NODE = _Ref()
+_MORPH_NODE.target = _Record(
+    ("id", _STR, "id"),
+    ("children", _List(_MORPH_NODE, 1), lambda n: n.children or None, ()),
+    (
+        "alternatives",
+        _List(
+            _Record(
+                ("id", _STR, "id"),
+                ("priority", _INT, "priority"),
+                ("estimates", _VECTOR, "estimates", None),
+                build=DesignAlternative,
+            ),
+            1,
+        ),
+        lambda n: n.alternatives or None,
+        (),
+    ),
+    build=MorphNode,
+)
 
-def _parse_scale(raw: Any, path: str, best: Best, strict: bool) -> OrdinalScale:
-    d = _obj(raw, path, required=("lo", "hi"), optional=(), strict=strict)
-    with _wrap(path):
-        return OrdinalScale(_int(d["lo"], f"{path}.lo"), _int(d["hi"], f"{path}.hi"), best)
-
-
-def _parse_items(raw: Any, path: str, strict: bool, value_key: str = "value") -> tuple[Item, ...]:
-    entries = _list(raw, path, min_len=1)
-    items = []
-    for i, e in enumerate(entries):
-        p = f"{path}[{i}]"
-        d = _obj(e, p, required=("id", value_key, "cost"), optional=(), strict=strict)
-        with _wrap(p):
-            items.append(
-                Item(
-                    _str(d["id"], f"{p}.id"),
-                    _parse_vector(d[value_key], f"{p}.{value_key}"),
-                    _frac(d["cost"], f"{p}.cost"),
-                )
-            )
-    return tuple(items)
-
-
-def _items_payload(items: Sequence[Item], value_key: str = "value") -> list[dict]:
-    return [
-        {"id": it.id, value_key: _vector_payload(it.value), "cost": encode_number(it.cost)}
-        for it in items
-    ]
+_INTEGRATION_NODE = _Ref()
+_INTEGRATION_NODE.target = _Record(
+    ("id", _STR, "id"),
+    ("scale", _scale(Best.HIGH), "scale"),
+    ("children", _List(_INTEGRATION_NODE, 1), lambda n: n.children or None, ()),
+    ("table", _Table(("inputs", _List(_INT)), ("output", _INT), min_len=1), "table", None),
+    ("estimate", _INT, "estimate", None),
+    build=IntegrationNode,
+)
 
 
 # --------------------------------------------------------------- per problem
@@ -353,361 +457,32 @@ class ProblemFile:
     payload: Any
 
 
-def _parse_rank(raw: dict, path: str, strict: bool) -> RankProblem:
-    d = _obj(raw, path, required=("criteria", "alternatives"), optional=("p", "q"), strict=strict)
-    frame = _parse_frame(d["criteria"], f"{path}.criteria", strict)
-    alts = []
-    for i, a in enumerate(_list(d["alternatives"], f"{path}.alternatives", min_len=1)):
-        p = f"{path}.alternatives[{i}]"
-        ad = _obj(a, p, required=("id", "estimates"), optional=(), strict=strict)
-        alts.append(
-            (_str(ad["id"], f"{p}.id"), _parse_vector(ad["estimates"], f"{p}.estimates"))
-        )
-    with _wrap(path):
-        inst = RankingInstance(frame, tuple(alts))
-    p_thr = _frac(d.get("p", DEFAULT_CONCORDANCE), f"{path}.p")
-    q_thr = _frac(d.get("q", DEFAULT_DISCORDANCE), f"{path}.q")
-    return RankProblem(inst, p_thr, q_thr)
+# ------------------------------------------------------ cross-field checks
 
 
-def _rank_payload(pb: RankProblem) -> dict:
-    return {
-        "criteria": _frame_payload(pb.instance.frame),
-        "alternatives": [
-            {"id": a, "estimates": _vector_payload(v)}
-            for a, v in pb.instance.alternatives
-        ],
-        "p": encode_number(pb.p),
-        "q": encode_number(pb.q),
-    }
-
-
-def _parse_knapsack(raw: dict, path: str, strict: bool) -> KnapsackProblem:
-    d = _obj(raw, path, required=("criteria", "items", "budget"), optional=(), strict=strict)
-    frame = _parse_frame(d["criteria"], f"{path}.criteria", strict)
-    items = _parse_items(d["items"], f"{path}.items", strict)
-    with _wrap(path):
-        return KnapsackProblem(
-            KnapsackInstance(frame, items, _frac(d["budget"], f"{path}.budget"))
-        )
-
-
-def _knapsack_payload(pb: KnapsackProblem) -> dict:
-    return {
-        "criteria": _frame_payload(pb.instance.frame),
-        "items": _items_payload(pb.instance.items),
-        "budget": encode_number(pb.instance.budget),
-    }
-
-
-def _parse_mckp(raw: dict, path: str, strict: bool) -> MckpProblem:
-    d = _obj(
-        raw, path, required=("criteria", "groups", "budget"), optional=("group_rule",), strict=strict
-    )
-    frame = _parse_frame(d["criteria"], f"{path}.criteria", strict)
-    groups = []
-    for i, g in enumerate(_list(d["groups"], f"{path}.groups", min_len=1)):
-        p = f"{path}.groups[{i}]"
-        gd = _obj(g, p, required=("id", "items"), optional=(), strict=strict)
-        with _wrap(p):
-            groups.append(
-                Group(_str(gd["id"], f"{p}.id"), _parse_items(gd["items"], f"{p}.items", strict))
-            )
-    rule_raw = d.get("group_rule", "at_most_one")
-    if rule_raw not in ("at_most_one", "exactly_one"):
-        _fail(f"{path}.group_rule", f"expected 'at_most_one' or 'exactly_one', got {rule_raw!r}")
-    with _wrap(path):
-        return MckpProblem(
-            MckpInstance(
-                frame,
-                tuple(groups),
-                _frac(d["budget"], f"{path}.budget"),
-                GroupRule(rule_raw),
-            )
-        )
-
-
-def _mckp_payload(pb: MckpProblem) -> dict:
-    return {
-        "criteria": _frame_payload(pb.instance.frame),
-        "groups": [
-            {"id": g.id, "items": _items_payload(g.items)} for g in pb.instance.groups
-        ],
-        "budget": encode_number(pb.instance.budget),
-        "group_rule": pb.instance.group_rule.value,
-    }
-
-
-def _parse_ids(raw: Any, path: str) -> tuple[str, ...]:
-    return tuple(_str(x, f"{path}[{i}]") for i, x in enumerate(_list(raw, path, min_len=1)))
-
-
-def _parse_linkage(raw: Any, path: str) -> Linkage:
-    if raw not in ("single", "complete", "average"):
-        _fail(path, f"expected 'single', 'complete' or 'average', got {raw!r}")
-    return Linkage(raw)
-
-
-def _parse_cluster(raw: dict, path: str, strict: bool) -> ClusterProblem:
-    d = _obj(raw, path, required=("ids", "matrix"), optional=("linkage", "k"), strict=strict)
-    ids = _parse_ids(d["ids"], f"{path}.ids")
-    matrix = _parse_matrix(d["matrix"], f"{path}.matrix")
+def _cluster(path: str, ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
     with _wrap(f"{path}.matrix"):
         m = DissimilarityMatrix(ids, matrix)
-    linkage = _parse_linkage(d.get("linkage", "single"), f"{path}.linkage")
-    k = None
-    if "k" in d:
-        k = _int(d["k"], f"{path}.k")
-        if not 1 <= k <= len(ids):
-            _fail(f"{path}.k", f"k={k} outside 1..{len(ids)}")
+    if k is not None and not 1 <= k <= len(ids):
+        _fail(f"{path}.k", f"k={k} outside 1..{len(ids)}")
     return ClusterProblem(m, linkage, k)
 
 
-def _cluster_payload(pb: ClusterProblem) -> dict:
-    out = {
-        "ids": list(pb.matrix.ids),
-        "matrix": _matrix_payload(pb.matrix.d),
-        "linkage": pb.linkage.value,
-    }
-    if pb.k is not None:
-        out["k"] = pb.k
-    return out
-
-
-def _parse_assign(raw: dict, path: str, strict: bool) -> AssignProblem:
-    d = _obj(
-        raw,
-        path,
-        required=("criteria", "agents", "positions", "matrix"),
-        optional=("capacity",),
-        strict=strict,
-    )
-    frame = _parse_frame(d["criteria"], f"{path}.criteria", strict)
-    agents = _parse_ids(d["agents"], f"{path}.agents")
-    positions = _parse_ids(d["positions"], f"{path}.positions")
-    rows = _list(d["matrix"], f"{path}.matrix", min_len=1)
-    cells = tuple(
-        tuple(
-            _parse_vector(cell, f"{path}.matrix[{i}][{j}]")
-            for j, cell in enumerate(_list(row, f"{path}.matrix[{i}]"))
-        )
-        for i, row in enumerate(rows)
-    )
-    capacity = None
-    if "capacity" in d:
-        cd = d["capacity"]
-        if not isinstance(cd, dict):
-            _fail(f"{path}.capacity", "expected an object")
-        capacity = {
-            k: _int(v, f"{path}.capacity.{k}") for k, v in cd.items()
-        }
-    with _wrap(path):
-        return AssignProblem(AssignmentInstance(agents, positions, cells, frame, capacity))
-
-
-def _assign_payload(pb: AssignProblem) -> dict:
-    inst = pb.instance
-    return {
-        "criteria": _frame_payload(inst.frame),
-        "agents": list(inst.agents),
-        "positions": list(inst.positions),
-        "matrix": [[_vector_payload(c) for c in row] for row in inst.cells],
-        "capacity": {p: inst.capacity[p] for p in inst.positions},
-    }
-
-
-def _parse_tsp(raw: dict, path: str, strict: bool) -> TspProblem:
-    d = _obj(raw, path, required=("ids", "matrix"), optional=("start",), strict=strict)
-    ids = _parse_ids(d["ids"], f"{path}.ids")
-    matrix = _parse_matrix(d["matrix"], f"{path}.matrix")
+def _tsp(path: str, ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
     with _wrap(f"{path}.matrix"):
         inst = TspInstance(ids, matrix)
-    start = _str(d["start"], f"{path}.start") if "start" in d else None
     if start is not None and start not in ids:
         _fail(f"{path}.start", f"unknown city {start!r}")
     return TspProblem(inst, start)
 
 
-def _tsp_payload(pb: TspProblem) -> dict:
-    out = {"ids": list(pb.instance.ids), "matrix": _matrix_payload(pb.instance.dist)}
-    if pb.start is not None:
-        out["start"] = pb.start
-    return out
+def _pair_actions(path: str, pair: tuple, items: tuple) -> PairActions:
+    if len(pair) != 2:
+        _fail(f"{path}.pair", "expected [element1, element2]")
+    return PairActions(*pair, items)
 
 
-def _parse_morph_node(raw: Any, path: str, strict: bool) -> MorphNode:
-    d = _obj(raw, path, required=("id",), optional=("children", "alternatives"), strict=strict)
-    nid = _str(d["id"], f"{path}.id")
-    if "children" in d and "alternatives" in d:
-        _fail(path, f"node {nid!r} cannot carry both children and alternatives")
-    if "children" in d:
-        children = tuple(
-            _parse_morph_node(c, f"{path}.children[{i}]", strict)
-            for i, c in enumerate(_list(d["children"], f"{path}.children", min_len=1))
-        )
-        with _wrap(path):
-            return MorphNode(nid, children=children)
-    alts = []
-    for i, a in enumerate(_list(d.get("alternatives"), f"{path}.alternatives", min_len=1)):
-        p = f"{path}.alternatives[{i}]"
-        ad = _obj(a, p, required=("id", "priority"), optional=("estimates",), strict=strict)
-        estimates = (
-            _parse_vector(ad["estimates"], f"{p}.estimates") if "estimates" in ad else None
-        )
-        with _wrap(p):
-            alts.append(
-                DesignAlternative(
-                    _str(ad["id"], f"{p}.id"), _int(ad["priority"], f"{p}.priority"), estimates
-                )
-            )
-    with _wrap(path):
-        return MorphNode(nid, alternatives=tuple(alts))
-
-
-def _morph_node_payload(node: MorphNode) -> dict:
-    if node.is_leaf:
-        alts = []
-        for da in node.alternatives:
-            a = {"id": da.id, "priority": da.priority}
-            if da.estimates is not None:
-                a["estimates"] = _vector_payload(da.estimates)
-            alts.append(a)
-        return {"id": node.id, "alternatives": alts}
-    return {
-        "id": node.id,
-        "children": [_morph_node_payload(c) for c in node.children],
-    }
-
-
-def _parse_morph(raw: dict, path: str, strict: bool) -> MorphProblem:
-    d = _obj(
-        raw,
-        path,
-        required=("tree", "compat"),
-        optional=("priority_scale", "compat_scale"),
-        strict=strict,
-    )
-    tree = _parse_morph_node(d["tree"], f"{path}.tree", strict)
-    compat = {}
-    for i, t in enumerate(_list(d["compat"], f"{path}.compat")):
-        p = f"{path}.compat[{i}]"
-        td = _obj(t, p, required=("node", "left", "right", "value"), optional=(), strict=strict)
-        key = (
-            _str(td["node"], f"{p}.node"),
-            _str(td["left"], f"{p}.left"),
-            _str(td["right"], f"{p}.right"),
-        )
-        if key in compat or (key[0], key[2], key[1]) in compat:
-            _fail(p, f"duplicate compatibility entry for {key[1]!r}-{key[2]!r} at {key[0]!r}")
-        compat[key] = _int(td["value"], f"{p}.value")
-    prio_scale = (
-        _parse_scale(d["priority_scale"], f"{path}.priority_scale", Best.LOW, strict)
-        if "priority_scale" in d
-        else DEFAULT_PRIORITY_SCALE
-    )
-    compat_scale = (
-        _parse_scale(d["compat_scale"], f"{path}.compat_scale", Best.HIGH, strict)
-        if "compat_scale" in d
-        else DEFAULT_COMPAT_SCALE
-    )
-    with _wrap(path):
-        return MorphProblem(MorphSystem(tree, compat, compat_scale, prio_scale))
-
-
-def _morph_payload(pb: MorphProblem) -> dict:
-    system = pb.system
-    return {
-        "tree": _morph_node_payload(system.root),
-        "compat": [
-            {"node": n, "left": a, "right": b, "value": v}
-            for (n, a, b), v in sorted(system.compat.items())
-        ],
-        "priority_scale": {"lo": system.priority_scale.lo, "hi": system.priority_scale.hi},
-        "compat_scale": {"lo": system.compat_scale.lo, "hi": system.compat_scale.hi},
-    }
-
-
-def _parse_trajectory(raw: dict, path: str, strict: bool) -> TrajectoryProblem:
-    d = _obj(raw, path, required=("stages", "compat"), optional=("all_pairs",), strict=strict)
-    stages = []
-    for i, s in enumerate(_list(d["stages"], f"{path}.stages", min_len=1)):
-        p = f"{path}.stages[{i}]"
-        sd = _obj(s, p, required=("time", "decisions"), optional=(), strict=strict)
-        decisions = []
-        for j, dec in enumerate(_list(sd["decisions"], f"{p}.decisions", min_len=1)):
-            pp = f"{p}.decisions[{j}]"
-            dd = _obj(dec, pp, required=("id", "priority"), optional=(), strict=strict)
-            decisions.append(
-                (_str(dd["id"], f"{pp}.id"), _int(dd["priority"], f"{pp}.priority"))
-            )
-        with _wrap(p):
-            stages.append(Stage(_frac(sd["time"], f"{p}.time"), tuple(decisions)))
-    compat = {}
-    for i, t in enumerate(_list(d["compat"], f"{path}.compat")):
-        p = f"{path}.compat[{i}]"
-        td = _obj(t, p, required=("from", "to", "value"), optional=(), strict=strict)
-        key = (_str(td["from"], f"{p}.from"), _str(td["to"], f"{p}.to"))
-        if key in compat:
-            _fail(p, f"duplicate compatibility entry {key}")
-        compat[key] = _int(td["value"], f"{p}.value")
-    with _wrap(path):
-        spec = TrajectorySpec(tuple(stages), compat)
-    all_pairs = _bool(d.get("all_pairs", False), f"{path}.all_pairs")
-    return TrajectoryProblem(spec, all_pairs)
-
-
-def _trajectory_payload(pb: TrajectoryProblem) -> dict:
-    return {
-        "stages": [
-            {
-                "time": encode_number(s.time),
-                "decisions": [{"id": d, "priority": p} for d, p in s.decisions],
-            }
-            for s in pb.spec.stages
-        ],
-        "compat": [
-            {"from": a, "to": b, "value": v}
-            for (a, b), v in sorted(pb.spec.compat.items())
-        ],
-        "all_pairs": pb.all_pairs,
-    }
-
-
-def _parse_integration_node(raw: Any, path: str, strict: bool) -> IntegrationNode:
-    d = _obj(
-        raw,
-        path,
-        required=("id", "scale"),
-        optional=("children", "table", "estimate"),
-        strict=strict,
-    )
-    nid = _str(d["id"], f"{path}.id")
-    scale = _parse_scale(d["scale"], f"{path}.scale", Best.HIGH, strict)
-    if "children" in d:
-        children = tuple(
-            _parse_integration_node(c, f"{path}.children[{i}]", strict)
-            for i, c in enumerate(_list(d["children"], f"{path}.children", min_len=1))
-        )
-        table = {}
-        for i, row in enumerate(_list(d.get("table", []), f"{path}.table", min_len=1)):
-            p = f"{path}.table[{i}]"
-            rd = _obj(row, p, required=("inputs", "output"), optional=(), strict=strict)
-            key = tuple(
-                _int(v, f"{p}.inputs[{j}]")
-                for j, v in enumerate(_list(rd["inputs"], f"{p}.inputs"))
-            )
-            if key in table:
-                _fail(p, f"duplicate table entry for inputs {list(key)}")
-            table[key] = _int(rd["output"], f"{p}.output")
-        with _wrap(path):
-            return IntegrationNode(nid, scale, children=children, table=table)
-    with _wrap(path):
-        return IntegrationNode(nid, scale, estimate=_int(d.get("estimate"), f"{path}.estimate"))
-
-
-def _parse_integrate(raw: dict, path: str, strict: bool) -> IntegrateProblem:
-    d = _obj(raw, path, required=("tree",), optional=(), strict=strict)
-    tree = _parse_integration_node(d["tree"], f"{path}.tree", strict)
+def _integrate(path: str, tree: IntegrationNode) -> IntegrateProblem:
     seen: set[str] = set()
 
     def check_unique(node: IntegrationNode) -> None:
@@ -723,194 +498,138 @@ def _parse_integrate(raw: dict, path: str, strict: bool) -> IntegrateProblem:
     return IntegrateProblem(tree)
 
 
-def _integration_node_payload(node: IntegrationNode) -> dict:
-    out = {"id": node.id, "scale": {"lo": node.scale.lo, "hi": node.scale.hi}}
-    if node.children:
-        out["children"] = [_integration_node_payload(c) for c in node.children]
-        out["table"] = [
-            {"inputs": list(k), "output": v} for k, v in sorted(node.table.items())
-        ]
-    else:
-        out["estimate"] = node.estimate
-    return out
-
-
-def _parse_pipeline(raw: dict, path: str, strict: bool) -> PipelineProblem:
-    d = _obj(
-        raw,
-        path,
-        required=(
-            "criteria",
-            "set1",
-            "set2",
-            "k1",
-            "k2",
-            "correspondence",
-            "action_criteria",
-            "actions",
-            "budget",
+#: problem_type -> payload codec; fields follow the constructor they feed
+_PROBLEMS = {
+    "rank": _Record(
+        ("criteria", _FRAME, "instance.frame"),
+        ("alternatives", _List(_Record(("id", _STR, 0), ("estimates", _VECTOR, 1)), 1), "instance.alternatives"),
+        ("p", _FRAC, "p", DEFAULT_CONCORDANCE),
+        ("q", _FRAC, "q", DEFAULT_DISCORDANCE),
+        build=lambda frame, alts, p, q: RankProblem(RankingInstance(frame, alts), p, q),
+    ),
+    "knapsack": _Record(
+        ("criteria", _FRAME, "instance.frame"),
+        ("items", _ITEMS, "instance.items"),
+        ("budget", _FRAC, "instance.budget"),
+        build=lambda *args: KnapsackProblem(KnapsackInstance(*args)),
+    ),
+    "mckp": _Record(
+        ("criteria", _FRAME, "instance.frame"),
+        ("groups", _List(_Record(("id", _STR, "id"), ("items", _ITEMS, "items"), build=Group), 1), "instance.groups"),
+        ("budget", _FRAC, "instance.budget"),
+        ("group_rule", _choice(GroupRule), "instance.group_rule", GroupRule.AT_MOST_ONE),
+        build=lambda *args: MckpProblem(MckpInstance(*args)),
+    ),
+    "cluster": _Record(
+        ("ids", _IDS, "matrix.ids"),
+        ("matrix", _MATRIX, "matrix.d"),
+        ("linkage", _LINKAGE, "linkage", Linkage.SINGLE),
+        ("k", _INT, "k", None),
+        build=_cluster,
+        with_path=True,
+    ),
+    "assign": _Record(
+        ("agents", _IDS, "instance.agents"),
+        ("positions", _IDS, "instance.positions"),
+        ("matrix", _CELLS, "instance.cells"),
+        ("criteria", _FRAME, "instance.frame"),
+        ("capacity", _Map(_INT), "instance.capacity", None),
+        build=lambda *args: AssignProblem(AssignmentInstance(*args)),
+    ),
+    "tsp": _Record(
+        ("ids", _IDS, "instance.ids"),
+        ("matrix", _MATRIX, "instance.dist"),
+        ("start", _STR, "start", None),
+        build=_tsp,
+        with_path=True,
+    ),
+    "morph": _Record(
+        ("tree", _MORPH_NODE, "system.root"),
+        ("compat", _Table(("node", _STR), ("left", _STR), ("right", _STR), ("value", _INT)), "system.compat"),
+        ("compat_scale", _scale(Best.HIGH), "system.compat_scale", DEFAULT_COMPAT_SCALE),
+        ("priority_scale", _scale(Best.LOW), "system.priority_scale", DEFAULT_PRIORITY_SCALE),
+        build=lambda *args: MorphProblem(MorphSystem(*args)),
+    ),
+    "trajectory": _Record(
+        (
+            "stages",
+            _List(
+                _Record(
+                    ("time", _FRAC, "time"),
+                    ("decisions", _List(_Record(("id", _STR, 0), ("priority", _INT, 1)), 1), "decisions"),
+                    build=Stage,
+                ),
+                1,
+            ),
+            "spec.stages",
         ),
-        optional=("linkage",),
-        strict=strict,
-    )
-    frame = _parse_frame(d["criteria"], f"{path}.criteria", strict)
-    action_frame = _parse_frame(d["action_criteria"], f"{path}.action_criteria", strict)
-
-    def parse_set(key: str) -> DissimilarityMatrix:
-        sd = _obj(d[key], f"{path}.{key}", required=("ids", "matrix"), optional=(), strict=strict)
-        ids = _parse_ids(sd["ids"], f"{path}.{key}.ids")
-        with _wrap(f"{path}.{key}"):
-            return DissimilarityMatrix(ids, _parse_matrix(sd["matrix"], f"{path}.{key}.matrix"))
-
-    set1, set2 = parse_set("set1"), parse_set("set2")
-    corr_rows = _list(d["correspondence"], f"{path}.correspondence", min_len=1)
-    correspondence = tuple(
-        tuple(
-            _parse_vector(cell, f"{path}.correspondence[{i}][{j}]")
-            for j, cell in enumerate(_list(row, f"{path}.correspondence[{i}]"))
-        )
-        for i, row in enumerate(corr_rows)
-    )
-    actions = []
-    for i, a in enumerate(_list(d["actions"], f"{path}.actions")):
-        p = f"{path}.actions[{i}]"
-        ad = _obj(a, p, required=("pair", "items"), optional=(), strict=strict)
-        pair = _list(ad["pair"], f"{p}.pair")
-        if len(pair) != 2:
-            _fail(f"{p}.pair", "expected [element1, element2]")
-        with _wrap(p):
-            actions.append(
-                PairActions(
-                    _str(pair[0], f"{p}.pair[0]"),
-                    _str(pair[1], f"{p}.pair[1]"),
-                    _parse_items(ad["items"], f"{p}.items", strict),
+        ("compat", _Table(("from", _STR), ("to", _STR), ("value", _INT)), "spec.compat"),
+        ("all_pairs", _BOOL, "all_pairs", False),
+        build=lambda stages, compat, all_pairs: TrajectoryProblem(TrajectorySpec(stages, compat), all_pairs),
+    ),
+    "integrate": _Record(("tree", _INTEGRATION_NODE, "tree"), build=_integrate, with_path=True),
+    "pipeline": _Record(
+        ("set1", _SET, "spec.set1"),
+        ("set2", _SET, "spec.set2"),
+        ("k1", _INT, "spec.k1"),
+        ("k2", _INT, "spec.k2"),
+        ("criteria", _FRAME, "spec.frame"),
+        ("correspondence", _CELLS, "spec.correspondence"),
+        ("action_criteria", _FRAME, "spec.action_frame"),
+        (
+            "actions",
+            _List(
+                _Record(
+                    ("pair", _List(_STR), lambda a: (a.element1, a.element2)),
+                    ("items", _ITEMS, "items"),
+                    build=_pair_actions,
+                    with_path=True,
                 )
-            )
-    linkage = _parse_linkage(d.get("linkage", "single"), f"{path}.linkage")
-    with _wrap(path):
-        spec = ThreeSetSpec(
-            set1=set1,
-            set2=set2,
-            k1=_int(d["k1"], f"{path}.k1"),
-            k2=_int(d["k2"], f"{path}.k2"),
-            frame=frame,
-            correspondence=correspondence,
-            action_frame=action_frame,
-            actions=tuple(actions),
-            budget=_frac(d["budget"], f"{path}.budget"),
-        )
-    return PipelineProblem(spec, linkage)
-
-
-def _pipeline_payload(pb: PipelineProblem) -> dict:
-    spec = pb.spec
-    return {
-        "criteria": _frame_payload(spec.frame),
-        "set1": {"ids": list(spec.set1.ids), "matrix": _matrix_payload(spec.set1.d)},
-        "set2": {"ids": list(spec.set2.ids), "matrix": _matrix_payload(spec.set2.d)},
-        "k1": spec.k1,
-        "k2": spec.k2,
-        "correspondence": [
-            [_vector_payload(c) for c in row] for row in spec.correspondence
-        ],
-        "action_criteria": _frame_payload(spec.action_frame),
-        "actions": [
-            {"pair": [pa.element1, pa.element2], "items": _items_payload(pa.items)}
-            for pa in spec.actions
-        ],
-        "budget": encode_number(spec.budget),
-        "linkage": pb.linkage.value,
-    }
-
-
-def _parse_improve(raw: dict, path: str, strict: bool) -> ImproveProblem:
-    d = _obj(raw, path, required=("criteria", "parts", "budget"), optional=(), strict=strict)
-    frame = _parse_frame(d["criteria"], f"{path}.criteria", strict)
-    parts = []
-    for i, pr in enumerate(_list(d["parts"], f"{path}.parts", min_len=1)):
-        p = f"{path}.parts[{i}]"
-        pd = _obj(pr, p, required=("id", "actions"), optional=(), strict=strict)
-        with _wrap(p):
-            parts.append(
-                ImprovementPart(
-                    _str(pd["id"], f"{p}.id"),
-                    _parse_items(pd["actions"], f"{p}.actions", strict, value_key="effect"),
-                )
-            )
-    with _wrap(path):
-        return ImproveProblem(
-            ImprovementSpec(frame, tuple(parts), _frac(d["budget"], f"{path}.budget"))
-        )
-
-
-def _improve_payload(pb: ImproveProblem) -> dict:
-    return {
-        "criteria": _frame_payload(pb.spec.frame),
-        "parts": [
-            {"id": p.id, "actions": _items_payload(p.actions, value_key="effect")}
-            for p in pb.spec.parts
-        ],
-        "budget": encode_number(pb.spec.budget),
-    }
-
-
-_PARSERS = {
-    "rank": _parse_rank,
-    "knapsack": _parse_knapsack,
-    "mckp": _parse_mckp,
-    "cluster": _parse_cluster,
-    "assign": _parse_assign,
-    "tsp": _parse_tsp,
-    "morph": _parse_morph,
-    "trajectory": _parse_trajectory,
-    "integrate": _parse_integrate,
-    "pipeline": _parse_pipeline,
-    "improve": _parse_improve,
+            ),
+            "spec.actions",
+        ),
+        ("budget", _FRAC, "spec.budget"),
+        ("linkage", _LINKAGE, "linkage", Linkage.SINGLE),
+        build=lambda *args: PipelineProblem(ThreeSetSpec(*args[:-1]), args[-1]),
+    ),
+    "improve": _Record(
+        ("criteria", _FRAME, "spec.frame"),
+        (
+            "parts",
+            _List(_Record(("id", _STR, "id"), ("actions", _items("effect"), "actions"), build=ImprovementPart), 1),
+            "spec.parts",
+        ),
+        ("budget", _FRAC, "spec.budget"),
+        build=lambda *args: ImproveProblem(ImprovementSpec(*args)),
+    ),
 }
 
-def _integrate_payload(pb: IntegrateProblem) -> dict:
-    return {"tree": _integration_node_payload(pb.tree)}
-
-
-_PAYLOADS = {
-    "rank": _rank_payload,
-    "knapsack": _knapsack_payload,
-    "mckp": _mckp_payload,
-    "cluster": _cluster_payload,
-    "assign": _assign_payload,
-    "tsp": _tsp_payload,
-    "morph": _morph_payload,
-    "trajectory": _trajectory_payload,
-    "integrate": _integrate_payload,
-    "pipeline": _pipeline_payload,
-    "improve": _improve_payload,
-}
+PROBLEM_TYPES = tuple(_PROBLEMS)
 
 
 def _canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def parse_problem(text: str, strict: bool = True) -> ProblemFile:
+def parse_problem(text: str) -> ProblemFile:
     """Parse and fully validate a problem file.
 
     Every structural invariant of the target instance is checked here;
     error messages carry the JSON path of the offending value. Unknown
-    keys are rejected unless strict is disabled.
+    keys are rejected.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"malformed JSON: {exc}") from exc
-    doc = _obj(raw, "$", required=("spec_version", "problem_type", "payload"), optional=(), strict=strict)
+    doc = _obj(raw, "$", ("spec_version", "problem_type", "payload"))
     version = _int(doc["spec_version"], "$.spec_version")
     if version != SPEC_VERSION:
         _fail("$.spec_version", f"unsupported version {version}, expected {SPEC_VERSION}")
     ptype = _str(doc["problem_type"], "$.problem_type")
-    if ptype not in PROBLEM_TYPES:
+    if ptype not in _PROBLEMS:
         _fail("$.problem_type", f"unknown problem type {ptype!r}")
-    payload = _PARSERS[ptype](doc["payload"], "$.payload", strict)
-    return ProblemFile(version, ptype, payload)
+    return ProblemFile(version, ptype, _PROBLEMS[ptype].parse(doc["payload"], "$.payload"))
 
 
 def write_problem(pf: ProblemFile) -> str:
@@ -919,7 +638,7 @@ def write_problem(pf: ProblemFile) -> str:
         {
             "spec_version": pf.spec_version,
             "problem_type": pf.problem_type,
-            "payload": _PAYLOADS[pf.problem_type](pf.payload),
+            "payload": _PROBLEMS[pf.problem_type].dump(pf.payload),
         }
     )
 
@@ -1002,13 +721,7 @@ def parse_result(text: str) -> ResultFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"malformed JSON: {exc}") from exc
-    doc = _obj(
-        raw,
-        "$",
-        required=("spec_version", "problem_type", "method", "solution", "diagnostics"),
-        optional=(),
-        strict=True,
-    )
+    doc = _obj(raw, "$", ("spec_version", "problem_type", "method", "solution", "diagnostics"))
     return ResultFile(
         spec_version=_int(doc["spec_version"], "$.spec_version"),
         problem_type=_str(doc["problem_type"], "$.problem_type"),
@@ -1124,6 +837,9 @@ class QualityCase:
     relation: str  # a_dominates_b | b_dominates_a | incomparable
 
 
+_QUALITY = _Record(("w", _INT, "w"), ("counts", _List(_INT, 1), "counts"), build=QualityVector)
+
+
 def load_quality_cases(text: str) -> list[QualityCase]:
     """Auxiliary fixture format: expected dominance relations between
     quality-vector pairs."""
@@ -1131,7 +847,7 @@ def load_quality_cases(text: str) -> list[QualityCase]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"malformed JSON: {exc}") from exc
-    doc = _obj(raw, "$", required=("spec_version", "kind", "cases"), optional=(), strict=True)
+    doc = _obj(raw, "$", ("spec_version", "kind", "cases"))
     if _int(doc["spec_version"], "$.spec_version") != SPEC_VERSION:
         _fail("$.spec_version", "unsupported version")
     if doc["kind"] != "quality_cases":
@@ -1139,19 +855,9 @@ def load_quality_cases(text: str) -> list[QualityCase]:
     cases = []
     for i, c in enumerate(_list(doc["cases"], "$.cases", min_len=1)):
         p = f"$.cases[{i}]"
-        cd = _obj(c, p, required=("a", "b", "relation"), optional=(), strict=True)
-
-        def qv(raw_q, path):
-            qd = _obj(raw_q, path, required=("w", "counts"), optional=(), strict=True)
-            counts = [
-                _int(v, f"{path}.counts[{j}]")
-                for j, v in enumerate(_list(qd["counts"], f"{path}.counts", min_len=1))
-            ]
-            with _wrap(path):
-                return QualityVector(_int(qd["w"], f"{path}.w"), tuple(counts))
-
+        cd = _obj(c, p, ("a", "b", "relation"))
         relation = cd["relation"]
         if relation not in ("a_dominates_b", "b_dominates_a", "incomparable"):
             _fail(f"{p}.relation", f"unknown relation {relation!r}")
-        cases.append(QualityCase(qv(cd["a"], f"{p}.a"), qv(cd["b"], f"{p}.b"), relation))
+        cases.append(QualityCase(_QUALITY.parse(cd["a"], f"{p}.a"), _QUALITY.parse(cd["b"], f"{p}.b"), relation))
     return cases

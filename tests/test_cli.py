@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import hmmdkit
 from hmmdkit.cli import main
 from hmmdkit.probio import fixture_path, parse_result
 
@@ -360,10 +363,14 @@ def test_knapsack_end_to_end(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_in_subprocess():
+    # the child imports the same hmmdkit as this process, installed or not
+    src = str(Path(hmmdkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hmmdkit", "synth", "--input", COURSE, "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     result = parse_result(proc.stdout)

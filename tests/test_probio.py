@@ -66,8 +66,6 @@ def test_strict_mode_rejects_unknown_keys():
     doc["payload"]["surprise"] = 1
     with pytest.raises(ParseError, match="surprise"):
         parse_problem(json.dumps(doc))
-    pf = parse_problem(json.dumps(doc), strict=False)
-    assert pf.payload.instance.ids == ["a"]
 
 
 def test_errors_name_the_offending_path():
@@ -97,6 +95,151 @@ def test_fixture_canonical_write_parse_identity(name):
     canonical = write_problem(pf)
     assert canonical == text  # fixtures ship in canonical form
     assert write_problem(parse_problem(canonical)) == canonical
+
+
+def problem_text(ptype, payload):
+    """A problem file in canonical layout (sorted keys, two-space indent)."""
+    doc = {"spec_version": 1, "problem_type": ptype, "payload": payload}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def criteria(*specs):
+    return [{"id": i, "direction": d, "weight": w} for i, d, w in specs]
+
+
+#: one canonical payload per type not covered by a fixture, every optional key written
+CANONICAL = {
+    "rank": {
+        "criteria": criteria(("cost", "min", "0.25"), ("quality", "max", "0.75")),
+        "alternatives": [{"id": "a", "estimates": [3, "1.5"]}, {"id": "b", "estimates": [1, "1/3"]}],
+        "p": "0.7",
+        "q": "0.2",
+    },
+    "knapsack": {
+        "criteria": criteria(("c1", "max", 1)),
+        "items": [{"id": "i1", "value": [4], "cost": 2}, {"id": "i2", "value": ["2.5"], "cost": "1/3"}],
+        "budget": 3,
+    },
+    "cluster": {
+        "ids": ["a", "b", "c"],
+        "matrix": [[0, 1, "2.5"], [1, 0, 1.5], ["2.5", 1.5, 0]],
+        "linkage": "average",
+        "k": 2,
+    },
+    "tsp": {"ids": ["a", "b", "c"], "matrix": [[0, 2, 3], [2, 0, 4], [3, 4, 0]], "start": "b"},
+    "trajectory": {
+        "stages": [
+            {"time": 1, "decisions": [{"id": "a1", "priority": 1}, {"id": "a2", "priority": 2}]},
+            {"time": "2.5", "decisions": [{"id": "b1", "priority": 1}]},
+        ],
+        "compat": [{"from": "a1", "to": "b1", "value": 3}, {"from": "a2", "to": "b1", "value": 1}],
+        "all_pairs": True,
+    },
+    "integrate": {
+        "tree": {
+            "id": "root",
+            "scale": {"lo": 1, "hi": 2},
+            "children": [
+                {"id": "a", "scale": {"lo": 1, "hi": 2}, "estimate": 2},
+                {"id": "b", "scale": {"lo": 0, "hi": 1}, "estimate": 0},
+            ],
+            "table": [
+                {"inputs": [i, j], "output": 2 if (i, j) == (2, 1) else 1}
+                for i in (1, 2)
+                for j in (0, 1)
+            ],
+        }
+    },
+    "pipeline": {
+        "criteria": criteria(("c", "max", 1)),
+        "set1": {"ids": ["e1", "e2"], "matrix": [[0, 1], [1, 0]]},
+        "set2": {"ids": ["f1"], "matrix": [[0]]},
+        "k1": 2,
+        "k2": 1,
+        "correspondence": [[[2]], [[3]]],
+        "action_criteria": criteria(("g", "min", 1)),
+        "actions": [{"pair": ["e1", "f1"], "items": [{"id": "t1", "value": [1], "cost": "0.5"}]}],
+        "budget": 2,
+        "linkage": "complete",
+    },
+    "improve": {
+        "criteria": criteria(("c1", "max", "0.5"), ("c2", "min", "0.5")),
+        "parts": [{"id": "p1", "actions": [{"id": "x1", "effect": [1, 2], "cost": 1}]}],
+        "budget": "1.5",
+    },
+}
+
+
+@pytest.mark.parametrize("ptype", sorted(CANONICAL))
+def test_canonical_write_parse_identity_per_type(ptype):
+    text = problem_text(ptype, CANONICAL[ptype])
+    assert write_problem(parse_problem(text)) == text
+
+
+C, C_FULL = [{"id": "c"}], criteria(("c", "max", 1))
+ITEM = {"id": "i", "value": [1], "cost": 1}
+
+#: problem type -> (minimal payload, what the canonical form adds or fills in)
+MINIMAL = {
+    "rank": (
+        {"criteria": C, "alternatives": [{"id": "a", "estimates": [1]}]},
+        {"criteria": C_FULL, "p": "0.6", "q": "0.4"},
+    ),
+    "knapsack": ({"criteria": C, "items": [ITEM], "budget": 1}, {"criteria": C_FULL}),
+    "mckp": (
+        {"criteria": C, "groups": [{"id": "g", "items": [ITEM]}], "budget": 1},
+        {"criteria": C_FULL, "group_rule": "at_most_one"},
+    ),
+    "cluster": ({"ids": ["a", "b"], "matrix": [[0, 1], [1, 0]]}, {"linkage": "single"}),
+    "assign": (
+        {"criteria": C, "agents": ["x"], "positions": ["p"], "matrix": [[[1]]]},
+        {"criteria": C_FULL, "capacity": {"p": 1}},
+    ),
+    "tsp": ({"ids": ["a", "b", "c"], "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}, {}),
+    "morph": (
+        {
+            "tree": {
+                "id": "r",
+                "children": [
+                    {"id": "x", "alternatives": [{"id": "x1", "priority": 1}]},
+                    {"id": "y", "alternatives": [{"id": "y1", "priority": 1}]},
+                ],
+            },
+            "compat": [],
+        },
+        {"priority_scale": {"lo": 1, "hi": 3}, "compat_scale": {"lo": 0, "hi": 3}},
+    ),
+    "trajectory": (
+        {"stages": [{"time": 1, "decisions": [{"id": "a", "priority": 1}]}], "compat": []},
+        {"all_pairs": False},
+    ),
+    "integrate": ({"tree": {"id": "r", "scale": {"lo": 1, "hi": 2}, "estimate": 1}}, {}),
+    "pipeline": (
+        {
+            "criteria": C,
+            "set1": {"ids": ["e"], "matrix": [[0]]},
+            "set2": {"ids": ["f"], "matrix": [[0]]},
+            "k1": 1,
+            "k2": 1,
+            "correspondence": [[[1]]],
+            "action_criteria": C,
+            "actions": [],
+            "budget": 0,
+        },
+        {"criteria": C_FULL, "action_criteria": C_FULL, "linkage": "single"},
+    ),
+    "improve": (
+        {"criteria": C, "parts": [{"id": "p", "actions": [{"id": "a", "effect": [1], "cost": 1}]}], "budget": 1},
+        {"criteria": C_FULL},
+    ),
+}
+
+
+@pytest.mark.parametrize("ptype", sorted(MINIMAL))
+def test_canonical_form_writes_defaults(ptype):
+    payload, added = MINIMAL[ptype]
+    written = json.loads(write_problem(parse_problem(problem_text(ptype, payload))))
+    assert written["payload"] == {**payload, **added}
 
 
 def test_course_fixture_compat_matches_reference_tables():
@@ -202,6 +345,27 @@ def test_integrate_duplicate_node_ids_rejected():
         parse_problem(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda tree: tree.update(estimate=1),
+            r"\$\.payload\.tree: internal node 'root' must not carry an estimate",
+        ),
+        (
+            lambda tree: tree["children"][0].update(table=[{"inputs": [], "output": 1}]),
+            r"\$\.payload\.tree\.children\[0\]: leaf 'a' must not carry a table",
+        ),
+    ],
+    ids=["estimate-on-internal-node", "table-on-leaf"],
+)
+def test_integrate_misplaced_estimate_or_table_rejected(mutate, message):
+    payload = json.loads(json.dumps(CANONICAL["integrate"]))
+    mutate(payload["tree"])
+    with pytest.raises(ParseError, match=message):
+        parse_problem(problem_text("integrate", payload))
+
+
 def test_morph_compat_typo_rejected_at_parse():
     text = load_fixture("course_example.morph")
     doc = json.loads(text)
@@ -225,6 +389,39 @@ def test_trajectory_priority_below_one_rejected(priority):
     }
     with pytest.raises(ParseError, match=r"\$\.payload\.stages\[1\].*below 1"):
         parse_problem(json.dumps(doc))
+
+
+MUTANT_VALUES = (None, [], {}, "", -1, True, "1/0")
+
+
+def mutants(node):
+    """Copies of a JSON document with one change each: a value replaced by
+    one of MUTANT_VALUES, a key dropped or added, or a list entry repeated."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            for value in MUTANT_VALUES:
+                yield {**node, k: value}
+            yield {kk: vv for kk, vv in node.items() if kk != k}
+            yield from ({**node, k: m} for m in mutants(v))
+        yield {**node, "surprise": 1}
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            for value in MUTANT_VALUES:
+                yield node[:i] + [value] + node[i + 1 :]
+            yield from (node[:i] + [m] + node[i + 1 :] for m in mutants(v))
+        if node:
+            yield node + node[:1]
+
+
+def test_mutated_fixtures_fail_only_with_a_json_path():
+    rng = random.Random(31)
+    for name in FIXTURES:
+        all_mutants = list(mutants(json.loads(load_fixture(name))))
+        for doc in rng.sample(all_mutants, 250):
+            try:
+                parse_problem(json.dumps(doc))
+            except ParseError as exc:
+                assert exc.path.startswith("$"), str(exc)
 
 
 def test_number_encoding():
