@@ -1,91 +1,119 @@
 """Multicriteria ranking, combinatorial selection, and hierarchical
-morphological synthesis toolkit."""
+morphological synthesis toolkit.
 
-from .assign import (
-    AssignmentInstance,
-    AssignmentSolution,
-    assign_exact,
-    assign_greedy,
-    assign_pareto,
-)
-from .cluster import (
-    Dendrogram,
-    DissimilarityMatrix,
-    Linkage,
-    build_dendrogram,
-    cut_dendrogram,
-)
-from .core import (
-    Best,
-    Criterion,
-    CriteriaFrame,
-    Direction,
-    EstimateVector,
-    GuardExceeded,
-    InfeasibleError,
-    OrdinalScale,
-    ValidationError,
-    dominates,
-    equal_weight_frame,
-    normalize_estimates,
-)
-from .frameworks import (
-    ImprovementPart,
-    ImprovementSpec,
-    IntegrationNode,
-    PairActions,
-    PipelineOptions,
-    Stage,
-    ThreeSetSpec,
-    Trajectory,
-    TrajectoryOptions,
-    TrajectorySpec,
-    design_trajectory,
-    evaluate_integration_tree,
-    plan_improvement,
-    run_three_set_pipeline,
-)
-from .morph import (
-    ComposeOptions,
-    CompositeDecision,
-    DesignAlternative,
-    MorphNode,
-    MorphSystem,
-    QualityVector,
-    compose_node,
-    n_dominates,
-    priorities_from_quality,
-    quality_vector,
-    synthesize_tree,
-    synthesize_tree_trace,
-)
-from .rank import (
-    RankingInstance,
-    RankingResult,
-    rank_ideal_point,
-    rank_outranking,
-    rank_pareto_layers,
-    rank_utility,
-)
-from .route import (
-    Tour,
-    TspInstance,
-    tsp_brute_force,
-    tsp_nearest_neighbor,
-    tsp_two_opt,
-)
-from .select import (
-    Group,
-    GroupRule,
-    Item,
-    KnapsackInstance,
-    MckpInstance,
-    SelectionSolution,
-    knapsack_exact,
-    knapsack_greedy,
-    mckp_exact_dp,
-    mckp_greedy,
-    scalarize,
-)
+Importing the package loads no submodule: each exported name is imported
+from its submodule on first access (PEP 562), so a run pays only for the
+solvers it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+#: submodule -> the names the package exports from it
+_EXPORTS = {
+    "assign": (
+        "AssignmentInstance",
+        "AssignmentSolution",
+        "assign_exact",
+        "assign_greedy",
+        "assign_pareto",
+    ),
+    "cluster": (
+        "Dendrogram",
+        "DissimilarityMatrix",
+        "Linkage",
+        "build_dendrogram",
+        "cut_dendrogram",
+    ),
+    "core": (
+        "Best",
+        "Criterion",
+        "CriteriaFrame",
+        "Direction",
+        "EstimateVector",
+        "GuardExceeded",
+        "InfeasibleError",
+        "OrdinalScale",
+        "ValidationError",
+        "dominates",
+        "equal_weight_frame",
+        "normalize_estimates",
+    ),
+    "frameworks": (
+        "ImprovementPart",
+        "ImprovementSpec",
+        "IntegrationNode",
+        "PairActions",
+        "PipelineOptions",
+        "Stage",
+        "ThreeSetSpec",
+        "Trajectory",
+        "TrajectoryOptions",
+        "TrajectorySpec",
+        "design_trajectory",
+        "evaluate_integration_tree",
+        "plan_improvement",
+        "run_three_set_pipeline",
+    ),
+    "morph": (
+        "ComposeOptions",
+        "CompositeDecision",
+        "DesignAlternative",
+        "MorphNode",
+        "MorphSystem",
+        "QualityVector",
+        "compose_node",
+        "n_dominates",
+        "priorities_from_quality",
+        "quality_vector",
+        "synthesize_tree",
+        "synthesize_tree_trace",
+    ),
+    "rank": (
+        "RankingInstance",
+        "RankingResult",
+        "rank_ideal_point",
+        "rank_outranking",
+        "rank_pareto_layers",
+        "rank_utility",
+    ),
+    "route": (
+        "Tour",
+        "TspInstance",
+        "tsp_brute_force",
+        "tsp_nearest_neighbor",
+        "tsp_two_opt",
+    ),
+    "select": (
+        "Group",
+        "GroupRule",
+        "Item",
+        "KnapsackInstance",
+        "MckpInstance",
+        "SelectionSolution",
+        "knapsack_exact",
+        "knapsack_greedy",
+        "mckp_exact_dp",
+        "mckp_greedy",
+        "scalarize",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,27 +13,16 @@ import sys
 from fractions import Fraction
 
 from . import probio
-from .assign import assign_exact, assign_greedy, assign_pareto
-from .cluster import Linkage, build_dendrogram, cut_dendrogram
 from .core import (
     GuardExceeded,
     InfeasibleError,
     ValidationError,
     as_frac,
 )
-from .frameworks import (
-    PipelineOptions,
-    TrajectoryOptions,
-    design_trajectory,
-    evaluate_integration_tree,
-    plan_improvement,
-    run_three_set_pipeline,
-)
-from .morph import synthesize_tree_trace
 from .probio import ResultFile, ResultFormat, parse_problem, write_result
-from .rank import rank_ideal_point, rank_outranking, rank_pareto_layers, rank_utility
-from .route import tsp_brute_force, tsp_nearest_neighbor, tsp_two_opt
-from .select import knapsack_exact, knapsack_greedy, mckp_exact_dp, mckp_greedy
+
+# Each _solve_* imports its own solver module, so a run loads only the
+# solvers of its subcommand.
 
 EXIT_OK = 0
 EXIT_SOLVE = 1
@@ -99,6 +88,8 @@ def _assignment_entry(sol) -> dict:
 
 
 def _solve_rank(problem, method, weights, oracle):
+    from .rank import rank_ideal_point, rank_outranking, rank_pareto_layers, rank_utility
+
     inst = problem.instance
     if method == "utility":
         res = rank_utility(inst)
@@ -133,6 +124,8 @@ def _solve_rank(problem, method, weights, oracle):
 
 
 def _solve_knapsack(problem, method, weights, oracle):
+    from .select import knapsack_exact, knapsack_greedy
+
     inst = problem.instance
     sol = knapsack_greedy(inst, weights) if method == "greedy" else knapsack_exact(inst, weights)
     diagnostics = {}
@@ -156,6 +149,8 @@ def _solve_knapsack(problem, method, weights, oracle):
 
 
 def _solve_mckp(problem, method, weights, oracle):
+    from .select import mckp_exact_dp, mckp_greedy
+
     inst = problem.instance
     sol = mckp_greedy(inst, weights) if method == "greedy" else mckp_exact_dp(inst, weights)
     diagnostics = {}
@@ -179,6 +174,8 @@ def _solve_mckp(problem, method, weights, oracle):
 
 
 def _solve_cluster(problem, method, weights, oracle):
+    from .cluster import Linkage, build_dendrogram, cut_dendrogram
+
     linkage = Linkage(method) if method else problem.linkage
     dend = build_dendrogram(problem.matrix, linkage)
     partition = None
@@ -203,6 +200,8 @@ def _solve_cluster(problem, method, weights, oracle):
 
 
 def _solve_assign(problem, method, weights, oracle):
+    from .assign import assign_exact, assign_greedy, assign_pareto
+
     inst = problem.instance
     if method == "pareto":
         if weights is not None:
@@ -237,6 +236,8 @@ def _solve_assign(problem, method, weights, oracle):
 
 
 def _solve_tsp(problem, method, weights, oracle):
+    from .route import tsp_brute_force, tsp_nearest_neighbor, tsp_two_opt
+
     inst = problem.instance
     start = problem.start or inst.ids[0]
     if method == "nearest":
@@ -265,6 +266,8 @@ def _solve_tsp(problem, method, weights, oracle):
 
 
 def _solve_synth(problem, method, weights, oracle):
+    from .morph import synthesize_tree_trace
+
     trace = synthesize_tree_trace(problem.system)
     nodes = []
     for nid in sorted(trace.nodes):
@@ -301,6 +304,8 @@ def _solve_synth(problem, method, weights, oracle):
 
 
 def _solve_trajectory(problem, method, weights, oracle):
+    from .frameworks import TrajectoryOptions, design_trajectory
+
     options = TrajectoryOptions(all_pairs=problem.all_pairs)
     front = design_trajectory(problem.spec, options)
     solution = {
@@ -323,6 +328,8 @@ def _solve_trajectory(problem, method, weights, oracle):
 
 
 def _solve_integrate(problem, method, weights, oracle):
+    from .frameworks import evaluate_integration_tree
+
     result = evaluate_integration_tree(problem.tree)
     solution = {
         "root_estimate": result.root_estimate,
@@ -337,6 +344,8 @@ def _solve_integrate(problem, method, weights, oracle):
 
 
 def _solve_pipeline(problem, method, weights, oracle):
+    from .frameworks import PipelineOptions, run_three_set_pipeline
+
     options = PipelineOptions(linkage=problem.linkage, weights=weights)
     report = run_three_set_pipeline(problem.spec, options)
     solution = {
@@ -367,6 +376,8 @@ def _solve_pipeline(problem, method, weights, oracle):
 
 
 def _solve_improve(problem, method, weights, oracle):
+    from .frameworks import plan_improvement
+
     plan = plan_improvement(problem.spec, weights)
     solution = _selection_payload(plan.solution)
     solution["by_part"] = dict(sorted(plan.by_part.items()))

@@ -40,10 +40,14 @@ def guard_limit(default: int) -> int:
     raw = os.environ.get("HMMD_KIT_GUARD")
     if raw is None:
         return default
+    message = f"HMMD_KIT_GUARD must be a positive integer, got {raw!r}"
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
-        raise ValidationError(f"HMMD_KIT_GUARD must be an integer, got {raw!r}") from exc
+        raise ValidationError(message) from exc
+    if limit < 1:
+        raise ValidationError(message)
+    return limit
 
 
 def as_frac(x: Number | str) -> Fraction:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
+from functools import cache
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .assign import AssignmentInstance
-from .cluster import DissimilarityMatrix, Linkage
 from .core import (
     Best,
     Criterion,
@@ -30,27 +29,15 @@ from .core import (
     ValidationError,
     as_frac,
 )
-from .frameworks import (
-    ImprovementPart,
-    ImprovementSpec,
-    IntegrationNode,
-    PairActions,
-    Stage,
-    ThreeSetSpec,
-    TrajectorySpec,
-    check_tables_total,
-)
-from .morph import (
-    DEFAULT_COMPAT_SCALE,
-    DEFAULT_PRIORITY_SCALE,
-    DesignAlternative,
-    MorphNode,
-    MorphSystem,
-    QualityVector,
-)
-from .rank import DEFAULT_CONCORDANCE, DEFAULT_DISCORDANCE, RankingInstance
-from .route import TspInstance
-from .select import Group, GroupRule, Item, KnapsackInstance, MckpInstance
+
+if TYPE_CHECKING:  # annotations only; each codec imports its own domain module
+    from .assign import AssignmentInstance
+    from .cluster import DissimilarityMatrix, Linkage
+    from .frameworks import ImprovementSpec, IntegrationNode, ThreeSetSpec, TrajectorySpec
+    from .morph import MorphSystem, QualityVector
+    from .rank import RankingInstance
+    from .route import TspInstance
+    from .select import KnapsackInstance, MckpInstance
 
 SPEC_VERSION = 1
 
@@ -185,8 +172,9 @@ class _wrap:
 # -------------------------------------------------------------------- codecs
 #
 # A codec reads one JSON shape into a value with parse(raw, path) and
-# writes the value back with dump(value). Each problem type is one record
-# in _PROBLEMS, so a payload key is named in one place only.
+# writes the value back with dump(value). Each problem type is one record,
+# built by its function in _PROBLEMS, so a payload key is named in one
+# place only.
 
 
 class _Leaf:
@@ -318,16 +306,18 @@ class _Ref:
 
 
 # ------------------------------------------------------------ shared shapes
+#
+# Only shapes built from core types live here; a shape naming a domain
+# class is built by the problem codec that uses it, so importing probio
+# loads no solver module.
 
 
 _STR, _INT, _BOOL = _Leaf(_str), _Leaf(_int), _Leaf(_bool)
 _FRAC, _NUM = _Leaf(_frac, encode_number), _Leaf(_number, encode_number)
-_LINKAGE = _choice(Linkage)
 _IDS = _List(_STR, 1)
 _VECTOR = _List(_FRAC, 1, EstimateVector)
 _MATRIX = _List(_List(_NUM), 1)
 _CELLS = _List(_List(_VECTOR), 1)
-_SET = _Record(("ids", _IDS, "ids"), ("matrix", _MATRIX, "d"), build=DissimilarityMatrix)
 _FRAME = _List(
     _Record(
         ("id", _STR, "id"),
@@ -346,43 +336,11 @@ def _scale(best: Best) -> _Record:
 
 
 def _items(value_key: str) -> _List:
+    from .select import Item
+
     return _List(
         _Record(("id", _STR, "id"), (value_key, _VECTOR, "value"), ("cost", _FRAC, "cost"), build=Item), 1
     )
-
-
-_ITEMS = _items("value")
-
-_MORPH_NODE = _Ref()
-_MORPH_NODE.target = _Record(
-    ("id", _STR, "id"),
-    ("children", _List(_MORPH_NODE, 1), lambda n: n.children or None, ()),
-    (
-        "alternatives",
-        _List(
-            _Record(
-                ("id", _STR, "id"),
-                ("priority", _INT, "priority"),
-                ("estimates", _VECTOR, "estimates", None),
-                build=DesignAlternative,
-            ),
-            1,
-        ),
-        lambda n: n.alternatives or None,
-        (),
-    ),
-    build=MorphNode,
-)
-
-_INTEGRATION_NODE = _Ref()
-_INTEGRATION_NODE.target = _Record(
-    ("id", _STR, "id"),
-    ("scale", _scale(Best.HIGH), "scale"),
-    ("children", _List(_INTEGRATION_NODE, 1), lambda n: n.children or None, ()),
-    ("table", _Table(("inputs", _List(_INT)), ("output", _INT), min_len=1), "table", None),
-    ("estimate", _INT, "estimate", None),
-    build=IntegrationNode,
-)
 
 
 # --------------------------------------------------------------- per problem
@@ -457,154 +415,237 @@ class ProblemFile:
     payload: Any
 
 
-# ------------------------------------------------------ cross-field checks
+# ------------------------------------------------------ payload codecs
+#
+# One function per problem type builds its payload codec and imports only
+# the domain modules that type needs; fields follow the constructor they
+# feed, and cross-field checks with their own path are the record's build.
 
 
-def _cluster(path: str, ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
-    with _wrap(f"{path}.matrix"):
-        m = DissimilarityMatrix(ids, matrix)
-    if k is not None and not 1 <= k <= len(ids):
-        _fail(f"{path}.k", f"k={k} outside 1..{len(ids)}")
-    return ClusterProblem(m, linkage, k)
+def _rank() -> _Record:
+    from .rank import DEFAULT_CONCORDANCE, DEFAULT_DISCORDANCE, RankingInstance
 
-
-def _tsp(path: str, ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
-    with _wrap(f"{path}.matrix"):
-        inst = TspInstance(ids, matrix)
-    if start is not None and start not in ids:
-        _fail(f"{path}.start", f"unknown city {start!r}")
-    return TspProblem(inst, start)
-
-
-def _pair_actions(path: str, pair: tuple, items: tuple) -> PairActions:
-    if len(pair) != 2:
-        _fail(f"{path}.pair", "expected [element1, element2]")
-    return PairActions(*pair, items)
-
-
-def _integrate(path: str, tree: IntegrationNode) -> IntegrateProblem:
-    seen: set[str] = set()
-
-    def check_unique(node: IntegrationNode) -> None:
-        if node.id in seen:
-            _fail(f"{path}.tree", f"duplicate node id {node.id!r}")
-        seen.add(node.id)
-        for c in node.children:
-            check_unique(c)
-
-    check_unique(tree)
-    with _wrap(f"{path}.tree"):
-        check_tables_total(tree)
-    return IntegrateProblem(tree)
-
-
-#: problem_type -> payload codec; fields follow the constructor they feed
-_PROBLEMS = {
-    "rank": _Record(
+    return _Record(
         ("criteria", _FRAME, "instance.frame"),
         ("alternatives", _List(_Record(("id", _STR, 0), ("estimates", _VECTOR, 1)), 1), "instance.alternatives"),
         ("p", _FRAC, "p", DEFAULT_CONCORDANCE),
         ("q", _FRAC, "q", DEFAULT_DISCORDANCE),
         build=lambda frame, alts, p, q: RankProblem(RankingInstance(frame, alts), p, q),
-    ),
-    "knapsack": _Record(
+    )
+
+
+def _knapsack() -> _Record:
+    from .select import KnapsackInstance
+
+    return _Record(
         ("criteria", _FRAME, "instance.frame"),
-        ("items", _ITEMS, "instance.items"),
+        ("items", _items("value"), "instance.items"),
         ("budget", _FRAC, "instance.budget"),
         build=lambda *args: KnapsackProblem(KnapsackInstance(*args)),
-    ),
-    "mckp": _Record(
+    )
+
+
+def _mckp() -> _Record:
+    from .select import Group, GroupRule, MckpInstance
+
+    group = _Record(("id", _STR, "id"), ("items", _items("value"), "items"), build=Group)
+    return _Record(
         ("criteria", _FRAME, "instance.frame"),
-        ("groups", _List(_Record(("id", _STR, "id"), ("items", _ITEMS, "items"), build=Group), 1), "instance.groups"),
+        ("groups", _List(group, 1), "instance.groups"),
         ("budget", _FRAC, "instance.budget"),
         ("group_rule", _choice(GroupRule), "instance.group_rule", GroupRule.AT_MOST_ONE),
         build=lambda *args: MckpProblem(MckpInstance(*args)),
-    ),
-    "cluster": _Record(
+    )
+
+
+def _cluster() -> _Record:
+    from .cluster import DissimilarityMatrix, Linkage
+
+    def build(path: str, ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
+        with _wrap(f"{path}.matrix"):
+            m = DissimilarityMatrix(ids, matrix)
+        if k is not None and not 1 <= k <= len(ids):
+            _fail(f"{path}.k", f"k={k} outside 1..{len(ids)}")
+        return ClusterProblem(m, linkage, k)
+
+    return _Record(
         ("ids", _IDS, "matrix.ids"),
         ("matrix", _MATRIX, "matrix.d"),
-        ("linkage", _LINKAGE, "linkage", Linkage.SINGLE),
+        ("linkage", _choice(Linkage), "linkage", Linkage.SINGLE),
         ("k", _INT, "k", None),
-        build=_cluster,
+        build=build,
         with_path=True,
-    ),
-    "assign": _Record(
+    )
+
+
+def _assign() -> _Record:
+    from .assign import AssignmentInstance
+
+    return _Record(
         ("agents", _IDS, "instance.agents"),
         ("positions", _IDS, "instance.positions"),
         ("matrix", _CELLS, "instance.cells"),
         ("criteria", _FRAME, "instance.frame"),
         ("capacity", _Map(_INT), "instance.capacity", None),
         build=lambda *args: AssignProblem(AssignmentInstance(*args)),
-    ),
-    "tsp": _Record(
+    )
+
+
+def _tsp() -> _Record:
+    from .route import TspInstance
+
+    def build(path: str, ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
+        with _wrap(f"{path}.matrix"):
+            inst = TspInstance(ids, matrix)
+        if start is not None and start not in ids:
+            _fail(f"{path}.start", f"unknown city {start!r}")
+        return TspProblem(inst, start)
+
+    return _Record(
         ("ids", _IDS, "instance.ids"),
         ("matrix", _MATRIX, "instance.dist"),
         ("start", _STR, "start", None),
-        build=_tsp,
+        build=build,
         with_path=True,
-    ),
-    "morph": _Record(
-        ("tree", _MORPH_NODE, "system.root"),
+    )
+
+
+def _morph() -> _Record:
+    from .morph import DEFAULT_COMPAT_SCALE, DEFAULT_PRIORITY_SCALE, DesignAlternative, MorphNode, MorphSystem
+
+    alternative = _Record(
+        ("id", _STR, "id"),
+        ("priority", _INT, "priority"),
+        ("estimates", _VECTOR, "estimates", None),
+        build=DesignAlternative,
+    )
+    node = _Ref()
+    node.target = _Record(
+        ("id", _STR, "id"),
+        ("children", _List(node, 1), lambda n: n.children or None, ()),
+        ("alternatives", _List(alternative, 1), lambda n: n.alternatives or None, ()),
+        build=MorphNode,
+    )
+    return _Record(
+        ("tree", node, "system.root"),
         ("compat", _Table(("node", _STR), ("left", _STR), ("right", _STR), ("value", _INT)), "system.compat"),
         ("compat_scale", _scale(Best.HIGH), "system.compat_scale", DEFAULT_COMPAT_SCALE),
         ("priority_scale", _scale(Best.LOW), "system.priority_scale", DEFAULT_PRIORITY_SCALE),
         build=lambda *args: MorphProblem(MorphSystem(*args)),
-    ),
-    "trajectory": _Record(
-        (
-            "stages",
-            _List(
-                _Record(
-                    ("time", _FRAC, "time"),
-                    ("decisions", _List(_Record(("id", _STR, 0), ("priority", _INT, 1)), 1), "decisions"),
-                    build=Stage,
-                ),
-                1,
-            ),
-            "spec.stages",
-        ),
+    )
+
+
+def _trajectory() -> _Record:
+    from .frameworks import Stage, TrajectorySpec
+
+    stage = _Record(
+        ("time", _FRAC, "time"),
+        ("decisions", _List(_Record(("id", _STR, 0), ("priority", _INT, 1)), 1), "decisions"),
+        build=Stage,
+    )
+    return _Record(
+        ("stages", _List(stage, 1), "spec.stages"),
         ("compat", _Table(("from", _STR), ("to", _STR), ("value", _INT)), "spec.compat"),
         ("all_pairs", _BOOL, "all_pairs", False),
         build=lambda stages, compat, all_pairs: TrajectoryProblem(TrajectorySpec(stages, compat), all_pairs),
-    ),
-    "integrate": _Record(("tree", _INTEGRATION_NODE, "tree"), build=_integrate, with_path=True),
-    "pipeline": _Record(
-        ("set1", _SET, "spec.set1"),
-        ("set2", _SET, "spec.set2"),
+    )
+
+
+def _integrate() -> _Record:
+    from .frameworks import IntegrationNode, check_tables_total
+
+    def build(path: str, tree: IntegrationNode) -> IntegrateProblem:
+        seen: set[str] = set()
+
+        def check_unique(node: IntegrationNode) -> None:
+            if node.id in seen:
+                _fail(f"{path}.tree", f"duplicate node id {node.id!r}")
+            seen.add(node.id)
+            for c in node.children:
+                check_unique(c)
+
+        check_unique(tree)
+        with _wrap(f"{path}.tree"):
+            check_tables_total(tree)
+        return IntegrateProblem(tree)
+
+    node = _Ref()
+    node.target = _Record(
+        ("id", _STR, "id"),
+        ("scale", _scale(Best.HIGH), "scale"),
+        ("children", _List(node, 1), lambda n: n.children or None, ()),
+        ("table", _Table(("inputs", _List(_INT)), ("output", _INT), min_len=1), "table", None),
+        ("estimate", _INT, "estimate", None),
+        build=IntegrationNode,
+    )
+    return _Record(("tree", node, "tree"), build=build, with_path=True)
+
+
+def _pipeline() -> _Record:
+    from .cluster import DissimilarityMatrix, Linkage
+    from .frameworks import PairActions, ThreeSetSpec
+
+    def pair_actions(path: str, pair: tuple, items: tuple) -> PairActions:
+        if len(pair) != 2:
+            _fail(f"{path}.pair", "expected [element1, element2]")
+        return PairActions(*pair, items)
+
+    element_set = _Record(("ids", _IDS, "ids"), ("matrix", _MATRIX, "d"), build=DissimilarityMatrix)
+    actions = _Record(
+        ("pair", _List(_STR), lambda a: (a.element1, a.element2)),
+        ("items", _items("value"), "items"),
+        build=pair_actions,
+        with_path=True,
+    )
+    return _Record(
+        ("set1", element_set, "spec.set1"),
+        ("set2", element_set, "spec.set2"),
         ("k1", _INT, "spec.k1"),
         ("k2", _INT, "spec.k2"),
         ("criteria", _FRAME, "spec.frame"),
         ("correspondence", _CELLS, "spec.correspondence"),
         ("action_criteria", _FRAME, "spec.action_frame"),
-        (
-            "actions",
-            _List(
-                _Record(
-                    ("pair", _List(_STR), lambda a: (a.element1, a.element2)),
-                    ("items", _ITEMS, "items"),
-                    build=_pair_actions,
-                    with_path=True,
-                )
-            ),
-            "spec.actions",
-        ),
+        ("actions", _List(actions), "spec.actions"),
         ("budget", _FRAC, "spec.budget"),
-        ("linkage", _LINKAGE, "linkage", Linkage.SINGLE),
+        ("linkage", _choice(Linkage), "linkage", Linkage.SINGLE),
         build=lambda *args: PipelineProblem(ThreeSetSpec(*args[:-1]), args[-1]),
-    ),
-    "improve": _Record(
+    )
+
+
+def _improve() -> _Record:
+    from .frameworks import ImprovementPart, ImprovementSpec
+
+    part = _Record(("id", _STR, "id"), ("actions", _items("effect"), "actions"), build=ImprovementPart)
+    return _Record(
         ("criteria", _FRAME, "spec.frame"),
-        (
-            "parts",
-            _List(_Record(("id", _STR, "id"), ("actions", _items("effect"), "actions"), build=ImprovementPart), 1),
-            "spec.parts",
-        ),
+        ("parts", _List(part, 1), "spec.parts"),
         ("budget", _FRAC, "spec.budget"),
         build=lambda *args: ImproveProblem(ImprovementSpec(*args)),
-    ),
+    )
+
+
+#: problem_type -> builder of its payload codec
+_PROBLEMS: dict[str, Callable[[], _Record]] = {
+    "rank": _rank,
+    "knapsack": _knapsack,
+    "mckp": _mckp,
+    "cluster": _cluster,
+    "assign": _assign,
+    "tsp": _tsp,
+    "morph": _morph,
+    "trajectory": _trajectory,
+    "integrate": _integrate,
+    "pipeline": _pipeline,
+    "improve": _improve,
 }
 
 PROBLEM_TYPES = tuple(_PROBLEMS)
+
+
+@cache
+def _payload(problem_type: str) -> _Record:
+    """The payload codec of ``problem_type``, built on its first use."""
+    return _PROBLEMS[problem_type]()
 
 
 def _canonical(doc: Any) -> str:
@@ -629,7 +670,7 @@ def parse_problem(text: str) -> ProblemFile:
     ptype = _str(doc["problem_type"], "$.problem_type")
     if ptype not in _PROBLEMS:
         _fail("$.problem_type", f"unknown problem type {ptype!r}")
-    return ProblemFile(version, ptype, _PROBLEMS[ptype].parse(doc["payload"], "$.payload"))
+    return ProblemFile(version, ptype, _payload(ptype).parse(doc["payload"], "$.payload"))
 
 
 def write_problem(pf: ProblemFile) -> str:
@@ -638,7 +679,7 @@ def write_problem(pf: ProblemFile) -> str:
         {
             "spec_version": pf.spec_version,
             "problem_type": pf.problem_type,
-            "payload": _PROBLEMS[pf.problem_type].dump(pf.payload),
+            "payload": _payload(pf.problem_type).dump(pf.payload),
         }
     )
 
@@ -821,13 +862,17 @@ def _render_text(result: ResultFile) -> str:
 # ------------------------------------------------------------------- fixtures
 
 
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
 def fixture_path(name: str) -> str:
     """Absolute path of a shipped fixture file."""
-    return str(resources.files("hmmdkit").joinpath("fixtures", name))
+    return os.path.join(_FIXTURES, name)
 
 
 def load_fixture(name: str) -> str:
-    return resources.files("hmmdkit").joinpath("fixtures", name).read_text("utf-8")
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @dataclass(frozen=True)
@@ -837,12 +882,12 @@ class QualityCase:
     relation: str  # a_dominates_b | b_dominates_a | incomparable
 
 
-_QUALITY = _Record(("w", _INT, "w"), ("counts", _List(_INT, 1), "counts"), build=QualityVector)
-
-
 def load_quality_cases(text: str) -> list[QualityCase]:
     """Auxiliary fixture format: expected dominance relations between
     quality-vector pairs."""
+    from .morph import QualityVector
+
+    quality = _Record(("w", _INT, "w"), ("counts", _List(_INT, 1), "counts"), build=QualityVector)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -859,5 +904,5 @@ def load_quality_cases(text: str) -> list[QualityCase]:
         relation = cd["relation"]
         if relation not in ("a_dominates_b", "b_dominates_a", "incomparable"):
             _fail(f"{p}.relation", f"unknown relation {relation!r}")
-        cases.append(QualityCase(_QUALITY.parse(cd["a"], f"{p}.a"), _QUALITY.parse(cd["b"], f"{p}.b"), relation))
+        cases.append(QualityCase(quality.parse(cd["a"], f"{p}.a"), quality.parse(cd["b"], f"{p}.b"), relation))
     return cases

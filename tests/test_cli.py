@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hmmdkit
 from hmmdkit.cli import main
 from hmmdkit.probio import fixture_path, parse_result
@@ -142,6 +144,14 @@ def test_guard_override_via_environment(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "mckp", "--input", MCKP, "--method", "exact")
     assert code == 1
     assert err.startswith("hmmdkit: error: solve:")
+
+
+@pytest.mark.parametrize("raw", ["-3", "0", "abc"])
+def test_guard_override_must_be_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv("HMMD_KIT_GUARD", raw)
+    code, out, err = run(capsys, "mckp", "--input", MCKP, "--method", "exact")
+    assert code == 3
+    assert err == f"hmmdkit: error: parse: HMMD_KIT_GUARD must be a positive integer, got {raw!r}\n"
 
 
 def test_parse_error_in_payload_exits_3(tmp_path, capsys):

@@ -1,0 +1,94 @@
+"""The package loads submodules on first use, and each CLI subcommand
+imports only the solver modules it runs."""
+
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hmmdkit
+from hmmdkit.cli import COMMANDS
+from test_probio import MINIMAL, problem_text
+
+BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
+FRAMEWORKS = BASE | {f"hmmdkit.{m}" for m in ("frameworks", "assign", "cluster", "morph", "select")}
+
+#: subcommand -> every hmmdkit module a run of it may load
+LOADS = {
+    "rank": BASE | {"hmmdkit.rank"},
+    "knapsack": BASE | {"hmmdkit.select"},
+    "mckp": BASE | {"hmmdkit.select"},
+    "cluster": BASE | {"hmmdkit.cluster"},
+    "assign": BASE | {"hmmdkit.assign", "hmmdkit.select"},
+    "tsp": BASE | {"hmmdkit.route"},
+    "synth": BASE | {"hmmdkit.morph"},
+    "trajectory": FRAMEWORKS,
+    "integrate": FRAMEWORKS,
+    "pipeline": FRAMEWORKS,
+    "improve": FRAMEWORKS,
+}
+
+CHILD = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hmmdkit")))
+"""
+
+
+def loaded_in_child(body: str, *argv: str) -> list[str]:
+    """The hmmdkit modules a fresh interpreter holds after running ``body``."""
+    src = str(Path(hmmdkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD.format(body=body), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_in_child("import hmmdkit") == ["hmmdkit"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_subcommand_loads_only_its_modules(command, tmp_path):
+    ptype = COMMANDS[command][0]
+    path = tmp_path / f"{ptype}.json"
+    path.write_text(problem_text(ptype, MINIMAL[ptype][0]))
+    body = "from hmmdkit.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = set(loaded_in_child(body, command, "--input", str(path), "--output", str(tmp_path / "out")))
+    assert loaded == LOADS[command]
+
+
+def test_every_export_is_its_submodule_object():
+    assert len(hmmdkit.__all__) == len(set(hmmdkit.__all__))
+    for name in hmmdkit.__all__:
+        value = getattr(hmmdkit, name)
+        assert value.__module__.startswith("hmmdkit.")
+        assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_dir_lists_exports_and_unknown_names_raise():
+    assert set(hmmdkit.__all__) <= set(dir(hmmdkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hmmdkit.no_such_name
+    assert not hasattr(hmmdkit, "no_such_name")
+    from hmmdkit import MorphSystem
+
+    assert MorphSystem is hmmdkit.morph.MorphSystem
+
+
+def test_readme_synthesis_session_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    session = re.search(r"A minimal synthesis session:\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(session, {})
+    assert out.getvalue().count("\n") >= 1
