@@ -45,11 +45,9 @@ _EXPORTS = {
         "ImprovementSpec",
         "IntegrationNode",
         "PairActions",
-        "PipelineOptions",
         "Stage",
         "ThreeSetSpec",
         "Trajectory",
-        "TrajectoryOptions",
         "TrajectorySpec",
         "design_trajectory",
         "evaluate_integration_tree",
@@ -57,7 +55,6 @@ _EXPORTS = {
         "run_three_set_pipeline",
     ),
     "morph": (
-        "ComposeOptions",
         "CompositeDecision",
         "DesignAlternative",
         "MorphNode",

@@ -18,6 +18,7 @@ from .core import (
     InfeasibleError,
     ValidationError,
     as_frac,
+    guard_limit,
 )
 from .probio import ResultFile, ResultFormat, parse_problem, write_result
 
@@ -304,10 +305,9 @@ def _solve_synth(problem, method, weights, oracle):
 
 
 def _solve_trajectory(problem, method, weights, oracle):
-    from .frameworks import TrajectoryOptions, design_trajectory
+    from .frameworks import design_trajectory
 
-    options = TrajectoryOptions(all_pairs=problem.all_pairs)
-    front = design_trajectory(problem.spec, options)
+    front = design_trajectory(problem.spec, problem.all_pairs)
     solution = {
         "trajectories": [
             {"path": list(t.path), "quality": _quality(t.quality)} for t in front
@@ -344,10 +344,9 @@ def _solve_integrate(problem, method, weights, oracle):
 
 
 def _solve_pipeline(problem, method, weights, oracle):
-    from .frameworks import PipelineOptions, run_three_set_pipeline
+    from .frameworks import run_three_set_pipeline
 
-    options = PipelineOptions(linkage=problem.linkage, weights=weights)
-    report = run_three_set_pipeline(problem.spec, options)
+    report = run_three_set_pipeline(problem.spec, problem.linkage, weights)
     solution = {
         "clusters1": [list(b) for b in report.clusters1],
         "clusters2": [list(b) for b in report.clusters2],
@@ -468,6 +467,7 @@ def run_command(args: argparse.Namespace) -> int:
     if args.command == "cluster" and method is None:
         method = pf.payload.linkage.value
     try:
+        guard_limit(1)  # reject a bad HMMD_KIT_GUARD on every run, guarded or not
         solution, diagnostics = _SOLVERS[args.command](pf.payload, method, weights, args.oracle)
     except CliError:
         raise

@@ -97,10 +97,6 @@ class OrdinalScale:
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-    @property
-    def best_value(self) -> int:
-        return self.hi if self.best is Best.HIGH else self.lo
-
 
 class Direction(Enum):
     MAXIMIZE = "max"
@@ -155,11 +151,11 @@ class CriteriaFrame:
         return tuple(c.direction for c in self.criteria)
 
 
-def equal_weight_frame(k: int, prefix: str = "c") -> CriteriaFrame:
+def equal_weight_frame(k: int) -> CriteriaFrame:
     """Frame of k maximized criteria with equal weights."""
     if k < 1:
         raise ValidationError("a frame needs at least one criterion")
-    return CriteriaFrame(tuple(Criterion(f"{prefix}{i + 1}") for i in range(k)))
+    return CriteriaFrame(tuple(Criterion(f"c{i + 1}") for i in range(k)))
 
 
 @dataclass(frozen=True)

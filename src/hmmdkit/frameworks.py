@@ -21,15 +21,14 @@ from .core import (
     Best,
     CriteriaFrame,
     EstimateVector,
+    GuardExceeded,
     Number,
     OrdinalScale,
     ValidationError,
     as_frac,
-    guard_limit,
 )
 from .morph import (
     DEFAULT_COMPAT_SCALE,
-    ComposeOptions,
     DesignAlternative,
     MorphNode,
     MorphSystem,
@@ -37,7 +36,6 @@ from .morph import (
     compose_node,
 )
 from .select import (
-    MCKP_TABLE_GUARD,
     Group,
     GroupRule,
     Item,
@@ -115,13 +113,6 @@ class PipelineReport:
     mckp_method: str
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    linkage: Linkage = Linkage.SINGLE
-    weights: Sequence[Number] | None = None
-    action_weights: Sequence[Number] | None = None
-
-
 def _mean_vector(vectors: list[EstimateVector]) -> EstimateVector:
     n = len(vectors)
     return EstimateVector(
@@ -130,18 +121,24 @@ def _mean_vector(vectors: list[EstimateVector]) -> EstimateVector:
 
 
 def _solve_mckp(inst: MckpInstance, weights) -> tuple[SelectionSolution, str]:
+    """Exact DP on integral data within the table guard, greedy otherwise."""
+    # integrality is tested here, not by catching ValidationError, which
+    # would also swallow a bad HMMD_KIT_GUARD
     integral = inst.budget.denominator == 1 and all(
         it.cost.denominator == 1 for g in inst.groups for it in g.items
     )
     if integral:
-        cap = min(int(inst.budget), sum(int(it.cost) for g in inst.groups for it in g.items))
-        if len(inst.groups) * (cap + 1) <= guard_limit(MCKP_TABLE_GUARD):
+        try:
             return mckp_exact_dp(inst, weights), "exact_dp"
+        except GuardExceeded:
+            pass
     return mckp_greedy(inst, weights), "greedy"
 
 
 def run_three_set_pipeline(
-    spec: ThreeSetSpec, options: PipelineOptions | None = None
+    spec: ThreeSetSpec,
+    linkage: Linkage = Linkage.SINGLE,
+    weights: Sequence[Number] | None = None,
 ) -> PipelineReport:
     """Cluster both sets, match the clusters, then buy actions per pair.
 
@@ -151,9 +148,8 @@ def run_three_set_pipeline(
     are solved jointly under the budget (exact DP when the data is
     integral and within the table guard).
     """
-    options = options or PipelineOptions()
-    clusters1 = tuple(cut_dendrogram(build_dendrogram(spec.set1, options.linkage), spec.k1))
-    clusters2 = tuple(cut_dendrogram(build_dendrogram(spec.set2, options.linkage), spec.k2))
+    clusters1 = tuple(cut_dendrogram(build_dendrogram(spec.set1, linkage), spec.k1))
+    clusters2 = tuple(cut_dendrogram(build_dendrogram(spec.set2, linkage), spec.k2))
     idx1 = {e: i for i, e in enumerate(spec.set1.ids)}
     idx2 = {e: i for i, e in enumerate(spec.set2.ids)}
     cells = tuple(
@@ -173,7 +169,7 @@ def run_three_set_pipeline(
     positions = tuple(f"c2_{j}" for j in range(len(clusters2)))
     matching = assign_greedy(
         AssignmentInstance(agents, positions, cells, spec.frame),
-        weights=options.weights,
+        weights=weights,
     )
     assignment = tuple(
         sorted(
@@ -201,7 +197,7 @@ def run_three_set_pipeline(
             groups=tuple(groups),
             budget=spec.budget,
         )
-        solution, method = _solve_mckp(inst, options.action_weights)
+        solution, method = _solve_mckp(inst, None)
         cost_of = {it.id: it.cost for g in inst.groups for it in g.items}
         selected = tuple(
             sorted((*item_origin[i], cost_of[i]) for i in solution.chosen)
@@ -276,15 +272,7 @@ class Trajectory:
     quality: QualityVector
 
 
-@dataclass(frozen=True)
-class TrajectoryOptions:
-    all_pairs: bool = False
-    max_combinations: int | None = None  # None: guard default (env-overridable)
-
-
-def design_trajectory(
-    spec: TrajectorySpec, options: TrajectoryOptions | None = None
-) -> list[Trajectory]:
+def design_trajectory(spec: TrajectorySpec, all_pairs: bool = False) -> list[Trajectory]:
     """Dominance-maximal stage-decision sequences.
 
     The spec becomes a one-level morphological system: one leaf part per
@@ -292,10 +280,9 @@ def design_trajectory(
     pairs with all_pairs), every one of which must be given. Zero-valued
     links stay allowed. Output order is compose_node's canonical order.
     """
-    options = options or TrajectoryOptions()
     stages = [s.decisions for s in spec.stages]
     n = len(stages)
-    linked = itertools.combinations(range(n), 2) if options.all_pairs else zip(range(n), range(1, n))
+    linked = itertools.combinations(range(n), 2) if all_pairs else zip(range(n), range(1, n))
     compat = {}
     for i, j in linked:
         for (a, _), (b, _) in itertools.product(stages[i], stages[j]):
@@ -314,10 +301,9 @@ def design_trajectory(
         compat_scale=spec.compat_scale,
         priority_scale=OrdinalScale(1, max(3, *spec.priorities().values()), Best.LOW),
     )
-    compose = ComposeOptions(allow_zero_w=True, max_combinations=options.max_combinations)
     return [
         Trajectory(tuple(da for _, da in d.selection), d.quality)
-        for d in compose_node(system, "trajectory", options=compose)
+        for d in compose_node(system, "trajectory", allow_zero_w=True)
     ]
 
 

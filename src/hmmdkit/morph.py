@@ -209,17 +209,6 @@ class CompositeDecision:
         return dict(self.selection)
 
 
-@dataclass(frozen=True)
-class ComposeOptions:
-    allow_zero_w: bool = False
-    max_combinations: int | None = None  # None: guard default (env-overridable)
-
-    def limit(self) -> int:
-        if self.max_combinations is not None:
-            return self.max_combinations
-        return guard_limit(MAX_COMBINATIONS)
-
-
 def _quality(
     system: MorphSystem,
     node: MorphNode,
@@ -260,15 +249,17 @@ def compose_node(
     system: MorphSystem,
     node_id: str,
     child_das: Mapping[str, Sequence[DesignAlternative]] | None = None,
-    options: ComposeOptions | None = None,
+    *,
+    allow_zero_w: bool = False,
 ) -> list[CompositeDecision]:
     """Dominance-maximal compositions of one alternative per child.
 
     Compositions containing an explicit zero-compatibility pair are
     discarded unless allow_zero_w is set. Output order is canonical:
     descending w, then descending cumulative counts, then selection ids.
+    More than MAX_COMBINATIONS compositions (or HMMD_KIT_GUARD, when set)
+    raise GuardExceeded.
     """
-    options = options or ComposeOptions()
     node = system.node(node_id)
     if node.is_leaf:
         raise ValidationError(f"node {node_id!r} is a leaf; nothing to compose")
@@ -290,14 +281,14 @@ def compose_node(
     total = 1
     for pool in pools:
         total *= len(pool)
-    limit = options.limit()
+    limit = guard_limit(MAX_COMBINATIONS)
     if total > limit:
         raise GuardExceeded(f"{total} combinations exceed guard {limit}")
     level_count = max_priority - system.priority_scale.lo + 1
     feasible: list[CompositeDecision] = []
     for combo in itertools.product(*pools):
         quality, has_zero = _quality(system, node, combo, level_count)
-        if has_zero and not options.allow_zero_w:
+        if has_zero and not allow_zero_w:
             continue
         feasible.append(
             CompositeDecision(
@@ -342,11 +333,8 @@ class SynthesisTrace:
         return self.nodes[self.root_id]
 
 
-def synthesize_tree_trace(
-    system: MorphSystem, options: ComposeOptions | None = None
-) -> SynthesisTrace:
+def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
     """Bottom-up synthesis keeping every internal node's Pareto record."""
-    options = options or ComposeOptions()
     records: dict[str, NodeSynthesis] = {}
 
     def expand(node: MorphNode) -> tuple[list[DesignAlternative], dict[str, tuple]]:
@@ -370,7 +358,7 @@ def synthesize_tree_trace(
                     f"node {node.id!r}: compatibility key ({a!r}, {b!r}) names no "
                     "pair of alternatives from two different children"
                 )
-        decisions = compose_node(system, node.id, child_das, options)
+        decisions = compose_node(system, node.id, child_das)
         if not decisions:
             raise ValidationError(
                 f"node {node.id!r}: every composition contains an infeasible pair"
@@ -401,11 +389,9 @@ def synthesize_tree_trace(
     return SynthesisTrace(nodes=records, root_id=system.root.id)
 
 
-def synthesize_tree(
-    system: MorphSystem, options: ComposeOptions | None = None
-) -> list[CompositeDecision]:
+def synthesize_tree(system: MorphSystem) -> list[CompositeDecision]:
     """Pareto-efficient composite decisions for the root node."""
-    return list(synthesize_tree_trace(system, options).root.decisions)
+    return list(synthesize_tree_trace(system).root.decisions)
 
 
 def quality_vector(

@@ -639,9 +639,6 @@ _PROBLEMS: dict[str, Callable[[], _Record]] = {
     "improve": _improve,
 }
 
-PROBLEM_TYPES = tuple(_PROBLEMS)
-
-
 @cache
 def _payload(problem_type: str) -> _Record:
     """The payload codec of ``problem_type``, built on its first use."""
@@ -699,19 +696,16 @@ class ResultFile:
 #: keys whose values (recursively) are measurement numbers
 _NUMERIC_KEYS = {
     "scores",
-    "score",
     "objective",
     "total_cost",
     "objective_vector",
     "height",
-    "heights",
     "length",
     "cost",
-    "budget",
-    "p",
-    "q",
-    "time",
 }
+
+#: keys whose values are maps keyed by ids, never by field names
+_ID_KEYED = {"priorities", "scores", "by_part", "trace"}
 
 
 def _encode_tree(obj: Any) -> Any:
@@ -726,10 +720,14 @@ def _encode_tree(obj: Any) -> Any:
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def _decode_tree(obj: Any, numeric: bool) -> Any:
+def _decode_tree(obj: Any, numeric: bool, ids: bool = False) -> Any:
+    """Decode numbers below a numeric key; ``ids`` marks a map keyed by ids."""
     if isinstance(obj, dict):
+        if ids:
+            return {k: _decode_tree(v, numeric) for k, v in obj.items()}
         return {
-            k: _decode_tree(v, numeric or k in _NUMERIC_KEYS) for k, v in obj.items()
+            k: _decode_tree(v, numeric or k in _NUMERIC_KEYS, k in _ID_KEYED)
+            for k, v in obj.items()
         }
     if isinstance(obj, list):
         return [_decode_tree(v, numeric) for v in obj]

@@ -36,9 +36,6 @@ class TspInstance:
                 if d[i][j] != d[j][i]:
                     raise ValidationError("distance matrix must be symmetric")
 
-    def d(self, a: int, b: int) -> Number:
-        return self.dist[a][b]
-
 
 @dataclass(frozen=True)
 class Tour:

@@ -149,9 +149,12 @@ def test_guard_override_via_environment(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("raw", ["-3", "0", "abc"])
 def test_guard_override_must_be_positive(capsys, monkeypatch, raw):
     monkeypatch.setenv("HMMD_KIT_GUARD", raw)
-    code, out, err = run(capsys, "mckp", "--input", MCKP, "--method", "exact")
-    assert code == 3
-    assert err == f"hmmdkit: error: parse: HMMD_KIT_GUARD must be a positive integer, got {raw!r}\n"
+    # greedy consults no guard, and the value is still checked
+    for method in ("exact", "greedy"):
+        code, out, err = run(capsys, "mckp", "--input", MCKP, "--method", method)
+        assert code == 3
+        assert out == ""
+        assert err == f"hmmdkit: error: parse: HMMD_KIT_GUARD must be a positive integer, got {raw!r}\n"
 
 
 def test_parse_error_in_payload_exits_3(tmp_path, capsys):

@@ -29,7 +29,6 @@ from hmmdkit.frameworks import (
     Stage,
     ThreeSetSpec,
     Trajectory,
-    TrajectoryOptions,
     TrajectorySpec,
     check_tables_total,
     design_trajectory,
@@ -273,7 +272,7 @@ def test_trajectory_missing_adjacency_entry():
         design_trajectory(spec)
 
 
-def test_trajectory_guard():
+def test_trajectory_guard(monkeypatch):
     stages = tuple(
         Stage(t, tuple((f"s{t}_{i}", 1) for i in range(4))) for t in range(3)
     )
@@ -284,8 +283,9 @@ def test_trajectory_guard():
         for b, _ in stages[t + 1].decisions
     }
     spec = TrajectorySpec(stages=stages, compat=compat)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "10")
     with pytest.raises(GuardExceeded):
-        design_trajectory(spec, TrajectoryOptions(max_combinations=10))
+        design_trajectory(spec)
 
 
 def random_trajectory_spec(rng, all_pairs=False):
@@ -342,7 +342,7 @@ def test_trajectory_front_equals_brute_force(all_pairs):
     rng = random.Random(163)
     for _ in range(40):
         spec = random_trajectory_spec(rng, all_pairs=all_pairs)
-        got = design_trajectory(spec, TrajectoryOptions(all_pairs=all_pairs))
+        got = design_trajectory(spec, all_pairs)
         expected = _brute_trajectories(spec, all_pairs)
         assert set(got) == set(expected)
         assert got == expected
@@ -502,3 +502,55 @@ def test_improvement_equals_brute_force():
         assert plan.solution.objective == best
         chosen_parts = [p for p, a in plan.by_part.items() if a]
         assert len(chosen_parts) == len(set(chosen_parts))
+
+
+# ------------------------------------------------- exact-or-greedy MCKP choice
+
+
+def choice_pipeline_spec(cost):
+    # one matched pair, one action group: an integral cost 2 gives a table of
+    # 1 x (min(3, 2) + 1) = 3 cells
+    return ThreeSetSpec(
+        set1=zero_matrix(["e"]),
+        set2=zero_matrix(["f"]),
+        k1=1,
+        k2=1,
+        frame=equal_weight_frame(1),
+        correspondence=((vec(1),),),
+        action_frame=equal_weight_frame(1),
+        actions=(PairActions("e", "f", (Item("act", vec(5), cost),)),),
+        budget=3,
+    )
+
+
+def choice_improvement_spec(cost):
+    # two parts: an integral cost 2 gives a table of 2 x (min(3, 1 + 2) + 1) = 8 cells
+    return improvement_spec([("p1", [("a", 5, 1)]), ("p2", [("b", 3, cost)])], budget=3)
+
+
+@pytest.mark.parametrize(
+    "cost, guard, pipeline_method, improve_method",
+    [
+        (2, None, "exact_dp", "exact_dp"),
+        (Fraction(3, 2), None, "greedy", "greedy"),
+        (2, "8", "exact_dp", "exact_dp"),
+        (2, "3", "exact_dp", "greedy"),
+        (2, "2", "greedy", "greedy"),
+    ],
+)
+def test_mckp_stage_picks_exact_or_greedy(
+    monkeypatch, cost, guard, pipeline_method, improve_method
+):
+    if guard is not None:
+        monkeypatch.setenv("HMMD_KIT_GUARD", guard)
+    assert run_three_set_pipeline(choice_pipeline_spec(cost)).mckp_method == pipeline_method
+    assert plan_improvement(choice_improvement_spec(cost)).method == improve_method
+
+
+@pytest.mark.parametrize("raw", ["0", "abc"])
+def test_mckp_stage_rejects_a_bad_guard_on_integral_data(monkeypatch, raw):
+    monkeypatch.setenv("HMMD_KIT_GUARD", raw)
+    with pytest.raises(ValidationError, match="HMMD_KIT_GUARD"):
+        run_three_set_pipeline(choice_pipeline_spec(2))
+    with pytest.raises(ValidationError, match="HMMD_KIT_GUARD"):
+        plan_improvement(choice_improvement_spec(2))

@@ -6,7 +6,6 @@ import pytest
 from conftest import course_system
 from hmmdkit.core import GuardExceeded, ValidationError
 from hmmdkit.morph import (
-    ComposeOptions,
     CompositeDecision,
     DesignAlternative,
     MorphNode,
@@ -216,15 +215,16 @@ def test_compose_single_child_single_da():
     assert front[0].quality == qv(3, 0, 1, 0)
 
 
-def test_compose_guard():
+def test_compose_guard(monkeypatch):
     system = course_system()
+    monkeypatch.setenv("HMMD_KIT_GUARD", "10")
     with pytest.raises(GuardExceeded):
-        compose_node(system, "E", options=ComposeOptions(max_combinations=10))
+        compose_node(system, "E")
 
 
 def test_compose_excludes_zero_pairs_by_default():
     system = course_system()
-    for d in compose_node(system, "E", options=ComposeOptions(allow_zero_w=True)):
+    for d in compose_node(system, "E", allow_zero_w=True):
         pass  # zero-w compositions allowed here, just must not crash
     for d in compose_node(system, "E"):
         sel = d.selection_map

@@ -540,6 +540,32 @@ def test_result_round_trip_on_random_results():
         assert write_result(back, ResultFormat.STRUCTURED) == text
 
 
+def test_id_keyed_maps_round_trip_whatever_the_ids():
+    # part and node ids that match numeric field names stay plain ids
+    improve = ResultFile(
+        1,
+        "improve",
+        "auto",
+        {
+            "chosen": ["cost::7"],
+            "total_cost": Fraction(2),
+            "objective": Fraction(1, 2),
+            "objective_vector": [Fraction(1, 2)],
+            "by_part": {"cost": "7", "time": "1/2"},
+        },
+        {"solver": "exact_dp"},
+    )
+    integrate = ResultFile(
+        1, "integrate", "tables", {"root_estimate": 2, "trace": {"length": 2, "root": 2}}, {}
+    )
+    for result in (improve, integrate):
+        text = write_result(result, ResultFormat.STRUCTURED)
+        back = parse_result(text)
+        assert back == result
+        assert write_result(back, ResultFormat.STRUCTURED) == text
+    assert type(parse_result(write_result(integrate)).solution["trace"]["length"]) is int
+
+
 def test_none_diagnostics_are_omitted():
     result = ResultFile(1, "tsp", "nearest", {"order": ["a"], "length": 0}, {"runtime_ms": None})
     text = write_result(result)
