@@ -75,6 +75,16 @@ def as_frac(x: Number | str) -> Fraction:
     raise ValidationError(f"not a number: {x!r}")
 
 
+def as_ints(values: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators.
+
+    Scaling by one positive constant keeps every order, sign and strict
+    comparison of sums, so exact kernels can run on these ints instead.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 class Best(Enum):
     """Which end of an ordinal scale is the good one."""
 

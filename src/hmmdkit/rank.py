@@ -15,10 +15,12 @@ from fractions import Fraction
 from .core import (
     TOLERANCE,
     CriteriaFrame,
+    Direction,
     EstimateVector,
     Number,
     ValidationError,
     as_frac,
+    as_ints,
     dominates,
     normalize_estimates,
     pareto_layers,
@@ -99,28 +101,56 @@ def rank_pareto_layers(inst: RankingInstance) -> RankingResult:
     return RankingResult(priorities, scores, "pareto")
 
 
-def _strongly_connected(n: int, edge: list[list[bool]]) -> list[list[int]]:
-    """Components via transitive closure; fine at ranking scale."""
-    reach = [row[:] for row in edge]
-    for i in range(n):
-        reach[i][i] = True
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    comp_of = [-1] * n
+def _strongly_connected(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph, sinks first.
+
+    Tarjan's algorithm (SIAM J. Comput. 1972), iterative so long chains
+    do not hit the recursion limit. A component is emitted only after
+    every component it reaches, so the list is in reverse topological
+    order of the condensation.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
     comps: list[list[int]] = []
-    for i in range(n):
-        if comp_of[i] >= 0:
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        members = [j for j in range(n) if reach[i][j] and reach[j][i]]
-        for j in members:
-            comp_of[j] = len(comps)
-        comps.append(members)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, nbrs = work[-1]
+            for w in nbrs:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
 
 
@@ -136,43 +166,63 @@ def rank_outranking(
     the discordance D(a,b) (largest normalized amount by which b beats a)
     stays within q. Cycles collapse into one priority group; priority is
     the topological layer of the group, sources first.
+
+    Both tests are decided on the raw estimates, exactly. Min-max
+    normalization maps a value x to (x - lo) / (hi - lo), or to
+    (hi - x) / (hi - lo) when the criterion is minimized: increasing once
+    minimized columns are negated. So a is at least as good as b after
+    normalization exactly when it is before, and b beats a by more than q
+    exactly when x_b - x_a > q (hi - lo). A constant column normalizes to
+    1/2 everywhere; on raw values, too, every pair ties on it and it never
+    fails discordance. Columns and weights are scaled to ints, which keeps
+    both tests.
     """
     p, q = as_frac(p), as_frac(q)
     if not 0 <= p <= 1:
         raise ValidationError(f"concordance threshold p={p} outside [0, 1]")
     if not 0 <= q <= 1:
         raise ValidationError(f"discordance threshold q={q} outside [0, 1]")
-    norm = _normalized(inst)
-    weights = inst.frame.weights
-    n = len(norm)
-    edge = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
+    cols = []  # larger is better in every column
+    for k, direction in enumerate(inst.frame.directions):
+        col = as_ints([est[k] for _, est in inst.alternatives])
+        cols.append([-x for x in col] if direction is Direction.MINIMIZE else col)
+    # b beats a by more than q on a criterion: (x_b - x_a) q.den > q.num (hi - lo)
+    limits = [q.numerator * (max(col) - min(col)) for col in cols]
+    rows = [tuple(x * q.denominator for x in row) for row in zip(*cols)]
+    # concordance: sum of W over criteria where a >= b reaches p * sum(W)
+    weights = as_ints(list(inst.frame.weights))
+    need = p.numerator * sum(weights)
+    crits = list(zip(weights, limits))
+    n = len(rows)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, row_a in enumerate(rows):
+        out = succ[i]
+        for j, row_b in enumerate(rows):
             if i == j:
                 continue
-            conc = sum(
-                (w for w, a, b in zip(weights, norm[i], norm[j]) if a >= b),
-                Fraction(0),
-            )
-            disc = max(
-                (b - a for a, b in zip(norm[i], norm[j])), default=Fraction(0)
-            )
-            disc = max(disc, Fraction(0))
-            edge[i][j] = conc >= p and disc <= q
-    comps = _strongly_connected(n, edge)
-    comp_of = {i: c for c, members in enumerate(comps) for i in members}
-    preds: list[set[int]] = [set() for _ in comps]
-    for i in range(n):
-        for j in range(n):
-            if edge[i][j] and comp_of[i] != comp_of[j]:
-                preds[comp_of[j]].add(comp_of[i])
-    layer = [0] * len(comps)
-    pending = set(range(len(comps)))
-    while pending:
-        ready = [c for c in pending if all(d not in pending for d in preds[c])]
-        for c in ready:
-            layer[c] = 1 + max((layer[d] for d in preds[c]), default=0)
-        pending -= set(ready)
+            conc = 0
+            for x_a, x_b, (w, limit) in zip(row_a, row_b, crits):
+                if x_b - x_a > limit:
+                    break
+                if x_a >= x_b:
+                    conc += w
+            else:
+                if conc * p.denominator >= need:
+                    out.append(j)
+    comps = _strongly_connected(succ)
+    comp_of = [0] * n
+    for c, members in enumerate(comps):
+        for i in members:
+            comp_of[i] = c
+    # sinks first, so walking backwards settles every predecessor first
+    layer = [1] * len(comps)
+    for c in range(len(comps) - 1, -1, -1):
+        nxt = layer[c] + 1
+        for i in comps[c]:
+            for j in succ[i]:
+                d = comp_of[j]
+                if d != c and layer[d] < nxt:
+                    layer[d] = nxt
     priorities = {
         aid: layer[comp_of[i]] for i, (aid, _) in enumerate(inst.alternatives)
     }

@@ -20,11 +20,12 @@ from .core import (
     Number,
     ValidationError,
     as_frac,
+    as_ints,
     guard_limit,
     normalize_estimates,
 )
 
-KNAPSACK_TABLE_GUARD = 10**6
+KNAPSACK_TABLE_GUARD = 10**7
 MCKP_TABLE_GUARD = 10**7
 
 
@@ -215,31 +216,37 @@ def knapsack_exact(
 ) -> SelectionSolution:
     """Exact DP over the budget; optimal for the scalarized objective.
 
-    Requires integral costs and budget; guards the table on the cost sum.
+    Requires integral costs and budget. The table guard counts DP table
+    cells: (items of nonzero cost) x (budget cap + 1), where the cap is
+    the budget or the cost sum, whichever is smaller.
     """
     costs = _require_integral([it.cost for it in inst.items], "knapsack costs")
     (budget,) = _require_integral([inst.budget], "knapsack budget")
+    cap = min(budget, sum(costs))
+    # zero-cost items never hurt: beta >= 0 after normalization
+    chosen = {it.id for it in inst.items if it.cost == 0}
+    priced = [it for it in inst.items if it.cost != 0]
     limit = guard_limit(KNAPSACK_TABLE_GUARD)
-    if sum(costs) > limit:
-        raise GuardExceeded(f"cost sum {sum(costs)} exceeds table guard {limit}")
+    if len(priced) * (cap + 1) > limit:
+        raise GuardExceeded(
+            f"{len(priced)} items x budget {cap} exceeds table guard {limit}"
+        )
     betas = dict(
         zip(
             (it.id for it in inst.items),
             scalarize(inst.frame, [it.value for it in inst.items], weights),
         )
     )
-    cap = min(budget, sum(costs))
-    # zero-cost items never hurt: beta >= 0 after normalization
-    chosen = {it.id for it in inst.items if it.cost == 0}
-    priced = [it for it in inst.items if it.cost != 0]
-    dp = [Fraction(0)] * (cap + 1)
+    scaled = dict(zip(betas, as_ints(list(betas.values()))))
+    dp = [0] * (cap + 1)
     taken = [bytearray(cap + 1) for _ in priced]
-    for idx, it in enumerate(priced):
-        c, b = int(it.cost), betas[it.id]
+    for it, took in zip(priced, taken):
+        c, b = int(it.cost), scaled[it.id]
         for w in range(cap, c - 1, -1):
-            if dp[w - c] + b > dp[w]:
-                dp[w] = dp[w - c] + b
-                taken[idx][w] = 1
+            cand = dp[w - c] + b
+            if cand > dp[w]:
+                dp[w] = cand
+                took[w] = 1
     w = cap
     for idx in range(len(priced) - 1, -1, -1):
         if taken[idx][w]:
@@ -327,21 +334,27 @@ def mckp_exact_dp(
             f"{len(inst.groups)} groups x budget {cap} exceeds table guard {limit}"
         )
     betas = _mckp_betas(inst, weights)
+    scaled = dict(zip(betas, as_ints(list(betas.values()))))
     exactly = inst.group_rule is GroupRule.EXACTLY_ONE
-    prev: list[Fraction | None] = [Fraction(0)] * (cap + 1)
+    prev: list[int | None] = [0] * (cap + 1)
     choice: list[list[int]] = []
     for g in inst.groups:
-        row: list[Fraction | None] = [None] * (cap + 1)
-        pick = [-2] * (cap + 1)  # -2 unreachable, -1 skip, >=0 item index
-        for c in range(cap + 1):
-            if not exactly and prev[c] is not None:
-                row[c] = prev[c]
-                pick[c] = -1
-            for j, it in enumerate(g.items):
-                ic = int(it.cost)
-                if ic <= c and prev[c - ic] is not None:
-                    cand = prev[c - ic] + betas[it.id]
-                    if row[c] is None or cand > row[c]:
+        # -2 unreachable, -1 skip, >=0 item index
+        if exactly:
+            row: list[int | None] = [None] * (cap + 1)
+            pick = [-2] * (cap + 1)
+        else:
+            row = prev[:]
+            pick = [-2 if v is None else -1 for v in prev]
+        # each cell compares skip, then the items in order; strict > keeps the first best
+        for j, it in enumerate(g.items):
+            ic, b = int(it.cost), scaled[it.id]
+            for c in range(ic, cap + 1):
+                base = prev[c - ic]
+                if base is not None:
+                    cand = base + b
+                    cur = row[c]
+                    if cur is None or cand > cur:
                         row[c] = cand
                         pick[c] = j
         prev = row

@@ -7,6 +7,7 @@ import pytest
 from hmmdkit.core import (
     Criterion,
     CriteriaFrame,
+    Direction,
     EstimateVector,
     ValidationError,
     dominates,
@@ -15,6 +16,7 @@ from hmmdkit.core import (
 )
 from hmmdkit.rank import (
     RankingInstance,
+    _strongly_connected,
     rank_ideal_point,
     rank_outranking,
     rank_pareto_layers,
@@ -283,3 +285,139 @@ def test_equal_weight_utility_invariant_under_criterion_reordering():
         r1 = rank_utility(make_instance(frame, alts))
         r2 = rank_utility(make_instance(frame, swapped))
         assert r1.priorities == r2.priorities
+
+
+# ------------------------------------------- Fraction/closure outranking oracle
+
+
+def _closure_scc(n, edge):
+    """Components via transitive closure, O(n^3)."""
+    reach = [row[:] for row in edge]
+    for i in range(n):
+        reach[i][i] = True
+    for k in range(n):
+        rk = reach[k]
+        for i in range(n):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+    comp_of = [-1] * n
+    comps = []
+    for i in range(n):
+        if comp_of[i] >= 0:
+            continue
+        members = [j for j in range(n) if reach[i][j] and reach[j][i]]
+        for j in members:
+            comp_of[j] = len(comps)
+        comps.append(members)
+    return comps
+
+
+def _fraction_outranking(inst, p, q):
+    """The outranking definition run on normalized Fractions, as written."""
+    p, q = Fraction(p), Fraction(q)
+    norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+    weights = inst.frame.weights
+    n = len(norm)
+    edge = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            conc = sum(
+                (w for w, a, b in zip(weights, norm[i], norm[j]) if a >= b),
+                Fraction(0),
+            )
+            disc = max(
+                (b - a for a, b in zip(norm[i], norm[j])), default=Fraction(0)
+            )
+            disc = max(disc, Fraction(0))
+            edge[i][j] = conc >= p and disc <= q
+    comps = _closure_scc(n, edge)
+    comp_of = {i: c for c, members in enumerate(comps) for i in members}
+    preds = [set() for _ in comps]
+    for i in range(n):
+        for j in range(n):
+            if edge[i][j] and comp_of[i] != comp_of[j]:
+                preds[comp_of[j]].add(comp_of[i])
+    layer = [0] * len(comps)
+    pending = set(range(len(comps)))
+    while pending:
+        ready = [c for c in pending if all(d not in pending for d in preds[c])]
+        for c in ready:
+            layer[c] = 1 + max((layer[d] for d in preds[c]), default=0)
+        pending -= set(ready)
+    priorities = {
+        aid: layer[comp_of[i]] for i, (aid, _) in enumerate(inst.alternatives)
+    }
+    return priorities, {aid: -lvl for aid, lvl in priorities.items()}
+
+
+def _sweep_number(rng):
+    r = rng.random()
+    if r < 0.4:
+        return rng.randint(-5, 9)
+    if r < 0.8:
+        return Fraction(rng.randint(-20, 40), rng.choice([1, 2, 3, 4, 6, 7, 10]))
+    return rng.choice([0, 1, 2])
+
+
+def _sweep_frame(rng, k):
+    weights = [rng.choice([0, 0, 1, 2, 3, Fraction(1, 3), Fraction(5, 7)]) for _ in range(k)]
+    if not any(weights):
+        weights[rng.randrange(k)] = 1
+    directions = [rng.choice((Direction.MAXIMIZE, Direction.MINIMIZE)) for _ in range(k)]
+    return CriteriaFrame(
+        tuple(Criterion(f"c{i}", d, w) for i, (d, w) in enumerate(zip(directions, weights)))
+    )
+
+
+def test_outranking_equals_fraction_oracle_sweep():
+    rng = random.Random(71)
+    thresholds = [0, 1, Fraction(1, 2), Fraction(3, 5), Fraction(2, 7)]
+    for t in range(300):
+        k = rng.choice([1, 2, 3, 4, 5, 20]) if t % 4 else rng.randint(1, 20)
+        n = rng.choice([1, 2, 3, 5, 8, 13])
+        constant = rng.random() < 0.3  # every other criterion constant
+        alts = [
+            (f"a{i}", [7 if constant and c % 2 else _sweep_number(rng) for c in range(k)])
+            for i in range(n)
+        ]
+        inst = make_instance(_sweep_frame(rng, k), alts)
+        if t < 40:  # each (p, q) in {0, 1} x {0, 1}, ten times
+            p, q = t % 2, t // 2 % 2
+        else:
+            p, q = rng.choice(thresholds), rng.choice(thresholds)
+        res = rank_outranking(inst, p=p, q=q)
+        assert (res.priorities, res.scores) == _fraction_outranking(inst, p, q)
+
+
+# ---------------------------------------------------------------- Tarjan SCC
+
+
+def test_strongly_connected_equals_closure_on_random_digraphs():
+    rng = random.Random(79)
+    for _ in range(150):
+        n = rng.randint(1, 25)
+        density = rng.choice([0.05, 0.1, 0.2, 0.5])
+        edge = [[i != j and rng.random() < density for j in range(n)] for i in range(n)]
+        succ = [[j for j in range(n) if edge[i][j]] for i in range(n)]
+        comps = _strongly_connected(succ)
+        assert sorted(sorted(c) for c in comps) == sorted(_closure_scc(n, edge))
+        position = {i: c for c, members in enumerate(comps) for i in members}
+        for i in range(n):
+            for j in succ[i]:
+                # sinks first: an edge never points to a later component
+                assert position[j] <= position[i]
+
+
+def test_strongly_connected_long_chain_and_cycle_stay_iterative():
+    n = 5000
+    chain = [[i + 1] for i in range(n - 1)] + [[]]
+    comps = _strongly_connected(chain)
+    assert comps == [[i] for i in range(n - 1, -1, -1)]
+    cycle = [[(i + 1) % n] for i in range(n)]
+    comps = _strongly_connected(cycle)
+    assert len(comps) == 1 and sorted(comps[0]) == list(range(n))

@@ -18,6 +18,7 @@ from hmmdkit.select import (
     Item,
     KnapsackInstance,
     MckpInstance,
+    _solution,
     knapsack_exact,
     knapsack_greedy,
     mckp_exact_dp,
@@ -368,3 +369,160 @@ def test_mckp_guard(monkeypatch):
     monkeypatch.setenv("HMMD_KIT_GUARD", "3")
     with pytest.raises(GuardExceeded):
         mckp_exact_dp(inst)
+
+
+# ------------------------------------------------------- Fraction DP oracles
+
+
+def _fraction_knapsack(inst, weights=None):
+    """The knapsack DP with one Fraction per cell."""
+    betas = dict(
+        zip(
+            (it.id for it in inst.items),
+            scalarize(inst.frame, [it.value for it in inst.items], weights),
+        )
+    )
+    cap = min(int(inst.budget), sum(int(it.cost) for it in inst.items))
+    chosen = {it.id for it in inst.items if it.cost == 0}
+    priced = [it for it in inst.items if it.cost != 0]
+    dp = [Fraction(0)] * (cap + 1)
+    taken = [bytearray(cap + 1) for _ in priced]
+    for idx, it in enumerate(priced):
+        c, b = int(it.cost), betas[it.id]
+        for w in range(cap, c - 1, -1):
+            if dp[w - c] + b > dp[w]:
+                dp[w] = dp[w - c] + b
+                taken[idx][w] = 1
+    w = cap
+    for idx in range(len(priced) - 1, -1, -1):
+        if taken[idx][w]:
+            chosen.add(priced[idx].id)
+            w -= int(priced[idx].cost)
+    return _solution(inst.frame, inst.items, betas, chosen)
+
+
+def _fraction_mckp(inst, weights=None):
+    """The group-wise DP with one Fraction per cell, cells in the outer loop."""
+    items = inst.all_items()
+    betas = dict(
+        zip((it.id for it in items), scalarize(inst.frame, [it.value for it in items], weights))
+    )
+    cap = min(int(inst.budget), sum(int(it.cost) for it in items))
+    exactly = inst.group_rule is GroupRule.EXACTLY_ONE
+    prev = [Fraction(0)] * (cap + 1)
+    choice = []
+    for g in inst.groups:
+        row = [None] * (cap + 1)
+        pick = [-2] * (cap + 1)
+        for c in range(cap + 1):
+            if not exactly and prev[c] is not None:
+                row[c] = prev[c]
+                pick[c] = -1
+            for j, it in enumerate(g.items):
+                ic = int(it.cost)
+                if ic <= c and prev[c - ic] is not None:
+                    cand = prev[c - ic] + betas[it.id]
+                    if row[c] is None or cand > row[c]:
+                        row[c] = cand
+                        pick[c] = j
+        prev = row
+        choice.append(pick)
+    best_c = None
+    for c in range(cap + 1):
+        if prev[c] is not None and (best_c is None or prev[c] > prev[best_c]):
+            best_c = c
+    if best_c is None:
+        raise InfeasibleError(f"no exactly-one selection fits within budget {inst.budget}")
+    chosen = set()
+    c = best_c
+    for gi in range(len(inst.groups) - 1, -1, -1):
+        j = choice[gi][c]
+        if j >= 0:
+            it = inst.groups[gi].items[j]
+            chosen.add(it.id)
+            c -= int(it.cost)
+    return _solution(inst.frame, items, betas, chosen)
+
+
+def _fields(sol):
+    return (sol.chosen, sol.objective, sol.total_cost, sol.objective_vector)
+
+
+def _sweep_value(rng, k):
+    return vec(*(
+        Fraction(rng.randint(-9, 30), rng.choice([1, 2, 3, 7])) if rng.random() < 0.5
+        else rng.randint(0, 4)
+        for _ in range(k)
+    ))
+
+
+def _sweep_weights(rng, k):
+    if rng.random() < 0.5:
+        return None
+    weights = [rng.choice([0, 0, 1, 2, Fraction(1, 3)]) for _ in range(k)]
+    weights[rng.randrange(k)] = 1
+    return weights
+
+
+def test_knapsack_exact_equals_fraction_oracle_sweep():
+    rng = random.Random(83)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        items = tuple(
+            Item(f"i{j}", _sweep_value(rng, k), rng.choice([0, 0, 1, 2, 3, 5, 8, 13]))
+            for j in range(rng.randint(1, 14))
+        )
+        inst = KnapsackInstance(equal_weight_frame(k), items, rng.randint(0, 40))
+        weights = _sweep_weights(rng, k)
+        assert _fields(knapsack_exact(inst, weights)) == _fields(_fraction_knapsack(inst, weights))
+
+
+def test_mckp_exact_dp_equals_fraction_oracle_sweep():
+    rng = random.Random(89)
+    infeasible = 0
+    for t in range(200):
+        k = rng.randint(1, 4)
+        groups = tuple(
+            Group(f"g{g}", tuple(
+                Item(f"g{g}i{j}", _sweep_value(rng, k), rng.choice([0, 1, 2, 3, 5, 8]))
+                for j in range(rng.randint(1, 4))
+            ))
+            for g in range(rng.randint(1, 6))
+        )
+        rule = (GroupRule.AT_MOST_ONE, GroupRule.EXACTLY_ONE)[t % 2]
+        inst = MckpInstance(equal_weight_frame(k), groups, rng.randint(0, 25), rule)
+        weights = _sweep_weights(rng, k)
+        try:
+            expected = _fields(_fraction_mckp(inst, weights))
+        except InfeasibleError as exc:
+            infeasible += 1
+            with pytest.raises(InfeasibleError, match=str(exc)):
+                mckp_exact_dp(inst, weights)
+        else:
+            assert _fields(mckp_exact_dp(inst, weights)) == expected
+    assert infeasible > 0
+
+
+def test_knapsack_guard_counts_table_cells(monkeypatch):
+    # 50 priced items x (budget 100 + 1) = 5,050 cells; the cost sum is only 100
+    inst = knapsack([(f"i{j}", j % 7, 2) for j in range(50)] + [("free", 3, 0)], budget=100)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "100")
+    with pytest.raises(GuardExceeded, match=r"^50 items x budget 100 exceeds table guard 100$"):
+        knapsack_exact(inst)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "5049")
+    with pytest.raises(GuardExceeded):
+        knapsack_exact(inst)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "5050")
+    assert _fields(knapsack_exact(inst)) == _fields(_fraction_knapsack(inst))
+
+
+def test_knapsack_default_guard_is_ten_million_cells(monkeypatch):
+    monkeypatch.delenv("HMMD_KIT_GUARD", raising=False)
+    # 2 x (10^6 + 1) cells: over the old 10^6 default, within 10^7
+    inst = knapsack([("a", 3, 600_000), ("b", 5, 600_000)], budget=10**6)
+    assert knapsack_exact(inst).chosen == {"b"}
+    wide = knapsack([(f"i{j}", 1, 200_000) for j in range(10)], budget=10**6)
+    with pytest.raises(
+        GuardExceeded, match=r"^10 items x budget 1000000 exceeds table guard 10000000$"
+    ):
+        knapsack_exact(wide)
