@@ -21,6 +21,7 @@ from .core import (
     dominates,
     guard_limit,
     non_dominated,
+    vector_sum,
 )
 from .select import scalarize
 
@@ -90,14 +91,8 @@ def _solution(inst: AssignmentInstance, pairs: set[tuple[str, str]], betas) -> A
     vectors = [
         inst.cells[inst.agents.index(a)][inst.positions.index(p)] for a, p in pairs
     ]
-    if vectors:
-        total = EstimateVector(
-            [sum(col, Fraction(0)) for col in zip(*(v.values for v in vectors))]
-        )
-    else:
-        total = EstimateVector([Fraction(0)] * len(inst.frame))
     objective = sum((betas[pr] for pr in pairs), Fraction(0))
-    return AssignmentSolution(frozenset(pairs), total, objective)
+    return AssignmentSolution(frozenset(pairs), vector_sum(inst.frame, vectors), objective)
 
 
 def assign_greedy(

@@ -63,12 +63,8 @@ class _Parser(argparse.ArgumentParser):
         raise _usage(message)
 
 
-def _vector(v) -> list:
-    return list(v.values)
-
-
 def _quality(q) -> dict:
-    return {"w": q.w, "counts": list(q.counts)}
+    return {"w": q.w, "counts": q.counts}
 
 
 def _selection_payload(sol) -> dict:
@@ -76,15 +72,15 @@ def _selection_payload(sol) -> dict:
         "chosen": sorted(sol.chosen),
         "total_cost": sol.total_cost,
         "objective": sol.objective,
-        "objective_vector": _vector(sol.objective_vector),
+        "objective_vector": sol.objective_vector,
     }
 
 
 def _assignment_entry(sol) -> dict:
     return {
-        "pairs": [list(p) for p in sorted(sol.pairs)],
+        "pairs": sorted(sol.pairs),
         "objective": sol.objective,
-        "objective_vector": _vector(sol.objective_vector),
+        "objective_vector": sol.objective_vector,
     }
 
 
@@ -124,51 +120,29 @@ def _solve_rank(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def _solve_knapsack(problem, method, weights, oracle):
-    from .select import knapsack_exact, knapsack_greedy
+def _solve_selection(problem, method, weights, oracle):
+    """Knapsack and MCKP: the oracle holds knapsack greedy to 0.75 of
+    exact, and MCKP exact to at least greedy."""
+    from .select import KnapsackInstance, knapsack_exact, knapsack_greedy, mckp_exact_dp, mckp_greedy
 
     inst = problem.instance
-    sol = knapsack_greedy(inst, weights) if method == "greedy" else knapsack_exact(inst, weights)
+    knapsack = isinstance(inst, KnapsackInstance)
+    greedy_solve, exact_solve = (knapsack_greedy, knapsack_exact) if knapsack else (mckp_greedy, mckp_exact_dp)
+    sol = greedy_solve(inst, weights) if method == "greedy" else exact_solve(inst, weights)
     diagnostics = {}
     if oracle:
         try:
-            exact = sol if method == "exact" else knapsack_exact(inst, weights)
+            exact = sol if method == "exact" else exact_solve(inst, weights)
         except (ValidationError, GuardExceeded) as exc:
             diagnostics["oracle"] = f"skipped ({exc})"
         else:
-            greedy = sol if method == "greedy" else knapsack_greedy(inst, weights)
-            if greedy.objective < Fraction(3, 4) * exact.objective:
-                raise CliError(
-                    "oracle",
-                    f"greedy objective {greedy.objective} below 0.75 x exact {exact.objective}",
-                    EXIT_SOLVE,
-                )
-            diagnostics["oracle"] = "ok (greedy within 0.75 of exact)"
-    if sol.total_cost > inst.budget:
-        raise CliError("solve", "budget violated", EXIT_SOLVE)
-    return _selection_payload(sol), diagnostics
-
-
-def _solve_mckp(problem, method, weights, oracle):
-    from .select import mckp_exact_dp, mckp_greedy
-
-    inst = problem.instance
-    sol = mckp_greedy(inst, weights) if method == "greedy" else mckp_exact_dp(inst, weights)
-    diagnostics = {}
-    if oracle:
-        try:
-            exact = sol if method == "exact" else mckp_exact_dp(inst, weights)
-        except (ValidationError, GuardExceeded) as exc:
-            diagnostics["oracle"] = f"skipped ({exc})"
-        else:
-            greedy = sol if method == "greedy" else mckp_greedy(inst, weights)
-            if exact.objective < greedy.objective:
-                raise CliError(
-                    "oracle",
-                    f"exact objective {exact.objective} below greedy {greedy.objective}",
-                    EXIT_SOLVE,
-                )
-            diagnostics["oracle"] = "ok (exact >= greedy)"
+            greedy = sol if method == "greedy" else greedy_solve(inst, weights)
+            g, e = greedy.objective, exact.objective
+            if knapsack and g < Fraction(3, 4) * e:
+                raise CliError("oracle", f"greedy objective {g} below 0.75 x exact {e}", EXIT_SOLVE)
+            if not knapsack and e < g:
+                raise CliError("oracle", f"exact objective {e} below greedy {g}", EXIT_SOLVE)
+            diagnostics["oracle"] = "ok (greedy within 0.75 of exact)" if knapsack else "ok (exact >= greedy)"
     if sol.total_cost > inst.budget:
         raise CliError("solve", "budget violated", EXIT_SOLVE)
     return _selection_payload(sol), diagnostics
@@ -179,15 +153,9 @@ def _solve_cluster(problem, method, weights, oracle):
 
     linkage = Linkage(method) if method else problem.linkage
     dend = build_dendrogram(problem.matrix, linkage)
-    partition = None
-    if problem.k is not None:
-        partition = [list(block) for block in cut_dendrogram(dend, problem.k)]
     solution = {
-        "merges": [
-            {"left": list(m.left), "right": list(m.right), "height": m.height}
-            for m in dend.merges
-        ],
-        "partition": partition,
+        "merges": [{"left": m.left, "right": m.right, "height": m.height} for m in dend.merges],
+        "partition": None if problem.k is None else cut_dendrogram(dend, problem.k),
     }
     diagnostics = {}
     if oracle:
@@ -263,7 +231,7 @@ def _solve_tsp(problem, method, weights, oracle):
                     EXIT_SOLVE,
                 )
             diagnostics["oracle"] = "ok (within declared ratio of optimum)"
-    return {"order": list(tour.order), "length": tour.length}, diagnostics
+    return {"order": tour.order, "length": tour.length}, diagnostics
 
 
 def _solve_synth(problem, method, weights, oracle):
@@ -279,8 +247,8 @@ def _solve_synth(problem, method, weights, oracle):
                 "composites": [
                     {
                         "id": cid,
-                        "selection": [list(p) for p in d.selection],
-                        "leaves": [list(p) for p in leaves],
+                        "selection": d.selection,
+                        "leaves": leaves,
                         "quality": _quality(d.quality),
                         "priority": prio,
                     }
@@ -310,7 +278,7 @@ def _solve_trajectory(problem, method, weights, oracle):
     front = design_trajectory(problem.spec, problem.all_pairs)
     solution = {
         "trajectories": [
-            {"path": list(t.path), "quality": _quality(t.quality)} for t in front
+            {"path": t.path, "quality": _quality(t.quality)} for t in front
         ]
     }
     diagnostics = {}
@@ -348,9 +316,9 @@ def _solve_pipeline(problem, method, weights, oracle):
 
     report = run_three_set_pipeline(problem.spec, problem.linkage, weights)
     solution = {
-        "clusters1": [list(b) for b in report.clusters1],
-        "clusters2": [list(b) for b in report.clusters2],
-        "assignment": [list(p) for p in report.assignment],
+        "clusters1": report.clusters1,
+        "clusters2": report.clusters2,
+        "assignment": report.assignment,
         "actions": [
             {"element1": e1, "element2": e2, "action": act, "cost": cost}
             for e1, e2, act, cost in report.selected_actions
@@ -393,8 +361,8 @@ def _solve_improve(problem, method, weights, oracle):
 
 _SOLVERS = {
     "rank": _solve_rank,
-    "knapsack": _solve_knapsack,
-    "mckp": _solve_mckp,
+    "knapsack": _solve_selection,
+    "mckp": _solve_selection,
     "cluster": _solve_cluster,
     "assign": _solve_assign,
     "tsp": _solve_tsp,

@@ -192,6 +192,13 @@ class EstimateVector:
         return len(self.values) == len(frame)
 
 
+def vector_sum(frame: CriteriaFrame, vectors: Sequence[EstimateVector]) -> EstimateVector:
+    """Componentwise sum; the zero vector of ``frame`` when there are no vectors."""
+    if not vectors:
+        return EstimateVector([Fraction(0)] * len(frame))
+    return EstimateVector([sum(col, Fraction(0)) for col in zip(*(v.values for v in vectors))])
+
+
 def check_rows(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> None:
     if not rows:
         raise ValidationError("empty row set")

@@ -26,6 +26,7 @@ from .core import (
     OrdinalScale,
     ValidationError,
     as_frac,
+    vector_sum,
 )
 from .morph import (
     DEFAULT_COMPAT_SCALE,
@@ -113,11 +114,8 @@ class PipelineReport:
     mckp_method: str
 
 
-def _mean_vector(vectors: list[EstimateVector]) -> EstimateVector:
-    n = len(vectors)
-    return EstimateVector(
-        [sum(col, Fraction(0)) / n for col in zip(*(v.values for v in vectors))]
-    )
+def _mean_vector(frame: CriteriaFrame, vectors: list[EstimateVector]) -> EstimateVector:
+    return EstimateVector([s / len(vectors) for s in vector_sum(frame, vectors)])
 
 
 def _solve_mckp(inst: MckpInstance, weights) -> tuple[SelectionSolution, str]:
@@ -155,6 +153,7 @@ def run_three_set_pipeline(
     cells = tuple(
         tuple(
             _mean_vector(
+                spec.frame,
                 [
                     spec.correspondence[idx1[e1]][idx2[e2]]
                     for e1 in c1

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
 
 from .core import (
     Best,
@@ -243,7 +243,8 @@ class _Record:
     The getter reads the field back from the built value: a dotted
     attribute name, a tuple index or a callable. The parsed fields go to
     ``build`` in table order, after the record's path when ``with_path``
-    is set. ``dump`` leaves out a field whose getter returns None.
+    is set. ``dump`` leaves out an optional field whose getter returns
+    None and hands a required one to its codec.
     """
 
     def __init__(self, *fields: tuple, build: Callable = lambda *vals: vals, with_path: bool = False) -> None:
@@ -263,9 +264,9 @@ class _Record:
 
     def dump(self, value: Any) -> dict:
         out = {}
-        for key, codec, get, _ in self.fields:
+        for key, codec, get, default in self.fields:
             x = get(value)
-            if x is not None:
+            if x is not None or not default:
                 out[key] = codec.dump(x)
         return out
 
@@ -303,6 +304,18 @@ class _Ref:
 
     def dump(self, value: Any) -> Any:
         return self.target.dump(value)
+
+
+def _nullable(codec: Any) -> _Leaf:
+    """``codec``, or JSON null for None."""
+    return _Leaf(lambda raw, path: None if raw is None else codec.parse(raw, path),
+                 lambda value: None if value is None else codec.dump(value))
+
+
+def _doc(*fields: tuple) -> _Record:
+    """A record read into a dict, with one required ``(key, codec)`` field per key."""
+    keys = [key for key, _ in fields]
+    return _Record(*((key, codec, itemgetter(key)) for key, codec in fields), build=lambda *vals: dict(zip(keys, vals)))
 
 
 # ------------------------------------------------------------ shared shapes
@@ -649,6 +662,23 @@ def _canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _envelope(text: str, kind: str, kinds: Container[str], *keys: str) -> dict:
+    """The top-level object of a file, after the checks every file shares:
+    JSON with exactly the keys spec_version, ``kind`` and ``keys``, the
+    current spec_version, and a ``kind`` value among ``kinds``."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("$", f"malformed JSON: {exc}") from exc
+    doc = _obj(raw, "$", ("spec_version", kind, *keys))
+    version = _int(doc["spec_version"], "$.spec_version")
+    if version != SPEC_VERSION:
+        _fail("$.spec_version", f"unsupported version {version}, expected {SPEC_VERSION}")
+    if _str(doc[kind], f"$.{kind}") not in kinds:
+        _fail(f"$.{kind}", f"unknown {kind.replace('_', ' ')} {doc[kind]!r}")
+    return doc
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse and fully validate a problem file.
 
@@ -656,18 +686,9 @@ def parse_problem(text: str) -> ProblemFile:
     error messages carry the JSON path of the offending value. Unknown
     keys are rejected.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"malformed JSON: {exc}") from exc
-    doc = _obj(raw, "$", ("spec_version", "problem_type", "payload"))
-    version = _int(doc["spec_version"], "$.spec_version")
-    if version != SPEC_VERSION:
-        _fail("$.spec_version", f"unsupported version {version}, expected {SPEC_VERSION}")
-    ptype = _str(doc["problem_type"], "$.problem_type")
-    if ptype not in _PROBLEMS:
-        _fail("$.problem_type", f"unknown problem type {ptype!r}")
-    return ProblemFile(version, ptype, _payload(ptype).parse(doc["payload"], "$.payload"))
+    doc = _envelope(text, "problem_type", _PROBLEMS, "payload")
+    ptype = doc["problem_type"]
+    return ProblemFile(SPEC_VERSION, ptype, _payload(ptype).parse(doc["payload"], "$.payload"))
 
 
 def write_problem(pf: ProblemFile) -> str:
@@ -682,6 +703,10 @@ def write_problem(pf: ProblemFile) -> str:
 
 
 # -------------------------------------------------------------------- results
+#
+# A report's solution stays a plain dict tree, indexed like its JSON: each
+# problem type's shape is one dict record in _RESULTS, and the same record
+# writes the report and reads it back strictly.
 
 
 @dataclass(frozen=True)
@@ -693,80 +718,76 @@ class ResultFile:
     diagnostics: dict
 
 
-#: keys whose values (recursively) are measurement numbers
-_NUMERIC_KEYS = {
-    "scores",
-    "objective",
-    "total_cost",
-    "objective_vector",
-    "height",
-    "length",
-    "cost",
+def _array(item: Any) -> _List:
+    """A report array, read into a list."""
+    return _List(item, 0, list)
+
+
+_ID_LIST = _array(_STR)
+_PAIRS = _array(_ID_LIST)  # [id, id] entries
+_FRACS = _array(_FRAC)
+_QUALITY = _doc(("w", _INT), ("counts", _array(_INT)))
+_SELECTED = (("chosen", _ID_LIST), ("total_cost", _FRAC), ("objective", _FRAC), ("objective_vector", _FRACS))
+
+#: problem_type -> codec of its report's solution
+_RESULTS: dict[str, _Record] = {
+    "rank": _doc(("priorities", _Map(_INT)), ("scores", _Map(_NUM))),
+    "knapsack": _doc(*_SELECTED),
+    "mckp": _doc(*_SELECTED),
+    "cluster": _doc(
+        ("merges", _array(_doc(("left", _ID_LIST), ("right", _ID_LIST), ("height", _NUM)))),
+        ("partition", _nullable(_array(_ID_LIST))),
+    ),
+    "assign": _doc(("solutions", _array(_doc(("pairs", _PAIRS), ("objective", _FRAC), ("objective_vector", _FRACS))))),
+    "tsp": _doc(("order", _ID_LIST), ("length", _NUM)),
+    "morph": _doc(
+        ("root", _STR),
+        ("nodes", _array(_doc(("id", _STR), ("composites", _array(_doc(
+            ("id", _STR), ("selection", _PAIRS), ("leaves", _PAIRS), ("quality", _QUALITY), ("priority", _INT),
+        )))))),
+    ),
+    "trajectory": _doc(("trajectories", _array(_doc(("path", _ID_LIST), ("quality", _QUALITY))))),
+    "integrate": _doc(("root_estimate", _INT), ("trace", _Map(_INT))),
+    "pipeline": _doc(
+        ("clusters1", _array(_ID_LIST)),
+        ("clusters2", _array(_ID_LIST)),
+        ("assignment", _array(_array(_INT))),
+        ("actions", _array(_doc(("element1", _STR), ("element2", _STR), ("action", _STR), ("cost", _FRAC)))),
+        ("total_cost", _FRAC),
+        ("objective", _FRAC),
+        ("mckp_method", _STR),
+    ),
+    "improve": _doc(*_SELECTED, ("by_part", _Map(_nullable(_STR)))),
 }
-
-#: keys whose values are maps keyed by ids, never by field names
-_ID_KEYED = {"priorities", "scores", "by_part", "trace"}
-
-
-def _encode_tree(obj: Any) -> Any:
-    if isinstance(obj, Fraction):
-        return encode_number(obj)
-    if isinstance(obj, dict):
-        return {k: _encode_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_tree(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise ValidationError(f"cannot serialize {type(obj).__name__}")
-
-
-def _decode_tree(obj: Any, numeric: bool, ids: bool = False) -> Any:
-    """Decode numbers below a numeric key; ``ids`` marks a map keyed by ids."""
-    if isinstance(obj, dict):
-        if ids:
-            return {k: _decode_tree(v, numeric) for k, v in obj.items()}
-        return {
-            k: _decode_tree(v, numeric or k in _NUMERIC_KEYS, k in _ID_KEYED)
-            for k, v in obj.items()
-        }
-    if isinstance(obj, list):
-        return [_decode_tree(v, numeric) for v in obj]
-    if numeric and not isinstance(obj, (bool, float)) and isinstance(obj, (int, str)):
-        try:
-            return as_frac(obj)
-        except ValidationError:
-            return obj
-    return obj
+_DIAGNOSTICS = _Map(_STR)
 
 
 def write_result(result: ResultFile, fmt: ResultFormat = ResultFormat.STRUCTURED) -> str:
     """Structured: canonical machine format. Text: human-readable report."""
-    if fmt is ResultFormat.STRUCTURED:
-        doc = {
+    if fmt is ResultFormat.TEXT:
+        return _render_text(result)
+    return _canonical(
+        {
             "spec_version": result.spec_version,
             "problem_type": result.problem_type,
             "method": result.method,
-            "solution": _encode_tree(result.solution),
-            "diagnostics": _encode_tree(
-                {k: v for k, v in result.diagnostics.items() if v is not None}
-            ),
+            "solution": _RESULTS[result.problem_type].dump(result.solution),
+            "diagnostics": _DIAGNOSTICS.dump({k: v for k, v in result.diagnostics.items() if v is not None}),
         }
-        return _canonical(doc)
-    return _render_text(result)
+    )
 
 
 def parse_result(text: str) -> ResultFile:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"malformed JSON: {exc}") from exc
-    doc = _obj(raw, "$", ("spec_version", "problem_type", "method", "solution", "diagnostics"))
+    """Parse a structured report strictly: an unknown key, a wrong type or
+    another spec_version fails with its JSON path."""
+    doc = _envelope(text, "problem_type", _RESULTS, "method", "solution", "diagnostics")
+    ptype = doc["problem_type"]
     return ResultFile(
-        spec_version=_int(doc["spec_version"], "$.spec_version"),
-        problem_type=_str(doc["problem_type"], "$.problem_type"),
+        spec_version=SPEC_VERSION,
+        problem_type=ptype,
         method=_str(doc["method"], "$.method"),
-        solution=_decode_tree(doc["solution"], False),
-        diagnostics=_decode_tree(doc["diagnostics"], False),
+        solution=_RESULTS[ptype].parse(doc["solution"], "$.solution"),
+        diagnostics=_DIAGNOSTICS.parse(doc["diagnostics"], "$.diagnostics"),
     )
 
 
@@ -852,8 +873,6 @@ def _render_text(result: ResultFile) -> str:
             )
         lines.append(f"total cost: {render_number(sol['total_cost'])}")
         lines.append(f"objective: {render_number(sol['objective'])}")
-    else:
-        lines.append(json.dumps(_encode_tree(sol), sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -877,7 +896,10 @@ def load_fixture(name: str) -> str:
 class QualityCase:
     a: QualityVector
     b: QualityVector
-    relation: str  # a_dominates_b | b_dominates_a | incomparable
+    relation: str  # one of _RELATIONS
+
+
+_RELATIONS = ("a_dominates_b", "b_dominates_a", "incomparable")
 
 
 def load_quality_cases(text: str) -> list[QualityCase]:
@@ -886,21 +908,7 @@ def load_quality_cases(text: str) -> list[QualityCase]:
     from .morph import QualityVector
 
     quality = _Record(("w", _INT, "w"), ("counts", _List(_INT, 1), "counts"), build=QualityVector)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"malformed JSON: {exc}") from exc
-    doc = _obj(raw, "$", ("spec_version", "kind", "cases"))
-    if _int(doc["spec_version"], "$.spec_version") != SPEC_VERSION:
-        _fail("$.spec_version", "unsupported version")
-    if doc["kind"] != "quality_cases":
-        _fail("$.kind", f"expected 'quality_cases', got {doc['kind']!r}")
-    cases = []
-    for i, c in enumerate(_list(doc["cases"], "$.cases", min_len=1)):
-        p = f"$.cases[{i}]"
-        cd = _obj(c, p, ("a", "b", "relation"))
-        relation = cd["relation"]
-        if relation not in ("a_dominates_b", "b_dominates_a", "incomparable"):
-            _fail(f"{p}.relation", f"unknown relation {relation!r}")
-        cases.append(QualityCase(quality.parse(cd["a"], f"{p}.a"), quality.parse(cd["b"], f"{p}.b"), relation))
-    return cases
+    relation = _Leaf(lambda raw, path: raw if raw in _RELATIONS else _fail(path, f"unknown relation {raw!r}"))
+    case = _Record(("a", quality, "a"), ("b", quality, "b"), ("relation", relation, "relation"), build=QualityCase)
+    doc = _envelope(text, "kind", ("quality_cases",), "cases")
+    return _List(case, 1, list).parse(doc["cases"], "$.cases")

@@ -23,6 +23,7 @@ from .core import (
     as_ints,
     guard_limit,
     normalize_estimates,
+    vector_sum,
 )
 
 KNAPSACK_TABLE_GUARD = 10**7
@@ -141,12 +142,9 @@ def scalarize(
     return [sum((w * v for w, v in zip(lam, row)), Fraction(0)) for row in norm]
 
 
-def _vector_sum(frame: CriteriaFrame, vectors: Sequence[EstimateVector]) -> EstimateVector:
-    if not vectors:
-        return EstimateVector([Fraction(0)] * len(frame))
-    return EstimateVector(
-        [sum(col, Fraction(0)) for col in zip(*(v.values for v in vectors))]
-    )
+def _betas(frame: CriteriaFrame, items: Sequence[Item], weights: Sequence[Number] | None) -> dict[str, Fraction]:
+    """Each item's scalarized value, by item id."""
+    return dict(zip((it.id for it in items), scalarize(frame, [it.value for it in items], weights)))
 
 
 def _solution(
@@ -160,7 +158,7 @@ def _solution(
         chosen=frozenset(chosen_ids),
         total_cost=sum((it.cost for it in chosen_items), Fraction(0)),
         objective=sum((betas[i] for i in chosen_ids), Fraction(0)),
-        objective_vector=_vector_sum(inst_frame, [it.value for it in chosen_items]),
+        objective_vector=vector_sum(inst_frame, [it.value for it in chosen_items]),
     )
 
 
@@ -172,12 +170,7 @@ def knapsack_greedy(
     Zero-cost items sort first (by value); ties always break on item id,
     so the result is deterministic.
     """
-    betas = dict(
-        zip(
-            (it.id for it in inst.items),
-            scalarize(inst.frame, [it.value for it in inst.items], weights),
-        )
-    )
+    betas = _betas(inst.frame, inst.items, weights)
 
     def sort_key(it: Item):
         if it.cost == 0:
@@ -231,12 +224,7 @@ def knapsack_exact(
         raise GuardExceeded(
             f"{len(priced)} items x budget {cap} exceeds table guard {limit}"
         )
-    betas = dict(
-        zip(
-            (it.id for it in inst.items),
-            scalarize(inst.frame, [it.value for it in inst.items], weights),
-        )
-    )
+    betas = _betas(inst.frame, inst.items, weights)
     scaled = dict(zip(betas, as_ints(list(betas.values()))))
     dp = [0] * (cap + 1)
     taken = [bytearray(cap + 1) for _ in priced]
@@ -255,18 +243,6 @@ def knapsack_exact(
     return _solution(inst.frame, inst.items, betas, chosen)
 
 
-def _mckp_betas(
-    inst: MckpInstance, weights: Sequence[Number] | None
-) -> dict[str, Fraction]:
-    items = inst.all_items()
-    return dict(
-        zip(
-            (it.id for it in items),
-            scalarize(inst.frame, [it.value for it in items], weights),
-        )
-    )
-
-
 def mckp_greedy(
     inst: MckpInstance, weights: Sequence[Number] | None = None
 ) -> SelectionSolution:
@@ -277,7 +253,7 @@ def mckp_greedy(
     value-gain per cost; improving moves that cost nothing extra are taken
     first. Ties break on (group id, item id).
     """
-    betas = _mckp_betas(inst, weights)
+    betas = _betas(inst.frame, inst.all_items(), weights)
     current: dict[str, Item | None] = {g.id: None for g in inst.groups}
     total = Fraction(0)
     if inst.group_rule is GroupRule.EXACTLY_ONE:
@@ -333,7 +309,7 @@ def mckp_exact_dp(
         raise GuardExceeded(
             f"{len(inst.groups)} groups x budget {cap} exceeds table guard {limit}"
         )
-    betas = _mckp_betas(inst, weights)
+    betas = _betas(inst.frame, inst.all_items(), weights)
     scaled = dict(zip(betas, as_ints(list(betas.values()))))
     exactly = inst.group_rule is GroupRule.EXACTLY_ONE
     prev: list[int | None] = [0] * (cap + 1)

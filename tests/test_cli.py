@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import hmmdkit
-from hmmdkit.cli import main
-from hmmdkit.probio import fixture_path, parse_result
+from hmmdkit.cli import COMMANDS, main
+from hmmdkit.probio import fixture_path, parse_result, write_result
+from test_probio import MINIMAL, problem_text
 
 COURSE = fixture_path("course_example.morph")
 ASSIGN = fixture_path("table5_assign.assign")
@@ -389,3 +391,65 @@ def test_module_entry_point_runs_in_subprocess():
     result = parse_result(proc.stdout)
     root = next(n for n in result.solution["nodes"] if n["id"] == "S")
     assert len(root["composites"]) == 4
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_json_report_passes_the_strict_reader(command, oracle, tmp_path, capsys):
+    ptype = COMMANDS[command][0]
+    path = tmp_path / f"{ptype}.json"
+    path.write_text(problem_text(ptype, MINIMAL[ptype][0]))
+    code, out, err = run(capsys, command, "--input", str(path), "--format", "json", *(["--oracle"] if oracle else []))
+    assert code == 0, err
+    result = parse_result(out)
+    assert result.problem_type == ptype
+    assert write_result(result) == out
+
+
+SELECTION_ITEMS = [{"id": f"i{k}", "value": [k + 1], "cost": k + 1} for k in range(4)]
+
+#: command -> (payload, oracle ok text, guard-3 table size, solver made worse, oracle failure text)
+SELECTION_ORACLES = {
+    "knapsack": (
+        {"criteria": [{"id": "c"}], "items": SELECTION_ITEMS, "budget": 5},
+        "ok (greedy within 0.75 of exact)",
+        "4 items x budget 5",
+        "knapsack_greedy",
+        "greedy objective 1/10 below 0.75 x exact 1",
+    ),
+    "mckp": (
+        {"criteria": [{"id": "c"}], "groups": [{"id": "g", "items": SELECTION_ITEMS}], "budget": 5},
+        "ok (exact >= greedy)",
+        "1 groups x budget 5",
+        "mckp_exact_dp",
+        "exact objective 1/10 below greedy 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SELECTION_ORACLES))
+def test_selection_oracle_texts(command, tmp_path, capsys, monkeypatch):
+    import hmmdkit.select as select
+
+    payload, ok, table, worse, failure = SELECTION_ORACLES[command]
+    path = tmp_path / "p.json"
+    path.write_text(problem_text(command, payload))
+    argv = [command, "--input", str(path), "--oracle", "--format", "json"]
+
+    def oracle(method):
+        code, out, err = run(capsys, *argv, "--method", method)
+        assert code == 0, err
+        return json.loads(out)["diagnostics"]["oracle"]
+
+    assert oracle("greedy") == oracle("exact") == ok
+    monkeypatch.setenv("HMMD_KIT_GUARD", "3")
+    assert oracle("greedy") == f"skipped ({table} exceeds table guard 3)"
+    monkeypatch.delenv("HMMD_KIT_GUARD")
+    solve = getattr(select, worse)
+
+    def one_tenth(inst, weights=None):
+        sol = solve(inst, weights)
+        return dataclasses.replace(sol, objective=sol.objective / 10)
+
+    monkeypatch.setattr(select, worse, one_tenth)
+    assert run(capsys, *argv, "--method", "greedy") == (1, "", f"hmmdkit: error: oracle: {failure}\n")

@@ -15,12 +15,19 @@ from hmmdkit.core import (
     normalize_estimates,
     non_dominated,
     pareto_layers,
+    vector_sum,
 )
 from hmmdkit.morph import QualityVector, n_dominates
 
 
 def rows(*vals):
     return [EstimateVector(v) for v in vals]
+
+
+def test_vector_sum_adds_componentwise_and_is_zero_when_empty():
+    frame = equal_weight_frame(2)
+    assert vector_sum(frame, []) == EstimateVector([0, 0])
+    assert vector_sum(frame, rows([1, "1/2"], [2, "1/3"], [0, -1])) == EstimateVector([3, "-1/6"])
 
 
 def test_frame_normalizes_weights():

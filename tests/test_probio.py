@@ -506,6 +506,7 @@ def random_result(rng):
         method = "chain"
     else:
         solution = {
+            "root": "root",
             "nodes": [
                 {
                     "id": "root",
@@ -513,20 +514,23 @@ def random_result(rng):
                         {
                             "id": "root_1",
                             "selection": [["p1", "x"], ["p2", "y"]],
+                            "leaves": [["p1", "x"], ["q1", "y1"], ["q2", "y2"]],
                             "quality": {"w": rng.randint(0, 3), "counts": [2, 0, 0]},
                             "priority": 1,
                         }
                     ],
                 }
-            ]
+            ],
         }
         method = "synthesis"
+    # the diagnostics the CLI writes: none, an oracle verdict, or improve's solver
+    diagnostics = rng.choice([{}, {"oracle": "ok (exact >= greedy)"}, {"solver": "exact_dp"}])
     return ResultFile(
         spec_version=1,
         problem_type=kind,
         method=method,
         solution=solution,
-        diagnostics={"guard": {"used": rng.randint(0, 100), "limit": 10**6}},
+        diagnostics=diagnostics,
     )
 
 
@@ -564,6 +568,62 @@ def test_id_keyed_maps_round_trip_whatever_the_ids():
         assert back == result
         assert write_result(back, ResultFormat.STRUCTURED) == text
     assert type(parse_result(write_result(integrate)).solution["trace"]["length"]) is int
+
+
+KNAPSACK_REPORT = {
+    "spec_version": 1,
+    "problem_type": "knapsack",
+    "method": "greedy",
+    "solution": {"chosen": ["i"], "total_cost": 1, "objective": "0.5", "objective_vector": [1]},
+    "diagnostics": {},
+}
+RANK_REPORT = {
+    "spec_version": 1,
+    "problem_type": "rank",
+    "method": "utility",
+    "solution": {"priorities": {"a3": 1}, "scores": {"a3": "1/3"}},
+    "diagnostics": {"oracle": "ok (dominance consistency)"},
+}
+
+
+def with_solution(report, **changes):
+    return {**report, "solution": {**report["solution"], **changes}}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (with_solution(KNAPSACK_REPORT, surprise=1), "$.solution"),
+        (with_solution(KNAPSACK_REPORT, objective="abc"), "$.solution.objective"),
+        (with_solution(KNAPSACK_REPORT, objective=True), "$.solution.objective"),
+        (with_solution(RANK_REPORT, priorities={"a3": 1.5}), "$.solution.priorities.a3"),
+        ({**RANK_REPORT, "problem_type": "qap"}, "$.problem_type"),
+        ({**RANK_REPORT, "spec_version": 2}, "$.spec_version"),
+    ],
+    ids=["unknown-key", "objective-abc", "objective-true", "fractional-priority", "unknown-type", "version-2"],
+)
+def test_parse_result_rejects_with_a_json_path(doc, path):
+    for report in (KNAPSACK_REPORT, RANK_REPORT):
+        assert write_result(parse_result(json.dumps(report))) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_result(json.dumps(doc))
+    assert exc.value.path == path
+
+
+def test_mutated_fixture_reports_fail_only_with_a_json_path(capsys):
+    from hmmdkit.cli import COMMANDS, main
+
+    commands = {ptype: command for command, (ptype, *_) in COMMANDS.items()}
+    rng = random.Random(37)
+    for name in FIXTURES:
+        ptype = parse_problem(load_fixture(name)).problem_type
+        assert main([commands[ptype], "--input", fixture_path(name), "--format", "json"]) == 0
+        all_mutants = list(mutants(json.loads(capsys.readouterr().out)))
+        for doc in rng.sample(all_mutants, min(250, len(all_mutants))):
+            try:
+                parse_result(json.dumps(doc))
+            except ParseError as exc:
+                assert exc.path.startswith("$"), str(exc)
 
 
 def test_none_diagnostics_are_omitted():
