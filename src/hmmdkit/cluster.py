@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Number, ValidationError, as_frac
+from .core import Number, ValidationError, as_frac, check_dissimilarities
 
 
 class Linkage(Enum):
@@ -28,27 +28,9 @@ class DissimilarityMatrix:
     d: tuple[tuple[Number, ...], ...]
 
     def __post_init__(self) -> None:
-        ids = tuple(self.ids)
-        object.__setattr__(self, "ids", ids)
-        if not ids:
-            raise ValidationError("a dissimilarity matrix needs at least one id")
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate ids: {list(ids)}")
-        d = tuple(tuple(row) for row in self.d)
-        object.__setattr__(self, "d", d)
-        n = len(ids)
-        if len(d) != n or any(len(row) != n for row in d):
-            raise ValidationError(f"matrix must be {n}x{n}")
-        for i in range(n):
-            if d[i][i] != 0:
-                raise ValidationError(f"diagonal entry d[{i}][{i}] must be 0")
-            for j in range(n):
-                if d[i][j] < 0:
-                    raise ValidationError(f"negative dissimilarity d[{i}][{j}]")
-                if d[i][j] != d[j][i]:
-                    raise ValidationError(
-                        f"matrix must be symmetric: d[{i}][{j}] != d[{j}][{i}]"
-                    )
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "d", tuple(tuple(row) for row in self.d))
+        check_dissimilarities(self.ids, self.d)
 
     @classmethod
     def from_points(

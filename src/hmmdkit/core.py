@@ -199,6 +199,28 @@ def vector_sum(frame: CriteriaFrame, vectors: Sequence[EstimateVector]) -> Estim
     return EstimateVector([sum(col, Fraction(0)) for col in zip(*(v.values for v in vectors))])
 
 
+def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> None:
+    """Distinct ids and an n x n matrix with a zero diagonal, no negative
+    entry and d[i][j] == d[j][i]."""
+    if not ids:
+        raise ValidationError("a dissimilarity matrix needs at least one id")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"duplicate ids: {list(ids)}")
+    n = len(ids)
+    if len(d) != n or any(len(row) != n for row in d):
+        raise ValidationError(f"matrix must be {n}x{n}")
+    for i in range(n):
+        if d[i][i] != 0:
+            raise ValidationError(f"diagonal entry d[{i}][{i}] must be 0")
+        for j in range(n):
+            if d[i][j] < 0:
+                raise ValidationError(f"negative dissimilarity d[{i}][{j}]")
+            if d[i][j] != d[j][i]:
+                raise ValidationError(
+                    f"matrix must be symmetric: d[{i}][{j}] != d[{j}][{i}]"
+                )
+
+
 def check_rows(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> None:
     if not rows:
         raise ValidationError("empty row set")

@@ -55,6 +55,13 @@ class PairActions:
     element2: str
     items: tuple[Item, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "items", tuple(self.items))
+        pair = f"pair ({self.element1!r}, {self.element2!r})"
+        if not self.items:
+            raise ValidationError(f"{pair} has no actions")
+        _check_action_ids(pair, self.items)
+
 
 @dataclass(frozen=True)
 class ThreeSetSpec:
@@ -114,6 +121,12 @@ class PipelineReport:
     mckp_method: str
 
 
+def _check_action_ids(owner: str, actions: Sequence[Item]) -> None:
+    ids = [a.id for a in actions]
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"{owner}: duplicate action ids: {ids}")
+
+
 def _mean_vector(frame: CriteriaFrame, vectors: list[EstimateVector]) -> EstimateVector:
     return EstimateVector([s / len(vectors) for s in vector_sum(frame, vectors)])
 
@@ -142,9 +155,9 @@ def run_three_set_pipeline(
 
     Cluster-level correspondence is the arithmetic mean of the element
     vectors across the cluster pair. Only element pairs inside matched
-    clusters receive actions; they form one multiple-choice group each and
-    are solved jointly under the budget (exact DP when the data is
-    integral and within the table guard).
+    clusters receive actions: each such pair is one part, tagged
+    "e1::e2", of the improvement plan that plan_improvement solves under
+    the budget with the action frame's own weights.
     """
     clusters1 = tuple(cut_dendrogram(build_dendrogram(spec.set1, linkage), spec.k1))
     clusters2 = tuple(cut_dendrogram(build_dendrogram(spec.set2, linkage), spec.k2))
@@ -176,32 +189,25 @@ def run_three_set_pipeline(
         )
     )
     by_pair = {(pa.element1, pa.element2): pa for pa in spec.actions}
-    groups = []
-    item_origin: dict[str, tuple[str, str, str]] = {}
-    for i, j in assignment:
-        for e1 in clusters1[i]:
-            for e2 in clusters2[j]:
-                pa = by_pair.get((e1, e2))
-                if pa is None:
-                    continue
-                items = tuple(
-                    Item(f"{e1}::{e2}::{it.id}", it.value, it.cost) for it in pa.items
-                )
-                for it, orig in zip(items, pa.items):
-                    item_origin[it.id] = (e1, e2, orig.id)
-                groups.append(Group(f"{e1}::{e2}", items))
-    if groups:
-        inst = MckpInstance(
-            frame=spec.action_frame,
-            groups=tuple(groups),
-            budget=spec.budget,
-        )
-        solution, method = _solve_mckp(inst, None)
-        cost_of = {it.id: it.cost for g in inst.groups for it in g.items}
+    matched = [
+        (e1, e2)
+        for i, j in assignment
+        for e1 in clusters1[i]
+        for e2 in clusters2[j]
+        if (e1, e2) in by_pair
+    ]
+    if matched:
+        parts = [ImprovementPart(f"{e1}::{e2}", by_pair[e1, e2].items) for e1, e2 in matched]
+        plan = plan_improvement(ImprovementSpec(spec.action_frame, parts, spec.budget))
         selected = tuple(
-            sorted((*item_origin[i], cost_of[i]) for i in solution.chosen)
+            sorted(
+                (e1, e2, a.id, a.cost)
+                for (e1, e2), part in zip(matched, parts)
+                for a in part.actions
+                if plan.by_part[part.id] == a.id
+            )
         )
-        total, objective = solution.total_cost, solution.objective
+        total, objective, method = plan.solution.total_cost, plan.solution.objective, plan.method
     else:
         selected, total, objective, method = (), Fraction(0), Fraction(0), "none"
     return PipelineReport(
@@ -402,6 +408,7 @@ class ImprovementPart:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
+        _check_action_ids(f"part {self.id!r}", self.actions)
 
 
 @dataclass(frozen=True)
@@ -418,6 +425,10 @@ class ImprovementSpec:
         ids = [p.id for p in self.parts]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate part ids")
+        for p in self.parts:
+            for a in p.actions:
+                if not a.value.conforms(self.frame):
+                    raise ValidationError(f"part {p.id!r}, action {a.id!r}: effect length mismatch")
 
 
 @dataclass(frozen=True)

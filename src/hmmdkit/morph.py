@@ -401,8 +401,7 @@ def quality_vector(
     node = system.node(node_id)
     if node.is_leaf:
         raise ValidationError(f"node {node_id!r} is a leaf")
-    chosen: list[tuple[str, DesignAlternative]] = []
-    max_priority = system.priority_scale.hi
+    chosen: dict[str, list[DesignAlternative]] = {}
     for child in node.children:
         if child.id not in selection:
             raise ValidationError(f"selection misses child {child.id!r}")
@@ -414,8 +413,6 @@ def quality_vector(
         matches = [da for da in child.alternatives if da.id == da_id]
         if not matches:
             raise ValidationError(f"child {child.id!r} has no alternative {da_id!r}")
-        chosen.append((child.id, matches[0]))
-        max_priority = max(max_priority, matches[0].priority)
-    level_count = max_priority - system.priority_scale.lo + 1
-    quality, _ = _quality(system, node, chosen, level_count)
-    return quality
+        chosen[child.id] = matches[:1]
+    (decision,) = compose_node(system, node_id, chosen, allow_zero_w=True)
+    return decision.quality

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GuardExceeded, Number, ValidationError, guard_limit
+from .core import GuardExceeded, Number, ValidationError, check_dissimilarities, guard_limit
 
 BRUTE_FORCE_GUARD = 10
 
@@ -18,23 +18,9 @@ class TspInstance:
     dist: tuple[tuple[Number, ...], ...]
 
     def __post_init__(self) -> None:
-        ids = tuple(self.ids)
-        object.__setattr__(self, "ids", ids)
-        d = tuple(tuple(row) for row in self.dist)
-        object.__setattr__(self, "dist", d)
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate city ids")
-        n = len(ids)
-        if len(d) != n or any(len(row) != n for row in d):
-            raise ValidationError(f"distance matrix must be {n}x{n}")
-        for i in range(n):
-            if d[i][i] != 0:
-                raise ValidationError(f"diagonal entry [{i}][{i}] must be 0")
-            for j in range(n):
-                if d[i][j] < 0:
-                    raise ValidationError(f"negative distance [{i}][{j}]")
-                if d[i][j] != d[j][i]:
-                    raise ValidationError("distance matrix must be symmetric")
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
+        check_dissimilarities(self.ids, self.dist)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ import pytest
 
 import hmmdkit
 from hmmdkit.cli import COMMANDS, main
-from hmmdkit.probio import fixture_path, parse_result, write_result
-from test_probio import MINIMAL, problem_text
+from hmmdkit.probio import ParseError, fixture_path, parse_problem, parse_result, write_result
+from test_probio import CANONICAL, MINIMAL, problem_text
 
 COURSE = fixture_path("course_example.morph")
 ASSIGN = fixture_path("table5_assign.assign")
@@ -453,3 +453,90 @@ def test_selection_oracle_texts(command, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(select, worse, one_tenth)
     assert run(capsys, *argv, "--method", "greedy") == (1, "", f"hmmdkit: error: oracle: {failure}\n")
+
+
+#: command -> (payload with one part or pair offering actions x and y, oracle ok text, failure text)
+TWO_ACTION_ORACLES = {
+    "improve": (
+        {
+            "criteria": [{"id": "c"}],
+            "parts": [{"id": "p1", "actions": [{"id": "x", "effect": [1], "cost": 1}, {"id": "y", "effect": [2], "cost": 1}]}],
+            "budget": 5,
+        },
+        "ok (one action per part within budget)",
+        "two actions selected for one part",
+    ),
+    "pipeline": (
+        {
+            **MINIMAL["pipeline"][0],
+            "actions": [{"pair": ["e", "f"], "items": [{"id": "x", "value": [1], "cost": 1}, {"id": "y", "value": [2], "cost": 1}]}],
+            "budget": 5,
+        },
+        "ok (stage-consistent selection)",
+        "selected action costs do not add up to the total cost",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWO_ACTION_ORACLES))
+def test_oracle_catches_two_actions_for_one_part(command, tmp_path, capsys, monkeypatch):
+    import hmmdkit.frameworks as frameworks
+
+    payload, ok, failure = TWO_ACTION_ORACLES[command]
+    path = tmp_path / "p.json"
+    path.write_text(problem_text(command, payload))
+    argv = [command, "--input", str(path), "--oracle", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["diagnostics"]["oracle"] == ok
+    solve = frameworks.mckp_exact_dp
+
+    def both_actions(inst, weights=None):
+        (group,) = inst.groups
+        sol = solve(inst, weights)
+        return dataclasses.replace(
+            sol, chosen=frozenset(it.id for it in group.items), total_cost=sum(it.cost for it in group.items)
+        )
+
+    monkeypatch.setattr(frameworks, "mckp_exact_dp", both_actions)
+    assert run(capsys, *argv) == (1, "", f"hmmdkit: error: oracle: {failure}\n")
+
+
+def _with(payload, edit):
+    payload = json.loads(json.dumps(payload))
+    edit(payload)
+    return payload
+
+
+#: (command, payload, JSON path, message): action errors found while parsing
+ACTION_ERRORS = [
+    (
+        "improve",
+        _with(CANONICAL["improve"], lambda p: p["parts"][0]["actions"].append({"id": "x1", "effect": [3, 4], "cost": 2})),
+        "$.payload.parts[0]",
+        "part 'p1': duplicate action ids: ['x1', 'x1']",
+    ),
+    (
+        "improve",
+        _with(CANONICAL["improve"], lambda p: p["parts"][0]["actions"][0].update(effect=[1])),
+        "$.payload",
+        "part 'p1', action 'x1': effect length mismatch",
+    ),
+    (
+        "pipeline",
+        _with(CANONICAL["pipeline"], lambda p: p["actions"][0]["items"].append({"id": "t1", "value": [2], "cost": 1})),
+        "$.payload.actions[0]",
+        "pair ('e1', 'f1'): duplicate action ids: ['t1', 't1']",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, payload, where, message", ACTION_ERRORS, ids=["improve-dup", "improve-length", "pipeline-dup"])
+def test_action_errors_name_their_json_path(command, payload, where, message, tmp_path, capsys):
+    text = problem_text(command, payload)
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert exc.value.path == where
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert run(capsys, command, "--input", str(path)) == (3, "", f"hmmdkit: error: parse: {where}: {message}\n")

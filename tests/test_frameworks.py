@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from conftest import (
     level_value,
 )
 from hmmdkit.assign import AssignmentInstance, assign_greedy
-from hmmdkit.cluster import DissimilarityMatrix
+from hmmdkit.cluster import DissimilarityMatrix, Linkage
 from hmmdkit.core import (
     Best,
     EstimateVector,
@@ -37,7 +39,7 @@ from hmmdkit.frameworks import (
     run_three_set_pipeline,
 )
 from hmmdkit.morph import QualityVector, n_dominates
-from hmmdkit.select import Group, Item, MckpInstance, mckp_exact_dp
+from hmmdkit.select import Group, Item, MckpInstance, mckp_exact_dp, mckp_greedy
 
 SCALE13 = OrdinalScale(1, 3, Best.HIGH)
 
@@ -216,6 +218,107 @@ def test_pipeline_matches_manual_stage_chaining():
         )
         assert report.total_cost == manual.total_cost
         assert report.objective == manual.objective
+
+
+def reference_action_stage(spec, report):
+    """The pipeline's action stage as it was before it went through
+    plan_improvement: tag each action e1::e2::id, build one group per
+    matched pair and solve the MCKP by hand, on the report's own clusters
+    and assignment."""
+    by_pair = {(pa.element1, pa.element2): pa for pa in spec.actions}
+    groups = []
+    item_origin = {}
+    for i, j in report.assignment:
+        for e1 in report.clusters1[i]:
+            for e2 in report.clusters2[j]:
+                pa = by_pair.get((e1, e2))
+                if pa is None:
+                    continue
+                items = tuple(Item(f"{e1}::{e2}::{it.id}", it.value, it.cost) for it in pa.items)
+                for it, orig in zip(items, pa.items):
+                    item_origin[it.id] = (e1, e2, orig.id)
+                groups.append(Group(f"{e1}::{e2}", items))
+    if not groups:
+        return dataclasses.replace(
+            report, selected_actions=(), total_cost=Fraction(0), objective=Fraction(0), mckp_method="none"
+        )
+    inst = MckpInstance(frame=spec.action_frame, groups=tuple(groups), budget=spec.budget)
+    integral = inst.budget.denominator == 1 and all(it.cost.denominator == 1 for it in inst.all_items())
+    solution, method = None, "greedy"
+    if integral:
+        try:
+            solution, method = mckp_exact_dp(inst), "exact_dp"
+        except GuardExceeded:
+            pass
+    if solution is None:
+        solution = mckp_greedy(inst)
+    cost_of = {it.id: it.cost for it in inst.all_items()}
+    return dataclasses.replace(
+        report,
+        selected_actions=tuple(sorted((*item_origin[i], cost_of[i]) for i in solution.chosen)),
+        total_cost=solution.total_cost,
+        objective=solution.objective,
+        mckp_method=method,
+    )
+
+
+def random_three_set_spec(rng):
+    ids1 = [f"e{i}" for i in range(rng.randint(2, 5))]
+    ids2 = [f"f{j}" for j in range(rng.randint(2, 5))]
+    k = rng.randint(1, 2)
+    pairs = [(e1, e2) for e1 in ids1 for e2 in ids2]
+    with_actions = rng.sample(pairs, rng.randint(0, len(pairs)))  # some pairs have none
+    fractional = rng.random() < 0.2
+    actions = tuple(
+        PairActions(
+            e1,
+            e2,
+            tuple(
+                Item(f"t{a}", vec(*(rng.randint(0, 9) for _ in range(k))), rng.randint(0, 5))
+                for a in range(rng.randint(1, 3))
+            )
+            + ((Item("half", vec(*(rng.randint(0, 9) for _ in range(k))), Fraction(3, 2)),) if fractional else ()),
+        )
+        for e1, e2 in with_actions
+    )
+    return ThreeSetSpec(
+        set1=distinct_matrix(rng, ids1),
+        set2=distinct_matrix(rng, ids2),
+        k1=rng.randint(1, len(ids1)),
+        k2=rng.randint(1, len(ids2)),
+        frame=equal_weight_frame(2),
+        correspondence=tuple(
+            tuple(vec(rng.randint(0, 9), rng.randint(0, 9)) for _ in ids2) for _ in ids1
+        ),
+        action_frame=equal_weight_frame(k),
+        actions=actions,
+        budget=rng.randint(0, 12),
+    )
+
+
+def test_pipeline_action_stage_equals_the_hand_built_mckp(monkeypatch):
+    rng = random.Random(191)
+    methods = Counter()
+    for case in range(150):
+        spec = random_three_set_spec(rng)
+        linkage = (Linkage.SINGLE, Linkage.COMPLETE)[case % 2]
+        guard = case % 5 == 0  # a table guard of 2 leaves only the smallest tables exact
+        if guard:
+            monkeypatch.setenv("HMMD_KIT_GUARD", "2")
+        report = run_three_set_pipeline(spec, linkage)
+        assert report == reference_action_stage(spec, report)
+        monkeypatch.delenv("HMMD_KIT_GUARD", raising=False)
+        methods[report.mckp_method, guard] += 1
+    # exact on integral data, greedy on fractional data and under a low guard,
+    # "none" when no matched pair has actions
+    assert {("exact_dp", False), ("greedy", False), ("greedy", True), ("none", False)} <= set(methods)
+
+
+def test_pair_actions_need_unique_nonempty_items():
+    with pytest.raises(ValidationError, match=r"pair \('e', 'f'\) has no actions"):
+        PairActions("e", "f", ())
+    with pytest.raises(ValidationError, match=r"pair \('e', 'f'\): duplicate action ids: \['t', 't'\]"):
+        PairActions("e", "f", (Item("t", vec(1), 1), Item("t", vec(2), 1)))
 
 
 # ---------------------------------------------------------------- trajectory

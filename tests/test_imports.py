@@ -1,6 +1,8 @@
-"""The package loads submodules on first use, and each CLI subcommand
-imports only the solver modules it runs."""
+"""The package loads submodules on first use, each CLI subcommand
+imports only the solver modules it runs, and the runtime needs nothing
+beyond the standard library."""
 
+import ast
 import contextlib
 import io
 import json
@@ -92,3 +94,19 @@ def test_readme_synthesis_session_runs():
     with contextlib.redirect_stdout(out):
         exec(session, {})
     assert out.getvalue().count("\n") >= 1
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the test environment may hold third-party packages, so a stray import
+    # of one would pass every other test
+    for path in sorted(Path(hmmdkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "hmmdkit", f"{path.name} imports {name}"

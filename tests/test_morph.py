@@ -11,6 +11,7 @@ from hmmdkit.morph import (
     MorphNode,
     MorphSystem,
     QualityVector,
+    _quality,
     compose_node,
     n_dominates,
     priorities_from_quality,
@@ -59,6 +60,26 @@ def test_quality_errors():
         quality_vector(system, "E", {"L": "L2", "M": "M2", "F": "F2"})
     with pytest.raises(ValidationError):
         quality_vector(system, "E", {"L": "nope", "M": "M2", "F": "F2", "G": "G3"})
+
+
+def test_quality_vector_reads_the_guard_override(monkeypatch):
+    monkeypatch.setenv("HMMD_KIT_GUARD", "abc")
+    with pytest.raises(ValidationError, match="HMMD_KIT_GUARD"):
+        quality_vector(course_system(), "E", {"L": "L2", "M": "M2", "F": "F2", "G": "G3"})
+
+
+def reference_quality_vector(system, node_id, selection):
+    """quality_vector as it was before it went through compose_node: the
+    pool and the level count built by hand."""
+    node = system.node(node_id)
+    chosen = []
+    max_priority = system.priority_scale.hi
+    for child in node.children:
+        da = next(da for da in child.alternatives if da.id == selection[child.id])
+        chosen.append((child.id, da))
+        max_priority = max(max_priority, da.priority)
+    quality, _ = _quality(system, node, chosen, max_priority - system.priority_scale.lo + 1)
+    return quality
 
 
 # ---------------------------------------------------------------- n_dominates
@@ -301,6 +322,20 @@ def test_compose_equals_brute_force_on_random_systems():
         assert set(got) == expected
         # flat system: full synthesis agrees with single-node composition
         assert set(synthesize_tree(system)) == expected
+
+
+def test_quality_vector_equals_the_hand_built_composition():
+    rng = random.Random(193)
+    zero_pairs = 0
+    for _ in range(60):
+        system = random_flat_system(rng)
+        children = system.node("root").children
+        for combo in itertools.product(*(c.alternatives for c in children)):
+            selection = {c.id: da.id for c, da in zip(children, combo)}
+            q = quality_vector(system, "root", selection)
+            assert q == reference_quality_vector(system, "root", selection)
+            zero_pairs += q.w == 0
+    assert zero_pairs > 0
 
 
 def test_compose_part_counts_sum_to_children():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hmmdkit.cluster import DissimilarityMatrix
 from hmmdkit.core import GuardExceeded, ValidationError
 from hmmdkit.route import (
     Tour,
@@ -38,6 +39,27 @@ def test_instance_validation():
         TspInstance(("a", "b"), ((1, 1), (1, 0)))
     with pytest.raises(ValidationError):
         TspInstance(("a", "b"), ((0, -1), (-1, 0)))
+
+
+#: (ids, matrix, message) one malformed matrix per check, plus no ids at all
+MALFORMED = [
+    (("a", "a"), ((0, 1), (1, 0)), "duplicate ids: ['a', 'a']"),
+    (("a", "b"), ((0, 1),), "matrix must be 2x2"),
+    (("a", "b"), ((1, 1), (1, 0)), "diagonal entry d[0][0] must be 0"),
+    (("a", "b"), ((0, -1), (-1, 0)), "negative dissimilarity d[0][1]"),
+    (("a", "b"), ((0, 1), (2, 0)), "matrix must be symmetric: d[0][1] != d[1][0]"),
+    ((), (), "a dissimilarity matrix needs at least one id"),
+]
+
+
+@pytest.mark.parametrize(
+    "ids, d, message", MALFORMED, ids=["duplicate", "shape", "diagonal", "negative", "asymmetric", "empty"]
+)
+def test_tsp_and_cluster_reject_a_malformed_matrix_alike(ids, d, message):
+    for cls in (TspInstance, DissimilarityMatrix):
+        with pytest.raises(ValidationError) as exc:
+            cls(ids, d)
+        assert str(exc.value) == message
 
 
 def test_three_cities_any_tour_is_the_triangle():
