@@ -7,9 +7,8 @@ unassigned while an open position remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     CriteriaFrame,
@@ -19,6 +18,7 @@ from .core import (
     Number,
     ValidationError,
     dominates,
+    frozen,
     guard_limit,
     non_dominated,
     vector_sum,
@@ -28,7 +28,7 @@ from .select import scalarize
 ENUMERATION_GUARD = 9
 
 
-@dataclass(frozen=True)
+@frozen
 class AssignmentInstance:
     agents: tuple[str, ...]
     positions: tuple[str, ...]
@@ -71,7 +71,7 @@ class AssignmentInstance:
         return sum(self.capacity.values())
 
 
-@dataclass(frozen=True)
+@frozen
 class AssignmentSolution:
     pairs: frozenset[tuple[str, str]]
     objective_vector: EstimateVector

@@ -8,12 +8,11 @@ sorted member ids, so results are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
-from .core import Number, ValidationError, as_frac, check_dissimilarities
+from .core import Number, ValidationError, as_frac, check_dissimilarities, frozen
 
 
 class Linkage(Enum):
@@ -22,7 +21,7 @@ class Linkage(Enum):
     AVERAGE = "average"
 
 
-@dataclass(frozen=True)
+@frozen
 class DissimilarityMatrix:
     ids: tuple[str, ...]
     d: tuple[tuple[Number, ...], ...]
@@ -54,14 +53,14 @@ class DissimilarityMatrix:
         return self.d[ia][ib]
 
 
-@dataclass(frozen=True)
+@frozen
 class Merge:
     left: tuple[str, ...]
     right: tuple[str, ...]
     height: Number
 
 
-@dataclass(frozen=True)
+@frozen
 class Dendrogram:
     leaves: tuple[str, ...]
     merges: tuple[Merge, ...]

@@ -9,18 +9,22 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from operator import attrgetter
 
-Number = Union[int, float, Fraction]
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: importing typing costs start-up time
+    from typing import TypeVar
+
+    T = TypeVar("T")
+    K = TypeVar("K")
+
+Number = int | float | Fraction
 
 #: comparison tolerance wherever real (float) arithmetic is unavoidable
 TOLERANCE = 1e-9
-
-T = TypeVar("T")
-K = TypeVar("K")
 
 
 class ValidationError(ValueError):
@@ -33,6 +37,75 @@ class GuardExceeded(RuntimeError):
 
 class InfeasibleError(RuntimeError):
     """The constraints admit no solution at all."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a frozen record was assigned or deleted."""
+
+
+def frozen(cls: type) -> type:
+    """``dataclass(frozen=True)`` without importing ``dataclasses`` (and
+    through it ``inspect``) or ``exec``-ing methods on every start-up.
+
+    The fields are the class's own annotations, in order; a class attribute
+    of the same name is that field's default. Adds ``__init__`` (then
+    ``__post_init__``), ``__eq__`` and ``__hash__`` on the field tuple, the
+    dataclass ``__repr__``, ``__match_args__``, and a ``__setattr__`` and
+    ``__delattr__`` that raise FrozenInstanceError. A method the class
+    defines itself is kept. There is no ``field()``, inheritance or
+    ``ClassVar`` support.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    n, key, missing = len(names), attrgetter(*names), object()
+    if n == 1:  # hash a 1-tuple, as dataclasses does
+        key = lambda self, get=key: (get(self),)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    tail, required = tuple(defaults.values()), n - len(defaults)
+    post, setter = cls.__dict__.get("__post_init__"), object.__setattr__
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        if not kwargs and required <= len(args) <= n:
+            return args + tail[len(args) - required:]
+        rest = [kwargs.pop(name, defaults.get(name, missing)) for name in names[len(args):]]
+        # too many positional arguments, an unknown or repeated keyword, or a missing field
+        if len(args) > n or kwargs or any(value is missing for value in rest):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        return (*args, *rest)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        # object.__setattr__ keeps CPython's inline attribute values, which
+        # self.__dict__.update would replace by a dict that slows every read
+        for i in range(n):
+            setter(self, names[i], args[i])
+        if post is not None:
+            post(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__,
+               "__setattr__": __setattr__, "__delattr__": __delattr__, "__match_args__": names}
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
 
 
 def guard_limit(default: int) -> int:
@@ -92,7 +165,7 @@ class Best(Enum):
     LOW = "low"
 
 
-@dataclass(frozen=True)
+@frozen
 class OrdinalScale:
     lo: int
     hi: int
@@ -108,12 +181,18 @@ class OrdinalScale:
         return self.lo <= value <= self.hi
 
 
+#: compatibility scale of morphological systems and trajectory specs
+DEFAULT_COMPAT_SCALE = OrdinalScale(0, 3, Best.HIGH)
+#: priority scale of design alternatives (1 is best)
+DEFAULT_PRIORITY_SCALE = OrdinalScale(1, 3, Best.LOW)
+
+
 class Direction(Enum):
     MAXIMIZE = "max"
     MINIMIZE = "min"
 
 
-@dataclass(frozen=True)
+@frozen
 class Criterion:
     id: str
     direction: Direction = Direction.MAXIMIZE
@@ -127,7 +206,7 @@ class Criterion:
             raise ValidationError(f"criterion {self.id!r}: weight must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class CriteriaFrame:
     """An ordered, non-empty set of criteria with weights normalized to sum 1."""
 
@@ -168,7 +247,7 @@ def equal_weight_frame(k: int) -> CriteriaFrame:
     return CriteriaFrame(tuple(Criterion(f"c{i + 1}") for i in range(k)))
 
 
-@dataclass(frozen=True)
+@frozen
 class EstimateVector:
     """One estimate per criterion of the governing frame."""
 

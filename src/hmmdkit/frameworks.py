@@ -11,13 +11,11 @@ one improvement action per system part within a budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .assign import AssignmentInstance, assign_greedy
-from .cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
 from .core import (
+    DEFAULT_COMPAT_SCALE,
     Best,
     CriteriaFrame,
     EstimateVector,
@@ -26,30 +24,22 @@ from .core import (
     OrdinalScale,
     ValidationError,
     as_frac,
+    frozen,
     vector_sum,
 )
-from .morph import (
-    DEFAULT_COMPAT_SCALE,
-    DesignAlternative,
-    MorphNode,
-    MorphSystem,
-    QualityVector,
-    compose_node,
-)
-from .select import (
-    Group,
-    GroupRule,
-    Item,
-    MckpInstance,
-    SelectionSolution,
-    mckp_exact_dp,
-    mckp_greedy,
-)
+
+# Each framework imports the solver modules it runs inside its functions,
+# so a subcommand loads only the solvers it uses.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .cluster import DissimilarityMatrix, Linkage
+    from .morph import QualityVector
+    from .select import Item, MckpInstance, SelectionSolution
 
 # ------------------------------------------------------------------ pipeline
 
 
-@dataclass(frozen=True)
+@frozen
 class PairActions:
     element1: str
     element2: str
@@ -63,7 +53,7 @@ class PairActions:
         _check_action_ids(pair, self.items)
 
 
-@dataclass(frozen=True)
+@frozen
 class ThreeSetSpec:
     set1: DissimilarityMatrix
     set2: DissimilarityMatrix
@@ -77,6 +67,8 @@ class ThreeSetSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "budget", as_frac(self.budget))
+        if self.budget < 0:
+            raise ValidationError("budget must be nonnegative")
         object.__setattr__(
             self, "correspondence", tuple(tuple(r) for r in self.correspondence)
         )
@@ -110,7 +102,7 @@ class ThreeSetSpec:
                     raise ValidationError(f"action {it.id!r}: value length mismatch")
 
 
-@dataclass(frozen=True)
+@frozen
 class PipelineReport:
     clusters1: tuple[tuple[str, ...], ...]
     clusters2: tuple[tuple[str, ...], ...]
@@ -133,6 +125,8 @@ def _mean_vector(frame: CriteriaFrame, vectors: list[EstimateVector]) -> Estimat
 
 def _solve_mckp(inst: MckpInstance, weights) -> tuple[SelectionSolution, str]:
     """Exact DP on integral data within the table guard, greedy otherwise."""
+    from .select import mckp_exact_dp, mckp_greedy
+
     # integrality is tested here, not by catching ValidationError, which
     # would also swallow a bad HMMD_KIT_GUARD
     integral = inst.budget.denominator == 1 and all(
@@ -148,10 +142,11 @@ def _solve_mckp(inst: MckpInstance, weights) -> tuple[SelectionSolution, str]:
 
 def run_three_set_pipeline(
     spec: ThreeSetSpec,
-    linkage: Linkage = Linkage.SINGLE,
+    linkage: Linkage | None = None,
     weights: Sequence[Number] | None = None,
 ) -> PipelineReport:
-    """Cluster both sets, match the clusters, then buy actions per pair.
+    """Cluster both sets (single linkage unless ``linkage`` is given), match
+    the clusters, then buy actions per pair.
 
     Cluster-level correspondence is the arithmetic mean of the element
     vectors across the cluster pair. Only element pairs inside matched
@@ -159,6 +154,10 @@ def run_three_set_pipeline(
     "e1::e2", of the improvement plan that plan_improvement solves under
     the budget with the action frame's own weights.
     """
+    from .assign import AssignmentInstance, assign_greedy
+    from .cluster import Linkage, build_dendrogram, cut_dendrogram
+
+    linkage = Linkage.SINGLE if linkage is None else linkage
     clusters1 = tuple(cut_dendrogram(build_dendrogram(spec.set1, linkage), spec.k1))
     clusters2 = tuple(cut_dendrogram(build_dendrogram(spec.set2, linkage), spec.k2))
     idx1 = {e: i for i, e in enumerate(spec.set1.ids)}
@@ -224,7 +223,7 @@ def run_three_set_pipeline(
 # ---------------------------------------------------------------- trajectory
 
 
-@dataclass(frozen=True)
+@frozen
 class Stage:
     time: Fraction
     decisions: tuple[tuple[str, int], ...]  # (decision id, priority)
@@ -239,7 +238,7 @@ class Stage:
                 raise ValidationError(f"decision {d!r}: priority {p} is below 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class TrajectorySpec:
     stages: tuple[Stage, ...]
     compat: dict[tuple[str, str], int]  # (earlier decision, later decision)
@@ -271,7 +270,7 @@ class TrajectorySpec:
         return {d: p for s in self.stages for d, p in s.decisions}
 
 
-@dataclass(frozen=True)
+@frozen
 class Trajectory:
     path: tuple[str, ...]  # one decision id per stage
     quality: QualityVector
@@ -285,6 +284,8 @@ def design_trajectory(spec: TrajectorySpec, all_pairs: bool = False) -> list[Tra
     pairs with all_pairs), every one of which must be given. Zero-valued
     links stay allowed. Output order is compose_node's canonical order.
     """
+    from .morph import DesignAlternative, MorphNode, MorphSystem, compose_node
+
     stages = [s.decisions for s in spec.stages]
     n = len(stages)
     linked = itertools.combinations(range(n), 2) if all_pairs else zip(range(n), range(1, n))
@@ -315,7 +316,7 @@ def design_trajectory(spec: TrajectorySpec, all_pairs: bool = False) -> list[Tra
 # ----------------------------------------------------------- integration tree
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegrationNode:
     id: str
     scale: OrdinalScale
@@ -354,7 +355,7 @@ class IntegrationNode:
                 )
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegrationResult:
     root_estimate: int
     trace: dict[str, int]
@@ -401,7 +402,7 @@ def check_tables_total(tree: IntegrationNode) -> None:
 # ---------------------------------------------------------------- improvement
 
 
-@dataclass(frozen=True)
+@frozen
 class ImprovementPart:
     id: str
     actions: tuple[Item, ...]
@@ -411,7 +412,7 @@ class ImprovementPart:
         _check_action_ids(f"part {self.id!r}", self.actions)
 
 
-@dataclass(frozen=True)
+@frozen
 class ImprovementSpec:
     frame: CriteriaFrame
     parts: tuple[ImprovementPart, ...]
@@ -420,6 +421,8 @@ class ImprovementSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         object.__setattr__(self, "budget", as_frac(self.budget))
+        if self.budget < 0:
+            raise ValidationError("budget must be nonnegative")
         if not self.parts:
             raise ValidationError("an improvement spec needs at least one part")
         ids = [p.id for p in self.parts]
@@ -431,7 +434,7 @@ class ImprovementSpec:
                     raise ValidationError(f"part {p.id!r}, action {a.id!r}: effect length mismatch")
 
 
-@dataclass(frozen=True)
+@frozen
 class ImprovementPlan:
     by_part: dict[str, str | None]  # part id -> chosen action id
     solution: SelectionSolution
@@ -442,6 +445,8 @@ def plan_improvement(
     spec: ImprovementSpec, weights: Sequence[Number] | None = None
 ) -> ImprovementPlan:
     """At most one improvement action per part within the budget."""
+    from .select import Group, GroupRule, Item, MckpInstance
+
     groups = []
     origin: dict[str, tuple[str, str]] = {}
     for part in spec.parts:

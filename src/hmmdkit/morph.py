@@ -19,27 +19,26 @@ counts stay incomparable, which is what keeps several designs alive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    Best,
+    DEFAULT_COMPAT_SCALE,
+    DEFAULT_PRIORITY_SCALE,
     EstimateVector,
     GuardExceeded,
     OrdinalScale,
     ValidationError,
+    frozen,
     guard_limit,
     non_dominated,
     pareto_layers,
 )
 
-DEFAULT_COMPAT_SCALE = OrdinalScale(0, 3, Best.HIGH)
-DEFAULT_PRIORITY_SCALE = OrdinalScale(1, 3, Best.LOW)
 MAX_COMBINATIONS = 10**6
 
 
-@dataclass(frozen=True)
+@frozen
 class DesignAlternative:
     id: str
     priority: int
@@ -52,7 +51,7 @@ class DesignAlternative:
             raise ValidationError(f"alternative {self.id!r}: priority must be an integer")
 
 
-@dataclass(frozen=True)
+@frozen
 class MorphNode:
     id: str
     children: tuple["MorphNode", ...] = ()
@@ -78,7 +77,7 @@ class MorphNode:
         return not self.children
 
 
-@dataclass(frozen=True)
+@frozen
 class MorphSystem:
     root: MorphNode
     compat: dict[tuple[str, str, str], int]  # (node id, left DA, right DA) -> value
@@ -155,7 +154,7 @@ def walk(node: MorphNode) -> Iterable[MorphNode]:
         yield from walk(child)
 
 
-@dataclass(frozen=True)
+@frozen
 class QualityVector:
     """(w; n1, n2, ...): worst pairwise compatibility plus per-level counts."""
 
@@ -197,7 +196,7 @@ def n_dominates(a: QualityVector, b: QualityVector) -> bool:
     return ge and strict
 
 
-@dataclass(frozen=True)
+@frozen
 class CompositeDecision:
     """One chosen alternative per child part, with the resulting quality."""
 
@@ -290,12 +289,7 @@ def compose_node(
         quality, has_zero = _quality(system, node, combo, level_count)
         if has_zero and not allow_zero_w:
             continue
-        feasible.append(
-            CompositeDecision(
-                selection=tuple((cid, da.id) for cid, da in combo),
-                quality=quality,
-            )
-        )
+        feasible.append(CompositeDecision(tuple((cid, da.id) for cid, da in combo), quality))
     return _canonical_sort(non_dominated(feasible, n_dominates, attrgetter("quality")))
 
 
@@ -312,7 +306,7 @@ def priorities_from_quality(
     return dict(zip(decisions, layers))
 
 
-@dataclass(frozen=True)
+@frozen
 class NodeSynthesis:
     """Per-node record of a bottom-up synthesis run."""
 
@@ -323,7 +317,7 @@ class NodeSynthesis:
     leaf_selections: tuple[tuple[tuple[str, str], ...], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class SynthesisTrace:
     nodes: dict[str, NodeSynthesis]
     root_id: str

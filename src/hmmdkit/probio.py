@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Container, Iterable
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
 
 from .core import (
     Best,
@@ -28,9 +27,13 @@ from .core import (
     OrdinalScale,
     ValidationError,
     as_frac,
+    frozen,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; each codec imports its own domain module
+    from typing import Any
+
     from .assign import AssignmentInstance
     from .cluster import DissimilarityMatrix, Linkage
     from .frameworks import ImprovementSpec, IntegrationNode, ThreeSetSpec, TrajectorySpec
@@ -359,69 +362,69 @@ def _items(value_key: str) -> _List:
 # --------------------------------------------------------------- per problem
 
 
-@dataclass(frozen=True)
+@frozen
 class RankProblem:
     instance: RankingInstance
     p: Fraction
     q: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class KnapsackProblem:
     instance: KnapsackInstance
 
 
-@dataclass(frozen=True)
+@frozen
 class MckpProblem:
     instance: MckpInstance
 
 
-@dataclass(frozen=True)
+@frozen
 class ClusterProblem:
     matrix: DissimilarityMatrix
     linkage: Linkage
     k: int | None
 
 
-@dataclass(frozen=True)
+@frozen
 class AssignProblem:
     instance: AssignmentInstance
 
 
-@dataclass(frozen=True)
+@frozen
 class TspProblem:
     instance: TspInstance
     start: str | None
 
 
-@dataclass(frozen=True)
+@frozen
 class MorphProblem:
     system: MorphSystem
 
 
-@dataclass(frozen=True)
+@frozen
 class TrajectoryProblem:
     spec: TrajectorySpec
     all_pairs: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegrateProblem:
     tree: IntegrationNode
 
 
-@dataclass(frozen=True)
+@frozen
 class PipelineProblem:
     spec: ThreeSetSpec
     linkage: Linkage
 
 
-@dataclass(frozen=True)
+@frozen
 class ImproveProblem:
     spec: ImprovementSpec
 
 
-@dataclass(frozen=True)
+@frozen
 class ProblemFile:
     spec_version: int
     problem_type: str
@@ -709,7 +712,7 @@ def write_problem(pf: ProblemFile) -> str:
 # writes the report and reads it back strictly.
 
 
-@dataclass(frozen=True)
+@frozen
 class ResultFile:
     spec_version: int
     problem_type: str
@@ -861,9 +864,9 @@ def _render_text(result: ResultFile) -> str:
         for nid, est in sorted(sol["trace"].items()):
             lines.append(f"  {nid}: {est}")
     elif t == "pipeline":
-        for key in ("clusters1", "clusters2"):
-            for i, block in enumerate(sol[key], 1):
-                lines.append(f"{key[:-1]} {i}: " + ", ".join(block))
+        for n in (1, 2):
+            for i, block in enumerate(sol[f"clusters{n}"]):
+                lines.append(f"cluster{n}[{i}]: " + ", ".join(block))
         for i, j in sol["assignment"]:
             lines.append(f"match: cluster1[{i}] -> cluster2[{j}]")
         for entry in sol["actions"]:
@@ -892,7 +895,7 @@ def load_fixture(name: str) -> str:
         return fh.read()
 
 
-@dataclass(frozen=True)
+@frozen
 class QualityCase:
     a: QualityVector
     b: QualityVector

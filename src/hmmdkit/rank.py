@@ -9,7 +9,6 @@ score where higher is better.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     as_frac,
     as_ints,
     dominates,
+    frozen,
     normalize_estimates,
     pareto_layers,
 )
@@ -30,7 +30,7 @@ DEFAULT_CONCORDANCE = Fraction(3, 5)
 DEFAULT_DISCORDANCE = Fraction(2, 5)
 
 
-@dataclass(frozen=True)
+@frozen
 class RankingInstance:
     frame: CriteriaFrame
     alternatives: tuple[tuple[str, EstimateVector], ...]
@@ -55,7 +55,7 @@ class RankingInstance:
         return [a for a, _ in self.alternatives]
 
 
-@dataclass(frozen=True)
+@frozen
 class RankingResult:
     priorities: dict[str, int]
     scores: dict[str, Number]

@@ -4,15 +4,14 @@ improvement, and a brute-force oracle for small instances."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import GuardExceeded, Number, ValidationError, check_dissimilarities, guard_limit
+from .core import GuardExceeded, Number, ValidationError, check_dissimilarities, frozen, guard_limit
 
 BRUTE_FORCE_GUARD = 10
 
 
-@dataclass(frozen=True)
+@frozen
 class TspInstance:
     ids: tuple[str, ...]
     dist: tuple[tuple[Number, ...], ...]
@@ -23,7 +22,7 @@ class TspInstance:
         check_dissimilarities(self.ids, self.dist)
 
 
-@dataclass(frozen=True)
+@frozen
 class Tour:
     order: tuple[str, ...]
     length: Number

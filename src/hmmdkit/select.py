@@ -7,10 +7,9 @@ come paired with exact dynamic-programming oracles for integral data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     CriteriaFrame,
@@ -21,6 +20,7 @@ from .core import (
     ValidationError,
     as_frac,
     as_ints,
+    frozen,
     guard_limit,
     normalize_estimates,
     vector_sum,
@@ -30,7 +30,7 @@ KNAPSACK_TABLE_GUARD = 10**7
 MCKP_TABLE_GUARD = 10**7
 
 
-@dataclass(frozen=True)
+@frozen
 class Item:
     id: str
     value: EstimateVector
@@ -42,7 +42,7 @@ class Item:
             raise ValidationError(f"item {self.id!r}: cost must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class KnapsackInstance:
     frame: CriteriaFrame
     items: tuple[Item, ...]
@@ -66,7 +66,7 @@ class GroupRule(Enum):
     EXACTLY_ONE = "exactly_one"
 
 
-@dataclass(frozen=True)
+@frozen
 class Group:
     id: str
     items: tuple[Item, ...]
@@ -77,7 +77,7 @@ class Group:
             raise ValidationError(f"group {self.id!r} has no items")
 
 
-@dataclass(frozen=True)
+@frozen
 class MckpInstance:
     frame: CriteriaFrame
     groups: tuple[Group, ...]
@@ -106,7 +106,7 @@ class MckpInstance:
         return [it for g in self.groups for it in g.items]
 
 
-@dataclass(frozen=True)
+@frozen
 class SelectionSolution:
     chosen: frozenset[str]
     total_cost: Fraction

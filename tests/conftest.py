@@ -66,6 +66,16 @@ ASSIGNED_PAIRS = [("A1", "V6"), ("A2", "V10"), ("A3", "V12"), ("A5", "V1")]
 TEACHING_COSTS = {"T1": 2, "T2": 3, "T3": 4}
 
 
+def replace(record, **changes):
+    """A copy of a frozen hmmdkit record with some fields changed.
+
+    The copy is rebuilt through the constructor from ``__match_args__``, so
+    ``__post_init__`` runs again, as it does with ``dataclasses.replace``.
+    """
+    fields = {name: changes.pop(name, getattr(record, name)) for name in record.__match_args__}
+    return type(record)(**fields, **changes)
+
+
 def pair_triple(student, work):
     return CORRESPONDENCE[student][WORKS.index(work)]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hmmdkit
+from conftest import replace
 from hmmdkit.cli import COMMANDS, main
 from hmmdkit.probio import ParseError, fixture_path, parse_problem, parse_result, write_result
 from test_probio import CANONICAL, MINIMAL, problem_text
@@ -104,6 +104,19 @@ def test_assign_text_report_shows_reference_pairs(capsys):
     assert code == 0
     assert "A1 -> V6" in out and "A5 -> V1" in out
     assert "A4 ->" not in out
+
+
+def test_pipeline_text_report_labels_clusters_by_set(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(problem_text("pipeline", CANONICAL["pipeline"]))
+    code, out, err = run(capsys, "pipeline", "--input", str(path), "--format", "text")
+    assert code == 0, err
+    assert out.splitlines()[2:6] == [
+        "cluster1[0]: e1",
+        "cluster1[1]: e2",
+        "cluster2[0]: f1",
+        "match: cluster1[1] -> cluster2[0]",
+    ]
 
 
 def test_repeated_invocations_are_byte_identical(capsys):
@@ -449,7 +462,7 @@ def test_selection_oracle_texts(command, tmp_path, capsys, monkeypatch):
 
     def one_tenth(inst, weights=None):
         sol = solve(inst, weights)
-        return dataclasses.replace(sol, objective=sol.objective / 10)
+        return replace(sol, objective=sol.objective / 10)
 
     monkeypatch.setattr(select, worse, one_tenth)
     assert run(capsys, *argv, "--method", "greedy") == (1, "", f"hmmdkit: error: oracle: {failure}\n")
@@ -480,7 +493,7 @@ TWO_ACTION_ORACLES = {
 
 @pytest.mark.parametrize("command", sorted(TWO_ACTION_ORACLES))
 def test_oracle_catches_two_actions_for_one_part(command, tmp_path, capsys, monkeypatch):
-    import hmmdkit.frameworks as frameworks
+    import hmmdkit.select as select
 
     payload, ok, failure = TWO_ACTION_ORACLES[command]
     path = tmp_path / "p.json"
@@ -489,16 +502,16 @@ def test_oracle_catches_two_actions_for_one_part(command, tmp_path, capsys, monk
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)["diagnostics"]["oracle"] == ok
-    solve = frameworks.mckp_exact_dp
+    solve = select.mckp_exact_dp
 
     def both_actions(inst, weights=None):
         (group,) = inst.groups
         sol = solve(inst, weights)
-        return dataclasses.replace(
+        return replace(
             sol, chosen=frozenset(it.id for it in group.items), total_cost=sum(it.cost for it in group.items)
         )
 
-    monkeypatch.setattr(frameworks, "mckp_exact_dp", both_actions)
+    monkeypatch.setattr(select, "mckp_exact_dp", both_actions)
     assert run(capsys, *argv) == (1, "", f"hmmdkit: error: oracle: {failure}\n")
 
 
@@ -508,7 +521,7 @@ def _with(payload, edit):
     return payload
 
 
-#: (command, payload, JSON path, message): action errors found while parsing
+#: (command, payload, JSON path, message): action and budget errors found while parsing
 ACTION_ERRORS = [
     (
         "improve",
@@ -528,10 +541,16 @@ ACTION_ERRORS = [
         "$.payload.actions[0]",
         "pair ('e1', 'f1'): duplicate action ids: ['t1', 't1']",
     ),
+    ("improve", _with(CANONICAL["improve"], lambda p: p.update(budget=-3)), "$.payload", "budget must be nonnegative"),
+    ("pipeline", _with(CANONICAL["pipeline"], lambda p: p.update(budget=-3)), "$.payload", "budget must be nonnegative"),
 ]
 
 
-@pytest.mark.parametrize("command, payload, where, message", ACTION_ERRORS, ids=["improve-dup", "improve-length", "pipeline-dup"])
+@pytest.mark.parametrize(
+    "command, payload, where, message",
+    ACTION_ERRORS,
+    ids=["improve-dup", "improve-length", "pipeline-dup", "improve-budget", "pipeline-budget"],
+)
 def test_action_errors_name_their_json_path(command, payload, where, message, tmp_path, capsys):
     text = problem_text(command, payload)
     with pytest.raises(ParseError) as exc:

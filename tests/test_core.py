@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from operator import itemgetter
@@ -9,9 +10,11 @@ from hmmdkit.core import (
     CriteriaFrame,
     Direction,
     EstimateVector,
+    FrozenInstanceError,
     ValidationError,
     dominates,
     equal_weight_frame,
+    frozen,
     normalize_estimates,
     non_dominated,
     pareto_layers,
@@ -22,6 +25,78 @@ from hmmdkit.morph import QualityVector, n_dominates
 
 def rows(*vals):
     return [EstimateVector(v) for v in vals]
+
+
+def _records(decorate):
+    """One set of record classes per decorator, alike in all else (qualnames too)."""
+
+    @decorate
+    class Point:
+        x: int
+        y: int
+        label: str = "p"
+        weight: Fraction = Fraction(1)
+
+    @decorate
+    class Normalized:
+        values: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "values", tuple(self.values))
+
+    @decorate
+    class OwnInit:
+        values: tuple
+
+        def __init__(self, raw):
+            object.__setattr__(self, "values", tuple(sorted(raw)))
+
+    @decorate
+    class Single:
+        x: int
+
+    return {cls.__name__: cls for cls in (Point, Normalized, OwnInit, Single)}
+
+
+#: (class, args, kwargs): positional, defaulted and keyword construction
+RECORD_CALLS = [
+    ("Point", (1, 2), {}),
+    ("Point", (1, 2, "q", Fraction(1, 3)), {}),
+    ("Point", (1, 2, "q"), {}),
+    ("Point", (1,), {"y": 2, "weight": Fraction(1, 2)}),
+    ("Point", (), {"label": "q", "y": 2, "x": 1}),
+    ("Normalized", ([3, 1],), {}),
+    ("Normalized", (), {"values": [2]}),
+    ("OwnInit", ([3, 1, 2],), {}),
+    ("Single", (7,), {}),
+]
+
+
+def test_frozen_records_behave_like_frozen_dataclasses():
+    ours, theirs = _records(frozen), _records(dataclasses.dataclass(frozen=True))
+    for name, args, kwargs in RECORD_CALLS:
+        a, b = ours[name](*args, **kwargs), theirs[name](*args, **kwargs)
+        assert repr(a) == repr(b)
+        assert hash(a) == hash(b)
+        assert type(a).__match_args__ == type(b).__match_args__
+        assert a == ours[name](*args, **kwargs) and not a != ours[name](*args, **kwargs)
+        assert a.__eq__(b) is NotImplemented and a != b
+        messages = []
+        for target, error in ((a, FrozenInstanceError), (b, dataclasses.FrozenInstanceError)):
+            field = type(target).__match_args__[0]
+            with pytest.raises(error) as assigned:
+                setattr(target, field, 0)
+            with pytest.raises(error) as deleted:
+                delattr(target, field)
+            messages.append((str(assigned.value), str(deleted.value)))
+        assert messages[0] == messages[1]
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert ours["Point"](1, 2) != ours["Point"](1, 3)
+    assert ours["Normalized"]([1]).values == (1,)
+    for args, kwargs in [((), {}), ((1, 2, "q", 1, 5), {}), ((1, 2), {"z": 3}), ((1, 2), {"x": 1}), ((1,), {"label": "q"})]:
+        for cls in (ours["Point"], theirs["Point"]):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
 
 
 def test_vector_sum_adds_componentwise_and_is_zero_when_empty():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -12,6 +11,7 @@ from conftest import (
     TEACHING_COSTS,
     WORKS,
     level_value,
+    replace,
 )
 from hmmdkit.assign import AssignmentInstance, assign_greedy
 from hmmdkit.cluster import DissimilarityMatrix, Linkage
@@ -239,7 +239,7 @@ def reference_action_stage(spec, report):
                     item_origin[it.id] = (e1, e2, orig.id)
                 groups.append(Group(f"{e1}::{e2}", items))
     if not groups:
-        return dataclasses.replace(
+        return replace(
             report, selected_actions=(), total_cost=Fraction(0), objective=Fraction(0), mckp_method="none"
         )
     inst = MckpInstance(frame=spec.action_frame, groups=tuple(groups), budget=spec.budget)
@@ -253,7 +253,7 @@ def reference_action_stage(spec, report):
     if solution is None:
         solution = mckp_greedy(inst)
     cost_of = {it.id: it.cost for it in inst.all_items()}
-    return dataclasses.replace(
+    return replace(
         report,
         selected_actions=tuple(sorted((*item_origin[i], cost_of[i]) for i in solution.chosen)),
         total_cost=solution.total_cost,

@@ -1,6 +1,7 @@
 """The package loads submodules on first use, each CLI subcommand
-imports only the solver modules it runs, and the runtime needs nothing
-beyond the standard library."""
+imports only the solver modules it runs and none of the slow-to-import
+standard modules in NEVER, and the runtime needs nothing beyond the
+standard library."""
 
 import ast
 import contextlib
@@ -19,7 +20,7 @@ from hmmdkit.cli import COMMANDS
 from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
-FRAMEWORKS = BASE | {f"hmmdkit.{m}" for m in ("frameworks", "assign", "cluster", "morph", "select")}
+FRAMEWORKS = BASE | {"hmmdkit.frameworks"}
 
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
@@ -30,25 +31,32 @@ LOADS = {
     "assign": BASE | {"hmmdkit.assign", "hmmdkit.select"},
     "tsp": BASE | {"hmmdkit.route"},
     "synth": BASE | {"hmmdkit.morph"},
-    "trajectory": FRAMEWORKS,
+    "trajectory": FRAMEWORKS | {"hmmdkit.morph"},
     "integrate": FRAMEWORKS,
-    "pipeline": FRAMEWORKS,
-    "improve": FRAMEWORKS,
+    "pipeline": FRAMEWORKS | {"hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select"},
+    "improve": FRAMEWORKS | {"hmmdkit.select"},
 }
+
+#: standard modules no subcommand may load: records are built by
+#: core.frozen, not dataclasses (which imports inspect), and annotations
+#: need no typing at run time
+NEVER = {"dataclasses", "inspect", "typing"}
 
 CHILD = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hmmdkit")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hmmdkit" or m in {never})))
 """
 
 
 def loaded_in_child(body: str, *argv: str) -> list[str]:
-    """The hmmdkit modules a fresh interpreter holds after running ``body``."""
+    """The hmmdkit modules, and those of NEVER, that a fresh interpreter
+    holds after running ``body``."""
     src = str(Path(hmmdkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # -S: a .pth file in site-packages may import typing before hmmdkit runs
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD.format(body=body), *argv],
+        [sys.executable, "-S", "-c", CHILD.format(body=body, never=sorted(NEVER)), *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -66,7 +74,7 @@ def test_subcommand_loads_only_its_modules(command, tmp_path):
     path.write_text(problem_text(ptype, MINIMAL[ptype][0]))
     body = "from hmmdkit.cli import main\nassert main(sys.argv[1:]) == 0"
     loaded = set(loaded_in_child(body, command, "--input", str(path), "--output", str(tmp_path / "out")))
-    assert loaded == LOADS[command]
+    assert loaded == LOADS[command]  # and so nothing of NEVER
 
 
 def test_every_export_is_its_submodule_object():
