@@ -39,6 +39,7 @@ _EXPORTS = {
         "dominates",
         "equal_weight_frame",
         "normalize_estimates",
+        "scalarize",
     ),
     "frameworks": (
         "ImprovementPart",
@@ -93,7 +94,6 @@ _EXPORTS = {
         "knapsack_greedy",
         "mckp_exact_dp",
         "mckp_greedy",
-        "scalarize",
     ),
 }
 

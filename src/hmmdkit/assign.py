@@ -14,16 +14,15 @@ from .core import (
     CriteriaFrame,
     Direction,
     EstimateVector,
-    GuardExceeded,
     Number,
     ValidationError,
+    check_guard,
     dominates,
     frozen,
-    guard_limit,
     non_dominated,
+    scalarize,
     vector_sum,
 )
-from .select import scalarize
 
 ENUMERATION_GUARD = 9
 
@@ -149,15 +148,6 @@ def _maximal_assignments(inst: AssignmentInstance):
     yield from rec(0, dict(inst.capacity), [])
 
 
-def _check_guard(inst: AssignmentInstance) -> None:
-    limit = guard_limit(ENUMERATION_GUARD)
-    size = min(len(inst.agents), inst.total_capacity())
-    if size > limit:
-        raise GuardExceeded(
-            f"assignment size {size} exceeds enumeration guard {limit}"
-        )
-
-
 def assign_exact(
     inst: AssignmentInstance, weights: Sequence[Number] | None = None
 ) -> AssignmentSolution:
@@ -165,7 +155,7 @@ def assign_exact(
 
     Ties break on the lexicographically smallest sorted pair list.
     """
-    _check_guard(inst)
+    check_guard(min(len(inst.agents), inst.total_capacity()), ENUMERATION_GUARD, "assigned agents")
     betas = _cell_betas(inst, weights)
     best = None
     for pairs in _maximal_assignments(inst):
@@ -186,7 +176,7 @@ def _adjusted(frame: CriteriaFrame, vec: EstimateVector) -> tuple[Fraction, ...]
 
 def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
     """All maximal assignments with a non-dominated objective vector."""
-    _check_guard(inst)
+    check_guard(min(len(inst.agents), inst.total_capacity()), ENUMERATION_GUARD, "assigned agents")
     betas = _cell_betas(inst, None)
     sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
     front = non_dominated(sols, dominates, lambda s: _adjusted(inst.frame, s.objective_vector))

@@ -427,9 +427,7 @@ def run_command(args: argparse.Namespace) -> int:
         solution, diagnostics = solve(pf.payload, method, weights, args.oracle)
     except CliError:
         raise
-    except GuardExceeded as exc:
-        raise CliError("solve", str(exc), EXIT_SOLVE)
-    except InfeasibleError as exc:
+    except (GuardExceeded, InfeasibleError) as exc:
         raise CliError("solve", str(exc), EXIT_SOLVE)
     except ValidationError as exc:
         raise CliError("parse", str(exc), EXIT_PARSE)

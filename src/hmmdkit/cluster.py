@@ -68,11 +68,11 @@ class Dendrogram:
 
 def _linkage_distance(
     m: DissimilarityMatrix,
+    idx: dict[str, int],
     a: tuple[str, ...],
     b: tuple[str, ...],
     linkage: Linkage,
 ) -> Number:
-    idx = {x: i for i, x in enumerate(m.ids)}
     cross = [m.d[idx[x]][idx[y]] for x in a for y in b]
     if linkage is Linkage.SINGLE:
         return min(cross)
@@ -88,6 +88,7 @@ def build_dendrogram(
     m: DissimilarityMatrix, linkage: Linkage = Linkage.SINGLE
 ) -> Dendrogram:
     """Merge the closest pair of active clusters until one remains."""
+    idx = {x: i for i, x in enumerate(m.ids)}
     active: list[tuple[str, ...]] = [tuple([x]) for x in sorted(m.ids)]
     merges: list[Merge] = []
     while len(active) > 1:
@@ -95,7 +96,7 @@ def build_dendrogram(
         for i in range(len(active)):
             for j in range(i + 1, len(active)):
                 a, b = sorted((active[i], active[j]))
-                dist = _linkage_distance(m, a, b, linkage)
+                dist = _linkage_distance(m, idx, a, b, linkage)
                 key = (dist, a, b)
                 if best is None or key < best:
                     best = key

@@ -123,6 +123,14 @@ def guard_limit(default: int) -> int:
     return limit
 
 
+def check_guard(size: int, default: int, what: str) -> None:
+    """Raise GuardExceeded when ``size`` (counted in ``what``) is above the
+    guard: ``default``, or HMMD_KIT_GUARD when set."""
+    limit = guard_limit(default)
+    if size > limit:
+        raise GuardExceeded(f"{size} {what} exceed guard {limit}")
+
+
 def as_frac(x: Number | str) -> Fraction:
     """Coerce a number to an exact Fraction.
 
@@ -331,6 +339,30 @@ def normalize_estimates(
         else:
             out_cols.append([(hi - v) / (hi - lo) for v in cols[k]])
     return [EstimateVector(vals) for vals in zip(*out_cols)]
+
+
+def scalarize(
+    frame: CriteriaFrame,
+    values: Sequence[EstimateVector],
+    weights: Sequence[Number] | None = None,
+) -> list[Fraction]:
+    """Scalar value per vector: weighted sum of min-max-normalized components.
+
+    Weights default to the frame's. Explicit weights, one per criterion,
+    replace them under the frame's rules: nonnegative, not all zero, and
+    normalized to sum 1.
+    """
+    if weights is not None:
+        if len(weights) != len(frame):
+            raise ValidationError(f"{len(weights)} weights for {len(frame)} criteria")
+        frame = CriteriaFrame(
+            tuple(Criterion(c.id, c.direction, w) for c, w in zip(frame.criteria, weights))
+        )
+    lam = frame.weights
+    return [
+        sum((w * v for w, v in zip(lam, row)), Fraction(0))
+        for row in normalize_estimates(frame, values)
+    ]
 
 
 def dominates(a: EstimateVector, b: EstimateVector) -> bool:

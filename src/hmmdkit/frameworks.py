@@ -242,7 +242,6 @@ class Stage:
 class TrajectorySpec:
     stages: tuple[Stage, ...]
     compat: dict[tuple[str, str], int]  # (earlier decision, later decision)
-    compat_scale: OrdinalScale = DEFAULT_COMPAT_SCALE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -263,7 +262,7 @@ class TrajectorySpec:
                     f"compatibility ({a!r}, {b!r}) must run from an earlier stage "
                     "to a later one"
                 )
-            if not self.compat_scale.contains(v):
+            if not DEFAULT_COMPAT_SCALE.contains(v):
                 raise ValidationError(f"compatibility ({a!r}, {b!r}): {v} out of scale")
 
     def priorities(self) -> dict[str, int]:
@@ -304,7 +303,6 @@ def design_trajectory(spec: TrajectorySpec, all_pairs: bool = False) -> list[Tra
     system = MorphSystem(
         MorphNode("trajectory", children=parts),
         compat,
-        compat_scale=spec.compat_scale,
         priority_scale=OrdinalScale(1, max(3, *spec.priorities().values()), Best.LOW),
     )
     return [
@@ -386,17 +384,26 @@ def evaluate_integration_tree(tree: IntegrationNode) -> IntegrationResult:
 
 
 def check_tables_total(tree: IntegrationNode) -> None:
-    """Verify each internal table covers the full product of child scales."""
-    if not tree.children:
-        return
-    ranges = [range(c.scale.lo, c.scale.hi + 1) for c in tree.children]
-    for key in itertools.product(*ranges):
-        if key not in tree.table:
-            raise ValidationError(
-                f"node {tree.id!r}: table misses child estimates {key}"
-            )
-    for c in tree.children:
-        check_tables_total(c)
+    """Verify node ids are unique and each internal table covers the full
+    product of child scales, node by node in pre-order."""
+    seen: set[str] = set()
+
+    def walk(node: IntegrationNode) -> None:
+        if node.id in seen:
+            raise ValidationError(f"duplicate node id {node.id!r}")
+        seen.add(node.id)
+        if not node.children:
+            return
+        ranges = [range(c.scale.lo, c.scale.hi + 1) for c in node.children]
+        for key in itertools.product(*ranges):
+            if key not in node.table:
+                raise ValidationError(
+                    f"node {node.id!r}: table misses child estimates {key}"
+                )
+        for c in node.children:
+            walk(c)
+
+    walk(tree)
 
 
 # ---------------------------------------------------------------- improvement

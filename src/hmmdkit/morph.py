@@ -19,6 +19,7 @@ counts stay incomparable, which is what keeps several designs alive.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
 
@@ -26,11 +27,10 @@ from .core import (
     DEFAULT_COMPAT_SCALE,
     DEFAULT_PRIORITY_SCALE,
     EstimateVector,
-    GuardExceeded,
     OrdinalScale,
     ValidationError,
+    check_guard,
     frozen,
-    guard_limit,
     non_dominated,
     pareto_layers,
 )
@@ -277,12 +277,7 @@ def compose_node(
             raise ValidationError(f"child {child.id!r} supplies no alternatives")
         max_priority = max(max_priority, max(da.priority for da in das))
         pools.append([(child.id, da) for da in das])
-    total = 1
-    for pool in pools:
-        total *= len(pool)
-    limit = guard_limit(MAX_COMBINATIONS)
-    if total > limit:
-        raise GuardExceeded(f"{total} combinations exceed guard {limit}")
+    check_guard(math.prod(map(len, pools)), MAX_COMBINATIONS, "combinations")
     level_count = max_priority - system.priority_scale.lo + 1
     feasible: list[CompositeDecision] = []
     for combo in itertools.product(*pools):

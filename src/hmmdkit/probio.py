@@ -571,16 +571,6 @@ def _integrate() -> _Record:
     from .frameworks import IntegrationNode, check_tables_total
 
     def build(path: str, tree: IntegrationNode) -> IntegrateProblem:
-        seen: set[str] = set()
-
-        def check_unique(node: IntegrationNode) -> None:
-            if node.id in seen:
-                _fail(f"{path}.tree", f"duplicate node id {node.id!r}")
-            seen.add(node.id)
-            for c in node.children:
-                check_unique(c)
-
-        check_unique(tree)
         with _wrap(f"{path}.tree"):
             check_tables_total(tree)
         return IntegrateProblem(tree)

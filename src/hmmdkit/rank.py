@@ -24,6 +24,7 @@ from .core import (
     frozen,
     normalize_estimates,
     pareto_layers,
+    scalarize,
 )
 
 DEFAULT_CONCORDANCE = Fraction(3, 5)
@@ -83,12 +84,7 @@ def _normalized(inst: RankingInstance) -> list[EstimateVector]:
 
 def rank_utility(inst: RankingInstance) -> RankingResult:
     """Weighted sum of normalized estimates."""
-    norm = _normalized(inst)
-    weights = inst.frame.weights
-    scores = {
-        aid: sum((w * v for w, v in zip(weights, row)), Fraction(0))
-        for (aid, _), row in zip(inst.alternatives, norm)
-    }
+    scores = dict(zip(inst.ids, scalarize(inst.frame, [est for _, est in inst.alternatives])))
     return RankingResult(_dense_priorities(scores), scores, "utility")
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import GuardExceeded, Number, ValidationError, check_dissimilarities, frozen, guard_limit
+from .core import Number, ValidationError, check_dissimilarities, check_guard, frozen
 
 BRUTE_FORCE_GUARD = 10
 
@@ -105,9 +105,7 @@ def tsp_brute_force(inst: TspInstance) -> Tour:
     """Exact optimum by enumerating (n-1)!/2 distinct cycles."""
     _require_cities(inst)
     n = len(inst.ids)
-    limit = guard_limit(BRUTE_FORCE_GUARD)
-    if n > limit:
-        raise GuardExceeded(f"{n} cities exceeds brute-force guard {limit}")
+    check_guard(n, BRUTE_FORCE_GUARD, "cities")
     rest = list(range(1, n))
     dist = inst.dist
     best_len: Number | None = None

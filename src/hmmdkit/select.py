@@ -1,8 +1,9 @@
 """Multicriteria knapsack and multiple-choice knapsack solvers.
 
-Vector-valued items are reduced to scalar values by min-max normalization
-over the instance's item set followed by a weighted sum; greedy heuristics
-come paired with exact dynamic-programming oracles for integral data.
+Vector-valued items are reduced to scalar values by ``core.scalarize``
+(min-max normalization over the instance's item set, then a weighted
+sum; re-exported here); greedy heuristics come paired with exact
+dynamic-programming oracles for integral data.
 """
 
 from __future__ import annotations
@@ -14,20 +15,19 @@ from fractions import Fraction
 from .core import (
     CriteriaFrame,
     EstimateVector,
-    GuardExceeded,
     InfeasibleError,
     Number,
     ValidationError,
     as_frac,
     as_ints,
+    check_guard,
     frozen,
-    guard_limit,
-    normalize_estimates,
+    scalarize,
     vector_sum,
 )
 
-KNAPSACK_TABLE_GUARD = 10**7
-MCKP_TABLE_GUARD = 10**7
+#: DP table cells of knapsack_exact and mckp_exact_dp
+TABLE_GUARD = 10**7
 
 
 @frozen
@@ -114,34 +114,6 @@ class SelectionSolution:
     objective_vector: EstimateVector
 
 
-def scalarize(
-    frame: CriteriaFrame,
-    values: Sequence[EstimateVector],
-    weights: Sequence[Number] | None = None,
-) -> list[Fraction]:
-    """Scalar value per vector: weighted sum of min-max-normalized components.
-
-    Weights default to the frame's; explicit weights must be nonnegative,
-    not all zero, and are normalized to sum 1.
-    """
-    if weights is None:
-        lam = frame.weights
-    else:
-        lam = tuple(as_frac(w) for w in weights)
-        if len(lam) != len(frame):
-            raise ValidationError(
-                f"{len(lam)} weights for {len(frame)} criteria"
-            )
-        if any(w < 0 for w in lam):
-            raise ValidationError("weights must be nonnegative")
-        total = sum(lam, Fraction(0))
-        if total == 0:
-            raise ValidationError("weights must not all be zero")
-        lam = tuple(w / total for w in lam)
-    norm = normalize_estimates(frame, values)
-    return [sum((w * v for w, v in zip(lam, row)), Fraction(0)) for row in norm]
-
-
 def _betas(frame: CriteriaFrame, items: Sequence[Item], weights: Sequence[Number] | None) -> dict[str, Fraction]:
     """Each item's scalarized value, by item id."""
     return dict(zip((it.id for it in items), scalarize(frame, [it.value for it in items], weights)))
@@ -219,11 +191,7 @@ def knapsack_exact(
     # zero-cost items never hurt: beta >= 0 after normalization
     chosen = {it.id for it in inst.items if it.cost == 0}
     priced = [it for it in inst.items if it.cost != 0]
-    limit = guard_limit(KNAPSACK_TABLE_GUARD)
-    if len(priced) * (cap + 1) > limit:
-        raise GuardExceeded(
-            f"{len(priced)} items x budget {cap} exceeds table guard {limit}"
-        )
+    check_guard(len(priced) * (cap + 1), TABLE_GUARD, "table cells")
     betas = _betas(inst.frame, inst.items, weights)
     scaled = dict(zip(betas, as_ints(list(betas.values()))))
     dp = [0] * (cap + 1)
@@ -304,11 +272,7 @@ def mckp_exact_dp(
     )
     (budget,) = _require_integral([inst.budget], "budget")
     cap = min(budget, sum(all_costs))
-    limit = guard_limit(MCKP_TABLE_GUARD)
-    if len(inst.groups) * (cap + 1) > limit:
-        raise GuardExceeded(
-            f"{len(inst.groups)} groups x budget {cap} exceeds table guard {limit}"
-        )
+    check_guard(len(inst.groups) * (cap + 1), TABLE_GUARD, "table cells")
     betas = _betas(inst.frame, inst.all_items(), weights)
     scaled = dict(zip(betas, as_ints(list(betas.values()))))
     exactly = inst.group_rule is GroupRule.EXACTLY_ONE

@@ -190,13 +190,22 @@ def test_pareto_contains_exact_for_random_weight_vectors():
         assert exact.pairs in front_pairs
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     rng = random.Random(109)
     inst = random_instance(rng, 10, 10)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^10 assigned agents exceed guard 9$"):
         assign_exact(inst)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^10 assigned agents exceed guard 9$"):
         assign_pareto(inst)
+    # the guard counts assigned agents: 4 agents, but only 3 seats
+    small = random_instance(rng, 4, 3)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "2")
+    for solve in (assign_exact, assign_pareto):
+        with pytest.raises(GuardExceeded, match=r"^3 assigned agents exceed guard 2$"):
+            solve(small)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "3")
+    assert len(assign_exact(small).pairs) == 3
+    assert assign_pareto(small)
 
 
 def test_instance_validation():

@@ -85,6 +85,20 @@ def test_weights_rejected_where_not_applicable(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("1,2", "2 weights for 3 criteria"),
+        ("1,-1,1", "criterion 'engineering': weight must be nonnegative"),
+        ("0,0,0", "criterion weights must not all be zero"),
+    ],
+)
+def test_bad_weights_follow_the_frame_rules(capsys, weights, message):
+    assert run(capsys, "assign", "--input", ASSIGN, f"--weights={weights}") == (
+        3, "", f"hmmdkit: error: parse: {message}\n"
+    )
+
+
 def test_mckp_oracle_passes_on_fixture(capsys):
     code, out, err = run(capsys, "mckp", "--input", MCKP, "--oracle", "--format", "json")
     assert code == 0
@@ -426,14 +440,14 @@ SELECTION_ORACLES = {
     "knapsack": (
         {"criteria": [{"id": "c"}], "items": SELECTION_ITEMS, "budget": 5},
         "ok (greedy within 0.75 of exact)",
-        "4 items x budget 5",
+        "24 table cells",
         "knapsack_greedy",
         "greedy objective 1/10 below 0.75 x exact 1",
     ),
     "mckp": (
         {"criteria": [{"id": "c"}], "groups": [{"id": "g", "items": SELECTION_ITEMS}], "budget": 5},
         "ok (exact >= greedy)",
-        "1 groups x budget 5",
+        "6 table cells",
         "mckp_exact_dp",
         "exact objective 1/10 below greedy 1",
     ),
@@ -456,7 +470,7 @@ def test_selection_oracle_texts(command, tmp_path, capsys, monkeypatch):
 
     assert oracle("greedy") == oracle("exact") == ok
     monkeypatch.setenv("HMMD_KIT_GUARD", "3")
-    assert oracle("greedy") == f"skipped ({table} exceeds table guard 3)"
+    assert oracle("greedy") == f"skipped ({table} exceed guard 3)"
     monkeypatch.delenv("HMMD_KIT_GUARD")
     solve = getattr(select, worse)
 

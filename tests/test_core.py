@@ -12,12 +12,14 @@ from hmmdkit.core import (
     EstimateVector,
     FrozenInstanceError,
     ValidationError,
+    as_frac,
     dominates,
     equal_weight_frame,
     frozen,
     normalize_estimates,
     non_dominated,
     pareto_layers,
+    scalarize,
     vector_sum,
 )
 from hmmdkit.morph import QualityVector, n_dominates
@@ -284,3 +286,56 @@ def test_pareto_layers_rejects_a_cyclic_relation():
 
     with pytest.raises(ValidationError, match="cycle"):
         pareto_layers([0, 1, 2, 2], beats)
+
+
+def oracle_scalarize(frame, values, weights=None):
+    """The weighted sum with its own weight checks, as it was written out
+    before explicit weights went through CriteriaFrame."""
+    if weights is None:
+        lam = frame.weights
+    else:
+        lam = tuple(as_frac(w) for w in weights)
+        if len(lam) != len(frame):
+            raise ValidationError(f"{len(lam)} weights for {len(frame)} criteria")
+        if any(w < 0 for w in lam):
+            raise ValidationError("weights must be nonnegative")
+        total = sum(lam, Fraction(0))
+        if total == 0:
+            raise ValidationError("weights must not all be zero")
+        lam = tuple(w / total for w in lam)
+    norm = normalize_estimates(frame, values)
+    return [sum((w * v for w, v in zip(lam, row)), Fraction(0)) for row in norm]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError:
+        return ValidationError
+
+
+def test_scalarize_matches_the_written_out_oracle():
+    rng = random.Random(173)
+    entry = lambda: rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 0])
+    outcomes = {"scores": 0, "error": 0}
+    for _ in range(600):
+        k = rng.randint(1, 4)
+        frame_weights = [rng.randint(0, 3) for _ in range(k)]
+        frame_weights[rng.randrange(k)] += 1  # a frame needs one nonzero weight
+        frame = CriteriaFrame(tuple(
+            Criterion(f"c{i}", rng.choice(list(Direction)), w) for i, w in enumerate(frame_weights)
+        ))
+        width = k if rng.random() < 0.95 else k + rng.choice([-1, 1])
+        values = rows(*([entry() for _ in range(width)] for _ in range(rng.randint(0, 6))))
+        weights = rng.choice([
+            None,
+            [entry() for _ in range(k)],
+            [rng.randint(0, 3) for _ in range(k)],
+            [0] * k,
+            [entry() for _ in range(rng.choice([k - 1, k + 1]))],
+            [rng.choice([1, Fraction(1, 3), 0.25, -1, "1/2", "x", True]) for _ in range(k)],
+        ])
+        got = _outcome(scalarize, frame, values, weights)
+        assert got == _outcome(oracle_scalarize, frame, values, weights)
+        outcomes["error" if got is ValidationError else "scores"] += 1
+    assert min(outcomes.values()) > 100

@@ -16,6 +16,7 @@ from conftest import (
 from hmmdkit.assign import AssignmentInstance, assign_greedy
 from hmmdkit.cluster import DissimilarityMatrix, Linkage
 from hmmdkit.core import (
+    DEFAULT_COMPAT_SCALE,
     Best,
     EstimateVector,
     GuardExceeded,
@@ -423,7 +424,7 @@ def _brute_trajectories(spec, all_pairs):
             pairs = list(itertools.combinations(path, 2))
         else:
             pairs = list(zip(path, path[1:]))
-        w = min((spec.compat[p] for p in pairs), default=spec.compat_scale.hi)
+        w = min((spec.compat[p] for p in pairs), default=DEFAULT_COMPAT_SCALE.hi)
         counts = [0] * levels
         for d in path:
             counts[prio[d] - 1] += 1
@@ -489,6 +490,14 @@ def test_missing_table_entry_names_node_and_tuple():
     with pytest.raises(ValidationError, match=r"combiner.*\(1, 2\)"):
         evaluate_integration_tree(tree)
     with pytest.raises(ValidationError):
+        check_tables_total(tree)
+
+
+def test_check_tables_total_rejects_duplicate_ids():
+    table = {(a, b): max(a, b) for a in range(1, 4) for b in range(1, 4)}
+    inner = IntegrationNode("x", SCALE13, children=(leaf("a", 1), leaf("b", 2)), table=table)
+    tree = IntegrationNode("root", SCALE13, children=(inner, leaf("x", 3)), table=table)
+    with pytest.raises(ValidationError, match=r"^duplicate node id 'x'$"):
         check_tables_total(tree)
 
 

@@ -28,7 +28,7 @@ LOADS = {
     "knapsack": BASE | {"hmmdkit.select"},
     "mckp": BASE | {"hmmdkit.select"},
     "cluster": BASE | {"hmmdkit.cluster"},
-    "assign": BASE | {"hmmdkit.assign", "hmmdkit.select"},
+    "assign": BASE | {"hmmdkit.assign"},
     "tsp": BASE | {"hmmdkit.route"},
     "synth": BASE | {"hmmdkit.morph"},
     "trajectory": FRAMEWORKS | {"hmmdkit.morph"},

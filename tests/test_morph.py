@@ -237,10 +237,15 @@ def test_compose_single_child_single_da():
 
 
 def test_compose_guard(monkeypatch):
-    system = course_system()
+    system = course_system()  # node E: 4 parts x 4 alternatives = 256 combinations
     monkeypatch.setenv("HMMD_KIT_GUARD", "10")
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^256 combinations exceed guard 10$"):
         compose_node(system, "E")
+    monkeypatch.setenv("HMMD_KIT_GUARD", "255")
+    with pytest.raises(GuardExceeded, match=r"^256 combinations exceed guard 255$"):
+        compose_node(system, "E")
+    monkeypatch.setenv("HMMD_KIT_GUARD", "256")
+    assert compose_node(system, "E")
 
 
 def test_compose_excludes_zero_pairs_by_default():

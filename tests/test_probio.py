@@ -341,7 +341,7 @@ def test_integrate_duplicate_node_ids_rejected():
             }
         },
     }
-    with pytest.raises(ParseError, match="duplicate node id"):
+    with pytest.raises(ParseError, match=r"^\$\.payload\.tree: duplicate node id 'dup'$"):
         parse_problem(json.dumps(doc))
 
 

@@ -16,6 +16,8 @@ from hmmdkit.core import (
 )
 from hmmdkit.rank import (
     RankingInstance,
+    RankingResult,
+    _dense_priorities,
     _strongly_connected,
     rank_ideal_point,
     rank_outranking,
@@ -51,6 +53,35 @@ def test_utility_degenerate_weights_rank_by_first_criterion():
     inst = make_instance(frame, [("a", [3, 0]), ("b", [1, 9]), ("c", [2, 9])])
     res = rank_utility(inst)
     assert res.priorities == {"a": 1, "c": 2, "b": 3}
+
+
+def oracle_rank_utility(inst):
+    """The weighted sum written out over the normalized estimates, as
+    rank_utility did before it called core.scalarize."""
+    norm = normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
+    weights = inst.frame.weights
+    scores = {
+        aid: sum((w * v for w, v in zip(weights, row)), Fraction(0))
+        for (aid, _), row in zip(inst.alternatives, norm)
+    }
+    return RankingResult(_dense_priorities(scores), scores, "utility")
+
+
+def test_utility_matches_the_written_out_oracle():
+    rng = random.Random(179)
+    entry = lambda: rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 0])
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        weights = [rng.choice([0, 1, 2, Fraction(1, 3)]) for _ in range(k)]
+        weights[rng.randrange(k)] += 1
+        frame = CriteriaFrame(tuple(
+            Criterion(f"c{i}", rng.choice(list(Direction)), w) for i, w in enumerate(weights)
+        ))
+        alts = [(f"a{i}", [entry() for _ in range(k)]) for i in range(rng.randint(1, 8))]
+        inst = make_instance(frame, alts)
+        got, expected = rank_utility(inst), oracle_rank_utility(inst)
+        assert got == expected
+        assert list(got.scores) == list(expected.scores) == inst.ids
 
 
 def test_utility_matches_hand_computed_weighted_sums():

@@ -104,11 +104,16 @@ def test_two_opt_rejects_bad_initial_tour():
         tsp_two_opt(UNIT_SQUARE, Tour(order=("sw", "sw", "ne", "nw"), length=0))
 
 
-def test_brute_force_square_and_guard():
+def test_brute_force_square_and_guard(monkeypatch):
     assert tsp_brute_force(UNIT_SQUARE).length == pytest.approx(4.0, abs=1e-9)
     rng = random.Random(3)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^11 cities exceed guard 10$"):
         tsp_brute_force(random_cities(rng, 11))
+    monkeypatch.setenv("HMMD_KIT_GUARD", "3")
+    with pytest.raises(GuardExceeded, match=r"^4 cities exceed guard 3$"):
+        tsp_brute_force(UNIT_SQUARE)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "4")
+    assert tsp_brute_force(UNIT_SQUARE).length == pytest.approx(4.0, abs=1e-9)
 
 
 def test_heuristics_never_beat_brute_force():

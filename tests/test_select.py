@@ -365,10 +365,16 @@ def test_greedy_solvers_ignore_input_order():
 
 
 def test_mckp_guard(monkeypatch):
+    # 4 groups x (budget 15 + 1) = 64 cells; the cost sum is 36
     inst = table5_mckp_instance(budget=15)
     monkeypatch.setenv("HMMD_KIT_GUARD", "3")
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"^64 table cells exceed guard 3$"):
         mckp_exact_dp(inst)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "63")
+    with pytest.raises(GuardExceeded, match=r"^64 table cells exceed guard 63$"):
+        mckp_exact_dp(inst)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "64")
+    assert mckp_exact_dp(inst).total_cost <= 15
 
 
 # ------------------------------------------------------- Fraction DP oracles
@@ -507,7 +513,7 @@ def test_knapsack_guard_counts_table_cells(monkeypatch):
     # 50 priced items x (budget 100 + 1) = 5,050 cells; the cost sum is only 100
     inst = knapsack([(f"i{j}", j % 7, 2) for j in range(50)] + [("free", 3, 0)], budget=100)
     monkeypatch.setenv("HMMD_KIT_GUARD", "100")
-    with pytest.raises(GuardExceeded, match=r"^50 items x budget 100 exceeds table guard 100$"):
+    with pytest.raises(GuardExceeded, match=r"^5050 table cells exceed guard 100$"):
         knapsack_exact(inst)
     monkeypatch.setenv("HMMD_KIT_GUARD", "5049")
     with pytest.raises(GuardExceeded):
@@ -523,6 +529,6 @@ def test_knapsack_default_guard_is_ten_million_cells(monkeypatch):
     assert knapsack_exact(inst).chosen == {"b"}
     wide = knapsack([(f"i{j}", 1, 200_000) for j in range(10)], budget=10**6)
     with pytest.raises(
-        GuardExceeded, match=r"^10 items x budget 1000000 exceeds table guard 10000000$"
+        GuardExceeded, match=r"^10000010 table cells exceed guard 10000000$"
     ):
         knapsack_exact(wide)

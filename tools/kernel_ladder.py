@@ -1,6 +1,6 @@
-"""Kernel ladders for the outranking, knapsack and MCKP solvers.
+"""Kernel ladders for the outranking, knapsack, MCKP and dendrogram solvers.
 
-Times each rung of three scaling ladders on seeded instances from the
+Times each rung of four scaling ladders on seeded instances from the
 benchmark's generators (``perfbench/workloads.py``, imported, not edited)
 and writes the medians as JSON:
 
@@ -38,12 +38,14 @@ RUNGS = (
     [("outranking", {"n": n, "k": 4}) for n in (20, 40, 80, 160)]
     + [("knapsack", {"n": n, "budget": b}) for n, b in ((30, 300), (60, 600), (120, 1200))]
     + [("mckp", {"groups": 28, "per_group": m, "budget": 360}) for m in (2, 4, 8)]
+    + [("dendrogram", {"n": n, "linkage": "average"}) for n in (15, 30, 60)]
 )
 
 
 def _call(kernel: str, size: dict):
     """Build the rung's instance and return a no-argument call of its kernel."""
     import workloads
+    from hmmdkit.cluster import Linkage, build_dendrogram
     from hmmdkit.rank import rank_outranking
     from hmmdkit.select import knapsack_exact, mckp_exact_dp
 
@@ -54,6 +56,9 @@ def _call(kernel: str, size: dict):
     if kernel == "knapsack":
         prob = workloads._knapsack(rng, size["n"], 3, 20, size["budget"])
         return lambda: knapsack_exact(prob.instance)
+    if kernel == "dendrogram":
+        prob = workloads._cluster(rng, size["n"], Linkage(size["linkage"]), None)
+        return lambda: build_dendrogram(prob.matrix, prob.linkage)
     prob = workloads._mckp(rng, size["groups"], size["per_group"], 3, 20, size["budget"])
     return lambda: mckp_exact_dp(prob.instance)
 
