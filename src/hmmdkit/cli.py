@@ -136,8 +136,7 @@ def _solve_selection(problem, method, weights, oracle):
 def _solve_cluster(problem, method, weights, oracle):
     from .cluster import Linkage, build_dendrogram, cut_dendrogram
 
-    linkage = Linkage(method) if method else problem.linkage
-    dend = build_dendrogram(problem.matrix, linkage)
+    dend = build_dendrogram(problem.matrix, Linkage(method))
     solution = {
         "merges": [{"left": m.left, "right": m.right, "height": m.height} for m in dend.merges],
         "partition": None if problem.k is None else cut_dendrogram(dend, problem.k),

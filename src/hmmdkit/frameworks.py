@@ -359,51 +359,48 @@ class IntegrationResult:
     trace: dict[str, int]
 
 
-def evaluate_integration_tree(tree: IntegrationNode) -> IntegrationResult:
-    """Bottom-up table lookups; the trace records every node's estimate."""
-    trace: dict[str, int] = {}
-    seen: set[str] = set()
-
-    def walk(node: IntegrationNode) -> int:
+def _preorder(tree: IntegrationNode) -> list[IntegrationNode]:
+    """The tree's nodes in pre-order; a repeated node id is an error."""
+    nodes: list[IntegrationNode] = []
+    seen, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
         if node.id in seen:
             raise ValidationError(f"duplicate node id {node.id!r}")
         seen.add(node.id)
+        nodes.append(node)
+        stack.extend(reversed(node.children))
+    return nodes
+
+
+def evaluate_integration_tree(tree: IntegrationNode) -> IntegrationResult:
+    """Bottom-up table lookups; the trace records every node's estimate."""
+    trace: dict[str, int] = {}
+    for node in reversed(_preorder(tree)):  # every node after its descendants
         if not node.children:
             trace[node.id] = node.estimate
-            return node.estimate
-        inputs = tuple(walk(c) for c in node.children)
+            continue
+        inputs = tuple(trace[c.id] for c in node.children)
         if inputs not in node.table:
             raise ValidationError(
                 f"node {node.id!r}: no table entry for child estimates {inputs}"
             )
-        value = node.table[inputs]
-        trace[node.id] = value
-        return value
-
-    return IntegrationResult(root_estimate=walk(tree), trace=trace)
+        trace[node.id] = node.table[inputs]
+    return IntegrationResult(root_estimate=trace[tree.id], trace=trace)
 
 
 def check_tables_total(tree: IntegrationNode) -> None:
-    """Verify node ids are unique and each internal table covers the full
-    product of child scales, node by node in pre-order."""
-    seen: set[str] = set()
-
-    def walk(node: IntegrationNode) -> None:
-        if node.id in seen:
-            raise ValidationError(f"duplicate node id {node.id!r}")
-        seen.add(node.id)
+    """Verify node ids are unique, then that each internal table covers the
+    full product of child scales, node by node in pre-order."""
+    for node in _preorder(tree):
         if not node.children:
-            return
+            continue
         ranges = [range(c.scale.lo, c.scale.hi + 1) for c in node.children]
         for key in itertools.product(*ranges):
             if key not in node.table:
                 raise ValidationError(
                     f"node {node.id!r}: table misses child estimates {key}"
                 )
-        for c in node.children:
-            walk(c)
-
-    walk(tree)
 
 
 # ---------------------------------------------------------------- improvement

@@ -97,11 +97,11 @@ class MorphSystem:
                         f"alternative {da.id!r}: priority {da.priority} outside "
                         f"[{self.priority_scale.lo}, {self.priority_scale.hi}]"
                     )
-        object.__setattr__(self, "_nodes", nodes)
+        pairs: dict[str, dict] = {n.id: {} for n in nodes.values() if n.children}
         for (node_id, a, b), value in self.compat.items():
             if node_id not in nodes:
                 raise ValidationError(f"compatibility table for unknown node {node_id!r}")
-            if (node_id, b, a) in self.compat and (a, b) != (b, a):
+            if (node_id, b, a) in self.compat and a != b:
                 raise ValidationError(
                     f"both orientations of pair {a!r}-{b!r} present at node {node_id!r}"
                 )
@@ -110,29 +110,18 @@ class MorphSystem:
                     f"compatibility {a!r}-{b!r} at node {node_id!r}: {value} outside "
                     f"[{self.compat_scale.lo}, {self.compat_scale.hi}]"
                 )
-            owner = nodes[node_id]
-            if owner.is_leaf:
-                raise ValidationError(
-                    f"compatibility table on leaf node {node_id!r}"
-                )
-            # when every child is a leaf the pair must join two distinct
-            # children; nodes with internal children may also reference
-            # derived composite ids, which synthesis checks once it names them
-            if all(c.is_leaf for c in owner.children):
-                homes = {
-                    alt.id: c.id for c in owner.children for alt in c.alternatives
-                }
-                if a not in homes or b not in homes:
-                    missing = a if a not in homes else b
-                    raise ValidationError(
-                        f"node {node_id!r}: {missing!r} is not an alternative "
-                        "of any child"
-                    )
-                if homes[a] == homes[b]:
-                    raise ValidationError(
-                        f"node {node_id!r}: {a!r} and {b!r} belong to the same "
-                        f"child {homes[a]!r}"
-                    )
+            if node_id not in pairs:
+                raise ValidationError(f"compatibility table on leaf node {node_id!r}")
+            pairs[node_id][a, b] = pairs[node_id][b, a] = value
+        # keys at nodes with internal children may name derived composite
+        # ids, which synthesis checks once it has named them
+        for node_id, table in pairs.items():
+            children = nodes[node_id].children
+            if all(c.is_leaf for c in children):
+                homes = {alt.id: c.id for c in children for alt in c.alternatives}
+                _check_pairs(node_id, homes, table)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_pairs", pairs)
 
     def node(self, node_id: str) -> MorphNode:
         try:
@@ -142,10 +131,22 @@ class MorphSystem:
 
     def compatibility(self, node_id: str, a: str, b: str) -> int | None:
         """Table value for an unordered DA pair, None when unconstrained."""
-        hit = self.compat.get((node_id, a, b))
-        if hit is None:
-            hit = self.compat.get((node_id, b, a))
-        return hit
+        return self._pairs.get(node_id, {}).get((a, b))
+
+
+def _check_pairs(node_id: str, homes: Mapping[str, str], table: Mapping) -> None:
+    """Reject a pair-table key that does not join alternatives of two
+    different children (``homes`` maps alternative id -> child id). Each key
+    sits in the table as given, then reversed, so the first failure names
+    the key as given."""
+    for a, b in table:
+        if a not in homes or b not in homes:
+            reason = f"{a if a not in homes else b!r} is not an alternative of any child"
+        elif homes[a] == homes[b]:
+            reason = f"both belong to the same child {homes[a]!r}"
+        else:
+            continue
+        raise ValidationError(f"node {node_id!r}: compatibility key ({a!r}, {b!r}): {reason}")
 
 
 def walk(node: MorphNode) -> Iterable[MorphNode]:
@@ -215,10 +216,11 @@ def _quality(
     level_count: int,
 ) -> tuple[QualityVector, bool]:
     """Quality of one composition plus whether it contains a zero pair."""
+    pairs = system._pairs[node.id]
     worst: int | None = None
     has_zero = False
     for (_, da_a), (_, da_b) in itertools.combinations(chosen, 2):
-        value = system.compatibility(node.id, da_a.id, da_b.id)
+        value = pairs.get((da_a.id, da_b.id))
         if value is None:
             continue  # unconstrained pair counts as best
         if value == 0:
@@ -338,15 +340,9 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
             das, leaves = expand(child)
             child_das[child.id] = das
             child_leaves[child.id] = leaves
-        homes = {da.id: cid for cid, das in child_das.items() for da in das}
-        for node_id, a, b in system.compat:
-            if node_id == node.id and (
-                a not in homes or b not in homes or homes[a] == homes[b]
-            ):
-                raise ValidationError(
-                    f"node {node.id!r}: compatibility key ({a!r}, {b!r}) names no "
-                    "pair of alternatives from two different children"
-                )
+        if not all(child.is_leaf for child in node.children):
+            homes = {da.id: cid for cid, das in child_das.items() for da in das}
+            _check_pairs(node.id, homes, system._pairs[node.id])
         decisions = compose_node(system, node.id, child_das)
         if not decisions:
             raise ValidationError(

@@ -538,6 +538,112 @@ def test_two_level_tree():
     assert result.trace == {"a": 3, "b": 2, "inner": 2, "c": 3, "root": 2}
 
 
+def parent_evaluate_integration_tree(tree):
+    """evaluate_integration_tree before it ran on the shared pre-order: a
+    recursive walk with its own duplicate-id set, evaluating in post-order."""
+    trace = {}
+    seen = set()
+
+    def walk(node):
+        if node.id in seen:
+            raise ValidationError(f"duplicate node id {node.id!r}")
+        seen.add(node.id)
+        if not node.children:
+            trace[node.id] = node.estimate
+            return node.estimate
+        inputs = tuple(walk(c) for c in node.children)
+        if inputs not in node.table:
+            raise ValidationError(
+                f"node {node.id!r}: no table entry for child estimates {inputs}"
+            )
+        trace[node.id] = node.table[inputs]
+        return node.table[inputs]
+
+    return walk(tree), trace
+
+
+def parent_check_tables_total(tree):
+    """check_tables_total before the shared pre-order: the duplicate-id and
+    totality checks interleaved in one recursive walk."""
+    seen = set()
+
+    def walk(node):
+        if node.id in seen:
+            raise ValidationError(f"duplicate node id {node.id!r}")
+        seen.add(node.id)
+        if not node.children:
+            return
+        ranges = [range(c.scale.lo, c.scale.hi + 1) for c in node.children]
+        for key in itertools.product(*ranges):
+            if key not in node.table:
+                raise ValidationError(f"node {node.id!r}: table misses child estimates {key}")
+        for c in node.children:
+            walk(c)
+
+    walk(tree)
+
+
+def error_of(call, *args):
+    try:
+        call(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def random_integration_tree(rng, ids, depth=0):
+    """Scales of 2 or 3 levels, one to three children, tables that miss
+    about one key in four and ids that repeat about one time in forty."""
+    nid = rng.choice(ids) if ids and rng.random() < 1 / 40 else f"n{len(ids)}"
+    ids.append(nid)
+    scale = OrdinalScale(1, rng.choice((2, 3)), Best.HIGH)
+    if depth == 3 or rng.random() < 0.35:
+        return IntegrationNode(nid, scale, estimate=rng.randint(1, scale.hi))
+    children = tuple(random_integration_tree(rng, ids, depth + 1) for _ in range(rng.randint(1, 3)))
+    ranges = [range(c.scale.lo, c.scale.hi + 1) for c in children]
+    table = {
+        key: rng.randint(1, scale.hi) for key in itertools.product(*ranges) if rng.random() >= 1 / 4
+    }
+    return IntegrationNode(nid, scale, children=children, table=table)
+
+
+def test_integration_tree_matches_the_recursive_walks():
+    # the pre-order reports a repeated id before any table error; with
+    # unique ids, evaluation stops at the first node in reversed pre-order
+    # whose own lookup fails, where the recursive walk stopped at the
+    # first in post-order
+    rng = random.Random(229)
+    outcomes = Counter()
+    for _ in range(600):
+        ids = []
+        tree = random_integration_tree(rng, ids)
+        nodes, stack = [], [tree]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(reversed(nodes[-1].children))
+        repeated = next((x for i, x in enumerate(ids) if x in ids[:i]), None)
+        got = error_of(evaluate_integration_tree, tree)
+        if repeated is not None:
+            assert error_of(parent_evaluate_integration_tree, tree) is not None
+            assert got == error_of(check_tables_total, tree) == f"duplicate node id {repeated!r}"
+            outcomes["duplicate"] += 1
+            continue
+        assert error_of(check_tables_total, tree) == error_of(parent_check_tables_total, tree)
+        want = error_of(parent_evaluate_integration_tree, tree)
+        if want is None:
+            result = evaluate_integration_tree(tree)
+            assert (result.root_estimate, result.trace) == parent_evaluate_integration_tree(tree)
+            outcomes["evaluated"] += 1
+            continue
+        own = [
+            e for n in reversed(nodes)
+            if (e := error_of(parent_evaluate_integration_tree, n)) and e.startswith(f"node {n.id!r}:")
+        ]
+        assert got == own[0]
+        outcomes["same error" if got == want else "other failing node"] += 1
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 4, outcomes
+
+
 # ---------------------------------------------------------------- improvement
 
 

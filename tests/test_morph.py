@@ -1,10 +1,14 @@
 import itertools
+import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from conftest import course_system
-from hmmdkit.core import GuardExceeded, ValidationError
+from hmmdkit.cli import main
+from hmmdkit.core import DEFAULT_COMPAT_SCALE, GuardExceeded, ValidationError
 from hmmdkit.morph import (
     CompositeDecision,
     DesignAlternative,
@@ -18,7 +22,9 @@ from hmmdkit.morph import (
     quality_vector,
     synthesize_tree,
     synthesize_tree_trace,
+    walk,
 )
+from hmmdkit.probio import SPEC_VERSION, MorphProblem, ProblemFile, write_problem
 
 
 def qv(w, *counts):
@@ -142,17 +148,19 @@ def test_compose_rejects_empty_supplied_alternative_set():
         compose_node(system, "E", child_das={"L": []})
 
 
-def test_compat_table_validation():
+def test_compat_table_validation(tmp_path, capsys):
     leafs = (
         MorphNode("p0", alternatives=(DesignAlternative("a1", 1), DesignAlternative("a2", 2))),
         MorphNode("p1", alternatives=(DesignAlternative("b1", 1),)),
     )
     root = MorphNode("root", children=leafs)
+    unknown = "node 'root': compatibility key ('a1', 'ghost'): 'ghost' is not an alternative of any child"
+    same = "node 'root': compatibility key ('a1', 'a2'): both belong to the same child 'p0'"
     # unknown alternative referenced by a table
-    with pytest.raises(ValidationError, match="ghost"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(unknown)}$"):
         MorphSystem(root, {("root", "a1", "ghost"): 2})
     # both alternatives belong to the same child
-    with pytest.raises(ValidationError, match="same child"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(same)}$"):
         MorphSystem(root, {("root", "a1", "a2"): 2})
     # both orientations of one pair
     with pytest.raises(ValidationError, match="orientations"):
@@ -163,6 +171,16 @@ def test_compat_table_validation():
     # value outside the scale
     with pytest.raises(ValidationError, match="outside"):
         MorphSystem(root, {("root", "a1", "b1"): 7})
+    # the parse path reports the same key messages at the payload
+    doc = json.loads(write_problem(ProblemFile(
+        SPEC_VERSION, "morph", MorphProblem(MorphSystem(root, {("root", "a1", "b1"): 2}))
+    )))
+    for right, message in (("ghost", unknown), ("a2", same)):
+        doc["payload"]["compat"][0]["right"] = right
+        path = tmp_path / f"{right}.morph"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["synth", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == f"hmmdkit: error: parse: $.payload: {message}\n"
 
 
 def test_root_tables_between_derived_composites_constrain_synthesis():
@@ -183,18 +201,207 @@ def test_root_tables_between_derived_composites_constrain_synthesis():
 
 
 @pytest.mark.parametrize(
-    "left, right",
-    [("typo", "also_typo"), ("E_1", "ghost"), ("E_1", "E_2"), ("E_9", "H_1")],
+    "left, right, reason",
+    [
+        pytest.param("typo", "also_typo", "'typo' is not an alternative of any child",
+                      id="typo-also_typo"),
+        pytest.param("E_1", "ghost", "'ghost' is not an alternative of any child", id="E_1-ghost"),
+        pytest.param("E_1", "E_2", "both belong to the same child 'E'", id="E_1-E_2"),
+        pytest.param("E_9", "H_1", "'E_9' is not an alternative of any child", id="E_9-H_1"),
+        pytest.param("H_1", "L2", "'L2' is not an alternative of any child", id="H_1-L2"),
+        pytest.param("W_1", "W_1", "both belong to the same child 'W'", id="W_1-W_1"),
+    ],
 )
-def test_unmatched_compat_key_at_internal_child_node_rejected(left, right):
+def test_unmatched_compat_key_at_internal_child_node_rejected(left, right, reason):
     # "S" has internal children, so its keys can only be checked once
     # synthesis has named the derived composites E_k and H_k
     base = course_system()
     compat = dict(base.compat)
     compat[("S", left, right)] = 0
     system = MorphSystem(base.root, compat)
-    with pytest.raises(ValidationError, match=rf"'S'.*'{left}', '{right}'"):
+    message = f"node 'S': compatibility key ('{left}', '{right}'): {reason}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         synthesize_tree(system)
+
+
+# ------------------------------------------- the pair table and its oracle
+
+
+def parent_compatibility(compat, node_id, a, b):
+    """MorphSystem.compatibility before the pair table: one probe per orientation."""
+    hit = compat.get((node_id, a, b))
+    if hit is None:
+        hit = compat.get((node_id, b, a))
+    return hit
+
+
+def parent_key_errors(root, compat, scale=DEFAULT_COMPAT_SCALE):
+    """The per-key checks MorphSystem made before the pair table, run on every
+    key: (node id, the parent's message, whether it is the key rule) for each
+    failing key, in key order. The parent raised the first of them."""
+    nodes = {n.id: n for n in walk(root)}
+    errors = []
+    for (node_id, a, b), value in compat.items():
+        owner = nodes.get(node_id)
+        if owner is None:
+            errors.append((node_id, f"compatibility table for unknown node {node_id!r}", False))
+        elif (node_id, b, a) in compat and (a, b) != (b, a):
+            errors.append((node_id, f"both orientations of pair {a!r}-{b!r} present at node "
+                           f"{node_id!r}", False))
+        elif not scale.contains(value):
+            errors.append((node_id, f"compatibility {a!r}-{b!r} at node {node_id!r}: {value} outside "
+                           f"[{scale.lo}, {scale.hi}]", False))
+        elif owner.is_leaf:
+            errors.append((node_id, f"compatibility table on leaf node {node_id!r}", False))
+        elif all(c.is_leaf for c in owner.children):
+            homes = {alt.id: c.id for c in owner.children for alt in c.alternatives}
+            if a not in homes or b not in homes:
+                missing = a if a not in homes else b
+                errors.append((node_id, f"node {node_id!r}: {missing!r} is not an alternative "
+                               "of any child", True))
+            elif homes[a] == homes[b]:
+                errors.append((node_id, f"node {node_id!r}: {a!r} and {b!r} belong to the same child "
+                               f"{homes[a]!r}", True))
+    return errors
+
+
+def parent_synthesis(system, compat):
+    """The parent's synthesis of a two-level system, for what this test needs:
+    each internal child's front (brute force over the two-probe lookup), then
+    the parent's scan of every key against the ids the children offer, then
+    the root front. Derived composites all carry priority 1, since a front
+    is one dominance layer. Returns (parent's error or None, root front)."""
+    root = system.root
+    pools = []
+    for child in root.children:
+        das = child.alternatives
+        if not child.is_leaf:
+            lookup = lambda a, b, n=child.id: parent_compatibility(compat, n, a, b)
+            front = brute_force_front(system, child.id, lookup=lookup)
+            if not front:
+                return f"node {child.id!r}: every composition contains an infeasible pair", set()
+            das = [DesignAlternative(f"{child.id}_{k + 1}", 1) for k in range(len(front))]
+        pools.append([(child.id, da) for da in das])
+    homes = {da.id: cid for pool in pools for cid, da in pool}
+    for node_id, a, b in compat:
+        if node_id == root.id and (a not in homes or b not in homes or homes[a] == homes[b]):
+            return (f"node {root.id!r}: compatibility key ({a!r}, {b!r}) names no pair of "
+                    "alternatives from two different children"), set()
+    front = brute_force_front(system, root.id, pools=pools,
+                              lookup=lambda a, b: parent_compatibility(compat, root.id, a, b))
+    if not front:
+        return f"node {root.id!r}: every composition contains an infeasible pair", set()
+    return None, front
+
+
+def in_parent_words(message, synthesis=False):
+    """A key message as the parent worded it at construction or synthesis."""
+    m = re.fullmatch(r"(node '\w+': )compatibility key \(('\w+'), ('\w+')\): (.*)", message or "")
+    if m is None:
+        return message
+    head, a, b, reason = m.groups()
+    if synthesis:
+        return (f"{head}compatibility key ({a}, {b}) names no pair of alternatives "
+                "from two different children")
+    if reason.startswith("both belong"):
+        return f"{head}{a} and {b} belong to the same child {reason.rsplit(' ', 1)[1]}"
+    return head + reason
+
+
+def random_two_level_system(rng):
+    """Root "r" over leaf children p<i> and internal children c<i> of two
+    leaves. Every internal node gets a sparse key table over the ids its
+    children offer (c<i>_1 at the root), some keys reversed. Then each
+    fault below is added to about one system in twelve."""
+    children, groups, compat = [], {}, {}
+
+    def alternatives(prefix):
+        count = rng.randint(1, 3)
+        return tuple(DesignAlternative(f"{prefix}d{j}", rng.randint(1, 3)) for j in range(count))
+
+    for i in range(rng.randint(2, 3)):
+        if rng.random() < 0.5:
+            children.append(MorphNode(f"p{i}", alternatives=alternatives(f"p{i}")))
+        else:
+            kids = tuple(
+                MorphNode(f"c{i}q{k}", alternatives=alternatives(f"c{i}q{k}")) for k in range(2)
+            )
+            children.append(MorphNode(f"c{i}", children=kids))
+            groups[f"c{i}"] = {kid.id: [da.id for da in kid.alternatives] for kid in kids}
+    groups["r"] = {
+        c.id: [da.id for da in c.alternatives] if c.is_leaf else [f"{c.id}_1"] for c in children
+    }
+    for node_id, offers in groups.items():
+        for g1, g2 in itertools.combinations(offers.values(), 2):
+            for a, b in itertools.product(g1, g2):
+                if rng.random() < 0.7:
+                    a, b = (a, b) if rng.random() < 0.7 else (b, a)
+                    compat[node_id, a, b] = rng.choice((0, 0, 1, 2, 3))
+    root = MorphNode("r", children=tuple(children))
+    ids = [x for offers in groups.values() for group in offers.values() for x in group]
+    nodes = {n.id: n for n in walk(root)}
+    all_leaf = [n for n in groups if all(c.is_leaf for c in nodes[n].children)]
+    for fault in range(8):
+        if not compat or rng.random() >= 1 / 12:
+            continue
+        node_id, a = rng.choice(list(groups)), rng.choice(ids)
+        key = rng.choice(list(compat))
+        if fault == 0:  # both orientations
+            compat.setdefault((key[0], key[2], key[1]), 2)
+        elif fault == 1:  # an id no child offers
+            compat[node_id, a, "zz"] = 1
+        elif fault == 2:  # two ids of one child, maybe the same id twice
+            group = rng.choice(list(groups[node_id].values()))
+            compat[node_id, rng.choice(group), rng.choice(group)] = 1
+        elif fault == 3 and all_leaf:  # a derived id where only leaves are offered
+            compat[rng.choice(all_leaf), f"{rng.choice(list(groups))}_1", a] = 1
+        elif fault == 4:
+            compat["ghost", a, rng.choice(ids)] = 1
+        elif fault == 5:
+            compat[rng.choice([n for n in nodes if nodes[n].is_leaf]), a, rng.choice(ids)] = 1
+        elif fault == 6:
+            compat[key] = rng.choice((-1, 4))
+        elif fault == 7:  # a composite past a child's front
+            compat["r", f"{rng.choice(list(groups))}_{rng.randint(2, 3)}", a] = 2
+    return root, compat
+
+
+def test_pair_table_matches_the_parent_lookup_and_checks():
+    # a fault other than the key rule is reported first, in key order; the
+    # parent reported whichever fault came first in key order. Key-rule
+    # faults are reported node by node in pre-order, then in key order.
+    rng = random.Random(211)
+    outcomes = Counter()
+    for _ in range(400):
+        root, compat = random_two_level_system(rng)
+        errors = parent_key_errors(root, compat)
+        try:
+            system = MorphSystem(root, compat)
+        except ValidationError as exc:
+            order = {n.id: i for i, n in enumerate(walk(root))}
+            other = [m for _, m, key_rule in errors if not key_rule]
+            key_rule = sorted((e for e in errors if e[2]), key=lambda e: order[e[0]])
+            expected = other[0] if other else key_rule[0][1]
+            assert in_parent_words(str(exc)) == expected
+            outcomes["rejected, reordered" if expected != errors[0][1] else "rejected"] += 1
+            continue
+        assert not errors
+        ids = {x for k in compat for x in k[1:]} | {"zz", "r_1"}
+        ids |= {da.id for n in walk(root) for da in n.alternatives}
+        for node_id in [n.id for n in walk(root)] + ["ghost"]:
+            for a, b in itertools.product(ids, repeat=2):
+                expected = parent_compatibility(compat, node_id, a, b)
+                assert system.compatibility(node_id, a, b) == expected
+        want, front = parent_synthesis(system, compat)
+        try:
+            got = set(synthesize_tree_trace(system).root.decisions)
+        except ValidationError as exc:
+            assert in_parent_words(str(exc), synthesis=True) == want
+            outcomes["synthesis: key" if "compatibility key" in want else "synthesis: infeasible"] += 1
+            continue
+        assert want is None and got == front
+        outcomes["synthesized"] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 5, outcomes
 
 
 # --------------------------------------------------------------- compose_node
@@ -277,22 +484,23 @@ def random_flat_system(rng, max_parts=3, max_das=4):
     return MorphSystem(root=MorphNode("root", children=tuple(leafs)), compat=compat)
 
 
-def brute_force_front(system, node_id="root", allow_zero_w=False):
-    """Independent enumeration + dominance filter."""
+def brute_force_front(system, node_id="root", allow_zero_w=False, pools=None, lookup=None):
+    """Independent enumeration + dominance filter; pools default to the
+    children's alternatives and lookup to system.compatibility."""
     node = system.node(node_id)
-    pools = [[(c.id, da) for da in c.alternatives] for c in node.children]
+    if pools is None:
+        pools = [[(c.id, da) for da in c.alternatives] for c in node.children]
+    if lookup is None:
+        lookup = lambda a, b: system.compatibility(node_id, a, b)
     hi = system.compat_scale.hi
-    max_prio = max(
-        [hi]
-        + [da.priority for c in node.children for da in c.alternatives]
-    )
+    max_prio = max([hi] + [da.priority for pool in pools for _, da in pool])
     levels = max_prio - system.priority_scale.lo + 1
     all_decisions = []
     for combo in itertools.product(*pools):
         values = []
         zero = False
         for (ca, a), (cb, b) in itertools.combinations(combo, 2):
-            v = system.compatibility(node_id, a.id, b.id)
+            v = lookup(a.id, b.id)
             if v is not None:
                 values.append(v)
                 zero = zero or v == 0

@@ -1,6 +1,6 @@
-"""Kernel ladders for the outranking, knapsack, MCKP and dendrogram solvers.
+"""Kernel ladders for the outranking, knapsack, MCKP, dendrogram and synthesis solvers.
 
-Times each rung of four scaling ladders on seeded instances from the
+Times each rung of five scaling ladders on seeded instances from the
 benchmark's generators (``perfbench/workloads.py``, imported, not edited)
 and writes the medians as JSON:
 
@@ -39,6 +39,12 @@ RUNGS = (
     + [("knapsack", {"n": n, "budget": b}) for n, b in ((30, 300), (60, 600), (120, 1200))]
     + [("mckp", {"groups": 28, "per_group": m, "budget": 360}) for m in (2, 4, 8)]
     + [("dendrogram", {"n": n, "linkage": "average"}) for n in (15, 30, 60)]
+    # the synth_front grid's first model of each widest node shape
+    + [("synthesis", {"widest": w, "front": f, "checks": c, "zero_share": z, "density": d,
+                      "depth": depth})
+       for w, f, c, z, d, depth in (((5, 4), (1, 3), "light", 0.2, 0.8, 2),
+                                    ((4, 6), (4, 10), "light", 0.3, 1.0, 2),
+                                    ((4, 7), (4, 10), "heavy", 0.3, 0.8, 3))]
 )
 
 
@@ -46,6 +52,7 @@ def _call(kernel: str, size: dict):
     """Build the rung's instance and return a no-argument call of its kernel."""
     import workloads
     from hmmdkit.cluster import Linkage, build_dendrogram
+    from hmmdkit.morph import synthesize_tree_trace
     from hmmdkit.rank import rank_outranking
     from hmmdkit.select import knapsack_exact, mckp_exact_dp
 
@@ -56,6 +63,11 @@ def _call(kernel: str, size: dict):
     if kernel == "knapsack":
         prob = workloads._knapsack(rng, size["n"], 3, 20, size["budget"])
         return lambda: knapsack_exact(prob.instance)
+    if kernel == "synthesis":
+        checks = workloads._LIGHT_CHECKS if size["checks"] == "light" else workloads._HEAVY_CHECKS
+        prob, _ = workloads._morph(rng, size["widest"], size["front"], checks, size["zero_share"],
+                                   size["density"], size["depth"])
+        return lambda: synthesize_tree_trace(prob.system)
     if kernel == "dendrogram":
         prob = workloads._cluster(rng, size["n"], Linkage(size["linkage"]), None)
         return lambda: build_dendrogram(prob.matrix, prob.linkage)
