@@ -365,8 +365,9 @@ def scalarize(
     ]
 
 
-def dominates(a: EstimateVector, b: EstimateVector) -> bool:
-    """Strict componentwise dominance on canonical (larger-is-better) vectors."""
+def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:
+    """Strict componentwise dominance on canonical (larger-is-better) vectors:
+    estimate vectors, objective tuples and morph quality keys alike."""
     if len(a) != len(b):
         raise ValidationError(f"vector length mismatch: {len(a)} vs {len(b)}")
     ge_all = all(x >= y for x, y in zip(a, b))

@@ -30,6 +30,7 @@ from .core import (
     OrdinalScale,
     ValidationError,
     check_guard,
+    dominates,
     frozen,
     non_dominated,
     pareto_layers,
@@ -191,10 +192,7 @@ def n_dominates(a: QualityVector, b: QualityVector) -> bool:
     if a.m != b.m:
         raise ValidationError(f"part-count mismatch: {a.m} vs {b.m}")
     width = max(len(a.counts), len(b.counts))
-    ca, cb = a.cumulative(width), b.cumulative(width)
-    ge = a.w >= b.w and all(x >= y for x, y in zip(ca, cb))
-    strict = a.w > b.w or any(x > y for x, y in zip(ca, cb))
-    return ge and strict
+    return dominates((a.w, *a.cumulative(width)), (b.w, *b.cumulative(width)))
 
 
 @frozen
@@ -207,31 +205,6 @@ class CompositeDecision:
     @property
     def selection_map(self) -> dict[str, str]:
         return dict(self.selection)
-
-
-def _quality(
-    system: MorphSystem,
-    node: MorphNode,
-    chosen: Sequence[tuple[str, DesignAlternative]],
-    level_count: int,
-) -> tuple[QualityVector, bool]:
-    """Quality of one composition plus whether it contains a zero pair."""
-    pairs = system._pairs[node.id]
-    worst: int | None = None
-    has_zero = False
-    for (_, da_a), (_, da_b) in itertools.combinations(chosen, 2):
-        value = pairs.get((da_a.id, da_b.id))
-        if value is None:
-            continue  # unconstrained pair counts as best
-        if value == 0:
-            has_zero = True
-        if worst is None or value < worst:
-            worst = value
-    w = system.compat_scale.hi if worst is None else worst
-    counts = [0] * level_count
-    for _, da in chosen:
-        counts[da.priority - system.priority_scale.lo] += 1
-    return QualityVector(w, tuple(counts)), has_zero
 
 
 def _canonical_sort(decisions: list[CompositeDecision]) -> list[CompositeDecision]:
@@ -259,12 +232,14 @@ def compose_node(
     discarded unless allow_zero_w is set. Output order is canonical:
     descending w, then descending cumulative counts, then selection ids.
     More than MAX_COMBINATIONS compositions (or HMMD_KIT_GUARD, when set)
-    raise GuardExceeded.
+    raise GuardExceeded; an alternative priority below the priority scale's
+    lo raises ValidationError.
     """
     node = system.node(node_id)
     if node.is_leaf:
         raise ValidationError(f"node {node_id!r} is a leaf; nothing to compose")
-    pools: list[list[tuple[str, DesignAlternative]]] = []
+    lo = system.priority_scale.lo
+    pools: list[list[DesignAlternative]] = []
     max_priority = system.priority_scale.hi
     for child in node.children:
         if child_das is not None and child.id in child_das:
@@ -277,17 +252,63 @@ def compose_node(
             )
         if not das:
             raise ValidationError(f"child {child.id!r} supplies no alternatives")
+        for da in das:
+            if da.priority < lo:
+                raise ValidationError(
+                    f"child {child.id!r}: alternative {da.id!r} has priority "
+                    f"{da.priority} below {lo}"
+                )
         max_priority = max(max_priority, max(da.priority for da in das))
-        pools.append([(child.id, da) for da in das])
+        pools.append(das)
     check_guard(math.prod(map(len, pools)), MAX_COMBINATIONS, "combinations")
-    level_count = max_priority - system.priority_scale.lo + 1
-    feasible: list[CompositeDecision] = []
-    for combo in itertools.product(*pools):
-        quality, has_zero = _quality(system, node, combo, level_count)
-        if has_zero and not allow_zero_w:
-            continue
-        feasible.append(CompositeDecision(tuple((cid, da.id) for cid, da in combo), quality))
-    return _canonical_sort(non_dominated(feasible, n_dominates, attrgetter("quality")))
+    level_count = max_priority - lo + 1
+    # level counts travel as one int in base k + 1 (a count never exceeds the
+    # k children): choosing priority p adds base ** (p - lo)
+    base = len(pools) + 1
+    steps = [[base ** (da.priority - lo) for da in das] for das in pools]
+    # links[j]: (i, value matrix by positions) for each earlier child i that
+    # shares at least one constrained pair with child j
+    table = system._pairs[node.id]
+    links: list[list[tuple[int, list]]] = [[] for _ in pools]
+    for (i, das_i), (j, das_j) in itertools.combinations(enumerate(pools), 2):
+        matrix = [[table.get((a.id, b.id)) for b in das_j] for a in das_i]
+        if any(v is not None for row in matrix for v in row):
+            links[j].append((i, matrix))
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # (w, counts code) -> choices
+    chosen = [0] * len(pools)
+    last = len(pools) - 1
+
+    def walk(d: int, w: int, code: int) -> None:
+        for p, step in enumerate(steps[d]):
+            wp = w
+            for i, matrix in links[d]:
+                v = matrix[chosen[i]][p]
+                if v is not None:
+                    if v == 0 and not allow_zero_w:
+                        break  # no completion of this prefix is feasible
+                    if v < wp:
+                        wp = v
+            else:
+                chosen[d] = p
+                if d == last:
+                    groups.setdefault((wp, code + step), []).append(tuple(chosen))
+                else:
+                    walk(d + 1, wp, code + step)
+
+    walk(0, system.compat_scale.hi, 0)
+    by_vector: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
+    for (w, code), choices in groups.items():
+        counts = tuple(code // base**level % base for level in range(level_count))
+        by_vector[(w, *itertools.accumulate(counts))] = counts, choices
+    labels = [[(child.id, da.id) for da in das] for child, das in zip(node.children, pools)]
+    decisions = []
+    for vector in non_dominated(list(by_vector), dominates):
+        counts, choices = by_vector[vector]
+        quality = QualityVector(vector[0], counts)
+        for positions in choices:
+            selection = tuple(label[p] for label, p in zip(labels, positions))
+            decisions.append(CompositeDecision(selection, quality))
+    return _canonical_sort(decisions)
 
 
 def priorities_from_quality(
@@ -327,6 +348,9 @@ class SynthesisTrace:
 def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
     """Bottom-up synthesis keeping every internal node's Pareto record."""
     records: dict[str, NodeSynthesis] = {}
+    # dominance layer 1 is the scale's best level, so derived priorities
+    # count at the same levels as the leaves' own
+    lo = system.priority_scale.lo
 
     def expand(node: MorphNode) -> tuple[list[DesignAlternative], dict[str, tuple]]:
         """Alternatives this node offers upward + leaf expansion per DA id."""
@@ -348,7 +372,7 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
             raise ValidationError(
                 f"node {node.id!r}: every composition contains an infeasible pair"
             )
-        prio = priorities_from_quality(decisions)
+        prio = {d: lo + layer - 1 for d, layer in priorities_from_quality(decisions).items()}
         ids = tuple(f"{node.id}_{k + 1}" for k in range(len(decisions)))
         expansions = {}
         for cid, decision in zip(ids, decisions):

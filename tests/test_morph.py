@@ -1,21 +1,32 @@
 import itertools
 import json
+import math
 import random
 import re
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
 from conftest import course_system
 from hmmdkit.cli import main
-from hmmdkit.core import DEFAULT_COMPAT_SCALE, GuardExceeded, ValidationError
+from hmmdkit.core import (
+    DEFAULT_COMPAT_SCALE,
+    Best,
+    GuardExceeded,
+    OrdinalScale,
+    ValidationError,
+    check_guard,
+    non_dominated,
+)
 from hmmdkit.morph import (
+    MAX_COMBINATIONS,
     CompositeDecision,
     DesignAlternative,
     MorphNode,
     MorphSystem,
     QualityVector,
-    _quality,
+    _canonical_sort,
     compose_node,
     n_dominates,
     priorities_from_quality,
@@ -72,6 +83,64 @@ def test_quality_vector_reads_the_guard_override(monkeypatch):
     monkeypatch.setenv("HMMD_KIT_GUARD", "abc")
     with pytest.raises(ValidationError, match="HMMD_KIT_GUARD"):
         quality_vector(course_system(), "E", {"L": "L2", "M": "M2", "F": "F2", "G": "G3"})
+
+
+def _quality(system, node, chosen, level_count):
+    """Quality of one composition plus whether it contains a zero pair: every
+    pair of chosen parts looked up in the node's pair table (the code
+    compose_node ran per composition before it enumerated on keys)."""
+    pairs = system._pairs[node.id]
+    worst = None
+    has_zero = False
+    for (_, da_a), (_, da_b) in itertools.combinations(chosen, 2):
+        value = pairs.get((da_a.id, da_b.id))
+        if value is None:
+            continue  # unconstrained pair counts as best
+        if value == 0:
+            has_zero = True
+        if worst is None or value < worst:
+            worst = value
+    w = system.compat_scale.hi if worst is None else worst
+    counts = [0] * level_count
+    for _, da in chosen:
+        counts[da.priority - system.priority_scale.lo] += 1
+    return QualityVector(w, tuple(counts)), has_zero
+
+
+def parent_n_dominates(a, b):
+    """n_dominates with its rule written out: w and every zero-padded
+    cumulative count at least b's, one of them strictly more."""
+    if a.m != b.m:
+        raise ValidationError(f"part-count mismatch: {a.m} vs {b.m}")
+    width = max(len(a.counts), len(b.counts))
+    ca, cb = a.cumulative(width), b.cumulative(width)
+    ge = a.w >= b.w and all(x >= y for x, y in zip(ca, cb))
+    strict = a.w > b.w or any(x > y for x, y in zip(ca, cb))
+    return ge and strict
+
+
+def reference_compose_node(system, node_id, child_das=None, *, allow_zero_w=False):
+    """compose_node as a product loop: one QualityVector and one
+    CompositeDecision per feasible composition, all of them filtered."""
+    node = system.node(node_id)
+    pools = []
+    max_priority = system.priority_scale.hi
+    for child in node.children:
+        if child_das is not None and child.id in child_das:
+            das = list(child_das[child.id])
+        else:
+            das = list(child.alternatives)
+        max_priority = max(max_priority, max(da.priority for da in das))
+        pools.append([(child.id, da) for da in das])
+    check_guard(math.prod(map(len, pools)), MAX_COMBINATIONS, "combinations")
+    level_count = max_priority - system.priority_scale.lo + 1
+    feasible = []
+    for combo in itertools.product(*pools):
+        quality, has_zero = _quality(system, node, combo, level_count)
+        if has_zero and not allow_zero_w:
+            continue
+        feasible.append(CompositeDecision(tuple((cid, da.id) for cid, da in combo), quality))
+    return _canonical_sort(non_dominated(feasible, parent_n_dominates, attrgetter("quality")))
 
 
 def reference_quality_vector(system, node_id, selection):
@@ -131,6 +200,27 @@ def test_n_dominates_is_strict_partial_order():
             assert not n_dominates(b, a)
         if n_dominates(a, b) and n_dominates(b, c):
             assert n_dominates(a, c)
+
+
+def test_n_dominates_equals_the_written_out_rule():
+    # n_dominates compares (w, *cumulative counts) keys through core.dominates,
+    # the function compose_node filters its keys with
+    rng = random.Random(229)
+    outcomes = Counter()
+    for _ in range(3000):
+        m = rng.randint(1, 4)
+        vs = []
+        for _ in range(2):
+            counts = [0] * rng.randint(1, 4)
+            for _ in range(m):
+                counts[rng.randrange(len(counts))] += 1
+            vs.append(QualityVector(rng.randint(-1, 3), tuple(counts)))
+        a, b = vs
+        outcomes[n_dominates(a, b)] += 1
+        assert n_dominates(a, b) == parent_n_dominates(a, b)
+    assert min(outcomes.values()) > 300, outcomes
+    with pytest.raises(ValidationError, match=r"^part-count mismatch: 2 vs 3$"):
+        n_dominates(qv(3, 2), qv(3, 1, 2))
 
 
 def test_da_priority_must_sit_inside_the_scale():
@@ -591,6 +681,179 @@ def test_raising_offside_compat_keeps_composites_with_w_elsewhere():
                 assert d.selection in new_selections
                 checked += 1
     assert checked > 0
+
+
+# ------------------------------------------ compose_node against the product loop
+
+#: (compat scale, priority scale): the defaults, then scales with a negative
+#: compatibility and priorities from 2, then compatibilities without a zero
+SCALES = (
+    (DEFAULT_COMPAT_SCALE, OrdinalScale(1, 3, Best.LOW)),
+    (OrdinalScale(-2, 5, Best.HIGH), OrdinalScale(2, 4, Best.LOW)),
+    (OrdinalScale(1, 4, Best.HIGH), OrdinalScale(0, 5, Best.LOW)),
+)
+
+
+def random_scaled_system(rng, two_level):
+    """Root "r" over 1-4 children: leaves of 1-4 alternatives and, when
+    ``two_level``, internal children of 1-3 leaves. Each pair of children of
+    a node gets no table entries, a sparse table or a full one; root keys at
+    internal children name their first two derived composites."""
+    compat_scale, prio_scale = rng.choice(SCALES)
+    values = range(compat_scale.lo, compat_scale.hi + 1)
+    compat = {}
+
+    def leaf(nid):
+        das = tuple(DesignAlternative(f"{nid}d{j}", rng.randint(prio_scale.lo, prio_scale.hi))
+                    for j in range(rng.randint(1, 4)))
+        return MorphNode(nid, alternatives=das)
+
+    def table(nid, offers):
+        for g1, g2 in itertools.combinations(offers, 2):
+            density = rng.choice((0.0, 0.4, 1.0))
+            for a, b in itertools.product(g1, g2):
+                if rng.random() < density:
+                    a, b = (a, b) if rng.random() < 0.7 else (b, a)
+                    zero = 0 in values and rng.random() < 0.15
+                    compat[nid, a, b] = 0 if zero else rng.choice(values)
+
+    children = []
+    for i in range(rng.randint(1, 4)):
+        if two_level and rng.random() < 0.5:
+            kids = tuple(leaf(f"c{i}q{k}") for k in range(rng.randint(1, 3)))
+            table(f"c{i}", [[da.id for da in kid.alternatives] for kid in kids])
+            children.append(MorphNode(f"c{i}", children=kids))
+        else:
+            children.append(leaf(f"p{i}"))
+    table("r", [[da.id for da in c.alternatives] if c.is_leaf else [f"{c.id}_1", f"{c.id}_2"]
+                for c in children])
+    return MorphSystem(MorphNode("r", children=tuple(children)), compat, compat_scale, prio_scale)
+
+
+def test_compose_node_equals_the_product_loop():
+    rng = random.Random(233)
+    seen = Counter()
+    for _ in range(300):
+        system = random_scaled_system(rng, two_level=False)
+        node = system.node("r")
+        lo, hi = system.priority_scale.lo, system.priority_scale.hi
+        child_das = None
+        if rng.random() < 0.4:  # supplied alternatives, priorities up to hi + 3
+            child_das = {
+                c.id: [DesignAlternative(da.id, rng.randint(lo, hi + 3)) for da in c.alternatives]
+                + [DesignAlternative(f"{c.id}x", rng.randint(lo, hi + 3))] * rng.randint(0, 1)
+                for c in node.children if rng.random() < 0.6
+            }
+            seen["above hi"] += any(da.priority > hi for das in child_das.values() for da in das)
+        fronts = []
+        for allow_zero_w in (False, True):
+            got = compose_node(system, "r", child_das, allow_zero_w=allow_zero_w)
+            assert got == reference_compose_node(system, "r", child_das, allow_zero_w=allow_zero_w)
+            seen["empty" if not got else "several" if len(got) > 1 else "one"] += 1
+            fronts.append(got)
+        seen["zero pairs dropped"] += fronts[0] != fronts[1]
+        pairs = itertools.combinations(node.children, 2)
+        seen["pair without entries"] += any(
+            not any(system.compatibility("r", a.id, b.id) is not None
+                    for a, b in itertools.product(x.alternatives, y.alternatives))
+            for x, y in pairs
+        )
+        seen["single child"] += len(node.children) == 1
+        seen[f"scales {system.compat_scale.lo}, {lo}"] += 1
+    assert len(seen) == 10 and min(seen.values()) >= 5, seen
+
+
+def test_synthesis_and_trajectories_equal_the_product_loop(monkeypatch):
+    from hmmdkit import morph
+    from hmmdkit.frameworks import Stage, TrajectorySpec, design_trajectory
+
+    def both(run):
+        """run() with compose_node, then with the product loop in its place."""
+        outcomes = []
+        for compose in (compose_node, reference_compose_node):
+            monkeypatch.setattr(morph, "compose_node", compose)
+            try:
+                outcomes.append(run())
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    rng = random.Random(239)
+    seen = Counter()
+    for _ in range(150):
+        system = random_scaled_system(rng, two_level=True)
+        got, want = both(lambda: synthesize_tree_trace(system))
+        assert got == want
+        seen["error" if isinstance(got, str) else "synthesized"] += 1
+        if not isinstance(got, str):
+            seen["two-level"] += any(not n.is_leaf for n in system.root.children)
+    for _ in range(150):
+        stages = tuple(
+            Stage(s, tuple((f"s{s}d{j}", rng.randint(1, 5)) for j in range(rng.randint(1, 4))))
+            for s in range(rng.randint(1, 4))
+        )
+        spec = TrajectorySpec(stages, {
+            (a, b): rng.randint(0, 3)
+            for s, t in itertools.combinations(stages, 2)
+            for (a, _), (b, _) in itertools.product(s.decisions, t.decisions)
+        })
+        for all_pairs in (False, True):
+            got, want = both(lambda: design_trajectory(spec, all_pairs))
+            assert got == want
+            seen["all pairs" if all_pairs else "chain"] += isinstance(got, list) and len(got) > 1
+    assert seen["synthesized"] >= 50 and seen["error"] >= 5 and seen["two-level"] >= 20, seen
+    assert seen["chain"] > 50 and seen["all pairs"] > 50, seen
+
+
+def test_derived_priorities_count_from_the_scale_lo(tmp_path, capsys):
+    # with priority_scale [2, 4], a derived composite's layer 1 is level 2,
+    # the best: m_1 used to carry priority 1 and count at the worst level
+    m = MorphNode("m", children=(
+        MorphNode("a", alternatives=(DesignAlternative("a1", 2), DesignAlternative("a2", 3))),
+        MorphNode("b", alternatives=(DesignAlternative("b1", 2), DesignAlternative("b2", 4))),
+    ))
+    c = MorphNode("c", alternatives=(DesignAlternative("c1", 2), DesignAlternative("c2", 4)))
+    system = MorphSystem(MorphNode("r", children=(m, c)), {},
+                         priority_scale=OrdinalScale(2, 4, Best.LOW))
+    trace = synthesize_tree_trace(system)
+    assert trace.nodes["m"].priorities == (2,) and trace.root.priorities == (2,)
+    assert [d.quality for d in trace.root.decisions] == [qv(3, 2, 0, 0)]
+    path = tmp_path / "r.morph"
+    path.write_text(write_problem(ProblemFile(SPEC_VERSION, "morph", MorphProblem(system))))
+    assert main(["synth", "--input", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  r_1: m=m_1, c=c1; N(S) = (3; 2, 0, 0); priority 2"
+    )
+
+
+@pytest.mark.parametrize("priority", [0, -5])
+def test_compose_rejects_priorities_below_the_scale(priority):
+    # 0 used to count silently at the worst level and -5 raised IndexError
+    system = course_system()
+    das = [DesignAlternative("L1", 1), DesignAlternative("Lx", priority)]
+    message = f"child 'L': alternative 'Lx' has priority {priority} below 1"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        compose_node(system, "E", {"L": das})
+
+
+def test_guard_counts_the_full_product_though_zero_pairs_prune(monkeypatch):
+    # every pair is zero, so no prefix longer than one part is walked
+    parts = tuple(
+        MorphNode(f"p{i}", alternatives=tuple(DesignAlternative(f"p{i}d{j}", 1) for j in range(3)))
+        for i in range(3)
+    )
+    compat = {
+        ("r", a.id, b.id): 0
+        for x, y in itertools.combinations(parts, 2)
+        for a, b in itertools.product(x.alternatives, y.alternatives)
+    }
+    system = MorphSystem(MorphNode("r", children=parts), compat)
+    monkeypatch.setenv("HMMD_KIT_GUARD", "26")
+    with pytest.raises(GuardExceeded, match=r"^27 combinations exceed guard 26$"):
+        compose_node(system, "r")
+    monkeypatch.setenv("HMMD_KIT_GUARD", "27")
+    assert compose_node(system, "r") == []
+    assert len(compose_node(system, "r", allow_zero_w=True)) == 27
 
 
 # ------------------------------------------------------------ synthesize_tree

@@ -1,6 +1,6 @@
-"""Kernel ladders for the outranking, knapsack, MCKP, dendrogram and synthesis solvers.
+"""Kernel ladders for the outranking, knapsack, MCKP, dendrogram and morph solvers.
 
-Times each rung of five scaling ladders on seeded instances from the
+Times each rung of seven scaling ladders on seeded instances from the
 benchmark's generators (``perfbench/workloads.py``, imported, not edited)
 and writes the medians as JSON:
 
@@ -9,10 +9,13 @@ and writes the medians as JSON:
 
 Each ``--tree LABEL=SRC`` is a source directory holding the ``hmmdkit``
 package; it is timed in child processes of its own, so two versions never
-share an interpreter. The trees take turns over ROUNDS rounds, each child
-making REPEAT calls per rung, so a slow phase of a shared host falls on
-every tree alike. A rung's time is the median of all its calls of
-the kernel alone (instance built and one warm-up call made beforehand).
+share an interpreter. The trees take turns in ABBA order over ROUNDS short
+rounds: in each round every tree's child builds the instances, makes one
+warm-up call and then one timed call of each rung's kernel. A rung's time
+is the median over the rounds. Its ratio is the median over the rounds of
+each tree's time over the first tree's, taken within one round, so a slow
+phase of a shared host cancels out. Rungs whose code every tree shares
+should read about 1; when they do not, the host did not hold steady.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import random
@@ -30,8 +34,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEAT = 5
-ROUNDS = 3
+ROUNDS = 15
 
 #: (kernel, size) per rung; sizes follow the solver_mix instances
 RUNGS = (
@@ -39,12 +42,16 @@ RUNGS = (
     + [("knapsack", {"n": n, "budget": b}) for n, b in ((30, 300), (60, 600), (120, 1200))]
     + [("mckp", {"groups": 28, "per_group": m, "budget": 360}) for m in (2, 4, 8)]
     + [("dendrogram", {"n": n, "linkage": "average"}) for n in (15, 30, 60)]
-    # the synth_front grid's first model of each widest node shape
-    + [("synthesis", {"widest": w, "front": f, "checks": c, "zero_share": z, "density": d,
-                      "depth": depth})
+    # the synth_front grid's first model of each widest node shape: the whole
+    # synthesis, then compose_node on the widest node alone
+    + [(kernel, {"widest": w, "front": f, "checks": c, "zero_share": z, "density": d,
+                 "depth": depth})
+       for kernel in ("synthesis", "compose")
        for w, f, c, z, d, depth in (((5, 4), (1, 3), "light", 0.2, 0.8, 2),
                                     ((4, 6), (4, 10), "light", 0.3, 1.0, 2),
                                     ((4, 7), (4, 10), "heavy", 0.3, 0.8, 3))]
+    + [("trajectory", {"stages": n, "width": w, "all_pairs": a})
+       for n, w, a in ((5, 4, False), (4, 6, True))]
 )
 
 
@@ -52,22 +59,35 @@ def _call(kernel: str, size: dict):
     """Build the rung's instance and return a no-argument call of its kernel."""
     import workloads
     from hmmdkit.cluster import Linkage, build_dendrogram
-    from hmmdkit.morph import synthesize_tree_trace
+    from hmmdkit.frameworks import design_trajectory
+    from hmmdkit.morph import compose_node, synthesize_tree_trace, walk
     from hmmdkit.rank import rank_outranking
     from hmmdkit.select import knapsack_exact, mckp_exact_dp
 
-    rng = random.Random(f"ladder:{kernel}:{sorted(size.items())}")
+    # a compose rung draws the same model as the synthesis rung of its size
+    model = "synthesis" if kernel == "compose" else kernel
+    rng = random.Random(f"ladder:{model}:{sorted(size.items())}")
     if kernel == "outranking":
         prob = workloads._ranking(rng, size["n"], size["k"])
         return lambda: rank_outranking(prob.instance, prob.p, prob.q)
     if kernel == "knapsack":
         prob = workloads._knapsack(rng, size["n"], 3, 20, size["budget"])
         return lambda: knapsack_exact(prob.instance)
-    if kernel == "synthesis":
+    if model == "synthesis":
         checks = workloads._LIGHT_CHECKS if size["checks"] == "light" else workloads._HEAVY_CHECKS
         prob, _ = workloads._morph(rng, size["widest"], size["front"], checks, size["zero_share"],
                                    size["density"], size["depth"])
-        return lambda: synthesize_tree_trace(prob.system)
+        if kernel == "synthesis":
+            return lambda: synthesize_tree_trace(prob.system)
+        widest = max(
+            (n for n in walk(prob.system.root) if n.children and all(c.is_leaf for c in n.children)),
+            key=lambda n: math.prod(len(c.alternatives) for c in n.children),
+        )
+        return lambda: compose_node(prob.system, widest.id)
+    if kernel == "trajectory":
+        prob, _ = workloads._trajectory(rng, size["stages"], size["width"], size["all_pairs"],
+                                        (1, 10), workloads._LIGHT_CHECKS)
+        return lambda: design_trajectory(prob.spec, prob.all_pairs)
     if kernel == "dendrogram":
         prob = workloads._cluster(rng, size["n"], Linkage(size["linkage"]), None)
         return lambda: build_dendrogram(prob.matrix, prob.linkage)
@@ -81,12 +101,9 @@ def _worker(src: str) -> None:
     for kernel, size in RUNGS:
         call = _call(kernel, size)
         call()
-        times = []
-        for _ in range(REPEAT):
-            start = time.perf_counter()
-            call()
-            times.append((time.perf_counter() - start) * 1000)
-        samples.append(times)
+        start = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - start) * 1000)
     print(json.dumps(samples))
 
 
@@ -119,25 +136,31 @@ def main(argv: list[str] | None = None) -> int:
     if not args.tree:
         parser.error("give at least one --tree LABEL=SRC")
     trees = dict(t.split("=", 1) for t in args.tree)
-    samples = {label: [[] for _ in RUNGS] for label in trees}
+    samples = {label: [[] for _ in RUNGS] for label in trees}  # label -> rung -> ms per round
     for r in range(ROUNDS):
         for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
             proc = subprocess.run(
                 [sys.executable, __file__, "--worker", os.path.abspath(trees[label])],
                 capture_output=True, text=True, check=True,
             )
-            for pooled, times in zip(samples[label], json.loads(proc.stdout)):
-                pooled.extend(times)
+            for rounds, ms in zip(samples[label], json.loads(proc.stdout)):
+                rounds.append(ms)
+    first = samples[next(iter(trees))]
     report = {
-        "what": "median ms of one kernel call per rung; instances from perfbench/workloads.py",
+        "what": "median ms of one kernel call per rung, and the median per-round ratio of each "
+                "tree's time to the first tree's; instances from perfbench/workloads.py",
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "commit": _commit(),
-        "calls_per_rung": ROUNDS * REPEAT,
+        "calls_per_rung": ROUNDS,
         "trees": {label: {"src_sha256": _src_sha256(Path(src))} for label, src in trees.items()},
         "rungs": [
             {"kernel": kernel, **size,
-             "median_ms": {label: round(statistics.median(s[i]), 2) for label, s in samples.items()}}
+             "median_ms": {label: round(statistics.median(s[i]), 2) for label, s in samples.items()},
+             f"median_round_ratio_to_{next(iter(trees))}": {
+                 label: round(statistics.median(x / y for x, y in zip(s[i], first[i])), 3)
+                 for label, s in list(samples.items())[1:]
+             }}
             for i, (kernel, size) in enumerate(RUNGS)
         ],
     }
