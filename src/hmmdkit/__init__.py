@@ -63,7 +63,6 @@ _EXPORTS = {
         "QualityVector",
         "compose_node",
         "n_dominates",
-        "priorities_from_quality",
         "quality_vector",
         "synthesize_tree",
         "synthesize_tree_trace",

@@ -387,12 +387,9 @@ def _parse_weights(raw: str | None) -> list[Fraction] | None:
     if raw is None:
         return None
     try:
-        weights = [as_frac(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        return [as_frac(tok.strip()) for tok in raw.split(",")]
     except ValidationError as exc:
         raise _usage(f"bad --weights: {exc}")
-    if not weights:
-        raise _usage("--weights must list at least one number")
-    return weights
 
 
 def run_command(args: argparse.Namespace) -> int:

@@ -12,7 +12,7 @@ import os
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, ge, gt
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: importing typing costs start-up time
@@ -370,8 +370,7 @@ def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:
     estimate vectors, objective tuples and morph quality keys alike."""
     if len(a) != len(b):
         raise ValidationError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    ge_all = all(x >= y for x, y in zip(a, b))
-    return ge_all and any(x > y for x, y in zip(a, b))
+    return all(map(ge, a, b)) and any(map(gt, a, b))
 
 
 def non_dominated(

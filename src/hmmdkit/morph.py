@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from operator import attrgetter
 
 from .core import (
     DEFAULT_COMPAT_SCALE,
@@ -33,7 +32,6 @@ from .core import (
     dominates,
     frozen,
     non_dominated,
-    pareto_layers,
 )
 
 MAX_COMBINATIONS = 10**6
@@ -119,8 +117,7 @@ class MorphSystem:
         for node_id, table in pairs.items():
             children = nodes[node_id].children
             if all(c.is_leaf for c in children):
-                homes = {alt.id: c.id for c in children for alt in c.alternatives}
-                _check_pairs(node_id, homes, table)
+                _check_pairs(node_id, {c.id: c.alternatives for c in children}, table)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_pairs", pairs)
 
@@ -135,16 +132,26 @@ class MorphSystem:
         return self._pairs.get(node_id, {}).get((a, b))
 
 
-def _check_pairs(node_id: str, homes: Mapping[str, str], table: Mapping) -> None:
+def _check_pairs(
+    node_id: str, offers: Mapping[str, Sequence[DesignAlternative]], table: Mapping
+) -> None:
     """Reject a pair-table key that does not join alternatives of two
-    different children (``homes`` maps alternative id -> child id). Each key
-    sits in the table as given, then reversed, so the first failure names
-    the key as given."""
+    different children (``offers`` maps child id -> the alternatives it
+    offers), or that names an id two children share, which would constrain
+    both pairs at once. Each key sits in the table as given, then reversed,
+    so the first failure names the key as given."""
+    homes: dict[str, list[str]] = {}  # alternative id -> the children offering it
+    for child_id, das in offers.items():
+        for da in das:
+            homes.setdefault(da.id, []).append(child_id)
     for a, b in table:
         if a not in homes or b not in homes:
             reason = f"{a if a not in homes else b!r} is not an alternative of any child"
+        elif len(homes[a]) > 1 or len(homes[b]) > 1:
+            x = a if len(homes[a]) > 1 else b
+            reason = f"{x!r} is an alternative of both {homes[x][0]!r} and {homes[x][1]!r}"
         elif homes[a] == homes[b]:
-            reason = f"both belong to the same child {homes[a]!r}"
+            reason = f"both belong to the same child {homes[a][0]!r}"
         else:
             continue
         raise ValidationError(f"node {node_id!r}: compatibility key ({a!r}, {b!r}): {reason}")
@@ -205,18 +212,6 @@ class CompositeDecision:
     @property
     def selection_map(self) -> dict[str, str]:
         return dict(self.selection)
-
-
-def _canonical_sort(decisions: list[CompositeDecision]) -> list[CompositeDecision]:
-    width = max((len(d.quality.counts) for d in decisions), default=0)
-    return sorted(
-        decisions,
-        key=lambda d: (
-            -d.quality.w,
-            tuple(-c for c in d.quality.cumulative(width)),
-            d.selection,
-        ),
-    )
 
 
 def compose_node(
@@ -302,26 +297,14 @@ def compose_node(
         by_vector[(w, *itertools.accumulate(counts))] = counts, choices
     labels = [[(child.id, da.id) for da in das] for child, das in zip(node.children, pools)]
     decisions = []
-    for vector in non_dominated(list(by_vector), dominates):
+    for vector in sorted(non_dominated(list(by_vector), dominates), reverse=True):
         counts, choices = by_vector[vector]
         quality = QualityVector(vector[0], counts)
-        for positions in choices:
-            selection = tuple(label[p] for label, p in zip(labels, positions))
-            decisions.append(CompositeDecision(selection, quality))
-    return _canonical_sort(decisions)
-
-
-def priorities_from_quality(
-    decisions: Sequence[CompositeDecision],
-) -> dict[CompositeDecision, int]:
-    """Ordinal priorities of composites: dominance layer index (dense)."""
-    if not decisions:
-        raise ValidationError("no decisions to prioritize")
-    parts = {d.quality.m for d in decisions}
-    if len(parts) != 1:
-        raise ValidationError(f"mixed part counts: {sorted(parts)}")
-    layers = pareto_layers(decisions, n_dominates, attrgetter("quality"))
-    return dict(zip(decisions, layers))
+        selections = sorted(
+            tuple(label[p] for label, p in zip(labels, positions)) for positions in choices
+        )
+        decisions.extend(CompositeDecision(s, quality) for s in selections)
+    return decisions
 
 
 @frozen
@@ -348,8 +331,7 @@ class SynthesisTrace:
 def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
     """Bottom-up synthesis keeping every internal node's Pareto record."""
     records: dict[str, NodeSynthesis] = {}
-    # dominance layer 1 is the scale's best level, so derived priorities
-    # count at the same levels as the leaves' own
+    # a node passes up its front, one dominance layer, so each composite gets the best level
     lo = system.priority_scale.lo
 
     def expand(node: MorphNode) -> tuple[list[DesignAlternative], dict[str, tuple]]:
@@ -365,14 +347,12 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
             child_das[child.id] = das
             child_leaves[child.id] = leaves
         if not all(child.is_leaf for child in node.children):
-            homes = {da.id: cid for cid, das in child_das.items() for da in das}
-            _check_pairs(node.id, homes, system._pairs[node.id])
+            _check_pairs(node.id, child_das, system._pairs[node.id])
         decisions = compose_node(system, node.id, child_das)
         if not decisions:
             raise ValidationError(
                 f"node {node.id!r}: every composition contains an infeasible pair"
             )
-        prio = {d: lo + layer - 1 for d, layer in priorities_from_quality(decisions).items()}
         ids = tuple(f"{node.id}_{k + 1}" for k in range(len(decisions)))
         expansions = {}
         for cid, decision in zip(ids, decisions):
@@ -384,13 +364,10 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
             node_id=node.id,
             decisions=tuple(decisions),
             composite_ids=ids,
-            priorities=tuple(prio[d] for d in decisions),
+            priorities=(lo,) * len(ids),
             leaf_selections=tuple(expansions[cid] for cid in ids),
         )
-        derived = [
-            DesignAlternative(cid, prio[d]) for cid, d in zip(ids, decisions)
-        ]
-        return derived, expansions
+        return [DesignAlternative(cid, lo) for cid in ids], expansions
 
     if system.root.is_leaf:
         raise ValidationError("the root must be an internal node")

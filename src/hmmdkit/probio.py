@@ -439,14 +439,14 @@ class ProblemFile:
 
 
 def _rank() -> _Record:
-    from .rank import DEFAULT_CONCORDANCE, DEFAULT_DISCORDANCE, RankingInstance
+    from .rank import DEFAULT_CONCORDANCE, DEFAULT_DISCORDANCE, RankingInstance, outranking_thresholds
 
     return _Record(
         ("criteria", _FRAME, "instance.frame"),
         ("alternatives", _List(_Record(("id", _STR, 0), ("estimates", _VECTOR, 1)), 1), "instance.alternatives"),
         ("p", _FRAC, "p", DEFAULT_CONCORDANCE),
         ("q", _FRAC, "q", DEFAULT_DISCORDANCE),
-        build=lambda frame, alts, p, q: RankProblem(RankingInstance(frame, alts), p, q),
+        build=lambda frame, alts, p, q: RankProblem(RankingInstance(frame, alts), *outranking_thresholds(p, q)),
     )
 
 

@@ -150,6 +150,16 @@ def _strongly_connected(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def outranking_thresholds(p: Number, q: Number) -> tuple[Fraction, Fraction]:
+    """The concordance and discordance thresholds as Fractions, each in [0, 1]."""
+    p, q = as_frac(p), as_frac(q)
+    if not 0 <= p <= 1:
+        raise ValidationError(f"concordance threshold p={p} outside [0, 1]")
+    if not 0 <= q <= 1:
+        raise ValidationError(f"discordance threshold q={q} outside [0, 1]")
+    return p, q
+
+
 def rank_outranking(
     inst: RankingInstance,
     p: Number = DEFAULT_CONCORDANCE,
@@ -173,11 +183,7 @@ def rank_outranking(
     fails discordance. Columns and weights are scaled to ints, which keeps
     both tests.
     """
-    p, q = as_frac(p), as_frac(q)
-    if not 0 <= p <= 1:
-        raise ValidationError(f"concordance threshold p={p} outside [0, 1]")
-    if not 0 <= q <= 1:
-        raise ValidationError(f"discordance threshold q={q} outside [0, 1]")
+    p, q = outranking_thresholds(p, q)
     cols = []  # larger is better in every column
     for k, direction in enumerate(inst.frame.directions):
         col = as_ints([est[k] for _, est in inst.alternatives])

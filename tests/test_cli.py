@@ -99,6 +99,14 @@ def test_bad_weights_follow_the_frame_rules(capsys, weights, message):
     )
 
 
+@pytest.mark.parametrize("weights", ["1,,2,3", ",1,2,3", "1,2,3,", ""], ids=["inner", "leading", "trailing", "empty"])
+def test_every_weights_entry_must_be_a_number(capsys, weights):
+    # an empty entry used to be dropped, so "1,,2,3" read as 1,2,3
+    assert run(capsys, "assign", "--input", ASSIGN, f"--weights={weights}") == (
+        2, "", "hmmdkit: error: usage: bad --weights: not a number: ''\n"
+    )
+
+
 def test_mckp_oracle_passes_on_fixture(capsys):
     code, out, err = run(capsys, "mckp", "--input", MCKP, "--oracle", "--format", "json")
     assert code == 0
@@ -249,6 +257,23 @@ def test_rank_end_to_end(tmp_path, capsys):
         assert code == 0
         result = parse_result(out)
         assert result.solution["priorities"][expected_best] == 1
+
+
+@pytest.mark.parametrize("method", ["utility", "pareto", "outranking", "ideal"])
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (2, -1, "concordance threshold p=2 outside [0, 1]"),
+        ("0.6", "3/2", "discordance threshold q=3/2 outside [0, 1]"),
+    ],
+)
+def test_outranking_thresholds_are_checked_while_parsing(method, p, q, message, tmp_path, capsys):
+    # only outranking reads p and q; the other methods used to ignore bad ones
+    path = tmp_path / "rank.json"
+    path.write_text(problem_text("rank", {**CANONICAL["rank"], "p": p, "q": q}))
+    assert run(capsys, "rank", "--input", str(path), "--method", method) == (
+        3, "", f"hmmdkit: error: parse: $.payload: {message}\n"
+    )
 
 
 def test_tsp_and_cluster_and_oracle(tmp_path, capsys):

@@ -18,6 +18,7 @@ from hmmdkit.core import (
     ValidationError,
     check_guard,
     non_dominated,
+    pareto_layers,
 )
 from hmmdkit.morph import (
     MAX_COMBINATIONS,
@@ -26,10 +27,8 @@ from hmmdkit.morph import (
     MorphNode,
     MorphSystem,
     QualityVector,
-    _canonical_sort,
     compose_node,
     n_dominates,
-    priorities_from_quality,
     quality_vector,
     synthesize_tree,
     synthesize_tree_trace,
@@ -117,6 +116,32 @@ def parent_n_dominates(a, b):
     ge = a.w >= b.w and all(x >= y for x, y in zip(ca, cb))
     strict = a.w > b.w or any(x > y for x, y in zip(ca, cb))
     return ge and strict
+
+
+def _canonical_sort(decisions):
+    """Descending w, then descending cumulative counts, then selection ids:
+    the order compose_node gave its front by sorting it once more."""
+    width = max((len(d.quality.counts) for d in decisions), default=0)
+    return sorted(
+        decisions,
+        key=lambda d: (
+            -d.quality.w,
+            tuple(-c for c in d.quality.cumulative(width)),
+            d.selection,
+        ),
+    )
+
+
+def priorities_from_quality(decisions):
+    """Ordinal priorities of composites: dominance layer index (dense). This
+    peel ran over every node's front in synthesis, which is one layer."""
+    if not decisions:
+        raise ValidationError("no decisions to prioritize")
+    parts = {d.quality.m for d in decisions}
+    if len(parts) != 1:
+        raise ValidationError(f"mixed part counts: {sorted(parts)}")
+    layers = pareto_layers(decisions, n_dominates, attrgetter("quality"))
+    return dict(zip(decisions, layers))
 
 
 def reference_compose_node(system, node_id, child_das=None, *, allow_zero_w=False):
@@ -456,6 +481,34 @@ def random_two_level_system(rng):
     return root, compat
 
 
+def test_compat_key_naming_an_id_two_children_share_is_rejected(tmp_path, capsys):
+    # the key used to constrain p0.x-c and p1.x-c alike
+    leafs = (
+        MorphNode("p0", alternatives=(DesignAlternative("x", 1), DesignAlternative("a", 1))),
+        MorphNode("p1", alternatives=(DesignAlternative("x", 1), DesignAlternative("b", 1))),
+        MorphNode("p2", alternatives=(DesignAlternative("c", 1),)),
+    )
+    root = MorphNode("r", children=leafs)
+    message = "node 'r': compatibility key ('x', 'c'): 'x' is an alternative of both 'p0' and 'p1'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        MorphSystem(root, {("r", "x", "c"): 1})
+    system = MorphSystem(root, {("r", "a", "c"): 3})
+    assert len(synthesize_tree(system)) == 4  # a shared id no key names is fine
+    doc = json.loads(write_problem(ProblemFile(SPEC_VERSION, "morph", MorphProblem(system))))
+    doc["payload"]["compat"][0]["left"] = "x"
+    path = tmp_path / "shared.morph"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == f"hmmdkit: error: parse: $.payload: {message}\n"
+    # a derived composite id that a leaf sibling also offers, found in synthesis
+    sub = MorphNode("s", children=(MorphNode("q", alternatives=(DesignAlternative("q1", 1),)),))
+    leaf = MorphNode("p", alternatives=(DesignAlternative("s_1", 1), DesignAlternative("y", 2)))
+    system = MorphSystem(MorphNode("r", children=(sub, leaf)), {("r", "y", "s_1"): 2})
+    message = "node 'r': compatibility key ('y', 's_1'): 's_1' is an alternative of both 's' and 'p'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        synthesize_tree(system)
+
+
 def test_pair_table_matches_the_parent_lookup_and_checks():
     # a fault other than the key rule is reported first, in key order; the
     # parent reported whichever fault came first in key order. Key-rule
@@ -694,12 +747,13 @@ SCALES = (
 )
 
 
-def random_scaled_system(rng, two_level):
+def random_scaled_system(rng, two_level, scales=SCALES):
     """Root "r" over 1-4 children: leaves of 1-4 alternatives and, when
     ``two_level``, internal children of 1-3 leaves. Each pair of children of
     a node gets no table entries, a sparse table or a full one; root keys at
-    internal children name their first two derived composites."""
-    compat_scale, prio_scale = rng.choice(SCALES)
+    internal children name their first two derived composites. The
+    (compat, priority) scale pair is one of ``scales``."""
+    compat_scale, prio_scale = rng.choice(scales)
     values = range(compat_scale.lo, compat_scale.hi + 1)
     compat = {}
 
@@ -803,6 +857,48 @@ def test_synthesis_and_trajectories_equal_the_product_loop(monkeypatch):
             seen["all pairs" if all_pairs else "chain"] += isinstance(got, list) and len(got) > 1
     assert seen["synthesized"] >= 50 and seen["error"] >= 5 and seen["two-level"] >= 20, seen
     assert seen["chain"] > 50 and seen["all pairs"] > 50, seen
+
+
+def leaves_reversed(system):
+    """``system`` with every leaf listing its alternatives in reverse order."""
+    def flip(node):
+        if node.is_leaf:
+            return MorphNode(node.id, alternatives=node.alternatives[::-1])
+        return MorphNode(node.id, children=tuple(map(flip, node.children)))
+
+    return MorphSystem(flip(system.root), system.compat, system.compat_scale, system.priority_scale)
+
+
+def test_synthesis_passes_each_front_up_at_the_scale_lo():
+    # each node's decisions are one front: the peel synthesis ran over them
+    # finds a single layer, and they come in the canonical order, whatever
+    # order the leaves list their alternatives in
+    rng = random.Random(239)
+    scales = [(c, OrdinalScale(lo, lo + 2, Best.LOW)) for c, _ in SCALES for lo in (1, 2, 3)]
+    seen = Counter()
+    for _ in range(150):
+        system = random_scaled_system(rng, two_level=True, scales=scales)
+        try:
+            trace = synthesize_tree_trace(system)
+        except ValidationError:
+            continue
+        assert synthesize_tree_trace(leaves_reversed(system)) == trace
+        lo = system.priority_scale.lo
+        for rec in trace.nodes.values():
+            n = len(rec.decisions)
+            assert set(priorities_from_quality(rec.decisions).values()) == {1}
+            assert rec.priorities == (lo,) * n
+            assert list(rec.decisions) == _canonical_sort(rec.decisions)
+            # a derived composite counts at level lo in its parent's vector
+            node = system.node(rec.node_id)
+            prio = {(c.id, da.id): da.priority for c in node.children for da in c.alternatives}
+            for d in rec.decisions:
+                levels = Counter(prio.get(part, lo) - lo for part in d.selection)
+                assert d.quality.counts == tuple(levels[k] for k in range(len(d.quality.counts)))
+            seen[f"lo {lo}"] += 1
+            seen["several"] += n > 1
+            seen["derived"] += any(not c.is_leaf for c in node.children)
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
 
 
 def test_derived_priorities_count_from_the_scale_lo(tmp_path, capsys):
