@@ -17,6 +17,8 @@ from .core import (
     Number,
     ValidationError,
     check_guard,
+    check_lengths,
+    check_unique,
     dominates,
     frozen,
     non_dominated,
@@ -41,20 +43,19 @@ class AssignmentInstance:
         object.__setattr__(self, "cells", tuple(tuple(r) for r in self.cells))
         if not self.agents or not self.positions:
             raise ValidationError("agents and positions must be non-empty")
-        if len(set(self.agents)) != len(self.agents):
-            raise ValidationError("duplicate agent ids")
-        if len(set(self.positions)) != len(self.positions):
-            raise ValidationError("duplicate position ids")
+        check_unique(self.agents, "duplicate agent id")
+        check_unique(self.positions, "duplicate position id")
         if len(self.cells) != len(self.agents) or any(
             len(r) != len(self.positions) for r in self.cells
         ):
             raise ValidationError(
                 f"cell matrix must be {len(self.agents)}x{len(self.positions)}"
             )
-        for row in self.cells:
-            for v in row:
-                if not v.conforms(self.frame):
-                    raise ValidationError("cell vector length mismatch with frame")
+        check_lengths(self.frame, (
+            (v, "cell ({!r}, {!r})", agent, pos)
+            for agent, row in zip(self.agents, self.cells)
+            for pos, v in zip(self.positions, row)
+        ))
         cap = dict(self.capacity) if self.capacity else {}
         for pos in self.positions:
             cap.setdefault(pos, 1)

@@ -7,12 +7,10 @@ sorted member ids, so results are reproducible.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .core import Number, ValidationError, as_frac, check_dissimilarities, frozen
+from .core import Number, ValidationError, check_dissimilarities, frozen
 
 
 class Linkage(Enum):
@@ -30,27 +28,6 @@ class DissimilarityMatrix:
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "d", tuple(tuple(row) for row in self.d))
         check_dissimilarities(self.ids, self.d)
-
-    @classmethod
-    def from_points(
-        cls, ids: Sequence[str], points: Sequence[Sequence[Number]]
-    ) -> "DissimilarityMatrix":
-        """Euclidean distances between feature vectors (float entries)."""
-        if len(ids) != len(points):
-            raise ValidationError("one point per id required")
-        pts = [[float(as_frac(x)) for x in p] for p in points]
-        n = len(pts)
-        d = [
-            tuple(
-                math.dist(pts[i], pts[j]) if i != j else 0 for j in range(n)
-            )
-            for i in range(n)
-        ]
-        return cls(tuple(ids), tuple(d))
-
-    def value(self, a: str, b: str) -> Number:
-        ia, ib = self.ids.index(a), self.ids.index(b)
-        return self.d[ia][ib]
 
 
 @frozen

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, ge, gt
@@ -166,6 +166,39 @@ def as_ints(values: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+# The three record rules. Each message is formatted here, and only on
+# failure: ``message.format(*args)`` names the record or the entry.
+
+
+def check_unique(ids: Sequence[Hashable], message: str, *args: object) -> None:
+    """Raise ``<message> '<first repeated id>'`` unless the ids are distinct."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for x in ids:
+            if x in seen:
+                raise ValidationError(f"{message.format(*args)} {x!r}")
+            seen.add(x)
+
+
+def check_lengths(frame: CriteriaFrame, entries: Iterable[tuple]) -> None:
+    """Raise ``<label>: <n> values for <k> criteria`` at the first entry
+    ``(vector, label, *args)`` whose estimate vector does not have one value
+    per criterion of ``frame``; its label is ``label.format(*args)``."""
+    k = len(frame)
+    for entry in entries:
+        n = len(entry[0].values)
+        if n != k:
+            raise ValidationError(f"{entry[1].format(*entry[2:])}: {n} values for {k} criteria")
+
+
+def nonnegative(value: Number | str, what: str, *args: object) -> Fraction:
+    """``as_frac(value)``; raise ``<what> must be nonnegative`` below 0."""
+    value = as_frac(value)
+    if value < 0:
+        raise ValidationError(f"{what.format(*args)} must be nonnegative")
+    return value
+
+
 class Best(Enum):
     """Which end of an ordinal scale is the good one."""
 
@@ -209,9 +242,7 @@ class Criterion:
     def __post_init__(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise ValidationError("criterion id must be a non-empty string")
-        object.__setattr__(self, "weight", as_frac(self.weight))
-        if self.weight < 0:
-            raise ValidationError(f"criterion {self.id!r}: weight must be nonnegative")
+        object.__setattr__(self, "weight", nonnegative(self.weight, "criterion {!r}: weight", self.id))
 
 
 @frozen
@@ -224,9 +255,7 @@ class CriteriaFrame:
         crits = tuple(self.criteria)
         if not crits:
             raise ValidationError("a criteria frame needs at least one criterion")
-        ids = [c.id for c in crits]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate criterion ids: {ids}")
+        check_unique([c.id for c in crits], "duplicate criterion id")
         total = sum((c.weight for c in crits), Fraction(0))
         if total == 0:
             raise ValidationError("criterion weights must not all be zero")
@@ -275,9 +304,6 @@ class EstimateVector:
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
-    def conforms(self, frame: CriteriaFrame) -> bool:
-        return len(self.values) == len(frame)
-
 
 def vector_sum(frame: CriteriaFrame, vectors: Sequence[EstimateVector]) -> EstimateVector:
     """Componentwise sum; the zero vector of ``frame`` when there are no vectors."""
@@ -291,8 +317,7 @@ def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> 
     entry and d[i][j] == d[j][i]."""
     if not ids:
         raise ValidationError("a dissimilarity matrix needs at least one id")
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"duplicate ids: {list(ids)}")
+    check_unique(ids, "duplicate id")
     n = len(ids)
     if len(d) != n or any(len(row) != n for row in d):
         raise ValidationError(f"matrix must be {n}x{n}")
@@ -311,11 +336,7 @@ def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> 
 def check_rows(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> None:
     if not rows:
         raise ValidationError("empty row set")
-    for i, row in enumerate(rows):
-        if not row.conforms(frame):
-            raise ValidationError(
-                f"row {i} has {len(row)} values, frame has {len(frame)} criteria"
-            )
+    check_lengths(frame, ((row, "row {}", i) for i, row in enumerate(rows)))
 
 
 def normalize_estimates(

@@ -24,7 +24,10 @@ from .core import (
     OrdinalScale,
     ValidationError,
     as_frac,
+    check_lengths,
+    check_unique,
     frozen,
+    nonnegative,
     vector_sum,
 )
 
@@ -47,10 +50,11 @@ class PairActions:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        pair = f"pair ({self.element1!r}, {self.element2!r})"
         if not self.items:
-            raise ValidationError(f"{pair} has no actions")
-        _check_action_ids(pair, self.items)
+            raise ValidationError(f"pair ({self.element1!r}, {self.element2!r}) has no actions")
+        check_unique(
+            [it.id for it in self.items], "pair ({!r}, {!r}): duplicate action id", self.element1, self.element2
+        )
 
 
 @frozen
@@ -66,9 +70,7 @@ class ThreeSetSpec:
     budget: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "budget", as_frac(self.budget))
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
         object.__setattr__(
             self, "correspondence", tuple(tuple(r) for r in self.correspondence)
         )
@@ -82,24 +84,22 @@ class ThreeSetSpec:
             len(row) != n2 for row in self.correspondence
         ):
             raise ValidationError(f"correspondence must be {n1}x{n2}")
-        for row in self.correspondence:
-            for v in row:
-                if not v.conforms(self.frame):
-                    raise ValidationError("correspondence vector length mismatch")
-        seen = set()
+        check_lengths(self.frame, (
+            (v, "correspondence ({!r}, {!r})", e1, e2)
+            for e1, row in zip(self.set1.ids, self.correspondence)
+            for e2, v in zip(self.set2.ids, row)
+        ))
         for pa in self.actions:
             if pa.element1 not in self.set1.ids or pa.element2 not in self.set2.ids:
                 raise ValidationError(
                     f"actions for unknown pair ({pa.element1!r}, {pa.element2!r})"
                 )
-            if (pa.element1, pa.element2) in seen:
-                raise ValidationError(
-                    f"duplicate action group for ({pa.element1!r}, {pa.element2!r})"
-                )
-            seen.add((pa.element1, pa.element2))
-            for it in pa.items:
-                if not it.value.conforms(self.action_frame):
-                    raise ValidationError(f"action {it.id!r}: value length mismatch")
+        check_unique([(pa.element1, pa.element2) for pa in self.actions], "duplicate action group for")
+        check_lengths(self.action_frame, (
+            (it.value, "pair ({!r}, {!r}), action {!r}", pa.element1, pa.element2, it.id)
+            for pa in self.actions
+            for it in pa.items
+        ))
 
 
 @frozen
@@ -111,12 +111,6 @@ class PipelineReport:
     total_cost: Fraction
     objective: Fraction
     mckp_method: str
-
-
-def _check_action_ids(owner: str, actions: Sequence[Item]) -> None:
-    ids = [a.id for a in actions]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{owner}: duplicate action ids: {ids}")
 
 
 def _mean_vector(frame: CriteriaFrame, vectors: list[EstimateVector]) -> EstimateVector:
@@ -248,9 +242,7 @@ class TrajectorySpec:
         object.__setattr__(self, "compat", dict(self.compat))
         if not self.stages:
             raise ValidationError("a trajectory spec needs at least one stage")
-        ids = [d for s in self.stages for d, _ in s.decisions]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("decision ids must be unique across stages")
+        check_unique([d for s in self.stages for d, _ in s.decisions], "duplicate decision id")
         stage_of = {
             d: i for i, s in enumerate(self.stages) for d, _ in s.decisions
         }
@@ -413,7 +405,7 @@ class ImprovementPart:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
-        _check_action_ids(f"part {self.id!r}", self.actions)
+        check_unique([a.id for a in self.actions], "part {!r}: duplicate action id", self.id)
 
 
 @frozen
@@ -424,18 +416,13 @@ class ImprovementSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "budget", as_frac(self.budget))
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
         if not self.parts:
             raise ValidationError("an improvement spec needs at least one part")
-        ids = [p.id for p in self.parts]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate part ids")
-        for p in self.parts:
-            for a in p.actions:
-                if not a.value.conforms(self.frame):
-                    raise ValidationError(f"part {p.id!r}, action {a.id!r}: effect length mismatch")
+        check_unique([p.id for p in self.parts], "duplicate part id")
+        check_lengths(self.frame, (
+            (a.value, "part {!r}, action {!r}", p.id, a.id) for p in self.parts for a in p.actions
+        ))
 
 
 @frozen

@@ -29,6 +29,7 @@ from .core import (
     OrdinalScale,
     ValidationError,
     check_guard,
+    check_unique,
     dominates,
     frozen,
     non_dominated,
@@ -67,9 +68,7 @@ class MorphNode:
             raise ValidationError(
                 f"leaf node {self.id!r}: needs at least one design alternative"
             )
-        ids = [da.id for da in self.alternatives]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"node {self.id!r}: duplicate alternative ids")
+        check_unique([da.id for da in self.alternatives], "node {!r}: duplicate alternative id", self.id)
 
     @property
     def is_leaf(self) -> bool:
@@ -208,10 +207,6 @@ class CompositeDecision:
 
     selection: tuple[tuple[str, str], ...]  # (child node id, alternative id)
     quality: QualityVector
-
-    @property
-    def selection_map(self) -> dict[str, str]:
-        return dict(self.selection)
 
 
 def compose_node(

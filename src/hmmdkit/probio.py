@@ -27,6 +27,7 @@ from .core import (
     OrdinalScale,
     ValidationError,
     as_frac,
+    check_unique,
     frozen,
 )
 
@@ -94,9 +95,26 @@ def _fail(path: str, message: str) -> None:
     raise ParseError(path, message)
 
 
+class _Repeated(dict):
+    """A JSON object that repeats a key; ``read_keys`` lists its keys as read."""
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """``json.loads`` object hook: the object, flagged when a key repeats,
+    which plain ``json.loads`` would drop silently."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        obj = _Repeated(obj)
+        obj.read_keys = [key for key, _ in pairs]
+    return obj
+
+
 def _obj(raw: Any, path: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
     if not isinstance(raw, dict):
         _fail(path, f"expected an object, got {type(raw).__name__}")
+    if raw.__class__ is _Repeated:
+        with _wrap(path):
+            check_unique(raw.read_keys, "duplicate key")
     missing = sorted(set(required) - set(raw))
     if missing:
         _fail(path, f"missing keys {missing}")
@@ -660,7 +678,7 @@ def _envelope(text: str, kind: str, kinds: Container[str], *keys: str) -> dict:
     JSON with exactly the keys spec_version, ``kind`` and ``keys``, the
     current spec_version, and a ``kind`` value among ``kinds``."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"malformed JSON: {exc}") from exc
     doc = _obj(raw, "$", ("spec_version", kind, *keys))

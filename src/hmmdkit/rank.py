@@ -20,6 +20,8 @@ from .core import (
     ValidationError,
     as_frac,
     as_ints,
+    check_lengths,
+    check_unique,
     dominates,
     frozen,
     normalize_estimates,
@@ -41,15 +43,8 @@ class RankingInstance:
         object.__setattr__(self, "alternatives", alts)
         if not alts:
             raise ValidationError("a ranking instance needs at least one alternative")
-        ids = [a for a, _ in alts]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate alternative ids: {ids}")
-        for aid, est in alts:
-            if not est.conforms(self.frame):
-                raise ValidationError(
-                    f"alternative {aid!r}: {len(est)} estimates for "
-                    f"{len(self.frame)} criteria"
-                )
+        check_unique([a for a, _ in alts], "duplicate alternative id")
+        check_lengths(self.frame, ((est, "alternative {!r}", aid) for aid, est in alts))
 
     @property
     def ids(self) -> list[str]:

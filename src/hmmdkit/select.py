@@ -18,10 +18,12 @@ from .core import (
     InfeasibleError,
     Number,
     ValidationError,
-    as_frac,
     as_ints,
     check_guard,
+    check_lengths,
+    check_unique,
     frozen,
+    nonnegative,
     scalarize,
     vector_sum,
 )
@@ -37,9 +39,7 @@ class Item:
     cost: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cost", as_frac(self.cost))
-        if self.cost < 0:
-            raise ValidationError(f"item {self.id!r}: cost must be nonnegative")
+        object.__setattr__(self, "cost", nonnegative(self.cost, "item {!r}: cost", self.id))
 
 
 @frozen
@@ -50,15 +50,9 @@ class KnapsackInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "budget", as_frac(self.budget))
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
-        ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"duplicate item ids: {ids}")
-        for it in self.items:
-            if not it.value.conforms(self.frame):
-                raise ValidationError(f"item {it.id!r}: value length mismatch")
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        check_unique([it.id for it in self.items], "duplicate item id")
+        check_lengths(self.frame, ((it.value, "item {!r}", it.id) for it in self.items))
 
 
 class GroupRule(Enum):
@@ -86,21 +80,13 @@ class MckpInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "budget", as_frac(self.budget))
         if not self.groups:
             raise ValidationError("an instance needs at least one group")
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
-        gids = [g.id for g in self.groups]
-        if len(set(gids)) != len(gids):
-            raise ValidationError(f"duplicate group ids: {gids}")
-        ids = [it.id for g in self.groups for it in g.items]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("item ids must be unique across groups")
-        for g in self.groups:
-            for it in g.items:
-                if not it.value.conforms(self.frame):
-                    raise ValidationError(f"item {it.id!r}: value length mismatch")
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        check_unique([g.id for g in self.groups], "duplicate group id")
+        items = self.all_items()
+        check_unique([it.id for it in items], "duplicate item id")
+        check_lengths(self.frame, ((it.value, "item {!r}", it.id) for it in items))
 
     def all_items(self) -> list[Item]:
         return [it for g in self.groups for it in g.items]

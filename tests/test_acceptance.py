@@ -98,7 +98,7 @@ def test_criterion_1_course_example_synthesis():
     e_ids = set(trace.nodes["E"].composite_ids)
     h_ids = set(trace.nodes["H"].composite_ids)
     w_ids = set(trace.nodes["W"].composite_ids)
-    combos = {(s["E"], s["H"], s["W"]) for s in (d.selection_map for d in root)}
+    combos = {(s["E"], s["H"], s["W"]) for s in (dict(d.selection) for d in root)}
     ok = ok and combos == set(itertools.product(sorted(e_ids), sorted(h_ids), sorted(w_ids)))
     assert report(1, "course-example synthesis", ok)
 

@@ -566,19 +566,19 @@ ACTION_ERRORS = [
         "improve",
         _with(CANONICAL["improve"], lambda p: p["parts"][0]["actions"].append({"id": "x1", "effect": [3, 4], "cost": 2})),
         "$.payload.parts[0]",
-        "part 'p1': duplicate action ids: ['x1', 'x1']",
+        "part 'p1': duplicate action id 'x1'",
     ),
     (
         "improve",
         _with(CANONICAL["improve"], lambda p: p["parts"][0]["actions"][0].update(effect=[1])),
         "$.payload",
-        "part 'p1', action 'x1': effect length mismatch",
+        "part 'p1', action 'x1': 1 values for 2 criteria",
     ),
     (
         "pipeline",
         _with(CANONICAL["pipeline"], lambda p: p["actions"][0]["items"].append({"id": "t1", "value": [2], "cost": 1})),
         "$.payload.actions[0]",
-        "pair ('e1', 'f1'): duplicate action ids: ['t1', 't1']",
+        "pair ('e1', 'f1'): duplicate action id 't1'",
     ),
     ("improve", _with(CANONICAL["improve"], lambda p: p.update(budget=-3)), "$.payload", "budget must be nonnegative"),
     ("pipeline", _with(CANONICAL["pipeline"], lambda p: p.update(budget=-3)), "$.payload", "budget must be nonnegative"),
@@ -598,3 +598,10 @@ def test_action_errors_name_their_json_path(command, payload, where, message, tm
     path = tmp_path / "p.json"
     path.write_text(text)
     assert run(capsys, command, "--input", str(path)) == (3, "", f"hmmdkit: error: parse: {where}: {message}\n")
+
+
+def test_repeated_key_exits_3(tmp_path, capsys):
+    # json.loads alone keeps the last budget and solves with 15
+    path = tmp_path / "p.json"
+    path.write_text(Path(MCKP).read_text().replace('"budget": 15', '"budget": 1, "budget": 15', 1))
+    assert run(capsys, "mckp", "--input", str(path)) == (3, "", "hmmdkit: error: parse: $.payload: duplicate key 'budget'\n")

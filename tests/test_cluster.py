@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -162,9 +163,11 @@ def test_relabeling_permutes_but_does_not_restructure():
 
 
 def test_from_points_euclidean():
-    m = DissimilarityMatrix.from_points(
-        ["a", "b", "c"], [[0, 0], [3, 4], [0, 1]]
-    )
-    assert m.value("a", "b") == pytest.approx(5.0, abs=1e-9)
-    assert m.value("a", "c") == pytest.approx(1.0, abs=1e-9)
-    build_dendrogram(m)
+    """Float entries, as Euclidean distances between points give them."""
+    pts = [[0, 0], [3, 4], [0, 1]]
+    d = tuple(tuple(math.dist(p, q) for q in pts) for p in pts)
+    m = DissimilarityMatrix(("a", "b", "c"), d)
+    assert m.d[0][1] == pytest.approx(5.0, abs=1e-9)
+    assert m.d[0][2] == pytest.approx(1.0, abs=1e-9)
+    first = build_dendrogram(m).merges[0]
+    assert (first.left, first.right) == (("a",), ("c",)) and first.height == pytest.approx(1.0, abs=1e-9)

@@ -13,11 +13,14 @@ from hmmdkit.core import (
     FrozenInstanceError,
     ValidationError,
     as_frac,
+    check_lengths,
+    check_unique,
     dominates,
     equal_weight_frame,
     frozen,
     normalize_estimates,
     non_dominated,
+    nonnegative,
     pareto_layers,
     scalarize,
     vector_sum,
@@ -122,6 +125,22 @@ def test_frame_rejects_duplicates_and_zero_weights():
         CriteriaFrame(())
     with pytest.raises(ValidationError):
         CriteriaFrame((Criterion("a", weight=0), Criterion("b", weight=0)))
+
+
+def test_record_rules_name_the_first_fault_and_format_only_on_failure():
+    # "{0} {1}" with no arguments raises IndexError if it is ever formatted
+    check_unique(["a", "b"], "{0} {1}")
+    check_lengths(equal_weight_frame(2), [(EstimateVector([1, 2]), "{0} {1}")])
+    assert nonnegative("1/2", "{0} {1}") == Fraction(1, 2)
+    with pytest.raises(ValidationError, match=r"^node 'n': duplicate id 'b'$"):
+        check_unique(["a", "b", "b", "a"], "node {!r}: duplicate id", "n")
+    with pytest.raises(ValidationError, match=r"^duplicate pair \('a', 'b'\)$"):
+        check_unique([("a", "b"), ("a", "b")], "duplicate pair")
+    entries = [(EstimateVector(v), "row {}", i) for i, v in enumerate([[1, 2], [1], [1, 2, 3]])]
+    with pytest.raises(ValidationError, match=r"^row 1: 1 values for 2 criteria$"):
+        check_lengths(equal_weight_frame(2), entries)
+    with pytest.raises(ValidationError, match=r"^item 'x': cost must be nonnegative$"):
+        nonnegative(-0.5, "item {!r}: cost", "x")
 
 
 def test_normalize_linear_endpoints():

@@ -118,3 +118,17 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "hmmdkit", f"{path.name} imports {name}"
+
+
+def test_uniqueness_rule_lives_only_in_core():
+    # core.check_unique is the one `len(set(ids)) != len(ids)` test; a record
+    # that writes its own copy would also write its own message
+    for path in sorted(Path(hmmdkit.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                for side in (node.left, *node.comparators):
+                    assert not ast.unparse(side).startswith("len(set("), (
+                        f"{path.name}:{node.lineno} repeats core.check_unique"
+                    )

@@ -310,7 +310,7 @@ def test_root_tables_between_derived_composites_constrain_synthesis():
     after = synthesize_tree(constrained)
     assert len(after) == 3
     assert all(
-        not (d.selection_map["E"] == "E_1" and d.selection_map["H"] == "H_1")
+        not (dict(d.selection)["E"] == "E_1" and dict(d.selection)["H"] == "H_1")
         for d in after
     )
 
@@ -603,7 +603,7 @@ def test_compose_excludes_zero_pairs_by_default():
     for d in compose_node(system, "E", allow_zero_w=True):
         pass  # zero-w compositions allowed here, just must not crash
     for d in compose_node(system, "E"):
-        sel = d.selection_map
+        sel = dict(d.selection)
         for (ca, a), (cb, b) in itertools.combinations(d.selection, 2):
             assert system.compatibility("E", a, b) != 0
 
@@ -964,7 +964,7 @@ def test_full_synthesis_of_reference_system():
     h_ids = trace.nodes["H"].composite_ids
     assert len(h_ids) == 2
     # the root keeps the full product of the three subsystem fronts
-    selections = [d.selection_map for d in root.decisions]
+    selections = [dict(d.selection) for d in root.decisions]
     e_choices = {s["E"] for s in selections}
     h_choices = {s["H"] for s in selections}
     w_choices = {s["W"] for s in selections}

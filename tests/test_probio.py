@@ -599,15 +599,36 @@ def with_solution(report, **changes):
         (with_solution(RANK_REPORT, priorities={"a3": 1.5}), "$.solution.priorities.a3"),
         ({**RANK_REPORT, "problem_type": "qap"}, "$.problem_type"),
         ({**RANK_REPORT, "spec_version": 2}, "$.spec_version"),
+        # text, since json.dumps cannot repeat a key
+        (json.dumps(RANK_REPORT).replace('{"a3": 1}', '{"a3": 2, "a3": 1}'), "$.solution.priorities"),
     ],
-    ids=["unknown-key", "objective-abc", "objective-true", "fractional-priority", "unknown-type", "version-2"],
+    ids=["unknown-key", "objective-abc", "objective-true", "fractional-priority", "unknown-type", "version-2",
+         "repeated-key"],
 )
 def test_parse_result_rejects_with_a_json_path(doc, path):
     for report in (KNAPSACK_REPORT, RANK_REPORT):
         assert write_result(parse_result(json.dumps(report))) == json.dumps(report, sort_keys=True, indent=2) + "\n"
     with pytest.raises(ParseError) as exc:
-        parse_result(json.dumps(doc))
+        parse_result(doc if isinstance(doc, str) else json.dumps(doc))
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"budget": 15', '"budget": 1, "budget": 15', "$.payload: duplicate key 'budget'"),
+        ('"cost": 2,', '"cost": 2, "id": "x", "cost": 2,', "$.payload.groups[0].items[0]: duplicate key 'cost'"),
+        ('"spec_version": 1', '"spec_version": 1, "spec_version": 1', "$: duplicate key 'spec_version'"),
+    ],
+    ids=["payload", "item", "envelope"],
+)
+def test_repeated_keys_rejected_with_a_json_path(old, new, message):
+    # plain json.loads would keep the last value of a repeated key
+    text = load_fixture("table5_mckp.mckp")
+    assert old in text
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text.replace(old, new, 1))
+    assert str(exc.value) == message
 
 
 def test_mutated_fixture_reports_fail_only_with_a_json_path(capsys):

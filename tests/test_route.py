@@ -43,7 +43,7 @@ def test_instance_validation():
 
 #: (ids, matrix, message) one malformed matrix per check, plus no ids at all
 MALFORMED = [
-    (("a", "a"), ((0, 1), (1, 0)), "duplicate ids: ['a', 'a']"),
+    (("a", "a"), ((0, 1), (1, 0)), "duplicate id 'a'"),
     (("a", "b"), ((0, 1),), "matrix must be 2x2"),
     (("a", "b"), ((1, 1), (1, 0)), "diagonal entry d[0][0] must be 0"),
     (("a", "b"), ((0, -1), (-1, 0)), "negative dissimilarity d[0][1]"),
