@@ -34,6 +34,7 @@ _EXPORTS = {
         "EstimateVector",
         "GuardExceeded",
         "InfeasibleError",
+        "OracleError",
         "OrdinalScale",
         "ValidationError",
         "dominates",

@@ -14,7 +14,9 @@ from .core import (
     CriteriaFrame,
     Direction,
     EstimateVector,
+    GuardExceeded,
     Number,
+    OracleError,
     ValidationError,
     check_guard,
     check_lengths,
@@ -182,3 +184,43 @@ def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
     sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
     front = non_dominated(sols, dominates, lambda s: _adjusted(inst.frame, s.objective_vector))
     return sorted(front, key=lambda s: sorted(s.pairs))
+
+
+# ---------------------------------------------------------------- report
+
+
+def _entry(sol: AssignmentSolution) -> dict:
+    return {
+        "pairs": sorted(sol.pairs),
+        "objective": sol.objective,
+        "objective_vector": sol.objective_vector,
+    }
+
+
+def report_assign(problem, method, weights, oracle):
+    """``hmmdkit assign``: the oracle finds the exact solution on the Pareto
+    front, or holds it to at least greedy."""
+    inst = problem.instance
+    if method == "pareto":
+        solution = {"solutions": [_entry(s) for s in assign_pareto(inst)]}
+    else:
+        sol = assign_greedy(inst, weights) if method == "greedy" else assign_exact(inst, weights)
+        solution = {"solutions": [_entry(sol)]}
+    diagnostics = {}
+    if oracle:
+        try:
+            exact = assign_exact(inst, weights)
+        except GuardExceeded as exc:
+            diagnostics["oracle"] = f"skipped ({exc})"
+        else:
+            if method == "pareto":
+                front_pairs = {frozenset(map(tuple, e["pairs"])) for e in solution["solutions"]}
+                if frozenset(exact.pairs) not in front_pairs:
+                    raise OracleError("exact solution missing from front")
+                diagnostics["oracle"] = "ok (front contains exact solution)"
+            else:
+                greedy = assign_greedy(inst, weights)
+                if exact.objective < greedy.objective:
+                    raise OracleError(f"exact objective {exact.objective} below greedy {greedy.objective}")
+                diagnostics["oracle"] = "ok (exact >= greedy)"
+    return solution, diagnostics

@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .core import Number, ValidationError, check_dissimilarities, frozen
+from .core import Number, OracleError, ValidationError, check_dissimilarities, frozen
 
 
 class Linkage(Enum):
@@ -95,3 +95,24 @@ def cut_dendrogram(dend: Dendrogram, k: int) -> list[tuple[str, ...]]:
         blocks.discard(merge.right)
         blocks.add(tuple(sorted(merge.left + merge.right)))
     return sorted(blocks)
+
+
+# ---------------------------------------------------------------- report
+
+
+def report_cluster(problem, method, weights, oracle):
+    """``hmmdkit cluster``: the oracle checks that every cut partitions the ids."""
+    dend = build_dendrogram(problem.matrix, Linkage(method))
+    solution = {
+        "merges": [{"left": m.left, "right": m.right, "height": m.height} for m in dend.merges],
+        "partition": None if problem.k is None else cut_dendrogram(dend, problem.k),
+    }
+    diagnostics = {}
+    if oracle:
+        for k in range(1, len(problem.matrix.ids) + 1):
+            blocks = cut_dendrogram(dend, k)
+            flat = sorted(x for b in blocks for x in b)
+            if flat != sorted(problem.matrix.ids) or len(blocks) != k:
+                raise OracleError(f"cut at k={k} is not a partition")
+        diagnostics["oracle"] = "ok (all cuts partition the ids)"
+    return solution, diagnostics

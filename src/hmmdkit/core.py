@@ -39,6 +39,10 @@ class InfeasibleError(RuntimeError):
     """The constraints admit no solution at all."""
 
 
+class OracleError(RuntimeError):
+    """A solution fails the cross-check that ``hmmdkit --oracle`` runs."""
+
+
 class FrozenInstanceError(AttributeError):
     """A field of a frozen record was assigned or deleted."""
 

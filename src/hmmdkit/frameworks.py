@@ -21,6 +21,7 @@ from .core import (
     EstimateVector,
     GuardExceeded,
     Number,
+    OracleError,
     OrdinalScale,
     ValidationError,
     as_frac,
@@ -463,3 +464,88 @@ def plan_improvement(
         part_id, action_id = origin[item_id]
         by_part[part_id] = action_id
     return ImprovementPlan(by_part=by_part, solution=solution, method=method)
+
+
+# --------------------------------------------------------------- reports
+
+
+def report_trajectory(problem, method, weights, oracle):
+    """``hmmdkit trajectory``: the oracle checks one decision per stage."""
+    front = design_trajectory(problem.spec, problem.all_pairs)
+    solution = {
+        "trajectories": [
+            {"path": t.path, "quality": {"w": t.quality.w, "counts": t.quality.counts}} for t in front
+        ]
+    }
+    diagnostics = {}
+    if oracle:
+        stage_ids = [{d for d, _ in s.decisions} for s in problem.spec.stages]
+        for t in front:
+            if len(t.path) != len(stage_ids) or any(d not in ids for d, ids in zip(t.path, stage_ids)):
+                raise OracleError(f"invalid trajectory {t.path}")
+        diagnostics["oracle"] = "ok (one decision per stage)"
+    return solution, diagnostics
+
+
+def report_integrate(problem, method, weights, oracle):
+    """``hmmdkit integrate``: the oracle checks the trace's root entry."""
+    result = evaluate_integration_tree(problem.tree)
+    solution = {
+        "root_estimate": result.root_estimate,
+        "trace": dict(sorted(result.trace.items())),
+    }
+    diagnostics = {}
+    if oracle:
+        if result.trace[problem.tree.id] != result.root_estimate:
+            raise OracleError("trace root disagrees with estimate")
+        diagnostics["oracle"] = "ok (trace consistent)"
+    return solution, diagnostics
+
+
+def report_pipeline(problem, method, weights, oracle):
+    """``hmmdkit pipeline``: the oracle checks the budget, the cost sum and
+    that every action joins a matched pair of clusters."""
+    report = run_three_set_pipeline(problem.spec, problem.linkage, weights)
+    solution = {
+        "clusters1": report.clusters1,
+        "clusters2": report.clusters2,
+        "assignment": report.assignment,
+        "actions": [
+            {"element1": e1, "element2": e2, "action": act, "cost": cost}
+            for e1, e2, act, cost in report.selected_actions
+        ],
+        "total_cost": report.total_cost,
+        "objective": report.objective,
+        "mckp_method": report.mckp_method,
+    }
+    diagnostics = {}
+    if oracle:
+        if report.total_cost > problem.spec.budget:
+            raise OracleError("pipeline exceeded its budget")
+        if sum(cost for *_, cost in report.selected_actions) != report.total_cost:
+            raise OracleError("selected action costs do not add up to the total cost")
+        for e1, e2, _, _ in report.selected_actions:
+            blocks1 = [i for i, b in enumerate(report.clusters1) if e1 in b]
+            blocks2 = [j for j, b in enumerate(report.clusters2) if e2 in b]
+            if (blocks1[0], blocks2[0]) not in set(report.assignment):
+                raise OracleError(f"action for unmatched pair ({e1}, {e2})")
+        diagnostics["oracle"] = "ok (stage-consistent selection)"
+    return solution, diagnostics
+
+
+def report_improve(problem, method, weights, oracle):
+    """``hmmdkit improve``: the oracle checks one action per part within budget."""
+    from .select import selection_payload
+
+    plan = plan_improvement(problem.spec, weights)
+    solution = selection_payload(plan.solution)
+    solution["by_part"] = dict(sorted(plan.by_part.items()))
+    diagnostics = {"solver": plan.method}
+    if oracle:
+        acted = sum(a is not None for a in plan.by_part.values())
+        if len(plan.solution.chosen) != acted:
+            raise OracleError("two actions selected for one part")
+        if plan.solution.total_cost > problem.spec.budget:
+            raise OracleError("improvement plan exceeded its budget")
+        diagnostics["oracle"] = "ok (one action per part within budget)"
+    return solution, diagnostics

@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_COMPAT_SCALE,
     DEFAULT_PRIORITY_SCALE,
     EstimateVector,
+    OracleError,
     OrdinalScale,
     ValidationError,
     check_guard,
@@ -69,6 +70,13 @@ class MorphNode:
                 f"leaf node {self.id!r}: needs at least one design alternative"
             )
         check_unique([da.id for da in self.alternatives], "node {!r}: duplicate alternative id", self.id)
+        sized = [da for da in self.alternatives if da.estimates is not None]
+        for da in sized[1:]:
+            if len(da.estimates) != len(sized[0].estimates):
+                raise ValidationError(
+                    f"node {self.id!r}: alternative {da.id!r} has {len(da.estimates)} estimates, "
+                    f"{sized[0].id!r} has {len(sized[0].estimates)}"
+                )
 
     @property
     def is_leaf(self) -> bool:
@@ -397,3 +405,42 @@ def quality_vector(
         chosen[child.id] = matches[:1]
     (decision,) = compose_node(system, node_id, chosen, allow_zero_w=True)
     return decision.quality
+
+
+# ---------------------------------------------------------------- report
+
+
+def report_synth(problem, method, weights, oracle):
+    """``hmmdkit synth``: the oracle checks that every composite's level
+    counts sum to its node's part count."""
+    trace = synthesize_tree_trace(problem.system)
+    nodes = []
+    for nid in sorted(trace.nodes):
+        rec = trace.nodes[nid]
+        nodes.append(
+            {
+                "id": nid,
+                "composites": [
+                    {
+                        "id": cid,
+                        "selection": d.selection,
+                        "leaves": leaves,
+                        "quality": {"w": d.quality.w, "counts": d.quality.counts},
+                        "priority": prio,
+                    }
+                    for cid, d, prio, leaves in zip(
+                        rec.composite_ids, rec.decisions, rec.priorities, rec.leaf_selections
+                    )
+                ],
+            }
+        )
+    solution = {"root": trace.root_id, "nodes": nodes}
+    diagnostics = {}
+    if oracle:
+        for rec in trace.nodes.values():
+            parts = len(problem.system.node(rec.node_id).children)
+            for d in rec.decisions:
+                if d.quality.m != parts:
+                    raise OracleError(f"node {rec.node_id}: level counts do not sum to parts")
+        diagnostics["oracle"] = "ok (level counts consistent)"
+    return solution, diagnostics

@@ -17,6 +17,7 @@ from .core import (
     Direction,
     EstimateVector,
     Number,
+    OracleError,
     ValidationError,
     as_frac,
     as_ints,
@@ -240,3 +241,35 @@ def rank_ideal_point(inst: RankingInstance) -> RankingResult:
         total = d_plus + d_minus
         scores[aid] = 0.5 if total == 0 else d_minus / total
     return RankingResult(_dense_priorities(scores), scores, "ideal")
+
+
+# ---------------------------------------------------------------- report
+
+
+def report_rank(problem, method, weights, oracle):
+    """``hmmdkit rank``: (solution, diagnostics) of one report; the oracle
+    checks that a better-or-equal vector never ranks worse."""
+    inst = problem.instance
+    if method == "utility":
+        res = rank_utility(inst)
+    elif method == "pareto":
+        res = rank_pareto_layers(inst)
+    elif method == "outranking":
+        res = rank_outranking(inst, problem.p, problem.q)
+    else:
+        res = rank_ideal_point(inst)
+    solution = {
+        "priorities": dict(sorted(res.priorities.items())),
+        "scores": dict(sorted(res.scores.items())),
+    }
+    diagnostics = {}
+    if oracle:
+        norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+        ids = inst.ids
+        for i in range(len(ids)):
+            for j in range(len(ids)):
+                if i != j and dominates(norm[i], norm[j]):
+                    if res.priorities[ids[i]] > res.priorities[ids[j]]:
+                        raise OracleError(f"{ids[i]} dominates {ids[j]} but ranks below it")
+        diagnostics["oracle"] = "ok (dominance consistency)"
+    return solution, diagnostics

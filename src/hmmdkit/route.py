@@ -6,7 +6,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import Number, ValidationError, check_dissimilarities, check_guard, frozen
+from .core import (
+    GuardExceeded,
+    Number,
+    OracleError,
+    ValidationError,
+    check_dissimilarities,
+    check_guard,
+    frozen,
+)
 
 BRUTE_FORCE_GUARD = 10
 
@@ -126,3 +134,32 @@ def tsp_brute_force(inst: TspInstance) -> Tour:
                 best_len = total
                 best_order = [0, *perm]
     return _as_tour(inst, best_order)
+
+
+# ---------------------------------------------------------------- report
+
+
+def report_tsp(problem, method, weights, oracle):
+    """``hmmdkit tsp``: the oracle holds the tour to the brute-force optimum,
+    and 2-opt to 1.10 of it."""
+    inst = problem.instance
+    start = problem.start or inst.ids[0]
+    if method == "nearest":
+        tour = tsp_nearest_neighbor(inst, start)
+    elif method == "two_opt":
+        tour = tsp_two_opt(inst, tsp_nearest_neighbor(inst, start))
+    else:
+        tour = tsp_brute_force(inst)
+    diagnostics = {}
+    if oracle:
+        try:
+            best = tour if method == "brute" else tsp_brute_force(inst)
+        except GuardExceeded as exc:
+            diagnostics["oracle"] = f"skipped ({exc})"
+        else:
+            if tour.length < best.length - 1e-9:
+                raise OracleError("tour shorter than the optimum")
+            if method == "two_opt" and tour.length > 1.10 * best.length + 1e-9:
+                raise OracleError(f"tour length {tour.length} above 1.10 x optimum {best.length}")
+            diagnostics["oracle"] = "ok (within declared ratio of optimum)"
+    return {"order": tour.order, "length": tour.length}, diagnostics

@@ -15,8 +15,10 @@ from fractions import Fraction
 from .core import (
     CriteriaFrame,
     EstimateVector,
+    GuardExceeded,
     InfeasibleError,
     Number,
+    OracleError,
     ValidationError,
     as_ints,
     check_guard,
@@ -302,3 +304,42 @@ def mckp_exact_dp(
             chosen.add(it.id)
             c -= int(it.cost)
     return _solution(inst.frame, inst.all_items(), betas, chosen)
+
+
+# ---------------------------------------------------------------- report
+
+
+def selection_payload(sol: SelectionSolution) -> dict:
+    """The report fields of one selection, shared with ``hmmdkit improve``."""
+    return {
+        "chosen": sorted(sol.chosen),
+        "total_cost": sol.total_cost,
+        "objective": sol.objective,
+        "objective_vector": sol.objective_vector,
+    }
+
+
+def report_selection(problem, method, weights, oracle):
+    """``hmmdkit knapsack`` and ``hmmdkit mckp``: the oracle holds knapsack
+    greedy to 0.75 of exact, and MCKP exact to at least greedy."""
+    inst = problem.instance
+    knapsack = isinstance(inst, KnapsackInstance)
+    greedy_solve, exact_solve = (knapsack_greedy, knapsack_exact) if knapsack else (mckp_greedy, mckp_exact_dp)
+    sol = greedy_solve(inst, weights) if method == "greedy" else exact_solve(inst, weights)
+    diagnostics = {}
+    if oracle:
+        try:
+            exact = sol if method == "exact" else exact_solve(inst, weights)
+        except (ValidationError, GuardExceeded) as exc:
+            diagnostics["oracle"] = f"skipped ({exc})"
+        else:
+            greedy = sol if method == "greedy" else greedy_solve(inst, weights)
+            g, e = greedy.objective, exact.objective
+            if knapsack and g < Fraction(3, 4) * e:
+                raise OracleError(f"greedy objective {g} below 0.75 x exact {e}")
+            if not knapsack and e < g:
+                raise OracleError(f"exact objective {e} below greedy {g}")
+            diagnostics["oracle"] = "ok (greedy within 0.75 of exact)" if knapsack else "ok (exact >= greedy)"
+    if sol.total_cost > inst.budget:
+        raise InfeasibleError("budget violated")
+    return selection_payload(sol), diagnostics

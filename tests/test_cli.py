@@ -605,3 +605,188 @@ def test_repeated_key_exits_3(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(Path(MCKP).read_text().replace('"budget": 15', '"budget": 1, "budget": 15', 1))
     assert run(capsys, "mckp", "--input", str(path)) == (3, "", "hmmdkit: error: parse: $.payload: duplicate key 'budget'\n")
+
+
+# ------------------------------------------------------------- front end
+
+GENERAL_HELP = """\
+usage: hmmdkit <subcommand> --input FILE [--method M] [--format json|text] [--output FILE] [--weights w1,w2,...] [--oracle]
+
+Multicriteria ranking, selection and morphological synthesis toolkit.
+
+subcommand  problem type  methods (default first)
+rank        rank          utility, pareto, outranking, ideal
+knapsack    knapsack      greedy, exact
+mckp        mckp          greedy, exact
+cluster     cluster       the file's linkage, or single, complete, average
+assign      assign        greedy, exact, pareto
+tsp         tsp           two_opt, nearest, brute
+synth       morph         synthesis
+trajectory  trajectory    enumerate
+integrate   integrate     tables
+pipeline    pipeline      chain
+improve     improve       auto
+
+flags:
+  --input FILE          problem file to solve (required)
+  --method M            one of the subcommand's methods
+  --format json|text    report format (default: text)
+  --output FILE         write the report here (default: stdout)
+  --weights w1,w2,...   one scalarization weight per criterion (knapsack, mckp, assign greedy/exact, pipeline, improve)
+  --oracle              cross-check against the exact counterpart
+  -h, --help            show this help and exit
+"""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "synth"], ["--help", "--input", "x"]])
+def test_general_help(capsys, argv):
+    assert run(capsys, *argv) == (0, GENERAL_HELP, "")
+
+
+def _subcommand_help(command, weights):
+    lines = GENERAL_HELP.splitlines()
+    row = next(line for line in lines if line.split(" ", 1)[0] == command)
+    usage = lines[0].replace("<subcommand>", command)
+    flags = lines[-8:]
+    if weights is None:
+        usage = usage.replace(" [--weights w1,w2,...]", "")
+        del flags[5]
+    else:
+        flags[5] = flags[5][: flags[5].index("(")] + f"({weights})"
+    return "\n".join([usage, "", lines[4], row, "", *flags]) + "\n"
+
+
+#: subcommand -> what its help lists for --weights (None: no --weights flag)
+HELP_WEIGHTS = {
+    "rank": None, "knapsack": "knapsack", "mckp": "mckp", "cluster": None,
+    "assign": "assign greedy/exact", "tsp": None, "synth": None, "trajectory": None,
+    "integrate": None, "pipeline": "pipeline", "improve": "improve",
+}
+
+
+def test_subcommand_help_texts(capsys):
+    assert sorted(HELP_WEIGHTS) == sorted(COMMANDS)
+    assert run(capsys, "assign", "--help")[1] == """\
+usage: hmmdkit assign --input FILE [--method M] [--format json|text] [--output FILE] [--weights w1,w2,...] [--oracle]
+
+subcommand  problem type  methods (default first)
+assign      assign        greedy, exact, pareto
+
+flags:
+  --input FILE          problem file to solve (required)
+  --method M            one of the subcommand's methods
+  --format json|text    report format (default: text)
+  --output FILE         write the report here (default: stdout)
+  --weights w1,w2,...   one scalarization weight per criterion (assign greedy/exact)
+  --oracle              cross-check against the exact counterpart
+  -h, --help            show this help and exit
+"""
+    assert run(capsys, "synth", "--help")[1] == """\
+usage: hmmdkit synth --input FILE [--method M] [--format json|text] [--output FILE] [--oracle]
+
+subcommand  problem type  methods (default first)
+synth       morph         synthesis
+
+flags:
+  --input FILE          problem file to solve (required)
+  --method M            one of the subcommand's methods
+  --format json|text    report format (default: text)
+  --output FILE         write the report here (default: stdout)
+  --oracle              cross-check against the exact counterpart
+  -h, --help            show this help and exit
+"""
+    for command, weights in HELP_WEIGHTS.items():
+        assert run(capsys, command, "--help") == (0, _subcommand_help(command, weights), ""), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "-h"],
+        ["synth", "--input", COURSE, "-h"],
+        ["synth", "-h", "--input", COURSE],
+        ["synth", "--frobnicate", "--help"],
+        ["synth", "--input", "-h"],
+    ],
+    ids=["alone", "last", "first", "after-an-error", "as-a-value"],
+)
+def test_help_anywhere_after_the_subcommand(capsys, argv):
+    assert run(capsys, *argv) == (0, _subcommand_help("synth", None), "")
+
+
+FLAG_LIST = "--input, --method, --format, --output, --weights, --oracle"
+COMMAND_LIST = "rank, knapsack, mckp, cluster, assign, tsp, synth, trajectory, integrate, pipeline, improve"
+
+#: (argv, usage message): every usage error of the front end
+USAGE_ERRORS = [
+    ([], f"missing subcommand (choose from: {COMMAND_LIST})"),
+    (["bogus", "--input", COURSE], f"unknown subcommand 'bogus' (choose from: {COMMAND_LIST})"),
+    (["bogus", "-h"], f"unknown subcommand 'bogus' (choose from: {COMMAND_LIST})"),
+    (["--input", COURSE, "synth"], f"unknown subcommand '--input' (choose from: {COMMAND_LIST})"),
+    (["synth"], "synth needs --input FILE"),
+    (["synth", "--input"], "--input needs a value"),
+    (["synth", "--input", COURSE, "--format"], "--format needs a value"),
+    (["synth", "--inp", COURSE], f"unknown argument '--inp' for synth (flags: {FLAG_LIST})"),
+    (["synth", "--input", COURSE, "--orac"], f"unknown argument '--orac' for synth (flags: {FLAG_LIST})"),
+    (["synth", "-i", COURSE], f"unknown argument '-i' for synth (flags: {FLAG_LIST})"),
+    (["synth", "--input", COURSE, "extra"], f"unknown argument 'extra' for synth (flags: {FLAG_LIST})"),
+    (["synth", "--input", COURSE, "--seed=1"], f"unknown argument '--seed=1' for synth (flags: {FLAG_LIST})"),
+    (["synth", "--input", COURSE, "--input", COURSE], "--input given twice"),
+    (["synth", "--input", COURSE, "--oracle", "--oracle"], "--oracle given twice"),
+    (["assign", "--input", ASSIGN, "--method=exact", "--method", "greedy"], "--method given twice"),
+    (["synth", "--input", COURSE, "--oracle=1"], "--oracle takes no value"),
+    (["synth", "--input", COURSE, "--format", "xml"], "unknown format 'xml' (choose from: json, text)"),
+    (["synth", "--input", COURSE, "--format="], "unknown format '' (choose from: json, text)"),
+    (["tsp", "--input", COURSE, "--method", "bogus"], "unknown method 'bogus' for tsp (choose from: nearest, two_opt, brute)"),
+    (["synth", "--input", COURSE, "--weights", "1"], "--weights is not applicable to synth"),
+    (["cluster", "--input", COURSE, "--weights", "1"], "--weights is not applicable to cluster"),
+    (["assign", "--input", ASSIGN, "--method", "pareto", "--weights", "1,2,3"],
+     "--weights is not applicable to the pareto method"),
+    (["assign", "--input", ASSIGN, "--weights", "zero"], "bad --weights: not a number: 'zero'"),
+    (["rank", "--input", ASSIGN], "subcommand 'rank' expects a 'rank' file, got 'assign'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"hmmdkit: error: usage: {message}\n")
+
+
+def test_a_value_may_follow_an_equals_sign(capsys):
+    spaced = run(capsys, "assign", "--input", ASSIGN, "--method", "exact", "--weights", "1,2,3", "--format", "json")
+    joined = run(capsys, "assign", f"--input={ASSIGN}", "--method=exact", "--weights=1,2,3", "--format=json")
+    assert spaced[0] == 0
+    assert joined == spaced
+
+
+def test_negative_weights_reach_the_frame_rule(capsys):
+    # argparse read "-1,2,3" as a flag and exited 2 with "expected one argument"
+    for argv in (["--weights", "-1,2,3"], ["--weights=-1,2,3"]):
+        assert run(capsys, "assign", "--input", ASSIGN, *argv) == (
+            3, "", "hmmdkit: error: parse: criterion 'theoretical': weight must be nonnegative\n"
+        )
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hmmdkit", "synth", "--input", COURSE, "--format", "json"])
+    assert main() == 0
+    assert capsys.readouterr().out == run(capsys, "synth", "--input", COURSE, "--format", "json")[1]
+
+
+def test_report_diff_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    tool = Path(__file__).parents[1] / "tools" / "report_diff.py"
+    src = str(Path(hmmdkit.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--tree", f"one={src}", "--tree", f"two={src}",
+         "--mutants", "1", "--workdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["identical"] == summary["cases"]
+    assert summary["stderr_only"] == summary["accepted_changes"] == summary["other_changes"] == []
+    # 36 benchmark inputs and 4 fixtures, one mutant of each with one change and one with two
+    assert summary["cases"]["mutant"] == 2 * 40
+    assert summary["cases"]["write"] == 40 + 2 * 40
+    assert summary["exit_codes"]["command"] == {"0": summary["cases"]["command"]}
+    assert set(summary["exit_codes"]["argv"]) == {"0", "2", "3"}

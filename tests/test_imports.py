@@ -5,6 +5,7 @@ standard library."""
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -38,9 +39,10 @@ LOADS = {
 }
 
 #: standard modules no subcommand may load: records are built by
-#: core.frozen, not dataclasses (which imports inspect), and annotations
-#: need no typing at run time
-NEVER = {"dataclasses", "inspect", "typing"}
+#: core.frozen, not dataclasses (which imports inspect), annotations need
+#: no typing at run time, and cli reads its flags without argparse (which
+#: imports gettext, locale and shutil)
+NEVER = {"argparse", "dataclasses", "gettext", "inspect", "locale", "shutil", "typing"}
 
 CHILD = """
 import json, sys
@@ -132,3 +134,38 @@ def test_uniqueness_rule_lives_only_in_core():
                     assert not ast.unparse(side).startswith("len(set("), (
                         f"{path.name}:{node.lineno} repeats core.check_unique"
                     )
+
+
+def _imports_cli(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "hmmdkit.cli" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        names = {alias.name for alias in node.names}
+        return module in (".cli", "hmmdkit.cli") or (module in (".", "hmmdkit") and "cli" in names)
+    return False
+
+
+def test_each_report_lives_beside_its_solver():
+    # a run compiles the whole of cli.py, so it holds no subcommand's report
+    # code, and each solver module's report needs nothing from the CLI
+    package = Path(hmmdkit.__file__).parent
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    assert not [
+        node.name for node in ast.walk(cli_tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_solve_")
+    ]
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("cli.py", "__main__.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not any(_imports_cli(node) for node in ast.walk(tree)), f"{path.name} imports hmmdkit.cli"
+    for command, (*_, (module, function)) in COMMANDS.items():
+        assert callable(getattr(importlib.import_module(f"hmmdkit.{module}"), function)), command
+
+
+def test_the_source_check_sees_every_spelling_of_a_cli_import():
+    spellings = ["import hmmdkit.cli", "from . import cli", "from .cli import main",
+                 "from hmmdkit import cli", "from hmmdkit.cli import COMMANDS"]
+    for source in spellings:
+        assert any(_imports_cli(node) for node in ast.walk(ast.parse(source))), source
+    assert not any(_imports_cli(node) for node in ast.walk(ast.parse("from .core import cli_free")))

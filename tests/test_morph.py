@@ -13,6 +13,7 @@ from hmmdkit.cli import main
 from hmmdkit.core import (
     DEFAULT_COMPAT_SCALE,
     Best,
+    EstimateVector,
     GuardExceeded,
     OrdinalScale,
     ValidationError,
@@ -34,7 +35,7 @@ from hmmdkit.morph import (
     synthesize_tree_trace,
     walk,
 )
-from hmmdkit.probio import SPEC_VERSION, MorphProblem, ProblemFile, write_problem
+from hmmdkit.probio import SPEC_VERSION, MorphProblem, ProblemFile, fixture_path, load_fixture, write_problem
 
 
 def qv(w, *counts):
@@ -255,6 +256,37 @@ def test_da_priority_must_sit_inside_the_scale():
     )
     with pytest.raises(ValidationError, match="priority 4 outside"):
         MorphSystem(MorphNode("root", children=leafs), {})
+
+
+def test_estimates_within_a_leaf_have_one_length(tmp_path, capsys):
+    # a leaf's alternatives used to carry estimate vectors of any lengths
+    message = "node 'p': alternative 'c' has 3 estimates, 'a' has 2"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        MorphNode("p", alternatives=(
+            DesignAlternative("a", 1, EstimateVector([1, 2])),
+            DesignAlternative("b", 1),
+            DesignAlternative("c", 2, EstimateVector([1, 2, 3])),
+        ))
+    doc = json.loads(load_fixture("course_example.morph"))
+    leaf = doc["payload"]["tree"]["children"][0]["children"][0]
+    assert leaf["id"] == "L"
+    for alternative, estimates in zip(leaf["alternatives"], ([1], [1, 2, 3])):
+        alternative["estimates"] = estimates
+    path = tmp_path / "course.morph"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "hmmdkit: error: parse: $.payload.tree.children[0].children[0]: "
+        "node 'L': alternative 'L2' has 3 estimates, 'L1' has 1\n"
+    )
+    # equal lengths, with some alternatives carrying none, leave the report as it was
+    leaf["alternatives"][0]["estimates"] = [4, 5, 6]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    reports = []
+    for source in (path, fixture_path("course_example.morph")):
+        assert main(["synth", "--input", str(source), "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_compose_rejects_empty_supplied_alternative_set():
