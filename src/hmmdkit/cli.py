@@ -96,7 +96,7 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
             value = True
         elif not eq:
             value = next(rest, None)
-            if value is None:
+            if value is None or value.partition("=")[0] in FLAGS:
                 raise _usage(f"{flag} needs a value")
         if flag in opts:
             raise _usage(f"{flag} given twice")

@@ -471,12 +471,10 @@ def plan_improvement(
 
 def report_trajectory(problem, method, weights, oracle):
     """``hmmdkit trajectory``: the oracle checks one decision per stage."""
+    from .morph import quality_payload
+
     front = design_trajectory(problem.spec, problem.all_pairs)
-    solution = {
-        "trajectories": [
-            {"path": t.path, "quality": {"w": t.quality.w, "counts": t.quality.counts}} for t in front
-        ]
-    }
+    solution = {"trajectories": [{"path": t.path, "quality": quality_payload(t.quality)} for t in front]}
     diagnostics = {}
     if oracle:
         stage_ids = [{d for d, _ in s.decisions} for s in problem.spec.stages]

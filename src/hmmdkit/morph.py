@@ -196,6 +196,11 @@ class QualityVector:
         return f"({self.w}; " + ", ".join(str(c) for c in self.counts) + ")"
 
 
+def quality_payload(q: QualityVector) -> dict:
+    """A quality vector as the ``synth`` and ``trajectory`` reports write it."""
+    return {"w": q.w, "counts": q.counts}
+
+
 def n_dominates(a: QualityVector, b: QualityVector) -> bool:
     """Strict dominance in the discrete quality space.
 
@@ -425,7 +430,7 @@ def report_synth(problem, method, weights, oracle):
                         "id": cid,
                         "selection": d.selection,
                         "leaves": leaves,
-                        "quality": {"w": d.quality.w, "counts": d.quality.counts},
+                        "quality": quality_payload(d.quality),
                         "priority": prio,
                     }
                     for cid, d, prio, leaves in zip(

@@ -726,6 +726,8 @@ USAGE_ERRORS = [
     (["synth"], "synth needs --input FILE"),
     (["synth", "--input"], "--input needs a value"),
     (["synth", "--input", COURSE, "--format"], "--format needs a value"),
+    (["synth", "--input", COURSE, "--output", "--oracle"], "--output needs a value"),
+    (["synth", "--input", "--format", "json"], "--input needs a value"),
     (["synth", "--inp", COURSE], f"unknown argument '--inp' for synth (flags: {FLAG_LIST})"),
     (["synth", "--input", COURSE, "--orac"], f"unknown argument '--orac' for synth (flags: {FLAG_LIST})"),
     (["synth", "-i", COURSE], f"unknown argument '-i' for synth (flags: {FLAG_LIST})"),

@@ -138,11 +138,9 @@ def test_uniqueness_rule_lives_only_in_core():
 
 def _imports_cli(node) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name == "hmmdkit.cli" for alias in node.names)
+        return any(alias.name.endswith("cli") for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        module = "." * node.level + (node.module or "")
-        names = {alias.name for alias in node.names}
-        return module in (".cli", "hmmdkit.cli") or (module in (".", "hmmdkit") and "cli" in names)
+        return (node.module or "").endswith("cli") or any(alias.name == "cli" for alias in node.names)
     return False
 
 
@@ -161,11 +159,3 @@ def test_each_report_lives_beside_its_solver():
             assert not any(_imports_cli(node) for node in ast.walk(tree)), f"{path.name} imports hmmdkit.cli"
     for command, (*_, (module, function)) in COMMANDS.items():
         assert callable(getattr(importlib.import_module(f"hmmdkit.{module}"), function)), command
-
-
-def test_the_source_check_sees_every_spelling_of_a_cli_import():
-    spellings = ["import hmmdkit.cli", "from . import cli", "from .cli import main",
-                 "from hmmdkit import cli", "from hmmdkit.cli import COMMANDS"]
-    for source in spellings:
-        assert any(_imports_cli(node) for node in ast.walk(ast.parse(source))), source
-    assert not any(_imports_cli(node) for node in ast.walk(ast.parse("from .core import cli_free")))

@@ -93,11 +93,12 @@ def _argv_sweep(morph: str, assign: str, commands) -> list[list[str]]:
         [*asg, "--weights", "1,,2"], [*asg, "--weights", "1,2"], [*synth, "--weights", "1"],
         ["-h"], ["--help"], ["-h", "synth"], ["bogus", "-h"], [*synth, "-h"], ["synth", "-h", "--input", morph],
         [*synth, "--frobnicate", "-h"], ["synth", "--input", "-h"], [*asg, "--weights", "-h"],
+        [*synth, "--output", "--oracle"], ["synth", "--input", "--format", "json"],
         *([command, "--help"] for command in commands),
     ]
 
 
-def _build(src: str, workdir: Path, count: int, seed: int) -> None:
+def _build(src: str, workdir: Path, count: int) -> None:
     """Write the inputs, the mutants and ``plan.json`` (every case) into ``workdir``."""
     sys.path[:0] = [src, str(ROOT / "perfbench"), str(ROOT / "tests")]
     import workloads
@@ -127,7 +128,7 @@ def _build(src: str, workdir: Path, count: int, seed: int) -> None:
         for argv in commands for fmt in ("json", "text") for oracle in ([], ["--oracle"])
     ]
     cases += [{"kind": "write", "path": path} for path in first]
-    rng = random.Random(f"report_diff:{seed}")
+    rng = random.Random("report_diff:0")
     (workdir / "mutants").mkdir()
     for path, argv in first.items():
         drawn = _draw(json.loads(Path(path).read_text(encoding="utf-8")), 2 * count, rng, mutants)
@@ -211,13 +212,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
     parser.add_argument("--mutants", type=int, default=10, help="one- and two-change mutants per input")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the mutant draws")
     parser.add_argument("--workdir", type=Path, help="an empty directory for inputs and results")
     parser.add_argument("--build", metavar="SRC", help=argparse.SUPPRESS)
     parser.add_argument("--worker", nargs=2, metavar=("SRC", "LABEL"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.build:
-        _build(args.build, args.workdir, args.mutants, args.seed)
+        _build(args.build, args.workdir, args.mutants)
         return 0
     if args.worker:
         _worker(args.worker[0], args.workdir, args.worker[1])
@@ -233,8 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         workdir.mkdir(parents=True, exist_ok=True)
         child = [sys.executable, __file__, "--workdir", str(workdir)]
         first = os.path.abspath(next(iter(trees.values())))
-        subprocess.run([*child, "--build", first, "--mutants", str(args.mutants), "--seed", str(args.seed)],
-                       check=True)
+        subprocess.run([*child, "--build", first, "--mutants", str(args.mutants)], check=True)
         for label, src in trees.items():
             subprocess.run([*child, "--worker", os.path.abspath(src), label], check=True)
         summary = compare(workdir, list(trees))
