@@ -7,8 +7,9 @@ stderr: "hmmdkit: error: <category>: <detail>".
 
 Arguments are ``hmmdkit <subcommand> [flag ...]``. A flag is spelled out
 in full and given at most once; it takes its value as ``--flag value`` or
-``--flag=value``, except ``--oracle``, which takes none. ``-h`` or
-``--help`` anywhere prints help instead of running.
+``--flag=value``, except ``--oracle``, which takes none. A value may be
+neither empty nor another flag. ``-h`` or ``--help`` anywhere prints help
+instead of running.
 """
 
 from __future__ import annotations
@@ -95,9 +96,11 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
                 raise _usage("--oracle takes no value")
             value = True
         elif not eq:
-            value = next(rest, None)
-            if value is None or value.partition("=")[0] in FLAGS:
-                raise _usage(f"{flag} needs a value")
+            value = next(rest, "")
+            if value.partition("=")[0] in FLAGS:
+                value = ""
+        if not value:  # missing, empty, or another flag
+            raise _usage(f"{flag} needs a value")
         if flag in opts:
             raise _usage(f"{flag} given twice")
         opts[flag] = value
@@ -147,7 +150,7 @@ def _parse_weights(raw: str | None) -> list[Fraction] | None:
 
 def run_command(command: str, opts: dict) -> int:
     expected_type, methods, default, weighted, (module, function) = COMMANDS[command]
-    method = opts.get("--method") or default
+    method = opts.get("--method", default)
     if method is not None and method not in methods:
         raise _usage(
             f"unknown method {method!r} for {command} (choose from: {', '.join(methods)})"
@@ -192,7 +195,7 @@ def run_command(command: str, opts: dict) -> int:
     fmt = ResultFormat.STRUCTURED if opts.get("--format") == "json" else ResultFormat.TEXT
     rendered = write_result(result, fmt)
     output = opts.get("--output")
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

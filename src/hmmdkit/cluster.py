@@ -7,6 +7,8 @@ sorted member ids, so results are reproducible.
 
 from __future__ import annotations
 
+import heapq
+import math
 from enum import Enum
 from fractions import Fraction
 
@@ -61,26 +63,56 @@ def _linkage_distance(
     return Fraction(total) / len(cross)  # exact mean for int/Fraction entries
 
 
+def _heap_key(
+    m: DissimilarityMatrix,
+    idx: dict[str, int],
+    a: tuple[str, ...],
+    b: tuple[str, ...],
+    linkage: Linkage,
+) -> tuple:
+    """``(float distance, distance, a, b)``. Rounding to float keeps order,
+    so the exact distance decides only between equal floats, and the keys
+    sort as ``(distance, a, b)`` does, only faster."""
+    dist = _linkage_distance(m, idx, a, b, linkage)
+    try:
+        fast = float(dist)
+    except OverflowError:  # an int or Fraction beyond float range
+        fast = math.inf
+    return fast, dist, a, b
+
+
 def build_dendrogram(
     m: DissimilarityMatrix, linkage: Linkage = Linkage.SINGLE
 ) -> Dendrogram:
-    """Merge the closest pair of active clusters until one remains."""
+    """Merge the closest pair of active clusters until one remains.
+
+    The distance of two clusters does not change while both stay active,
+    so each pair's is computed once, when the newer of the two forms, and
+    kept in a heap under the key ``(distance, a, b)`` with ``a < b`` (see
+    ``_heap_key``). The smallest key whose clusters are both still active
+    is the next merge, as an all-pairs scan would find it.
+    """
     idx = {x: i for i, x in enumerate(m.ids)}
-    active: list[tuple[str, ...]] = [tuple([x]) for x in sorted(m.ids)]
+    singles = [tuple([x]) for x in sorted(m.ids)]
+    heap = [
+        _heap_key(m, idx, a, b, linkage)
+        for i, a in enumerate(singles)
+        for b in singles[i + 1:]
+    ]
+    heapq.heapify(heap)
+    active = set(singles)
     merges: list[Merge] = []
     while len(active) > 1:
-        best = None
-        for i in range(len(active)):
-            for j in range(i + 1, len(active)):
-                a, b = sorted((active[i], active[j]))
-                dist = _linkage_distance(m, idx, a, b, linkage)
-                key = (dist, a, b)
-                if best is None or key < best:
-                    best = key
-        dist, a, b = best
+        _, dist, a, b = heapq.heappop(heap)
+        if a not in active or b not in active:
+            continue
         merges.append(Merge(a, b, dist))
-        active = [c for c in active if c != a and c != b]
-        active.append(tuple(sorted(a + b)))
+        active -= {a, b}
+        new = tuple(sorted(a + b))
+        for c in active:
+            lo, hi = (c, new) if c < new else (new, c)
+            heapq.heappush(heap, _heap_key(m, idx, lo, hi, linkage))
+        active.add(new)
     return Dendrogram(leaves=tuple(m.ids), merges=tuple(merges))
 
 

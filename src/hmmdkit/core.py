@@ -383,11 +383,34 @@ def scalarize(
         frame = CriteriaFrame(
             tuple(Criterion(c.id, c.direction, w) for c, w in zip(frame.criteria, weights))
         )
-    lam = frame.weights
-    return [
-        sum((w * v for w, v in zip(lam, row)), Fraction(0))
-        for row in normalize_estimates(frame, values)
-    ]
+    check_rows(frame, values)
+    # Column k adds w_k·(x - lo)/(hi - lo), flipped for a minimized
+    # criterion and 1/2 for a constant column. On the column's lcm-scaled
+    # ints (core.as_ints) that is p·(x - lo) / (q·(hi - lo)) for w_k = p/q,
+    # so every term goes over one common denominator and each row costs one
+    # Fraction. A minimized column is p·(hi - x), that is -p·(x - hi).
+    terms = []  # (p, column ints or None when constant, base, denominator)
+    for k, c in enumerate(frame.criteria):
+        if not c.weight:
+            continue
+        p, q = c.weight.numerator, c.weight.denominator
+        col = as_ints([row.values[k] for row in values])
+        lo, hi = min(col), max(col)
+        if lo == hi:
+            terms.append((p, None, 0, 2 * q))
+        elif c.direction is Direction.MAXIMIZE:
+            terms.append((p, col, lo, q * (hi - lo)))
+        else:
+            terms.append((-p, col, hi, q * (hi - lo)))
+    den = math.lcm(*(t[3] for t in terms))
+    nums = [0] * len(values)
+    for p, col, base, d in terms:
+        f = p * (den // d)
+        if col is None:
+            nums = [n + f for n in nums]
+        else:
+            nums = [n + f * (x - base) for n, x in zip(nums, col)]
+    return [Fraction(n, den) for n in nums]
 
 
 def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:

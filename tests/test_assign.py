@@ -12,9 +12,13 @@ from hmmdkit.assign import (
     assign_pareto,
 )
 from hmmdkit.core import (
+    CriteriaFrame,
+    Criterion,
+    Direction,
     EstimateVector,
     GuardExceeded,
     ValidationError,
+    as_ints,
     equal_weight_frame,
 )
 from hmmdkit.select import scalarize
@@ -194,18 +198,91 @@ def test_enumeration_guard(monkeypatch):
     rng = random.Random(109)
     inst = random_instance(rng, 10, 10)
     with pytest.raises(GuardExceeded, match=r"^10 assigned agents exceed guard 9$"):
-        assign_exact(inst)
-    with pytest.raises(GuardExceeded, match=r"^10 assigned agents exceed guard 9$"):
         assign_pareto(inst)
     # the guard counts assigned agents: 4 agents, but only 3 seats
     small = random_instance(rng, 4, 3)
     monkeypatch.setenv("HMMD_KIT_GUARD", "2")
-    for solve in (assign_exact, assign_pareto):
-        with pytest.raises(GuardExceeded, match=r"^3 assigned agents exceed guard 2$"):
-            solve(small)
+    with pytest.raises(GuardExceeded, match=r"^3 assigned agents exceed guard 2$"):
+        assign_pareto(small)
     monkeypatch.setenv("HMMD_KIT_GUARD", "3")
-    assert len(assign_exact(small).pairs) == 3
     assert assign_pareto(small)
+
+
+def test_exact_assignment_has_no_guard(monkeypatch):
+    # a min-cost flow, not an enumeration: past 9 agents, and under any
+    # HMMD_KIT_GUARD; two positions of 5 seats keep the oracle at 252 cases
+    rng = random.Random(109)
+    inst = random_instance(rng, 10, 2, capacity={"p0": 5, "p1": 5})
+    monkeypatch.setenv("HMMD_KIT_GUARD", "1")
+    sol = assign_exact(inst)
+    assert sol == enumerating_assign_exact(inst)
+    assert len(sol.pairs) == 10
+
+
+def enumerating_assign_exact(inst, weights=None):
+    """assign_exact as it was before the min-cost flow: every maximal
+    assignment, best objective first, then the smallest sorted pair list."""
+    from hmmdkit.assign import _cell_betas, _maximal_assignments, _solution
+
+    betas = _cell_betas(inst, weights)
+    best = None
+    for pairs in _maximal_assignments(inst):
+        obj = sum((betas[pr] for pr in pairs), Fraction(0))
+        key = (-obj, sorted(pairs))
+        if best is None or key < best[0]:
+            best = (key, set(pairs))
+    return _solution(inst, best[1], betas)
+
+
+def sweep_instance(rng):
+    """1-6 agents and 1-4 positions in shuffled id order, often with
+    capacities, on a scale of 2, 3 or 10 levels so that ties are common."""
+    n_a, n_p, k = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 3)
+    top = rng.choice([1, 2, 9])
+    agents = [f"a{i}" for i in range(n_a)]
+    positions = [f"p{j}" for j in range(n_p)]
+    rng.shuffle(agents)
+    rng.shuffle(positions)
+    frame = CriteriaFrame(tuple(
+        Criterion(f"c{i}", rng.choice(list(Direction)), rng.randint(1, 3)) for i in range(k)
+    ))
+    capacity = {p: rng.randint(1, 3) for p in positions} if rng.random() < 0.5 else None
+    cells = [[vec(*(rng.randint(0, top) for _ in range(k))) for _ in positions] for _ in agents]
+    weights = None
+    if rng.random() < 0.3:
+        weights = [rng.randint(0, 4) for _ in range(k)]
+        weights[rng.randrange(k)] += 1
+    return AssignmentInstance(tuple(agents), tuple(positions), cells, frame, capacity), weights
+
+
+def test_exact_equals_the_enumerating_oracle():
+    rng = random.Random(113)
+    for _ in range(1500):
+        inst, weights = sweep_instance(rng)
+        assert assign_exact(inst, weights) == enumerating_assign_exact(inst, weights)
+
+
+def test_exact_objective_equals_scipy_past_the_old_guard():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(127)
+    for _ in range(12):
+        n_a, n_p = rng.randint(10, 40), rng.randint(2, 8)
+        capacity = {f"p{j}": rng.randint(1, 4) for j in range(n_p)}
+        inst = random_instance(rng, n_a, n_p, k=3, capacity=capacity)
+        sol = assign_exact(inst)
+        betas = scalarize(inst.frame, [v for row in inst.cells for v in row])
+        scaled = as_ints(betas)  # small ints, exact in scipy's float64
+        # one column per seat of a position
+        seats = [j for j, p in enumerate(inst.positions) for _ in range(inst.capacity[p])]
+        gain = [[scaled[i * n_p + j] for j in seats] for i in range(n_a)]
+        rows, cols = scipy_optimize.linear_sum_assignment(gain, maximize=True)
+        best = sum(gain[i][c] for i, c in zip(rows, cols))
+        pairs = {(inst.agents.index(a), inst.positions.index(p)) for a, p in sol.pairs}
+        assert sum(scaled[i * n_p + j] for i, j in pairs) == best
+        agents = [a for a, _ in sol.pairs]
+        assert len(set(agents)) == len(agents) == min(n_a, len(seats))
+        for p in inst.positions:
+            assert sum(q == p for _, q in sol.pairs) <= inst.capacity[p]
 
 
 def test_instance_validation():

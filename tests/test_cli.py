@@ -99,7 +99,7 @@ def test_bad_weights_follow_the_frame_rules(capsys, weights, message):
     )
 
 
-@pytest.mark.parametrize("weights", ["1,,2,3", ",1,2,3", "1,2,3,", ""], ids=["inner", "leading", "trailing", "empty"])
+@pytest.mark.parametrize("weights", ["1,,2,3", ",1,2,3", "1,2,3,"], ids=["inner", "leading", "trailing"])
 def test_every_weights_entry_must_be_a_number(capsys, weights):
     # an empty entry used to be dropped, so "1,,2,3" read as 1,2,3
     assert run(capsys, "assign", "--input", ASSIGN, f"--weights={weights}") == (
@@ -126,6 +126,28 @@ def test_assign_text_report_shows_reference_pairs(capsys):
     assert code == 0
     assert "A1 -> V6" in out and "A5 -> V1" in out
     assert "A4 ->" not in out
+
+
+def test_exact_assignment_runs_past_nine_agents(tmp_path, capsys, monkeypatch):
+    # exact used to enumerate and exit 1 with "10 assigned agents exceed
+    # guard 9"; greedy's oracle used to read "skipped (...)"
+    agents = [f"s{i}" for i in range(10)]
+    payload = {
+        "criteria": [{"id": "c", "direction": "max", "weight": 1}],
+        "agents": agents, "positions": ["p", "q"], "capacity": {"p": 5, "q": 5},
+        "matrix": [[[i % 3], [i % 4]] for i in range(10)],
+    }
+    path = tmp_path / "a.json"
+    path.write_text(problem_text("assign", payload))
+    monkeypatch.setenv("HMMD_KIT_GUARD", "1")
+    code, out, err = run(capsys, "assign", "--input", str(path), "--method", "exact", "--format", "json")
+    assert code == 0, err
+    assert len(parse_result(out).solution["solutions"][0]["pairs"]) == 10
+    code, out, err = run(capsys, "assign", "--input", str(path), "--oracle", "--format", "json")
+    assert code == 0, err
+    assert parse_result(out).diagnostics["oracle"] == "ok (exact >= greedy)"
+    code, out, err = run(capsys, "assign", "--input", str(path), "--method", "pareto")
+    assert (code, err) == (1, "hmmdkit: error: solve: 10 assigned agents exceed guard 1\n")
 
 
 def test_pipeline_text_report_labels_clusters_by_set(tmp_path, capsys):
@@ -738,7 +760,7 @@ USAGE_ERRORS = [
     (["assign", "--input", ASSIGN, "--method=exact", "--method", "greedy"], "--method given twice"),
     (["synth", "--input", COURSE, "--oracle=1"], "--oracle takes no value"),
     (["synth", "--input", COURSE, "--format", "xml"], "unknown format 'xml' (choose from: json, text)"),
-    (["synth", "--input", COURSE, "--format="], "unknown format '' (choose from: json, text)"),
+    (["synth", "--input", COURSE, "--format="], "--format needs a value"),
     (["tsp", "--input", COURSE, "--method", "bogus"], "unknown method 'bogus' for tsp (choose from: nearest, two_opt, brute)"),
     (["synth", "--input", COURSE, "--weights", "1"], "--weights is not applicable to synth"),
     (["cluster", "--input", COURSE, "--weights", "1"], "--weights is not applicable to cluster"),
@@ -746,6 +768,12 @@ USAGE_ERRORS = [
      "--weights is not applicable to the pareto method"),
     (["assign", "--input", ASSIGN, "--weights", "zero"], "bad --weights: not a number: 'zero'"),
     (["rank", "--input", ASSIGN], "subcommand 'rank' expects a 'rank' file, got 'assign'"),
+    # an empty value used to mean the default method, stdout, or a file named ''
+    (["synth", "--input", COURSE, "--method="], "--method needs a value"),
+    (["synth", "--input", COURSE, "--output="], "--output needs a value"),
+    (["synth", "--input="], "--input needs a value"),
+    (["assign", "--input", ASSIGN, "--weights="], "--weights needs a value"),
+    (["synth", "--input", COURSE, "--method", ""], "--method needs a value"),
 ]
 
 

@@ -171,3 +171,63 @@ def test_from_points_euclidean():
     assert m.d[0][2] == pytest.approx(1.0, abs=1e-9)
     first = build_dendrogram(m).merges[0]
     assert (first.left, first.right) == (("a",), ("c",)) and first.height == pytest.approx(1.0, abs=1e-9)
+
+
+def scanning_dendrogram(m, linkage):
+    """build_dendrogram as it was before the heap: every merge rescans all
+    pairs of active clusters and recomputes each pair's distance."""
+    from hmmdkit.cluster import Merge, _linkage_distance
+
+    idx = {x: i for i, x in enumerate(m.ids)}
+    active = [tuple([x]) for x in sorted(m.ids)]
+    merges = []
+    while len(active) > 1:
+        best = None
+        for i in range(len(active)):
+            for j in range(i + 1, len(active)):
+                a, b = sorted((active[i], active[j]))
+                key = (_linkage_distance(m, idx, a, b, linkage), a, b)
+                if best is None or key < best:
+                    best = key
+        dist, a, b = best
+        merges.append(Merge(a, b, dist))
+        active = [c for c in active if c != a and c != b]
+        active.append(tuple(sorted(a + b)))
+    return tuple(merges)
+
+
+#: entry kinds of the sweep: ints, Fractions, floats, and ints of 1-3 (tie-heavy)
+ENTRIES = (
+    lambda rng: rng.randint(0, 50),
+    lambda rng: Fraction(rng.randint(0, 20), rng.randint(1, 6)),
+    lambda rng: rng.random() * 10,
+    lambda rng: rng.randint(1, 3),
+)
+
+
+@pytest.mark.parametrize("linkage", list(Linkage))
+def test_heap_equals_the_scanning_oracle(linkage):
+    rng = random.Random(131)
+    for t in range(1500):
+        n = rng.randint(1, 10)
+        ids = [f"x{i}" for i in range(n)]
+        rng.shuffle(ids)
+        entry = ENTRIES[t % len(ENTRIES)]
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = entry(rng)
+        m = DissimilarityMatrix(tuple(ids), tuple(map(tuple, d)))
+        got, want = build_dendrogram(m, linkage).merges, scanning_dendrogram(m, linkage)
+        assert got == want
+        assert [type(mg.height) for mg in got] == [type(mg.height) for mg in want]
+
+
+@pytest.mark.parametrize("linkage", list(Linkage))
+def test_entries_beyond_float_range_still_order_exactly(linkage):
+    big = 10**400
+    m = matrix(["a", "b", "c", "d"], {
+        ("a", "b"): big, ("a", "c"): big + 1, ("a", "d"): 1,
+        ("b", "c"): big + 2, ("b", "d"): big, ("c", "d"): Fraction(3, 2),
+    })
+    assert build_dendrogram(m, linkage).merges == scanning_dendrogram(m, linkage)

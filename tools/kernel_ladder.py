@@ -1,6 +1,6 @@
-"""Kernel ladders for the outranking, knapsack, MCKP, dendrogram and morph solvers.
+"""Kernel ladders for the outranking, knapsack, MCKP, dendrogram, assignment and morph solvers.
 
-Times each rung of seven scaling ladders on seeded instances from the
+Times each rung of eight scaling ladders on seeded instances from the
 benchmark's generators (``perfbench/workloads.py``, imported, not edited)
 and writes the medians as JSON:
 
@@ -15,7 +15,8 @@ warm-up call and then one timed call of each rung's kernel. A rung's time
 is the median over the rounds. Its ratio is the median over the rounds of
 each tree's time over the first tree's, taken within one round, so a slow
 phase of a shared host cancels out. Rungs whose code every tree shares
-should read about 1; when they do not, the host did not hold steady.
+should read about 1; when they do not, the host did not hold steady. A
+rung whose kernel a tree refuses with GuardExceeded reads null there.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ RUNGS = (
     + [("knapsack", {"n": n, "budget": b}) for n, b in ((30, 300), (60, 600), (120, 1200))]
     + [("mckp", {"groups": 28, "per_group": m, "budget": 360}) for m in (2, 4, 8)]
     + [("dendrogram", {"n": n, "linkage": "average"}) for n in (15, 30, 60)]
+    # exact assignment, 3 criteria: the solver_mix shape of 4 positions of 2
+    # seats, then seats for all of 20 and 40 agents, past the 9-agent guard
+    # that enumeration needs
+    + [("assign", {"agents": n, "positions": p, "capacity": 2})
+       for n, p in ((6, 4), (8, 4), (9, 4), (20, 10), (40, 20))]
     # the synth_front grid's first model of each widest node shape: the whole
     # synthesis, then compose_node on the widest node alone
     + [(kernel, {"widest": w, "front": f, "checks": c, "zero_share": z, "density": d,
@@ -58,6 +64,7 @@ RUNGS = (
 def _call(kernel: str, size: dict):
     """Build the rung's instance and return a no-argument call of its kernel."""
     import workloads
+    from hmmdkit.assign import assign_exact
     from hmmdkit.cluster import Linkage, build_dendrogram
     from hmmdkit.frameworks import design_trajectory
     from hmmdkit.morph import compose_node, synthesize_tree_trace, walk
@@ -91,16 +98,25 @@ def _call(kernel: str, size: dict):
     if kernel == "dendrogram":
         prob = workloads._cluster(rng, size["n"], Linkage(size["linkage"]), None)
         return lambda: build_dendrogram(prob.matrix, prob.linkage)
+    if kernel == "assign":
+        prob = workloads._assign(rng, size["agents"], size["positions"], 3, size["capacity"])
+        return lambda: assign_exact(prob.instance)
     prob = workloads._mckp(rng, size["groups"], size["per_group"], 3, 20, size["budget"])
     return lambda: mckp_exact_dp(prob.instance)
 
 
 def _worker(src: str) -> None:
     sys.path[:0] = [src, str(ROOT / "perfbench")]
+    from hmmdkit.core import GuardExceeded
+
     samples = []
     for kernel, size in RUNGS:
         call = _call(kernel, size)
-        call()
+        try:
+            call()
+        except GuardExceeded:
+            samples.append(None)
+            continue
         start = time.perf_counter()
         call()
         samples.append((time.perf_counter() - start) * 1000)
@@ -122,6 +138,11 @@ def _commit() -> str | None:
     except OSError:
         return None
     return out.stdout.strip() or None
+
+
+def _median(values: list, digits: int) -> float | None:
+    """The rounded median, or None when a round has no time (GuardExceeded)."""
+    return None if None in values else round(statistics.median(values), digits)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,9 +177,9 @@ def main(argv: list[str] | None = None) -> int:
         "trees": {label: {"src_sha256": _src_sha256(Path(src))} for label, src in trees.items()},
         "rungs": [
             {"kernel": kernel, **size,
-             "median_ms": {label: round(statistics.median(s[i]), 2) for label, s in samples.items()},
+             "median_ms": {label: _median(s[i], 2) for label, s in samples.items()},
              f"median_round_ratio_to_{next(iter(trees))}": {
-                 label: round(statistics.median(x / y for x, y in zip(s[i], first[i])), 3)
+                 label: _median([None if None in (x, y) else x / y for x, y in zip(s[i], first[i])], 3)
                  for label, s in list(samples.items())[1:]
              }}
             for i, (kernel, size) in enumerate(RUNGS)

@@ -94,6 +94,7 @@ def _argv_sweep(morph: str, assign: str, commands) -> list[list[str]]:
         ["-h"], ["--help"], ["-h", "synth"], ["bogus", "-h"], [*synth, "-h"], ["synth", "-h", "--input", morph],
         [*synth, "--frobnicate", "-h"], ["synth", "--input", "-h"], [*asg, "--weights", "-h"],
         [*synth, "--output", "--oracle"], ["synth", "--input", "--format", "json"],
+        ["synth", "--input="], [*asg, "--weights="], [*synth, "--method", ""], [*synth, "--output", ""],
         *([command, "--help"] for command in commands),
     ]
 
