@@ -91,9 +91,9 @@ def _cell_betas(
 
 
 def _solution(inst: AssignmentInstance, pairs: set[tuple[str, str]], betas) -> AssignmentSolution:
-    vectors = [
-        inst.cells[inst.agents.index(a)][inst.positions.index(p)] for a, p in pairs
-    ]
+    row = {a: i for i, a in enumerate(inst.agents)}
+    col = {p: j for j, p in enumerate(inst.positions)}
+    vectors = [inst.cells[row[a]][col[p]] for a, p in pairs]
     objective = sum((betas[pr] for pr in pairs), Fraction(0))
     return AssignmentSolution(frozenset(pairs), vector_sum(inst.frame, vectors), objective)
 
@@ -107,22 +107,16 @@ def assign_greedy(
     unassigned once every position is full.
     """
     betas = _cell_betas(inst, weights)
-    free_agents = list(inst.agents)
     room = dict(inst.capacity)
+    assigned: set[str] = set()
     pairs: set[tuple[str, str]] = set()
-    while free_agents and any(room[p] > 0 for p in inst.positions):
-        best = None
-        for a in free_agents:
-            for p in inst.positions:
-                if room[p] <= 0:
-                    continue
-                key = (-betas[(a, p)], inst.agents.index(a), inst.positions.index(p))
-                if best is None or key < best[0]:
-                    best = (key, a, p)
-        _, a, p = best
-        pairs.add((a, p))
-        free_agents.remove(a)
-        room[p] -= 1
+    # one pass over the cells, best first: a cell that is infeasible now
+    # stays so, and the stable sort keeps the (agent, position) order of ties
+    for a, p in sorted(betas, key=betas.__getitem__, reverse=True):
+        if a not in assigned and room[p] > 0:
+            pairs.add((a, p))
+            assigned.add(a)
+            room[p] -= 1
     return _solution(inst, pairs, betas)
 
 
@@ -243,7 +237,7 @@ def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
     return sorted(front, key=lambda s: sorted(s.pairs))
 
 
-# ---------------------------------------------------------------- report
+# ------------------------------------------------ report and file format
 
 
 def _entry(sol: AssignmentSolution) -> dict:
@@ -277,3 +271,34 @@ def report_assign(problem, method, weights, oracle):
                 raise OracleError(f"exact objective {exact.objective} below greedy {greedy.objective}")
             diagnostics["oracle"] = "ok (exact >= greedy)"
     return solution, diagnostics
+
+
+def codecs(problem_type: str) -> tuple:
+    """The assign file's payload codec, its report's solution codec and
+    the body lines of its text report (``probio.OWNERS``)."""
+    from .probio import CELLS, FRAC, FRACS, FRAME, IDS, INT, PAIRS, AssignProblem, Map, Record, array, doc
+    from .probio import render_number
+
+    payload = Record(
+        ("agents", IDS, "instance.agents"),
+        ("positions", IDS, "instance.positions"),
+        ("matrix", CELLS, "instance.cells"),
+        ("criteria", FRAME, "instance.frame"),
+        ("capacity", Map(INT), "instance.capacity", None),
+        build=lambda *args: AssignProblem(AssignmentInstance(*args)),
+    )
+    solution = doc(("solutions", array(doc(("pairs", PAIRS), ("objective", FRAC), ("objective_vector", FRACS)))))
+
+    def text(sol: dict) -> list[str]:
+        lines = []
+        for entry in sol["solutions"]:
+            pairs = ", ".join(f"{a} -> {p}" for a, p in entry["pairs"])
+            lines.append(f"pairs: {pairs if pairs else '(none)'}")
+            lines.append(
+                "  objective vector: ("
+                + ", ".join(render_number(v) for v in entry["objective_vector"])
+                + f"), objective {render_number(entry['objective'])}"
+            )
+        return lines
+
+    return payload, solution, text

@@ -35,20 +35,20 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 
 #: subcommand -> (problem type, methods, default method, the methods that
-#: take --weights, (solver module, its report function)); a run imports
-#: only the module of its own subcommand
+#: take --weights); a run imports only the module that owns its problem
+#: type (probio.OWNERS) and calls its report_<subcommand>
 COMMANDS = {
-    "rank": ("rank", ("utility", "pareto", "outranking", "ideal"), "utility", (), ("rank", "report_rank")),
-    "knapsack": ("knapsack", ("greedy", "exact"), "greedy", ("greedy", "exact"), ("select", "report_selection")),
-    "mckp": ("mckp", ("greedy", "exact"), "greedy", ("greedy", "exact"), ("select", "report_selection")),
-    "cluster": ("cluster", ("single", "complete", "average"), None, (), ("cluster", "report_cluster")),
-    "assign": ("assign", ("greedy", "exact", "pareto"), "greedy", ("greedy", "exact"), ("assign", "report_assign")),
-    "tsp": ("tsp", ("nearest", "two_opt", "brute"), "two_opt", (), ("route", "report_tsp")),
-    "synth": ("morph", ("synthesis",), "synthesis", (), ("morph", "report_synth")),
-    "trajectory": ("trajectory", ("enumerate",), "enumerate", (), ("frameworks", "report_trajectory")),
-    "integrate": ("integrate", ("tables",), "tables", (), ("frameworks", "report_integrate")),
-    "pipeline": ("pipeline", ("chain",), "chain", ("chain",), ("frameworks", "report_pipeline")),
-    "improve": ("improve", ("auto",), "auto", ("auto",), ("frameworks", "report_improve")),
+    "rank": ("rank", ("utility", "pareto", "outranking", "ideal"), "utility", ()),
+    "knapsack": ("knapsack", ("greedy", "exact"), "greedy", ("greedy", "exact")),
+    "mckp": ("mckp", ("greedy", "exact"), "greedy", ("greedy", "exact")),
+    "cluster": ("cluster", ("single", "complete", "average"), None, ()),
+    "assign": ("assign", ("greedy", "exact", "pareto"), "greedy", ("greedy", "exact")),
+    "tsp": ("tsp", ("nearest", "two_opt", "brute"), "two_opt", ()),
+    "synth": ("morph", ("synthesis",), "synthesis", ()),
+    "trajectory": ("trajectory", ("enumerate",), "enumerate", ()),
+    "integrate": ("integrate", ("tables",), "tables", ()),
+    "pipeline": ("pipeline", ("chain",), "chain", ("chain",)),
+    "improve": ("improve", ("auto",), "auto", ("auto",)),
 }
 
 #: flag -> (value name, help); --oracle alone takes no value
@@ -149,7 +149,7 @@ def _parse_weights(raw: str | None) -> list[Fraction] | None:
 
 
 def run_command(command: str, opts: dict) -> int:
-    expected_type, methods, default, weighted, (module, function) = COMMANDS[command]
+    expected_type, methods, default, weighted = COMMANDS[command]
     method = opts.get("--method", default)
     if method is not None and method not in methods:
         raise _usage(
@@ -175,7 +175,7 @@ def run_command(command: str, opts: dict) -> int:
         )
     if command == "cluster" and method is None:
         method = pf.payload.linkage.value
-    report = getattr(import_module(f".{module}", __package__), function)
+    report = getattr(import_module(f".{probio.OWNERS[expected_type]}", __package__), f"report_{command}")
     try:
         guard_limit(1)  # reject a bad HMMD_KIT_GUARD on every run, guarded or not
         solution, diagnostics = report(pf.payload, method, weights, "--oracle" in opts)

@@ -129,7 +129,7 @@ def cut_dendrogram(dend: Dendrogram, k: int) -> list[tuple[str, ...]]:
     return sorted(blocks)
 
 
-# ---------------------------------------------------------------- report
+# ------------------------------------------------ report and file format
 
 
 def report_cluster(problem, method, weights, oracle):
@@ -148,3 +148,45 @@ def report_cluster(problem, method, weights, oracle):
                 raise OracleError(f"cut at k={k} is not a partition")
         diagnostics["oracle"] = "ok (all cuts partition the ids)"
     return solution, diagnostics
+
+
+def codecs(problem_type: str) -> tuple:
+    """The cluster file's payload codec, its report's solution codec and
+    the body lines of its text report (``probio.OWNERS``)."""
+    from .probio import ID_LIST, IDS, INT, MATRIX, NUM, ClusterProblem, Record, array, choice, doc, fail, nullable
+    from .probio import render_number, wrap
+
+    def build(path: str, ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
+        with wrap(f"{path}.matrix"):
+            m = DissimilarityMatrix(ids, matrix)
+        if k is not None and not 1 <= k <= len(ids):
+            fail(f"{path}.k", f"k={k} outside 1..{len(ids)}")
+        return ClusterProblem(m, linkage, k)
+
+    payload = Record(
+        ("ids", IDS, "matrix.ids"),
+        ("matrix", MATRIX, "matrix.d"),
+        ("linkage", choice(Linkage), "linkage", Linkage.SINGLE),
+        ("k", INT, "k", None),
+        build=build,
+        with_path=True,
+    )
+    solution = doc(
+        ("merges", array(doc(("left", ID_LIST), ("right", ID_LIST), ("height", NUM)))),
+        ("partition", nullable(array(ID_LIST))),
+    )
+
+    def text(sol: dict) -> list[str]:
+        lines = []
+        for merge in sol["merges"]:
+            lines.append(
+                "merge {" + ", ".join(merge["left"]) + "} + {"
+                + ", ".join(merge["right"]) + "} at "
+                + render_number(merge["height"])
+            )
+        if sol.get("partition") is not None:
+            for i, block in enumerate(sol["partition"], 1):
+                lines.append(f"block {i}: " + ", ".join(block))
+        return lines
+
+    return payload, solution, text

@@ -142,6 +142,8 @@ def as_frac(x: Number | str) -> Fraction:
     rather than the binary expansion. Strings accept "p/q" and decimal
     forms.
     """
+    if x.__class__ is int:  # before isinstance(x, Fraction), an ABC check
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):

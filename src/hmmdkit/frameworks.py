@@ -466,7 +466,7 @@ def plan_improvement(
     return ImprovementPlan(by_part=by_part, solution=solution, method=method)
 
 
-# --------------------------------------------------------------- reports
+# ----------------------------------------------- reports and file format
 
 
 def report_trajectory(problem, method, weights, oracle):
@@ -547,3 +547,144 @@ def report_improve(problem, method, weights, oracle):
             raise OracleError("improvement plan exceeded its budget")
         diagnostics["oracle"] = "ok (one action per part within budget)"
     return solution, diagnostics
+
+
+def _trajectory_codecs() -> tuple:
+    from .morph import quality_codecs
+    from .probio import BOOL, FRAC, ID_LIST, INT, STR, List, Record, Table, TrajectoryProblem, array, doc
+
+    stage = Record(
+        ("time", FRAC, "time"),
+        ("decisions", List(Record(("id", STR, 0), ("priority", INT, 1)), 1), "decisions"),
+        build=Stage,
+    )
+    payload = Record(
+        ("stages", List(stage, 1), "spec.stages"),
+        ("compat", Table(("from", STR), ("to", STR), ("value", INT)), "spec.compat"),
+        ("all_pairs", BOOL, "all_pairs", False),
+        build=lambda stages, compat, all_pairs: TrajectoryProblem(TrajectorySpec(stages, compat), all_pairs),
+    )
+    quality, quality_line = quality_codecs()
+
+    def text(sol: dict) -> list[str]:
+        return [
+            "trajectory " + " -> ".join(entry["path"]) + "; " + quality_line(entry["quality"])
+            for entry in sol["trajectories"]
+        ]
+
+    return payload, doc(("trajectories", array(doc(("path", ID_LIST), ("quality", quality))))), text
+
+
+def _integrate_codecs() -> tuple:
+    from .probio import INT, STR, IntegrateProblem, List, Map, Record, Ref, Table, doc, scale, wrap
+
+    def build(path: str, tree: IntegrationNode) -> IntegrateProblem:
+        with wrap(f"{path}.tree"):
+            check_tables_total(tree)
+        return IntegrateProblem(tree)
+
+    node = Ref()
+    node.target = Record(
+        ("id", STR, "id"),
+        ("scale", scale(Best.HIGH), "scale"),
+        ("children", List(node, 1), lambda n: n.children or None, ()),
+        ("table", Table(("inputs", List(INT)), ("output", INT), min_len=1), "table", None),
+        ("estimate", INT, "estimate", None),
+        build=IntegrationNode,
+    )
+    payload = Record(("tree", node, "tree"), build=build, with_path=True)
+
+    def text(sol: dict) -> list[str]:
+        lines = [f"root estimate: {sol['root_estimate']}"]
+        for nid, est in sorted(sol["trace"].items()):
+            lines.append(f"  {nid}: {est}")
+        return lines
+
+    return payload, doc(("root_estimate", INT), ("trace", Map(INT))), text
+
+
+def _pipeline_codecs() -> tuple:
+    from .cluster import DissimilarityMatrix, Linkage
+    from .probio import CELLS, FRAC, FRAME, ID_LIST, IDS, INT, MATRIX, STR, List, PipelineProblem, Record
+    from .probio import array, choice, doc, fail, render_number
+    from .select import items_codec
+
+    def pair_actions(path: str, pair: tuple, items: tuple) -> PairActions:
+        if len(pair) != 2:
+            fail(f"{path}.pair", "expected [element1, element2]")
+        return PairActions(*pair, items)
+
+    element_set = Record(("ids", IDS, "ids"), ("matrix", MATRIX, "d"), build=DissimilarityMatrix)
+    actions = Record(
+        ("pair", List(STR), lambda a: (a.element1, a.element2)),
+        ("items", items_codec("value"), "items"),
+        build=pair_actions,
+        with_path=True,
+    )
+    payload = Record(
+        ("set1", element_set, "spec.set1"),
+        ("set2", element_set, "spec.set2"),
+        ("k1", INT, "spec.k1"),
+        ("k2", INT, "spec.k2"),
+        ("criteria", FRAME, "spec.frame"),
+        ("correspondence", CELLS, "spec.correspondence"),
+        ("action_criteria", FRAME, "spec.action_frame"),
+        ("actions", List(actions), "spec.actions"),
+        ("budget", FRAC, "spec.budget"),
+        ("linkage", choice(Linkage), "linkage", Linkage.SINGLE),
+        build=lambda *args: PipelineProblem(ThreeSetSpec(*args[:-1]), args[-1]),
+    )
+    solution = doc(
+        ("clusters1", array(ID_LIST)),
+        ("clusters2", array(ID_LIST)),
+        ("assignment", array(array(INT))),
+        ("actions", array(doc(("element1", STR), ("element2", STR), ("action", STR), ("cost", FRAC)))),
+        ("total_cost", FRAC),
+        ("objective", FRAC),
+        ("mckp_method", STR),
+    )
+
+    def text(sol: dict) -> list[str]:
+        lines = []
+        for n in (1, 2):
+            for i, block in enumerate(sol[f"clusters{n}"]):
+                lines.append(f"cluster{n}[{i}]: " + ", ".join(block))
+        for i, j in sol["assignment"]:
+            lines.append(f"match: cluster1[{i}] -> cluster2[{j}]")
+        for entry in sol["actions"]:
+            lines.append(
+                f"action ({entry['element1']}, {entry['element2']}): "
+                f"{entry['action']} at cost {render_number(entry['cost'])}"
+            )
+        lines.append(f"total cost: {render_number(sol['total_cost'])}")
+        lines.append(f"objective: {render_number(sol['objective'])}")
+        return lines
+
+    return payload, solution, text
+
+
+def _improve_codecs() -> tuple:
+    from .probio import FRAC, FRAME, STR, ImproveProblem, List, Map, Record, nullable
+    from .select import items_codec, selection_codecs
+
+    part = Record(("id", STR, "id"), ("actions", items_codec("effect"), "actions"), build=ImprovementPart)
+    payload = Record(
+        ("criteria", FRAME, "spec.frame"),
+        ("parts", List(part, 1), "spec.parts"),
+        ("budget", FRAC, "spec.budget"),
+        build=lambda *args: ImproveProblem(ImprovementSpec(*args)),
+    )
+    return payload, *selection_codecs(("by_part", Map(nullable(STR))))
+
+
+def codecs(problem_type: str) -> tuple:
+    """The payload codec of a trajectory, integrate, pipeline or improve
+    file, its report's solution codec and the body lines of its text report
+    (``probio.OWNERS``). Each builder imports only the solver modules its
+    type needs."""
+    return {
+        "trajectory": _trajectory_codecs,
+        "integrate": _integrate_codecs,
+        "pipeline": _pipeline_codecs,
+        "improve": _improve_codecs,
+    }[problem_type]()

@@ -25,6 +25,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from .core import (
     DEFAULT_COMPAT_SCALE,
     DEFAULT_PRIORITY_SCALE,
+    Best,
     EstimateVector,
     OracleError,
     OrdinalScale,
@@ -412,7 +413,7 @@ def quality_vector(
     return decision.quality
 
 
-# ---------------------------------------------------------------- report
+# ------------------------------------------------ report and file format
 
 
 def report_synth(problem, method, weights, oracle):
@@ -449,3 +450,63 @@ def report_synth(problem, method, weights, oracle):
                     raise OracleError(f"node {rec.node_id}: level counts do not sum to parts")
         diagnostics["oracle"] = "ok (level counts consistent)"
     return solution, diagnostics
+
+
+def quality_codecs() -> tuple:
+    """The codec of a quality vector in a report and its text; the synth
+    and trajectory reports share them."""
+    from .probio import INT, array, doc
+
+    def line(q: dict) -> str:
+        counts = ", ".join(str(c) for c in q["counts"])
+        return f"N(S) = ({q['w']}; {counts})"
+
+    return doc(("w", INT), ("counts", array(INT))), line
+
+
+def codecs(problem_type: str) -> tuple:
+    """The morph file's payload codec, its report's solution codec and the
+    body lines of its text report (``probio.OWNERS``)."""
+    from .probio import INT, PAIRS, STR, VECTOR, List, MorphProblem, Record, Ref, Table, array, doc, scale
+
+    alternative = Record(
+        ("id", STR, "id"),
+        ("priority", INT, "priority"),
+        ("estimates", VECTOR, "estimates", None),
+        build=DesignAlternative,
+    )
+    node = Ref()
+    node.target = Record(
+        ("id", STR, "id"),
+        ("children", List(node, 1), lambda n: n.children or None, ()),
+        ("alternatives", List(alternative, 1), lambda n: n.alternatives or None, ()),
+        build=MorphNode,
+    )
+    payload = Record(
+        ("tree", node, "system.root"),
+        ("compat", Table(("node", STR), ("left", STR), ("right", STR), ("value", INT)), "system.compat"),
+        ("compat_scale", scale(Best.HIGH), "system.compat_scale", DEFAULT_COMPAT_SCALE),
+        ("priority_scale", scale(Best.LOW), "system.priority_scale", DEFAULT_PRIORITY_SCALE),
+        build=lambda *args: MorphProblem(MorphSystem(*args)),
+    )
+    quality, quality_line = quality_codecs()
+    solution = doc(
+        ("root", STR),
+        ("nodes", array(doc(("id", STR), ("composites", array(doc(
+            ("id", STR), ("selection", PAIRS), ("leaves", PAIRS), ("quality", quality), ("priority", INT),
+        )))))),
+    )
+
+    def text(sol: dict) -> list[str]:
+        lines = []
+        for node in sol["nodes"]:
+            lines.append(f"node {node['id']}:")
+            for comp in node["composites"]:
+                sel = ", ".join(f"{part}={da}" for part, da in comp["selection"])
+                lines.append(
+                    f"  {comp['id']}: {sel}; {quality_line(comp['quality'])}; "
+                    f"priority {comp['priority']}"
+                )
+        return lines
+
+    return payload, solution, text

@@ -243,7 +243,7 @@ def rank_ideal_point(inst: RankingInstance) -> RankingResult:
     return RankingResult(_dense_priorities(scores), scores, "ideal")
 
 
-# ---------------------------------------------------------------- report
+# ------------------------------------------------ report and file format
 
 
 def report_rank(problem, method, weights, oracle):
@@ -273,3 +273,23 @@ def report_rank(problem, method, weights, oracle):
                         raise OracleError(f"{ids[i]} dominates {ids[j]} but ranks below it")
         diagnostics["oracle"] = "ok (dominance consistency)"
     return solution, diagnostics
+
+
+def codecs(problem_type: str) -> tuple:
+    """The rank file's payload codec, its report's solution codec and the
+    body lines of its text report (``probio.OWNERS``)."""
+    from .probio import FRAC, FRAME, INT, NUM, STR, VECTOR, List, Map, RankProblem, Record, doc, render_number
+
+    payload = Record(
+        ("criteria", FRAME, "instance.frame"),
+        ("alternatives", List(Record(("id", STR, 0), ("estimates", VECTOR, 1)), 1), "instance.alternatives"),
+        ("p", FRAC, "p", DEFAULT_CONCORDANCE),
+        ("q", FRAC, "q", DEFAULT_DISCORDANCE),
+        build=lambda frame, alts, p, q: RankProblem(RankingInstance(frame, alts), *outranking_thresholds(p, q)),
+    )
+
+    def text(sol: dict) -> list[str]:
+        by_alt = sorted(sol["priorities"].items(), key=lambda kv: (kv[1], kv[0]))
+        return [f"priority {prio}: {aid} (score {render_number(sol['scores'][aid])})" for aid, prio in by_alt]
+
+    return payload, doc(("priorities", Map(INT)), ("scores", Map(NUM))), text

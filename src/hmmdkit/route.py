@@ -136,7 +136,7 @@ def tsp_brute_force(inst: TspInstance) -> Tour:
     return _as_tour(inst, best_order)
 
 
-# ---------------------------------------------------------------- report
+# ------------------------------------------------ report and file format
 
 
 def report_tsp(problem, method, weights, oracle):
@@ -163,3 +163,29 @@ def report_tsp(problem, method, weights, oracle):
                 raise OracleError(f"tour length {tour.length} above 1.10 x optimum {best.length}")
             diagnostics["oracle"] = "ok (within declared ratio of optimum)"
     return {"order": tour.order, "length": tour.length}, diagnostics
+
+
+def codecs(problem_type: str) -> tuple:
+    """The tsp file's payload codec, its report's solution codec and the
+    body lines of its text report (``probio.OWNERS``)."""
+    from .probio import ID_LIST, IDS, MATRIX, NUM, STR, Record, TspProblem, doc, fail, render_number, wrap
+
+    def build(path: str, ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
+        with wrap(f"{path}.matrix"):
+            inst = TspInstance(ids, matrix)
+        if start is not None and start not in ids:
+            fail(f"{path}.start", f"unknown city {start!r}")
+        return TspProblem(inst, start)
+
+    payload = Record(
+        ("ids", IDS, "instance.ids"),
+        ("matrix", MATRIX, "instance.dist"),
+        ("start", STR, "start", None),
+        build=build,
+        with_path=True,
+    )
+
+    def text(sol: dict) -> list[str]:
+        return ["tour: " + " -> ".join(sol["order"]), f"length: {render_number(sol['length'])}"]
+
+    return payload, doc(("order", ID_LIST), ("length", NUM)), text

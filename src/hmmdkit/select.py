@@ -306,7 +306,7 @@ def mckp_exact_dp(
     return _solution(inst.frame, inst.all_items(), betas, chosen)
 
 
-# ---------------------------------------------------------------- report
+# ------------------------------------------------ report and file format
 
 
 def selection_payload(sol: SelectionSolution) -> dict:
@@ -343,3 +343,63 @@ def report_selection(problem, method, weights, oracle):
     if sol.total_cost > inst.budget:
         raise InfeasibleError("budget violated")
     return selection_payload(sol), diagnostics
+
+
+report_knapsack = report_mckp = report_selection
+
+
+def items_codec(value_key: str):
+    """An array of items whose value vectors sit under ``value_key``;
+    knapsack, mckp, pipeline and improve files share it."""
+    from .probio import FRAC, STR, VECTOR, List, Record
+
+    return List(Record(("id", STR, "id"), (value_key, VECTOR, "value"), ("cost", FRAC, "cost"), build=Item), 1)
+
+
+def selection_codecs(*extra: tuple) -> tuple:
+    """The solution codec of a selection report, with ``extra`` ``(key,
+    codec)`` fields, and the body lines of its text report; knapsack, mckp
+    and improve share them."""
+    from .probio import FRAC, FRACS, ID_LIST, doc, render_number
+
+    def text(sol: dict) -> list[str]:
+        chosen = sol["chosen"]
+        lines = ["chosen: " + (", ".join(chosen) if chosen else "(none)")]
+        if "by_part" in sol:
+            for part, action in sorted(sol["by_part"].items()):
+                lines.append(f"  {part}: {action if action else '(no action)'}")
+        lines.append(f"total cost: {render_number(sol['total_cost'])}")
+        lines.append(f"objective: {render_number(sol['objective'])}")
+        lines.append(
+            "objective vector: ("
+            + ", ".join(render_number(v) for v in sol["objective_vector"])
+            + ")"
+        )
+        return lines
+
+    fields = (("chosen", ID_LIST), ("total_cost", FRAC), ("objective", FRAC), ("objective_vector", FRACS))
+    return doc(*fields, *extra), text
+
+
+def codecs(problem_type: str) -> tuple:
+    """The knapsack or mckp file's payload codec, its report's solution
+    codec and the body lines of its text report (``probio.OWNERS``)."""
+    from .probio import FRAC, FRAME, STR, KnapsackProblem, List, MckpProblem, Record, choice
+
+    if problem_type == "knapsack":
+        payload = Record(
+            ("criteria", FRAME, "instance.frame"),
+            ("items", items_codec("value"), "instance.items"),
+            ("budget", FRAC, "instance.budget"),
+            build=lambda *args: KnapsackProblem(KnapsackInstance(*args)),
+        )
+    else:
+        group = Record(("id", STR, "id"), ("items", items_codec("value"), "items"), build=Group)
+        payload = Record(
+            ("criteria", FRAME, "instance.frame"),
+            ("groups", List(group, 1), "instance.groups"),
+            ("budget", FRAC, "instance.budget"),
+            ("group_rule", choice(GroupRule), "instance.group_rule", GroupRule.AT_MOST_ONE),
+            build=lambda *args: MckpProblem(MckpInstance(*args)),
+        )
+    return payload, *selection_codecs()

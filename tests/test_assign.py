@@ -262,6 +262,44 @@ def test_exact_equals_the_enumerating_oracle():
         assert assign_exact(inst, weights) == enumerating_assign_exact(inst, weights)
 
 
+def scanning_assign_greedy(inst, weights=None):
+    """assign_greedy as it was before the single sorted pass: each step
+    rescans every free cell for the best (-beta, agent, position) key."""
+    from hmmdkit.assign import _cell_betas, _solution
+
+    betas = _cell_betas(inst, weights)
+    free_agents = list(inst.agents)
+    room = dict(inst.capacity)
+    pairs = set()
+    while free_agents and any(room[p] > 0 for p in inst.positions):
+        best = None
+        for a in free_agents:
+            for p in inst.positions:
+                if room[p] <= 0:
+                    continue
+                key = (-betas[(a, p)], inst.agents.index(a), inst.positions.index(p))
+                if best is None or key < best[0]:
+                    best = (key, a, p)
+        _, a, p = best
+        pairs.add((a, p))
+        free_agents.remove(a)
+        room[p] -= 1
+    return _solution(inst, pairs, betas)
+
+
+def test_greedy_equals_the_scanning_oracle():
+    # sweep_instance draws tied betas, capacities above 1, surplus agents or
+    # positions and explicit weights
+    rng = random.Random(131)
+    for _ in range(1500):
+        inst, weights = sweep_instance(rng)
+        assert assign_greedy(inst, weights) == scanning_assign_greedy(inst, weights)
+    for _ in range(20):
+        n_a, n_p = rng.randint(10, 30), rng.randint(2, 10)
+        inst = random_instance(rng, n_a, n_p, k=3, capacity={f"p{j}": rng.randint(1, 4) for j in range(n_p)})
+        assert assign_greedy(inst) == scanning_assign_greedy(inst)
+
+
 def test_exact_objective_equals_scipy_past_the_old_guard():
     scipy_optimize = pytest.importorskip("scipy.optimize")
     rng = random.Random(127)

@@ -18,6 +18,7 @@ import pytest
 
 import hmmdkit
 from hmmdkit.cli import COMMANDS
+from hmmdkit.probio import OWNERS
 from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
@@ -157,5 +158,42 @@ def test_each_report_lives_beside_its_solver():
         if path.name not in ("cli.py", "__main__.py"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             assert not any(_imports_cli(node) for node in ast.walk(tree)), f"{path.name} imports hmmdkit.cli"
-    for command, (*_, (module, function)) in COMMANDS.items():
-        assert callable(getattr(importlib.import_module(f"hmmdkit.{module}"), function)), command
+    for command, (ptype, *_) in COMMANDS.items():
+        assert callable(getattr(importlib.import_module(f"hmmdkit.{OWNERS[ptype]}"), f"report_{command}")), command
+
+
+@pytest.mark.parametrize("owner", sorted(set(OWNERS.values())))
+def test_owner_module_loads_no_probio(owner):
+    # an owner builds its file and report shapes from probio's engine only
+    # when probio asks, so the solver alone stays free of the file format
+    loaded = loaded_in_child(f"import hmmdkit.{owner}")
+    assert "hmmdkit.probio" not in loaded
+    assert f"hmmdkit.{owner}" in loaded
+
+
+def test_probio_imports_no_solver_module():
+    # probio is the codec engine: each problem type's shapes live in its
+    # owner module, which probio reaches only through OWNERS. Two places
+    # may still name a solver module: the TYPE_CHECKING block (annotations
+    # only) and load_quality_cases, the test-fixture reader that builds
+    # morph.QualityVector
+    tree = ast.parse((Path(hmmdkit.__file__).parent / "probio.py").read_text(encoding="utf-8"))
+    allowed = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        or isinstance(node, ast.FunctionDef) and node.name == "load_quality_cases"
+    ]
+    assert len(allowed) == 2
+    exempt = {id(node) for block in allowed for node in ast.walk(block)}
+    owners = set(OWNERS.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in exempt:
+            named = {alias.name for alias in node.names} if node.module is None else {node.module.split(".")[0]}
+            assert not named & owners, f"probio.py:{node.lineno} imports {sorted(named & owners)}"
+
+
+def test_every_problem_type_has_an_owner_with_codecs():
+    assert {ptype for ptype, *_ in COMMANDS.values()} == set(OWNERS)
+    for ptype, owner in OWNERS.items():
+        payload, solution, text = importlib.import_module(f"hmmdkit.{owner}").codecs(ptype)
+        assert callable(payload.parse) and callable(solution.dump) and callable(text), ptype

@@ -1,8 +1,11 @@
-"""Kernel ladders for the outranking, knapsack, MCKP, dendrogram, assignment and morph solvers.
+"""Kernel ladders for the solvers, and compile and parse rungs for start-up.
 
-Times each rung of eight scaling ladders on seeded instances from the
-benchmark's generators (``perfbench/workloads.py``, imported, not edited)
-and writes the medians as JSON:
+Times each rung of eight scaling ladders (outranking, knapsack, MCKP,
+dendrogram, assignment, synthesis, compose, trajectory) on seeded
+instances from the benchmark's generators (``perfbench/workloads.py``,
+imported, not edited), one ``compile()`` of each module a CLI run may
+compile from source, and a warm ``probio.parse_problem`` of two seed-0
+benchmark inputs, and writes the medians as JSON:
 
     python tools/kernel_ladder.py --tree parent=/path/to/old/src \\
         --tree change=src --out BENCH_kernels.json
@@ -22,6 +25,7 @@ rung whose kernel a tree refuses with GuardExceeded reads null there.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -31,6 +35,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -58,7 +63,22 @@ RUNGS = (
                                     ((4, 7), (4, 10), "heavy", 0.3, 0.8, 3))]
     + [("trajectory", {"stages": n, "width": w, "all_pairs": a})
        for n, w, a in ((5, 4, False), (4, 6, True))]
+    # start-up: what a run compiles when bytecode is not cached (cli, core,
+    # probio and the module that owns the problem type), and parsing
+    + [("compile", {"module": m})
+       for m in ("cli", "core", "probio", "rank", "select", "cluster", "assign", "route", "morph", "frameworks")]
+    + [("parse", {"workload": w, "input": i}) for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
 )
+
+
+@functools.cache
+def _inputs(workload: str) -> dict[str, str]:
+    """The seed-0 input texts of ``workload``, by input name."""
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        built = workloads.build(workload, 0, Path(tmp))
+        return {name: inp.path.read_text(encoding="utf-8") for name, inp in built.inputs.items()}
 
 
 def _call(kernel: str, size: dict):
@@ -71,6 +91,18 @@ def _call(kernel: str, size: dict):
     from hmmdkit.rank import rank_outranking
     from hmmdkit.select import knapsack_exact, mckp_exact_dp
 
+    if kernel == "compile":
+        import hmmdkit
+
+        path = Path(hmmdkit.__file__).with_name(f"{size['module']}.py")
+        source = path.read_text(encoding="utf-8")
+        # dont_inherit: compile as the import system does, without this file's __future__ flags
+        return lambda: compile(source, str(path), "exec", dont_inherit=True)
+    if kernel == "parse":
+        from hmmdkit.probio import parse_problem
+
+        text = _inputs(size["workload"])[size["input"]]
+        return lambda: parse_problem(text)
     # a compose rung draws the same model as the synthesis rung of its size
     model = "synthesis" if kernel == "compose" else kernel
     rng = random.Random(f"ladder:{model}:{sorted(size.items())}")
