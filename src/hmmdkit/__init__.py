@@ -38,20 +38,14 @@ _EXPORTS = {
         "OrdinalScale",
         "ValidationError",
         "dominates",
-        "equal_weight_frame",
         "normalize_estimates",
-        "scalarize",
     ),
     "frameworks": (
         "ImprovementPart",
         "ImprovementSpec",
         "IntegrationNode",
         "PairActions",
-        "Stage",
         "ThreeSetSpec",
-        "Trajectory",
-        "TrajectorySpec",
-        "design_trajectory",
         "evaluate_integration_tree",
         "plan_improvement",
         "run_three_set_pipeline",
@@ -83,6 +77,7 @@ _EXPORTS = {
         "tsp_nearest_neighbor",
         "tsp_two_opt",
     ),
+    "scalar": ("equal_weight_frame", "scalarize"),
     "select": (
         "Group",
         "GroupRule",
@@ -95,6 +90,7 @@ _EXPORTS = {
         "mckp_exact_dp",
         "mckp_greedy",
     ),
+    "trajectory": ("Stage", "Trajectory", "TrajectorySpec", "design_trajectory"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

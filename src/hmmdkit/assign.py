@@ -18,16 +18,14 @@ from .core import (
     Number,
     OracleError,
     ValidationError,
-    as_ints,
     check_guard,
     check_lengths,
     check_unique,
     dominates,
     frozen,
     non_dominated,
-    scalarize,
-    vector_sum,
 )
+from .scalar import as_ints, scalarize, vector_sum
 
 ENUMERATION_GUARD = 9
 

@@ -111,34 +111,6 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
     return command, opts
 
 
-def _help(command: str | None) -> str:
-    """Help for one subcommand, or for every one when ``command`` is None."""
-    names = [command] if command else list(COMMANDS)
-    weighted = [(n, COMMANDS[n][1], COMMANDS[n][3]) for n in names if COMMANDS[n][3]]
-    flags = [f for f in FLAGS if f != "--weights" or weighted]
-    usage = " ".join(
-        f"{f} {FLAGS[f][0]}" if f == "--input" else f"[{f} {FLAGS[f][0]}]".replace(" ]", "]") for f in flags
-    )
-    lines = [f"usage: hmmdkit {command or '<subcommand>'} {usage}", ""]
-    if command is None:
-        lines += ["Multicriteria ranking, selection and morphological synthesis toolkit.", ""]
-    rows = [("subcommand", "problem type", "methods (default first)")]
-    for name in names:
-        ptype, methods, default, *_ = COMMANDS[name]
-        listed = ", ".join(sorted(methods, key=lambda m: m != default))
-        rows.append((name, ptype, listed if default else f"the file's linkage, or {listed}"))
-    a, b = (max(len(row[i]) for row in rows) for i in (0, 1))
-    lines += [f"{x:<{a}}  {y:<{b}}  {z}" for x, y, z in rows]
-    lines += ["", "flags:"]
-    for f in flags:
-        value, text = FLAGS[f]
-        if f == "--weights":
-            text += " (" + ", ".join(n if w == m else f"{n} {'/'.join(w)}" for n, m, w in weighted) + ")"
-        lines.append(f"  {f'{f} {value}'.rstrip():<20}  {text}")
-    lines.append(f"  {'-h, --help':<20}  show this help and exit")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_weights(raw: str | None) -> list[Fraction] | None:
     if raw is None:
         return None
@@ -212,7 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command, opts = parse_args(sys.argv[1:] if argv is None else list(argv))
         if opts is None:
-            sys.stdout.write(_help(command))
+            from .help import help_text
+
+            sys.stdout.write(help_text(command, COMMANDS, FLAGS))
             return EXIT_OK
         return run_command(command, opts)
     except CliError as exc:

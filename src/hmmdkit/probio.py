@@ -38,11 +38,12 @@ if TYPE_CHECKING:  # annotations only; probio reaches a domain module through OW
 
     from .assign import AssignmentInstance
     from .cluster import DissimilarityMatrix, Linkage
-    from .frameworks import ImprovementSpec, IntegrationNode, ThreeSetSpec, TrajectorySpec
-    from .morph import MorphSystem, QualityVector
+    from .frameworks import ImprovementSpec, IntegrationNode, ThreeSetSpec
+    from .morph import MorphSystem
     from .rank import RankingInstance
     from .route import TspInstance
     from .select import KnapsackInstance, MckpInstance
+    from .trajectory import TrajectorySpec
 
 SPEC_VERSION = 1
 
@@ -476,7 +477,7 @@ OWNERS = {
     "assign": "assign",
     "tsp": "route",
     "morph": "morph",
-    "trajectory": "frameworks",
+    "trajectory": "trajectory",
     "integrate": "frameworks",
     "pipeline": "frameworks",
     "improve": "frameworks",
@@ -500,7 +501,7 @@ def _envelope(text: str, kind: str, kinds: Container[str], *keys: str) -> dict:
     current spec_version, and a ``kind`` value among ``kinds``."""
     try:
         raw = json.loads(text, object_pairs_hook=_object)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's int/str digit limit
         raise ParseError("$", f"malformed JSON: {exc}") from exc
     doc = _obj(raw, "$", ("spec_version", kind, *keys))
     version = _int(doc["spec_version"], "$.spec_version")
@@ -598,25 +599,3 @@ def fixture_path(name: str) -> str:
 def load_fixture(name: str) -> str:
     with open(fixture_path(name), encoding="utf-8") as fh:
         return fh.read()
-
-
-@frozen
-class QualityCase:
-    a: QualityVector
-    b: QualityVector
-    relation: str  # one of _RELATIONS
-
-
-_RELATIONS = ("a_dominates_b", "b_dominates_a", "incomparable")
-
-
-def load_quality_cases(text: str) -> list[QualityCase]:
-    """Auxiliary fixture format: expected dominance relations between
-    quality-vector pairs."""
-    from .morph import QualityVector
-
-    quality = Record(("w", INT, "w"), ("counts", List(INT, 1), "counts"), build=QualityVector)
-    relation = Leaf(lambda raw, path: raw if raw in _RELATIONS else fail(path, f"unknown relation {raw!r}"))
-    case = Record(("a", quality, "a"), ("b", quality, "b"), ("relation", relation, "relation"), build=QualityCase)
-    doc = _envelope(text, "kind", ("quality_cases",), "cases")
-    return List(case, 1, list).parse(doc["cases"], "$.cases")

@@ -20,15 +20,14 @@ from .core import (
     OracleError,
     ValidationError,
     as_frac,
-    as_ints,
     check_lengths,
     check_unique,
     dominates,
     frozen,
     normalize_estimates,
     pareto_layers,
-    scalarize,
 )
+from .scalar import as_ints, scalarize
 
 DEFAULT_CONCORDANCE = Fraction(3, 5)
 DEFAULT_DISCORDANCE = Fraction(2, 5)

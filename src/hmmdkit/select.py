@@ -1,6 +1,6 @@
 """Multicriteria knapsack and multiple-choice knapsack solvers.
 
-Vector-valued items are reduced to scalar values by ``core.scalarize``
+Vector-valued items are reduced to scalar values by ``scalar.scalarize``
 (min-max normalization over the instance's item set, then a weighted
 sum; re-exported here); greedy heuristics come paired with exact
 dynamic-programming oracles for integral data.
@@ -20,15 +20,13 @@ from .core import (
     Number,
     OracleError,
     ValidationError,
-    as_ints,
     check_guard,
     check_lengths,
     check_unique,
     frozen,
     nonnegative,
-    scalarize,
-    vector_sum,
 )
+from .scalar import as_ints, scalarize, vector_sum
 
 #: DP table cells of knapsack_exact and mckp_exact_dp
 TABLE_GUARD = 10**7

@@ -119,7 +119,8 @@ def course_system():
 
 def table5_assignment_instance():
     from hmmdkit.assign import AssignmentInstance
-    from hmmdkit.core import EstimateVector, equal_weight_frame
+    from hmmdkit.core import EstimateVector
+    from hmmdkit.scalar import equal_weight_frame
 
     return AssignmentInstance(
         agents=tuple(STUDENTS),
@@ -132,7 +133,8 @@ def table5_assignment_instance():
 
 
 def table5_mckp_instance(budget):
-    from hmmdkit.core import EstimateVector, equal_weight_frame
+    from hmmdkit.core import EstimateVector
+    from hmmdkit.scalar import equal_weight_frame
     from hmmdkit.select import Group, Item, MckpInstance
 
     groups = []

@@ -20,7 +20,6 @@ from hmmdkit.cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_
 from hmmdkit.core import (
     EstimateVector,
     dominates,
-    equal_weight_frame,
     normalize_estimates,
 )
 from hmmdkit.frameworks import Stage, Trajectory, TrajectorySpec, design_trajectory
@@ -44,6 +43,7 @@ from hmmdkit.probio import (
 )
 from hmmdkit.rank import RankingInstance, rank_pareto_layers
 from hmmdkit.route import TspInstance, tsp_brute_force, tsp_nearest_neighbor, tsp_two_opt
+from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import (
     Group,
     Item,

@@ -18,9 +18,8 @@ from hmmdkit.core import (
     EstimateVector,
     GuardExceeded,
     ValidationError,
-    as_ints,
-    equal_weight_frame,
 )
+from hmmdkit.scalar import as_ints, equal_weight_frame
 from hmmdkit.select import scalarize
 
 

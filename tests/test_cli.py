@@ -232,6 +232,42 @@ def test_parse_error_in_payload_exits_3(tmp_path, capsys):
     assert "matrix" in err
 
 
+def _mckp_with(tmp_path, budget="15", value="[24]"):
+    # the fixture's second item of group A1V6 has value [24]; the budget is 15
+    text = Path(MCKP).read_text(encoding="utf-8")
+    text = json.dumps(json.loads(text)).replace('"budget": 15', f'"budget": {budget}', 1)
+    text = text.replace('"value": [24]', f'"value": {value}', 1)
+    path = tmp_path / "big.mckp"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("budget, value, where", [
+    ("9" * 5000, "[24]", "$: malformed JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ("15", '["1e5000"]', "$.payload.groups[0].items[1].value[0]: number out of range: '1e5000' has more than 4300 digits"),
+], ids=["5000-digit budget", "value 1e5000"])
+def test_numbers_past_the_digit_limit_fail_while_parsing(budget, value, where, tmp_path, capsys):
+    # a 5,000-digit int made json.loads raise a bare ValueError, and "1e5000"
+    # parsed, solved and then crashed the report writer
+    code, out, err = run(capsys, "mckp", "--input", _mckp_with(tmp_path, budget, value), "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"hmmdkit: error: parse: {where}") and err.count("\n") == 1
+
+
+def test_a_huge_exponent_fails_at_once(tmp_path):
+    # Fraction("1e999999999") would build 10**999999999 first; a child with
+    # a timeout keeps a regression from hanging the suite
+    path = _mckp_with(tmp_path, value='["1e999999999"]')
+    env = {**os.environ, "PYTHONPATH": str(Path(hmmdkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "hmmdkit", "mckp", "--input", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "hmmdkit: error: parse: $.payload.groups[0].items[1].value[0]: "
+        "number out of range: '1e999999999' has more than 4300 digits\n"
+    )
+
+
 def test_infeasible_solve_exits_1(tmp_path, capsys):
     doc = {
         "spec_version": 1,

@@ -16,16 +16,14 @@ from hmmdkit.core import (
     check_lengths,
     check_unique,
     dominates,
-    equal_weight_frame,
     frozen,
     normalize_estimates,
     non_dominated,
     nonnegative,
     pareto_layers,
-    scalarize,
-    vector_sum,
 )
 from hmmdkit.morph import QualityVector, n_dominates
+from hmmdkit.scalar import equal_weight_frame, scalarize, vector_sum
 
 
 def rows(*vals):
@@ -102,6 +100,26 @@ def test_frozen_records_behave_like_frozen_dataclasses():
         for cls in (ours["Point"], theirs["Point"]):
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4301", "1e-4301", "1e4300", "9" * 4300 + ".5", "1E+5000", "1e3000000"],
+    ids=["1e4301", "1e-4301", "1e4300", "4300 nines.5", "1E+5000", "1e3000000"],
+)
+def test_as_frac_rejects_numbers_past_the_digit_limit(text):
+    # no report could write a numerator or denominator of more than 4,300
+    # digits, and a huge exponent is refused before Fraction builds 10**exponent
+    with pytest.raises(ValidationError, match="number out of range: .* has more than 4300 digits"):
+        as_frac(text)
+
+
+def test_as_frac_keeps_numbers_at_the_digit_limit():
+    assert as_frac("1e4299") == 10**4299
+    assert as_frac("-1e-4299") == Fraction(-1, 10**4299)
+    assert as_frac("9" * 4299 + ".5") == Fraction(int("9" * 4299 + "5"), 10)
+    with pytest.raises(ValidationError, match="not a number"):
+        as_frac("1e")
 
 
 def test_vector_sum_adds_componentwise_and_is_zero_when_empty():

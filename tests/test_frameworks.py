@@ -22,7 +22,6 @@ from hmmdkit.core import (
     GuardExceeded,
     OrdinalScale,
     ValidationError,
-    equal_weight_frame,
 )
 from hmmdkit.frameworks import (
     ImprovementPart,
@@ -40,6 +39,7 @@ from hmmdkit.frameworks import (
     run_three_set_pipeline,
 )
 from hmmdkit.morph import QualityVector, n_dominates
+from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import Group, Item, MckpInstance, mckp_exact_dp, mckp_greedy
 
 SCALE13 = OrdinalScale(1, 3, Best.HIGH)

@@ -6,6 +6,7 @@ standard library."""
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -22,21 +23,23 @@ from hmmdkit.probio import OWNERS
 from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
-FRAMEWORKS = BASE | {"hmmdkit.frameworks"}
+SCALAR = "hmmdkit.scalar"
+# frameworks re-exports trajectory's public names, so it loads trajectory
+FRAMEWORKS = BASE | {"hmmdkit.frameworks", "hmmdkit.trajectory"}
 
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
-    "rank": BASE | {"hmmdkit.rank"},
-    "knapsack": BASE | {"hmmdkit.select"},
-    "mckp": BASE | {"hmmdkit.select"},
+    "rank": BASE | {"hmmdkit.rank", SCALAR},
+    "knapsack": BASE | {"hmmdkit.select", SCALAR},
+    "mckp": BASE | {"hmmdkit.select", SCALAR},
     "cluster": BASE | {"hmmdkit.cluster"},
-    "assign": BASE | {"hmmdkit.assign"},
+    "assign": BASE | {"hmmdkit.assign", SCALAR},
     "tsp": BASE | {"hmmdkit.route"},
     "synth": BASE | {"hmmdkit.morph"},
-    "trajectory": FRAMEWORKS | {"hmmdkit.morph"},
+    "trajectory": BASE | {"hmmdkit.morph", "hmmdkit.trajectory"},
     "integrate": FRAMEWORKS,
-    "pipeline": FRAMEWORKS | {"hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select"},
-    "improve": FRAMEWORKS | {"hmmdkit.select"},
+    "pipeline": FRAMEWORKS | {"hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select", SCALAR},
+    "improve": FRAMEWORKS | {"hmmdkit.select", SCALAR},
 }
 
 #: standard modules no subcommand may load: records are built by
@@ -78,6 +81,32 @@ def test_subcommand_loads_only_its_modules(command, tmp_path):
     body = "from hmmdkit.cli import main\nassert main(sys.argv[1:]) == 0"
     loaded = set(loaded_in_child(body, command, "--input", str(path), "--output", str(tmp_path / "out")))
     assert loaded == LOADS[command]  # and so nothing of NEVER
+
+
+def test_runs_without_weighted_sums_load_no_scalar():
+    # scalar holds the weighted sums; a run that ranks by dominance, or
+    # not at all, never compiles them
+    for command in ("synth", "cluster", "tsp", "trajectory", "integrate"):
+        assert SCALAR not in LOADS[command], command
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "-h"], ["pipeline", "--help"]])
+def test_only_help_loads_the_help_module(argv):
+    # no subcommand run loads hmmdkit.help (LOADS above); asking for help
+    # loads it and no solver module
+    body = (
+        "import contextlib, io\nfrom hmmdkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n    assert main(sys.argv[1:]) == 0"
+    )
+    assert set(loaded_in_child(body, *argv)) == BASE | {"hmmdkit.help"}
+
+
+def test_frameworks_reexports_the_trajectory_names():
+    import hmmdkit.frameworks
+    import hmmdkit.trajectory
+
+    for name in ("Stage", "Trajectory", "TrajectorySpec", "design_trajectory"):
+        assert getattr(hmmdkit.frameworks, name) is getattr(hmmdkit.trajectory, name), name
 
 
 def test_every_export_is_its_submodule_object():
@@ -173,17 +202,14 @@ def test_owner_module_loads_no_probio(owner):
 
 def test_probio_imports_no_solver_module():
     # probio is the codec engine: each problem type's shapes live in its
-    # owner module, which probio reaches only through OWNERS. Two places
-    # may still name a solver module: the TYPE_CHECKING block (annotations
-    # only) and load_quality_cases, the test-fixture reader that builds
-    # morph.QualityVector
+    # owner module, which probio reaches only through OWNERS. Only the
+    # TYPE_CHECKING block (annotations only) may name a solver module
     tree = ast.parse((Path(hmmdkit.__file__).parent / "probio.py").read_text(encoding="utf-8"))
     allowed = [
         node for node in tree.body
         if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
-        or isinstance(node, ast.FunctionDef) and node.name == "load_quality_cases"
     ]
-    assert len(allowed) == 2
+    assert len(allowed) == 1
     exempt = {id(node) for block in allowed for node in ast.walk(block)}
     owners = set(OWNERS.values())
     for node in ast.walk(tree):
@@ -197,3 +223,23 @@ def test_every_problem_type_has_an_owner_with_codecs():
     for ptype, owner in OWNERS.items():
         payload, solution, text = importlib.import_module(f"hmmdkit.{owner}").codecs(ptype)
         assert callable(payload.parse) and callable(solution.dump) and callable(text), ptype
+
+
+#: perfbench layers whose function is no longer in the program:
+#: priorities_from_quality is a test oracle in tests/test_morph.py, so the
+#: morph.priorities span never records
+DEAD_LAYERS = {("hmmdkit.morph", "priorities_from_quality")}
+
+
+def test_every_perfbench_layer_resolves():
+    # the tracer skips a layer whose function it cannot find, so a moved
+    # function would silently read 0 in the benchmark's trace
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = {
+        (module, attr) for module, attr in spans.LAYERS
+        if getattr(importlib.import_module(module), attr, None) is None
+    }
+    assert missing == DEAD_LAYERS

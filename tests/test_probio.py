@@ -5,15 +5,20 @@ from fractions import Fraction
 import pytest
 
 import conftest as data
-from hmmdkit.morph import n_dominates, synthesize_tree
+from hmmdkit.morph import QualityVector, n_dominates, synthesize_tree
 from hmmdkit.probio import (
+    INT,
+    Leaf,
+    List,
     ParseError,
+    Record,
     ResultFile,
     ResultFormat,
+    _envelope,
     encode_number,
+    fail,
     fixture_path,
     load_fixture,
-    load_quality_cases,
     parse_problem,
     parse_result,
     write_problem,
@@ -262,6 +267,20 @@ def test_course_fixture_compat_matches_reference_tables():
         assert {x.id: x.priority for x in leaf.alternatives}[da] == prio
 
 
+RELATIONS = ("a_dominates_b", "b_dominates_a", "incomparable")
+
+
+def load_quality_cases(text):
+    """The (a, b, relation) cases of the auxiliary fixture format: expected
+    dominance relations between quality-vector pairs, read strictly by
+    probio's codecs."""
+    quality = Record(("w", INT, "w"), ("counts", List(INT, 1), "counts"), build=QualityVector)
+    relation = Leaf(lambda raw, path: raw if raw in RELATIONS else fail(path, f"unknown relation {raw!r}"))
+    case = Record(("a", quality, 0), ("b", quality, 1), ("relation", relation, 2))
+    doc = _envelope(text, "kind", ("quality_cases",), "cases")
+    return List(case, 1, list).parse(doc["cases"], "$.cases")
+
+
 def test_every_fixture_parses_and_solves():
     from hmmdkit.assign import assign_greedy
     from hmmdkit.select import mckp_exact_dp, mckp_greedy
@@ -278,17 +297,17 @@ def test_every_fixture_parses_and_solves():
             assert mckp_exact_dp(pf.payload.instance).objective >= sol.objective
     cases = load_quality_cases(load_fixture("fig6_quality.cases"))
     assert cases
-    for c in cases:
-        ab, ba = n_dominates(c.a, c.b), n_dominates(c.b, c.a)
+    for a, b, relation in cases:
+        ab, ba = n_dominates(a, b), n_dominates(b, a)
         got = "a_dominates_b" if ab else "b_dominates_a" if ba else "incomparable"
-        assert got == c.relation
+        assert got == relation
 
 
 def test_student_fixture_priorities_follow_from_ranking():
     # alternatives carrying estimate vectors get their ordinal priority
     # from utility ranking; the stored priorities must agree
-    from hmmdkit.core import equal_weight_frame
     from hmmdkit.rank import RankingInstance, rank_utility
+    from hmmdkit.scalar import equal_weight_frame
 
     pf = parse_problem(load_fixture("student_strategy.morph"))
     basic = pf.payload.system.node("basic")

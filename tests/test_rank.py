@@ -11,7 +11,6 @@ from hmmdkit.core import (
     EstimateVector,
     ValidationError,
     dominates,
-    equal_weight_frame,
     normalize_estimates,
 )
 from hmmdkit.rank import (
@@ -24,6 +23,7 @@ from hmmdkit.rank import (
     rank_pareto_layers,
     rank_utility,
 )
+from hmmdkit.scalar import equal_weight_frame
 
 ALL_METHODS = [rank_utility, rank_pareto_layers, rank_outranking, rank_ideal_point]
 
@@ -57,7 +57,7 @@ def test_utility_degenerate_weights_rank_by_first_criterion():
 
 def oracle_rank_utility(inst):
     """The weighted sum written out over the normalized estimates, as
-    rank_utility did before it called core.scalarize."""
+    rank_utility did before it called scalar.scalarize."""
     norm = normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
     weights = inst.frame.weights
     scores = {

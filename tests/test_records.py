@@ -29,7 +29,6 @@ from hmmdkit.core import (
     CriteriaFrame,
     EstimateVector,
     ValidationError,
-    equal_weight_frame,
     normalize_estimates,
 )
 from hmmdkit.frameworks import (
@@ -42,6 +41,7 @@ from hmmdkit.frameworks import (
 )
 from hmmdkit.morph import DesignAlternative, MorphNode
 from hmmdkit.rank import RankingInstance
+from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import Group, Item, KnapsackInstance, MckpInstance
 
 

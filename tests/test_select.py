@@ -10,8 +10,8 @@ from hmmdkit.core import (
     GuardExceeded,
     InfeasibleError,
     ValidationError,
-    equal_weight_frame,
 )
+from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import (
     Group,
     GroupRule,

@@ -19,7 +19,8 @@ is the median over the rounds. Its ratio is the median over the rounds of
 each tree's time over the first tree's, taken within one round, so a slow
 phase of a shared host cancels out. Rungs whose code every tree shares
 should read about 1; when they do not, the host did not hold steady. A
-rung whose kernel a tree refuses with GuardExceeded reads null there.
+rung whose kernel a tree refuses with GuardExceeded, or whose module a
+tree does not have, reads null there.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ RUNGS = (
     + [("trajectory", {"stages": n, "width": w, "all_pairs": a})
        for n, w, a in ((5, 4, False), (4, 6, True))]
     # start-up: what a run compiles when bytecode is not cached (cli, core,
-    # probio and the module that owns the problem type), and parsing
+    # probio, the module that owns the problem type and the modules it
+    # imports, or help for -h), and parsing
     + [("compile", {"module": m})
-       for m in ("cli", "core", "probio", "rank", "select", "cluster", "assign", "route", "morph", "frameworks")]
+       for m in ("cli", "core", "probio", "rank", "select", "cluster", "assign", "route", "morph", "frameworks",
+                 "trajectory", "scalar", "help")]
     + [("parse", {"workload": w, "input": i}) for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
 )
 
@@ -82,7 +85,8 @@ def _inputs(workload: str) -> dict[str, str]:
 
 
 def _call(kernel: str, size: dict):
-    """Build the rung's instance and return a no-argument call of its kernel."""
+    """Build the rung's instance and return a no-argument call of its
+    kernel, or None for a compile rung whose module the tree lacks."""
     import workloads
     from hmmdkit.assign import assign_exact
     from hmmdkit.cluster import Linkage, build_dendrogram
@@ -95,6 +99,8 @@ def _call(kernel: str, size: dict):
         import hmmdkit
 
         path = Path(hmmdkit.__file__).with_name(f"{size['module']}.py")
+        if not path.is_file():  # a module this tree does not have
+            return None
         source = path.read_text(encoding="utf-8")
         # dont_inherit: compile as the import system does, without this file's __future__ flags
         return lambda: compile(source, str(path), "exec", dont_inherit=True)
@@ -144,6 +150,9 @@ def _worker(src: str) -> None:
     samples = []
     for kernel, size in RUNGS:
         call = _call(kernel, size)
+        if call is None:
+            samples.append(None)
+            continue
         try:
             call()
         except GuardExceeded:

@@ -18,7 +18,9 @@ The cases:
   command of their input in json format;
 - an argv sweep: missing and unknown subcommands; missing, unknown,
   repeated and abbreviated flags; ``--flag=value``; bad ``--format``,
-  ``--method`` and ``--weights`` values; and ``-h`` in several positions.
+  ``--method`` and ``--weights`` values; ``-h`` in several positions; and
+  two copies of the MCKP fixture with a number past Python's int/str
+  digit limit.
 
 The first tree builds the inputs and mutants once, in ``--workdir`` (a
 temporary directory by default). Then each tree runs every case in one
@@ -143,6 +145,16 @@ def _build(src: str, workdir: Path, count: int) -> None:
             cases += [{"kind": "mutant", "argv": mutated}, {"kind": "write", "path": str(target)}]
     morph, assign = (str(fixtures / name) for name in ("course_example.morph", "table5_assign.assign"))
     cases += [{"kind": "argv", "argv": argv} for argv in _argv_sweep(morph, assign, COMMANDS)]
+    # numbers past Python's int/str digit limit: a 5,000-digit budget literal
+    # and an item value "1e5000"
+    doc = json.loads(probio.load_fixture("table5_mckp.mckp"))
+    big = {"budget": json.dumps(doc).replace('"budget": 15', '"budget": ' + "9" * 5000)}
+    doc["payload"]["groups"][0]["items"][1]["value"] = ["1e5000"]
+    big["value"] = json.dumps(doc)
+    for name, text in big.items():
+        path = fixtures / f"big_{name}.mckp"
+        path.write_text(text, encoding="utf-8")
+        cases.append({"kind": "argv", "argv": ["mckp", "--input", str(path), "--format", "json"]})
     (workdir / "plan.json").write_text(json.dumps(cases), encoding="utf-8")
 
 
