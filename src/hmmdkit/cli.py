@@ -194,5 +194,22 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
 
 
-if __name__ == "__main__":
+def entry():
+    """The process entry of ``hmmdkit``, ``python -m hmmdkit`` and ``python
+    -m hmmdkit.cli``: exit with ``main()``'s code.
+
+    ``gc.freeze()`` first moves every object alive after the import (the
+    interpreter's and those of the standard and hmmdkit modules loaded so
+    far) into the collector's permanent generation, which no collection
+    traverses, the ones at interpreter shutdown included. What the run
+    creates stays collectable. ``main`` does not freeze, so a caller that
+    runs it in process keeps its own collector state.
+    """
+    import gc
+
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -6,7 +6,8 @@ evaluate_integration_tree: bottom-up ordinal evaluation through total
 lookup tables. plan_improvement: one improvement action per system part
 within a budget. The module owns the integrate, pipeline and improve
 problem types. design_trajectory and its records live in ``trajectory``,
-the owner of the trajectory type, and are re-exported here.
+the owner of the trajectory type, and are re-exported here on first
+access, so the other framework runs never load it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,20 @@ from .core import (
     frozen,
     nonnegative,
 )
-from .trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory  # re-exported
+
+#: trajectory's public names, re-exported through __getattr__ (PEP 562)
+_TRAJECTORY = ("Stage", "Trajectory", "TrajectorySpec", "design_trajectory")
+
+
+def __getattr__(name: str):
+    if name not in _TRAJECTORY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trajectory
+
+    value = getattr(trajectory, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
 
 # Each framework imports the solver modules it runs inside its functions,
 # so a subcommand loads only the solvers it uses.

@@ -299,7 +299,12 @@ def compose_node(
                 else:
                     walk(d + 1, wp, code + step)
 
-    walk(0, system.compat_scale.hi, 0)
+    # walk reaches itself through its closure cell, a reference cycle that
+    # would hold groups until the next collection; dropping the name breaks it
+    try:
+        walk(0, system.compat_scale.hi, 0)
+    finally:
+        del walk
     by_vector: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
     for (w, code), choices in groups.items():
         counts = tuple(code // base**level % base for level in range(level_count))
@@ -339,6 +344,8 @@ class SynthesisTrace:
 
 def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
     """Bottom-up synthesis keeping every internal node's Pareto record."""
+    if system.root.is_leaf:
+        raise ValidationError("the root must be an internal node")
     records: dict[str, NodeSynthesis] = {}
     # a node passes up its front, one dominance layer, so each composite gets the best level
     lo = system.priority_scale.lo
@@ -378,9 +385,10 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
         )
         return [DesignAlternative(cid, lo) for cid in ids], expansions
 
-    if system.root.is_leaf:
-        raise ValidationError("the root must be an internal node")
-    expand(system.root)
+    try:
+        expand(system.root)
+    finally:
+        del expand  # as compose_node's walk: break the closure's cycle
     return SynthesisTrace(nodes=records, root_id=system.root.id)
 
 

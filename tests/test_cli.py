@@ -1,3 +1,6 @@
+import ast
+import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -501,6 +504,53 @@ def test_module_entry_point_runs_in_subprocess():
     result = parse_result(proc.stdout)
     root = next(n for n in result.solution["nodes"] if n["id"] == "S")
     assert len(root["composites"]) == 4
+
+
+def _kernel_ladder():
+    path = Path(__file__).parents[1] / "tools" / "kernel_ladder.py"
+    spec = importlib.util.spec_from_file_location("kernel_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_process_entry_freezes_the_import_heap(capsys):
+    # the child runs python -m hmmdkit through runpy under an atexit probe
+    # that runs after every other hook, as tools/kernel_ladder.py times it
+    ladder = _kernel_ladder()
+    src = str(Path(hmmdkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["synth", "--input", COURSE, "--format", "json"]
+    proc, probe = ladder.run_probed(ladder.PROBED_MAIN, argv, env)  # raises unless it exits 0
+    assert probe["frozen"] > 0
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    # tests, perfbench --trace and tools/report_diff.py run main in process
+    before = gc.get_freeze_count(), gc.isenabled()
+    for command, (ptype, *_) in sorted(COMMANDS.items()):
+        path = tmp_path / f"{ptype}.json"
+        path.write_text(problem_text(ptype, MINIMAL[ptype][0]))
+        assert run(capsys, command, "--input", str(path))[0] == 0, command
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, command
+
+
+def test_every_process_entry_names_the_same_function():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(hmmdkit.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    script = pyproject["project"]["scripts"]["hmmdkit"]
+    module, name = script.split(":")
+    assert module == "hmmdkit.cli"
+    main_module = ast.parse((package / "__main__.py").read_text(encoding="utf-8"))
+    assert [ast.unparse(node) for node in main_module.body] == [f"from .cli import {name}", f"{name}()"]
+    guard = [
+        node for node in ast.parse((package / "cli.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(node) for block in guard for node in block.body] == [f"{name}()"]
+    assert callable(getattr(hmmdkit.cli, name))
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])

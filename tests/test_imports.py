@@ -24,8 +24,9 @@ from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
 SCALAR = "hmmdkit.scalar"
-# frameworks re-exports trajectory's public names, so it loads trajectory
-FRAMEWORKS = BASE | {"hmmdkit.frameworks", "hmmdkit.trajectory"}
+# frameworks re-exports trajectory's public names on first access, so a
+# framework run that never asks for them does not load trajectory
+FRAMEWORKS = BASE | {"hmmdkit.frameworks"}
 
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
@@ -107,6 +108,13 @@ def test_frameworks_reexports_the_trajectory_names():
 
     for name in ("Stage", "Trajectory", "TrajectorySpec", "design_trajectory"):
         assert getattr(hmmdkit.frameworks, name) is getattr(hmmdkit.trajectory, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hmmdkit.frameworks.no_such_name
+
+
+def test_frameworks_loads_trajectory_only_when_asked():
+    assert "hmmdkit.trajectory" not in loaded_in_child("import hmmdkit.frameworks")
+    assert "hmmdkit.trajectory" in loaded_in_child("from hmmdkit.frameworks import Stage")
 
 
 def test_every_export_is_its_submodule_object():

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import itertools
 import json
 import math
@@ -1055,3 +1057,36 @@ def test_priorities_from_quality_examples():
         priorities_from_quality(
             [CompositeDecision((("p", "a"),), qv(1, 1)), CompositeDecision((("p", "b"),), qv(1, 1, 1))]
         )
+
+
+def test_synthesis_leaves_no_cyclic_garbage():
+    # compose_node's walk and synthesize_tree_trace's expand call themselves
+    # through their closure cells; a cycle left behind holds the enumeration's
+    # work tables until the collector runs, which a CLI run may never do
+    from hmmdkit.trajectory import design_trajectory
+    from test_frameworks import random_trajectory_spec
+
+    rng = random.Random(257)
+    systems = [course_system()]
+    while len(systems) < 40:
+        with contextlib.suppress(ValidationError):
+            systems.append(MorphSystem(*random_two_level_system(rng)))
+    flat = [random_flat_system(rng, max_parts=4, max_das=5) for _ in range(40)]
+    specs = [random_trajectory_spec(rng, all_pairs=k % 2 == 1) for k in range(40)]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for system in flat:
+            compose_node(system, "root", allow_zero_w=rng.random() < 0.5)
+            assert gc.collect() == 0, "compose_node"
+        for system in systems:
+            with contextlib.suppress(ValidationError):  # every composition infeasible
+                synthesize_tree_trace(system)
+            assert gc.collect() == 0, "synthesize_tree_trace"
+        for k, spec in enumerate(specs):
+            design_trajectory(spec, all_pairs=k % 2 == 1)
+            assert gc.collect() == 0, "design_trajectory"
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,11 +1,16 @@
-"""Kernel ladders for the solvers, and compile and parse rungs for start-up.
+"""Kernel ladders for the solvers, and compile, parse and process rungs
+for start-up and exit.
 
 Times each rung of eight scaling ladders (outranking, knapsack, MCKP,
 dendrogram, assignment, synthesis, compose, trajectory) on seeded
 instances from the benchmark's generators (``perfbench/workloads.py``,
 imported, not edited), one ``compile()`` of each module a CLI run may
-compile from source, and a warm ``probio.parse_problem`` of two seed-0
-benchmark inputs, and writes the medians as JSON:
+compile from source, a warm ``probio.parse_problem`` of two seed-0
+benchmark inputs, and two child processes: ``python -m hmmdkit synth``
+on the course example and a bare ``python -c pass``, the tree-independent
+reference. A process rung reads either the child's whole wall time or its
+exit phase, from the last ``atexit`` hook (EXIT_PROBE) to the moment this
+process has waited for the child. The tool writes the medians as JSON:
 
     python tools/kernel_ladder.py --tree parent=/path/to/old/src \\
         --tree change=src --out BENCH_kernels.json
@@ -14,19 +19,23 @@ Each ``--tree LABEL=SRC`` is a source directory holding the ``hmmdkit``
 package; it is timed in child processes of its own, so two versions never
 share an interpreter. The trees take turns in ABBA order over ROUNDS short
 rounds: in each round every tree's child builds the instances, makes one
-warm-up call and then one timed call of each rung's kernel. A rung's time
-is the median over the rounds. Its ratio is the median over the rounds of
-each tree's time over the first tree's, taken within one round, so a slow
-phase of a shared host cancels out. Rungs whose code every tree shares
-should read about 1; when they do not, the host did not hold steady. A
-rung whose kernel a tree refuses with GuardExceeded, or whose module a
-tree does not have, reads null there.
+warm-up call, runs a full garbage collection and then makes one timed
+call of each rung's kernel. The collection keeps a full collection made
+due by earlier rungs out of the timed call (without it, the
+``solver_mix`` pipeline parse read 1.6x in one tree and not in the
+other). A rung's time is the median over the rounds. Its ratio is the
+median over the rounds of each tree's time over the first tree's, taken
+within one round, so a slow phase of a shared host cancels out. Rungs
+whose code every tree shares should read about 1; when they do not, the
+host did not hold steady. A rung whose kernel a tree refuses with
+GuardExceeded, or whose module a tree does not have, reads null there.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -71,7 +80,33 @@ RUNGS = (
        for m in ("cli", "core", "probio", "rank", "select", "cluster", "assign", "route", "morph", "frameworks",
                  "trajectory", "scalar", "help")]
     + [("parse", {"workload": w, "input": i}) for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
+    # the process: a synth run through the package's __main__.py, and a bare interpreter
+    + [("process", {"run": r, "phase": p}) for r in ("synth", "pass") for p in ("wall", "exit")]
 )
+
+#: the first atexit hook registered runs last; it writes the collector's
+#: freeze count and the clock (CLOCK_MONOTONIC, shared by every process)
+#: to stderr
+EXIT_PROBE = (
+    "import atexit, gc, sys, time\n"
+    "atexit.register(lambda: print(gc.get_freeze_count(), time.perf_counter(), file=sys.stderr))\n"
+)
+#: ``python -m hmmdkit`` under EXIT_PROBE: runpy runs the package's
+#: __main__.py as ``-m`` does; the arguments follow the ``-c`` program
+PROBED_MAIN = EXIT_PROBE + 'import runpy\nrunpy.run_module("hmmdkit", run_name="__main__", alter_sys=True)\n'
+
+
+def run_probed(program: str, argv: list[str], env: dict) -> tuple[subprocess.CompletedProcess, dict]:
+    """Run ``python -c program *argv``, where ``program`` starts with
+    EXIT_PROBE; return the finished child and its probe: the freeze count,
+    the wall ms from spawn to exit and the exit phase's ms."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True)
+    end = time.perf_counter()
+    if proc.returncode:
+        raise RuntimeError(f"child exited {proc.returncode}: {proc.stderr}")
+    frozen, at = proc.stderr.split()[-2:]
+    return proc, {"frozen": int(frozen), "wall": (end - start) * 1000, "exit": (end - float(at)) * 1000}
 
 
 @functools.cache
@@ -86,7 +121,8 @@ def _inputs(workload: str) -> dict[str, str]:
 
 def _call(kernel: str, size: dict):
     """Build the rung's instance and return a no-argument call of its
-    kernel, or None for a compile rung whose module the tree lacks."""
+    kernel, or None for a compile rung whose module the tree lacks. A
+    process rung's call returns the ms it reads."""
     import workloads
     from hmmdkit.assign import assign_exact
     from hmmdkit.cluster import Linkage, build_dendrogram
@@ -104,6 +140,18 @@ def _call(kernel: str, size: dict):
         source = path.read_text(encoding="utf-8")
         # dont_inherit: compile as the import system does, without this file's __future__ flags
         return lambda: compile(source, str(path), "exec", dont_inherit=True)
+    if kernel == "process":
+        import hmmdkit
+
+        src = str(Path(hmmdkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("HMMD_KIT_GUARD", None)
+        if size["run"] == "pass":
+            program, argv = EXIT_PROBE, []
+        else:
+            course = str(Path(hmmdkit.__file__).with_name("fixtures") / "course_example.morph")
+            program, argv = PROBED_MAIN, ["synth", "--input", course, "--format", "json"]
+        return lambda: run_probed(program, argv, env)[1][size["phase"]]
     if kernel == "parse":
         from hmmdkit.probio import parse_problem
 
@@ -158,9 +206,10 @@ def _worker(src: str) -> None:
         except GuardExceeded:
             samples.append(None)
             continue
+        gc.collect()
         start = time.perf_counter()
-        call()
-        samples.append((time.perf_counter() - start) * 1000)
+        ms = call()
+        samples.append(ms if kernel == "process" else (time.perf_counter() - start) * 1000)
     print(json.dumps(samples))
 
 
@@ -209,8 +258,9 @@ def main(argv: list[str] | None = None) -> int:
                 rounds.append(ms)
     first = samples[next(iter(trees))]
     report = {
-        "what": "median ms of one kernel call per rung, and the median per-round ratio of each "
-                "tree's time to the first tree's; instances from perfbench/workloads.py",
+        "what": "median ms of one kernel call per rung (of one child's wall or exit phase per "
+                "process rung), and the median per-round ratio of each tree's time to the first "
+                "tree's; instances from perfbench/workloads.py",
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "commit": _commit(),
