@@ -28,9 +28,6 @@ _EXPORTS = {
     ),
     "core": (
         "Best",
-        "Criterion",
-        "CriteriaFrame",
-        "Direction",
         "EstimateVector",
         "GuardExceeded",
         "InfeasibleError",
@@ -38,18 +35,10 @@ _EXPORTS = {
         "OrdinalScale",
         "ValidationError",
         "dominates",
-        "normalize_estimates",
     ),
-    "frameworks": (
-        "ImprovementPart",
-        "ImprovementSpec",
-        "IntegrationNode",
-        "PairActions",
-        "ThreeSetSpec",
-        "evaluate_integration_tree",
-        "plan_improvement",
-        "run_three_set_pipeline",
-    ),
+    "criteria": ("Criterion", "CriteriaFrame", "Direction", "normalize_estimates"),
+    "improve": ("ImprovementPart", "ImprovementSpec", "plan_improvement"),
+    "integrate": ("IntegrationNode", "evaluate_integration_tree"),
     "morph": (
         "CompositeDecision",
         "DesignAlternative",
@@ -58,10 +47,8 @@ _EXPORTS = {
         "QualityVector",
         "compose_node",
         "n_dominates",
-        "quality_vector",
-        "synthesize_tree",
-        "synthesize_tree_trace",
     ),
+    "pipeline": ("PairActions", "ThreeSetSpec", "run_three_set_pipeline"),
     "rank": (
         "RankingInstance",
         "RankingResult",
@@ -90,6 +77,7 @@ _EXPORTS = {
         "mckp_exact_dp",
         "mckp_greedy",
     ),
+    "synth": ("synthesize_tree", "synthesize_tree_trace"),
     "trajectory": ("Stage", "Trajectory", "TrajectorySpec", "design_trajectory"),
 }
 

@@ -12,19 +12,17 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .core import (
-    CriteriaFrame,
-    Direction,
     EstimateVector,
     Number,
     OracleError,
     ValidationError,
     check_guard,
-    check_lengths,
     check_unique,
     dominates,
     frozen,
     non_dominated,
 )
+from .criteria import CriteriaFrame, Direction, check_lengths, shapes
 from .scalar import as_ints, scalarize, vector_sum
 
 ENUMERATION_GUARD = 9
@@ -238,6 +236,11 @@ def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
 # ------------------------------------------------ report and file format
 
 
+@frozen
+class AssignProblem:
+    instance: AssignmentInstance
+
+
 def _entry(sol: AssignmentSolution) -> dict:
     return {
         "pairs": sorted(sol.pairs),
@@ -274,14 +277,15 @@ def report_assign(problem, method, weights, oracle):
 def codecs(problem_type: str) -> tuple:
     """The assign file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import CELLS, FRAC, FRACS, FRAME, IDS, INT, PAIRS, AssignProblem, Map, Record, array, doc
-    from .probio import render_number
+    from .probio import FRAC, FRACS, IDS, INT, PAIRS, Map, Record, array, doc, render_number
+
+    frame, cells = shapes()
 
     payload = Record(
         ("agents", IDS, "instance.agents"),
         ("positions", IDS, "instance.positions"),
-        ("matrix", CELLS, "instance.cells"),
-        ("criteria", FRAME, "instance.frame"),
+        ("matrix", cells, "instance.cells"),
+        ("criteria", frame, "instance.frame"),
         ("capacity", Map(INT), "instance.capacity", None),
         build=lambda *args: AssignProblem(AssignmentInstance(*args)),
     )

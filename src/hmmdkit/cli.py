@@ -136,6 +136,8 @@ def run_command(command: str, opts: dict) -> int:
             text = fh.read()
     except OSError as exc:
         raise CliError("parse", f"cannot read {path}: {exc.strerror}", EXIT_PARSE)
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once, so start is its byte offset
+        raise CliError("parse", f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})", EXIT_PARSE)
     try:
         pf = parse_problem(text)
     except probio.ParseError as exc:

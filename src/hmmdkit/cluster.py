@@ -132,6 +132,13 @@ def cut_dendrogram(dend: Dendrogram, k: int) -> list[tuple[str, ...]]:
 # ------------------------------------------------ report and file format
 
 
+@frozen
+class ClusterProblem:
+    matrix: DissimilarityMatrix
+    linkage: Linkage
+    k: int | None
+
+
 def report_cluster(problem, method, weights, oracle):
     """``hmmdkit cluster``: the oracle checks that every cut partitions the ids."""
     dend = build_dendrogram(problem.matrix, Linkage(method))
@@ -153,7 +160,7 @@ def report_cluster(problem, method, weights, oracle):
 def codecs(problem_type: str) -> tuple:
     """The cluster file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import ID_LIST, IDS, INT, MATRIX, NUM, ClusterProblem, Record, array, choice, doc, fail, nullable
+    from .probio import ID_LIST, IDS, INT, MATRIX, NUM, Record, array, choice, doc, fail, nullable
     from .probio import render_number, wrap
 
     def build(path: str, ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:

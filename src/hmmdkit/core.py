@@ -1,8 +1,11 @@
-"""Shared domain types for criteria, ordinal scales and estimate vectors.
+"""Shared domain types: errors, frozen records, guards, exact numbers,
+ordinal scales, estimate vectors and the dominance relation.
 
 Everything downstream (ranking, selection, synthesis) works on exact
-rational estimates; min-max normalization and the componentwise dominance
-relation defined here are the two primitives every solver shares.
+rational estimates; the componentwise dominance relation defined here is
+the primitive every solver shares. Criteria frames live in ``criteria``,
+which only the weighted problem types load; their names stay importable
+from here.
 """
 
 from __future__ import annotations
@@ -14,13 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, ge, gt
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: importing typing costs start-up time
-    from typing import TypeVar
-
-    T = TypeVar("T")
-    K = TypeVar("K")
-
 Number = int | float | Fraction
 
 #: comparison tolerance wherever real (float) arithmetic is unavoidable
@@ -29,6 +25,17 @@ TOLERANCE = 1e-9
 #: default int/str limit, past which no report could write the number
 MAX_DIGITS = 4300
 _PAST_MAX_DIGITS = 10**MAX_DIGITS
+
+#: names that moved to ``criteria``, still importable from here
+_MOVED = dict.fromkeys(("Direction", "Criterion", "CriteriaFrame", "normalize_estimates", "pareto_layers"), "criteria")
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
 
 
 class ValidationError(ValueError):
@@ -172,8 +179,9 @@ def as_frac(x: Number | str) -> Fraction:
     raise ValidationError(f"not a number: {x!r}")
 
 
-# The three record rules. Each message is formatted here, and only on
-# failure: ``message.format(*args)`` names the record or the entry.
+# The record rules (``criteria`` holds the two about frames). Each message
+# is formatted only on failure: ``message.format(*args)`` names the record
+# or the entry.
 
 
 def check_unique(ids: Sequence[Hashable], message: str, *args: object) -> None:
@@ -184,25 +192,6 @@ def check_unique(ids: Sequence[Hashable], message: str, *args: object) -> None:
             if x in seen:
                 raise ValidationError(f"{message.format(*args)} {x!r}")
             seen.add(x)
-
-
-def check_lengths(frame: CriteriaFrame, entries: Iterable[tuple]) -> None:
-    """Raise ``<label>: <n> values for <k> criteria`` at the first entry
-    ``(vector, label, *args)`` whose estimate vector does not have one value
-    per criterion of ``frame``; its label is ``label.format(*args)``."""
-    k = len(frame)
-    for entry in entries:
-        n = len(entry[0].values)
-        if n != k:
-            raise ValidationError(f"{entry[1].format(*entry[2:])}: {n} values for {k} criteria")
-
-
-def nonnegative(value: Number | str, what: str, *args: object) -> Fraction:
-    """``as_frac(value)``; raise ``<what> must be nonnegative`` below 0."""
-    value = as_frac(value)
-    if value < 0:
-        raise ValidationError(f"{what.format(*args)} must be nonnegative")
-    return value
 
 
 class Best(Enum):
@@ -232,55 +221,6 @@ class OrdinalScale:
 DEFAULT_COMPAT_SCALE = OrdinalScale(0, 3, Best.HIGH)
 #: priority scale of design alternatives (1 is best)
 DEFAULT_PRIORITY_SCALE = OrdinalScale(1, 3, Best.LOW)
-
-
-class Direction(Enum):
-    MAXIMIZE = "max"
-    MINIMIZE = "min"
-
-
-@frozen
-class Criterion:
-    id: str
-    direction: Direction = Direction.MAXIMIZE
-    weight: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        if not self.id or not isinstance(self.id, str):
-            raise ValidationError("criterion id must be a non-empty string")
-        object.__setattr__(self, "weight", nonnegative(self.weight, "criterion {!r}: weight", self.id))
-
-
-@frozen
-class CriteriaFrame:
-    """An ordered, non-empty set of criteria with weights normalized to sum 1."""
-
-    criteria: tuple[Criterion, ...]
-
-    def __post_init__(self) -> None:
-        crits = tuple(self.criteria)
-        if not crits:
-            raise ValidationError("a criteria frame needs at least one criterion")
-        check_unique([c.id for c in crits], "duplicate criterion id")
-        total = sum((c.weight for c in crits), Fraction(0))
-        if total == 0:
-            raise ValidationError("criterion weights must not all be zero")
-        if total != 1:
-            crits = tuple(
-                Criterion(c.id, c.direction, c.weight / total) for c in crits
-            )
-        object.__setattr__(self, "criteria", crits)
-
-    def __len__(self) -> int:
-        return len(self.criteria)
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(c.weight for c in self.criteria)
-
-    @property
-    def directions(self) -> tuple[Direction, ...]:
-        return tuple(c.direction for c in self.criteria)
 
 
 @frozen
@@ -325,35 +265,6 @@ def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> 
                 )
 
 
-def check_rows(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> None:
-    if not rows:
-        raise ValidationError("empty row set")
-    check_lengths(frame, ((row, "row {}", i) for i, row in enumerate(rows)))
-
-
-def normalize_estimates(
-    frame: CriteriaFrame, rows: Sequence[EstimateVector]
-) -> list[EstimateVector]:
-    """Min-max rescale each criterion over the rows to canonical [0, 1] form.
-
-    Minimized criteria are flipped so 1 is always best; a criterion that is
-    constant across the rows maps to 1/2 for every row (neutral, so it never
-    biases a utility sum).
-    """
-    check_rows(frame, rows)
-    cols = list(zip(*(row.values for row in rows)))
-    out_cols: list[list[Fraction]] = []
-    for k, direction in enumerate(frame.directions):
-        lo, hi = min(cols[k]), max(cols[k])
-        if lo == hi:
-            out_cols.append([Fraction(1, 2)] * len(rows))
-        elif direction is Direction.MAXIMIZE:
-            out_cols.append([(v - lo) / (hi - lo) for v in cols[k]])
-        else:
-            out_cols.append([(hi - v) / (hi - lo) for v in cols[k]])
-    return [EstimateVector(vals) for vals in zip(*out_cols)]
-
-
 def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:
     """Strict componentwise dominance on canonical (larger-is-better) vectors:
     estimate vectors, objective tuples and morph quality keys alike."""
@@ -362,9 +273,7 @@ def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:
     return all(map(ge, a, b)) and any(map(gt, a, b))
 
 
-def non_dominated(
-    items: Sequence[T], dom: Callable[[K, K], bool], key: Callable[[T], K] | None = None
-) -> list[T]:
+def non_dominated(items: Sequence, dom: Callable, key: Callable | None = None) -> list:
     """Items whose key no other item's key strictly dominates, in input order.
 
     Only the distinct (hashable) keys are compared; the default key is the
@@ -376,20 +285,3 @@ def non_dominated(
     alive = {k for k in distinct if not any(dom(o, k) for o in distinct)}
     return [x for x, k in zip(items, keys) if k in alive]
 
-
-def pareto_layers(
-    items: Sequence[T], dom: Callable[[K, K], bool], key: Callable[[T], K] | None = None
-) -> list[int]:
-    """1-based layer index per item: peel the non-dominated keys repeatedly."""
-    keys = list(items) if key is None else [key(x) for x in items]
-    remaining = list(dict.fromkeys(keys))
-    layer: dict[K, int] = {}
-    current = 1
-    while remaining:
-        front = non_dominated(remaining, dom)
-        if not front:  # cannot happen for a strict partial order
-            raise ValidationError("dominance relation admits a cycle")
-        layer.update(dict.fromkeys(front, current))
-        remaining = [k for k in remaining if k not in layer]
-        current += 1
-    return [layer[k] for k in keys]

@@ -19,31 +19,13 @@ from functools import cache
 from importlib import import_module
 from operator import attrgetter, itemgetter
 
-from .core import (
-    Best,
-    Criterion,
-    CriteriaFrame,
-    Direction,
-    EstimateVector,
-    OrdinalScale,
-    ValidationError,
-    as_frac,
-    check_unique,
-    frozen,
-)
+from .core import EstimateVector, OrdinalScale, ValidationError, as_frac, check_unique, frozen
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; probio reaches a domain module through OWNERS
     from typing import Any
 
-    from .assign import AssignmentInstance
-    from .cluster import DissimilarityMatrix, Linkage
-    from .frameworks import ImprovementSpec, IntegrationNode, ThreeSetSpec
-    from .morph import MorphSystem
-    from .rank import RankingInstance
-    from .route import TspInstance
-    from .select import KnapsackInstance, MckpInstance
-    from .trajectory import TrajectorySpec
+    from .core import Best
 
 SPEC_VERSION = 1
 
@@ -137,6 +119,13 @@ def _list(raw: Any, path: str, min_len: int = 0) -> list:
 def _str(raw: Any, path: str) -> str:
     if not isinstance(raw, str) or not raw:
         fail(path, "expected a non-empty string")
+    if not raw.isascii():
+        # json.loads reads a lone surrogate escape, "\ud800", into a str
+        # that no text report could write as UTF-8
+        try:
+            raw.encode()
+        except UnicodeEncodeError:
+            fail(path, f"not UTF-8 text: {raw!r} holds a lone surrogate")
     return raw
 
 
@@ -363,8 +352,8 @@ def array(item: Any) -> List:
 # ------------------------------------------------------------ shared shapes
 #
 # Only shapes built from core types live here; a shape naming a domain
-# class is built by its owner module, so importing probio loads no solver
-# module.
+# class is built by its owner module (a criteria frame's by
+# ``criteria.shapes``), so importing probio loads no solver module.
 
 
 STR, INT, BOOL = Leaf(_str), Leaf(_int), Leaf(_bool)
@@ -372,18 +361,6 @@ FRAC, NUM = Leaf(_frac, encode_number), Leaf(_number, encode_number)
 IDS = List(STR, 1)
 VECTOR = List(FRAC, 1, EstimateVector)
 MATRIX = List(List(NUM), 1)
-CELLS = List(List(VECTOR), 1)
-FRAME = List(
-    Record(
-        ("id", STR, "id"),
-        ("direction", choice(Direction), "direction", Direction.MAXIMIZE),
-        ("weight", FRAC, "weight", Fraction(1)),
-        build=Criterion,
-    ),
-    1,
-    CriteriaFrame,
-    attrgetter("criteria"),
-)
 # report shapes
 ID_LIST = array(STR)
 PAIRS = array(ID_LIST)  # [id, id] entries
@@ -398,68 +375,6 @@ def scale(best: Best) -> Record:
 
 
 @frozen
-class RankProblem:
-    instance: RankingInstance
-    p: Fraction
-    q: Fraction
-
-
-@frozen
-class KnapsackProblem:
-    instance: KnapsackInstance
-
-
-@frozen
-class MckpProblem:
-    instance: MckpInstance
-
-
-@frozen
-class ClusterProblem:
-    matrix: DissimilarityMatrix
-    linkage: Linkage
-    k: int | None
-
-
-@frozen
-class AssignProblem:
-    instance: AssignmentInstance
-
-
-@frozen
-class TspProblem:
-    instance: TspInstance
-    start: str | None
-
-
-@frozen
-class MorphProblem:
-    system: MorphSystem
-
-
-@frozen
-class TrajectoryProblem:
-    spec: TrajectorySpec
-    all_pairs: bool
-
-
-@frozen
-class IntegrateProblem:
-    tree: IntegrationNode
-
-
-@frozen
-class PipelineProblem:
-    spec: ThreeSetSpec
-    linkage: Linkage
-
-
-@frozen
-class ImproveProblem:
-    spec: ImprovementSpec
-
-
-@frozen
 class ProblemFile:
     spec_version: int
     problem_type: str
@@ -467,8 +382,9 @@ class ProblemFile:
 
 
 #: problem_type -> the module that owns the type: its domain records, its
-#: report_<subcommand> functions and ``codecs(problem_type)``, which returns
-#: its payload codec, its report-solution codec and its text-report lines
+#: ``<Type>Problem`` record, its report_<subcommand> functions and
+#: ``codecs(problem_type)``, which returns its payload codec, its
+#: report-solution codec and its text-report lines
 OWNERS = {
     "rank": "rank",
     "knapsack": "select",
@@ -476,12 +392,22 @@ OWNERS = {
     "cluster": "cluster",
     "assign": "assign",
     "tsp": "route",
-    "morph": "morph",
+    "morph": "synth",
     "trajectory": "trajectory",
-    "integrate": "frameworks",
-    "pipeline": "frameworks",
-    "improve": "frameworks",
+    "integrate": "integrate",
+    "pipeline": "pipeline",
+    "improve": "improve",
 }
+
+#: the problem records (``MorphProblem`` and so on), each moved to the owner
+#: of its type, still importable from here
+_MOVED = {f"{ptype.capitalize()}Problem": owner for ptype, owner in OWNERS.items()}
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
 
 
 @cache

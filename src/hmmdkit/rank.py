@@ -13,20 +13,16 @@ from fractions import Fraction
 
 from .core import (
     TOLERANCE,
-    CriteriaFrame,
-    Direction,
     EstimateVector,
     Number,
     OracleError,
     ValidationError,
     as_frac,
-    check_lengths,
     check_unique,
     dominates,
     frozen,
-    normalize_estimates,
-    pareto_layers,
 )
+from .criteria import CriteriaFrame, Direction, check_lengths, normalize_estimates, pareto_layers, shapes
 from .scalar import as_ints, scalarize
 
 DEFAULT_CONCORDANCE = Fraction(3, 5)
@@ -245,6 +241,13 @@ def rank_ideal_point(inst: RankingInstance) -> RankingResult:
 # ------------------------------------------------ report and file format
 
 
+@frozen
+class RankProblem:
+    instance: RankingInstance
+    p: Fraction
+    q: Fraction
+
+
 def report_rank(problem, method, weights, oracle):
     """``hmmdkit rank``: (solution, diagnostics) of one report; the oracle
     checks that a better-or-equal vector never ranks worse."""
@@ -277,10 +280,12 @@ def report_rank(problem, method, weights, oracle):
 def codecs(problem_type: str) -> tuple:
     """The rank file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, FRAME, INT, NUM, STR, VECTOR, List, Map, RankProblem, Record, doc, render_number
+    from .probio import FRAC, INT, NUM, STR, VECTOR, List, Map, Record, doc, render_number
+
+    frame, _ = shapes()
 
     payload = Record(
-        ("criteria", FRAME, "instance.frame"),
+        ("criteria", frame, "instance.frame"),
         ("alternatives", List(Record(("id", STR, 0), ("estimates", VECTOR, 1)), 1), "instance.alternatives"),
         ("p", FRAC, "p", DEFAULT_CONCORDANCE),
         ("q", FRAC, "q", DEFAULT_DISCORDANCE),

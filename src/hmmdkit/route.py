@@ -139,6 +139,12 @@ def tsp_brute_force(inst: TspInstance) -> Tour:
 # ------------------------------------------------ report and file format
 
 
+@frozen
+class TspProblem:
+    instance: TspInstance
+    start: str | None
+
+
 def report_tsp(problem, method, weights, oracle):
     """``hmmdkit tsp``: the oracle holds the tour to the brute-force optimum,
     and 2-opt to 1.10 of it."""
@@ -168,7 +174,7 @@ def report_tsp(problem, method, weights, oracle):
 def codecs(problem_type: str) -> tuple:
     """The tsp file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
-    from .probio import ID_LIST, IDS, MATRIX, NUM, STR, Record, TspProblem, doc, fail, render_number, wrap
+    from .probio import ID_LIST, IDS, MATRIX, NUM, STR, Record, doc, fail, render_number, wrap
 
     def build(path: str, ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
         with wrap(f"{path}.matrix"):

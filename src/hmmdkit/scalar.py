@@ -13,7 +13,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import CriteriaFrame, Criterion, Direction, EstimateVector, Number, ValidationError, check_rows
+from .core import EstimateVector, Number, ValidationError
+from .criteria import CriteriaFrame, Criterion, Direction, check_rows
 
 
 def equal_weight_frame(k: int) -> CriteriaFrame:

@@ -13,7 +13,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import (
-    CriteriaFrame,
     EstimateVector,
     GuardExceeded,
     InfeasibleError,
@@ -21,11 +20,10 @@ from .core import (
     OracleError,
     ValidationError,
     check_guard,
-    check_lengths,
     check_unique,
     frozen,
-    nonnegative,
 )
+from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes
 from .scalar import as_ints, scalarize, vector_sum
 
 #: DP table cells of knapsack_exact and mckp_exact_dp
@@ -307,6 +305,16 @@ def mckp_exact_dp(
 # ------------------------------------------------ report and file format
 
 
+@frozen
+class KnapsackProblem:
+    instance: KnapsackInstance
+
+
+@frozen
+class MckpProblem:
+    instance: MckpInstance
+
+
 def selection_payload(sol: SelectionSolution) -> dict:
     """The report fields of one selection, shared with ``hmmdkit improve``."""
     return {
@@ -382,11 +390,13 @@ def selection_codecs(*extra: tuple) -> tuple:
 def codecs(problem_type: str) -> tuple:
     """The knapsack or mckp file's payload codec, its report's solution
     codec and the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, FRAME, STR, KnapsackProblem, List, MckpProblem, Record, choice
+    from .probio import FRAC, STR, List, Record, choice
+
+    frame, _ = shapes()
 
     if problem_type == "knapsack":
         payload = Record(
-            ("criteria", FRAME, "instance.frame"),
+            ("criteria", frame, "instance.frame"),
             ("items", items_codec("value"), "instance.items"),
             ("budget", FRAC, "instance.budget"),
             build=lambda *args: KnapsackProblem(KnapsackInstance(*args)),
@@ -394,7 +404,7 @@ def codecs(problem_type: str) -> tuple:
     else:
         group = Record(("id", STR, "id"), ("items", items_codec("value"), "items"), build=Group)
         payload = Record(
-            ("criteria", FRAME, "instance.frame"),
+            ("criteria", frame, "instance.frame"),
             ("groups", List(group, 1), "instance.groups"),
             ("budget", FRAC, "instance.budget"),
             ("group_rule", choice(GroupRule), "instance.group_rule", GroupRule.AT_MOST_ONE),

@@ -117,6 +117,12 @@ def design_trajectory(spec: TrajectorySpec, all_pairs: bool = False) -> list[Tra
 # ----------------------------------------------- report and file format
 
 
+@frozen
+class TrajectoryProblem:
+    spec: TrajectorySpec
+    all_pairs: bool
+
+
 def report_trajectory(problem, method, weights, oracle):
     """``hmmdkit trajectory``: the oracle checks one decision per stage."""
     from .morph import quality_payload
@@ -137,7 +143,7 @@ def codecs(problem_type: str) -> tuple:
     """The trajectory file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .morph import quality_codecs
-    from .probio import BOOL, FRAC, ID_LIST, INT, STR, List, Record, Table, TrajectoryProblem, array, doc
+    from .probio import BOOL, FRAC, ID_LIST, INT, STR, List, Record, Table, array, doc
 
     stage = Record(
         ("time", FRAC, "time"),

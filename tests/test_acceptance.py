@@ -17,12 +17,8 @@ from hmmdkit.assign import (
     assign_pareto,
 )
 from hmmdkit.cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
-from hmmdkit.core import (
-    EstimateVector,
-    dominates,
-    normalize_estimates,
-)
-from hmmdkit.frameworks import Stage, Trajectory, TrajectorySpec, design_trajectory
+from hmmdkit.core import EstimateVector, dominates
+from hmmdkit.criteria import normalize_estimates
 from hmmdkit.morph import (
     CompositeDecision,
     DesignAlternative,
@@ -31,7 +27,6 @@ from hmmdkit.morph import (
     QualityVector,
     compose_node,
     n_dominates,
-    synthesize_tree_trace,
 )
 from hmmdkit.probio import (
     ResultFormat,
@@ -55,6 +50,8 @@ from hmmdkit.select import (
     mckp_greedy,
     scalarize,
 )
+from hmmdkit.synth import synthesize_tree_trace
+from hmmdkit.trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory
 
 
 def report(number, name, ok):

@@ -11,14 +11,8 @@ from hmmdkit.assign import (
     assign_greedy,
     assign_pareto,
 )
-from hmmdkit.core import (
-    CriteriaFrame,
-    Criterion,
-    Direction,
-    EstimateVector,
-    GuardExceeded,
-    ValidationError,
-)
+from hmmdkit.core import EstimateVector, GuardExceeded, ValidationError
+from hmmdkit.criteria import CriteriaFrame, Criterion, Direction
 from hmmdkit.scalar import as_ints, equal_weight_frame
 from hmmdkit.select import scalarize
 

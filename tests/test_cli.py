@@ -49,6 +49,34 @@ def test_missing_input_exits_3(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{", "byte 0: invalid start byte"),
+    ('{"spec_version": 1}'.encode("utf-16"), "byte 0: invalid start byte"),
+    (b'{"spec_version": 1, "problem_type": "morph\xe9"}', "byte 42: invalid continuation byte"),
+], ids=["bom", "utf16", "latin1"])
+def test_input_that_is_not_utf8_exits_3_with_its_byte_offset(data, message, tmp_path, capsys):
+    path = tmp_path / "bad.morph"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "synth", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"hmmdkit: error: parse: cannot read {path}: not UTF-8 text ({message})\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_id_holding_a_lone_surrogate_exits_3(fmt, tmp_path, capsys):
+    # json.dumps writes the id as the escape "\ud800", which json.loads reads
+    # back into a str that a text report cannot encode as UTF-8
+    payload = json.loads(json.dumps(MINIMAL["morph"][0]))
+    payload["tree"]["children"][0]["id"] = "\ud800"
+    path = tmp_path / "p.morph"
+    path.write_text(problem_text("morph", payload), encoding="ascii")
+    code, out, err = run(capsys, "synth", "--input", str(path), "--format", fmt, "--output", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == (
+        "hmmdkit: error: parse: $.payload.tree.children[0].id: not UTF-8 text: '\\ud800' holds a lone surrogate\n"
+    )
+    assert not (tmp_path / "out").exists()
+
 def test_type_mismatch_exits_2(capsys):
     code, out, err = run(capsys, "rank", "--input", MCKP)
     assert code == 2

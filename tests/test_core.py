@@ -6,19 +6,21 @@ from operator import itemgetter
 import pytest
 
 from hmmdkit.core import (
-    Criterion,
-    CriteriaFrame,
-    Direction,
     EstimateVector,
     FrozenInstanceError,
     ValidationError,
     as_frac,
-    check_lengths,
     check_unique,
     dominates,
     frozen,
-    normalize_estimates,
     non_dominated,
+)
+from hmmdkit.criteria import (
+    Criterion,
+    CriteriaFrame,
+    Direction,
+    check_lengths,
+    normalize_estimates,
     nonnegative,
     pareto_layers,
 )

@@ -23,24 +23,13 @@ from hmmdkit.core import (
     OrdinalScale,
     ValidationError,
 )
-from hmmdkit.frameworks import (
-    ImprovementPart,
-    ImprovementSpec,
-    IntegrationNode,
-    PairActions,
-    Stage,
-    ThreeSetSpec,
-    Trajectory,
-    TrajectorySpec,
-    check_tables_total,
-    design_trajectory,
-    evaluate_integration_tree,
-    plan_improvement,
-    run_three_set_pipeline,
-)
+from hmmdkit.improve import ImprovementPart, ImprovementSpec, plan_improvement
+from hmmdkit.integrate import IntegrationNode, check_tables_total, evaluate_integration_tree
 from hmmdkit.morph import QualityVector, n_dominates
+from hmmdkit.pipeline import PairActions, ThreeSetSpec, run_three_set_pipeline
 from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import Group, Item, MckpInstance, mckp_exact_dp, mckp_greedy
+from hmmdkit.trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory
 
 SCALE13 = OrdinalScale(1, 3, Best.HIGH)
 

@@ -24,23 +24,40 @@ from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
 SCALAR = "hmmdkit.scalar"
-# frameworks re-exports trajectory's public names on first access, so a
-# framework run that never asks for them does not load trajectory
-FRAMEWORKS = BASE | {"hmmdkit.frameworks"}
+CRITERIA = "hmmdkit.criteria"
+#: what every run of a weighted problem type loads besides its owner
+WEIGHTED = {CRITERIA, SCALAR}
 
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
-    "rank": BASE | {"hmmdkit.rank", SCALAR},
-    "knapsack": BASE | {"hmmdkit.select", SCALAR},
-    "mckp": BASE | {"hmmdkit.select", SCALAR},
+    "rank": BASE | WEIGHTED | {"hmmdkit.rank"},
+    "knapsack": BASE | WEIGHTED | {"hmmdkit.select"},
+    "mckp": BASE | WEIGHTED | {"hmmdkit.select"},
     "cluster": BASE | {"hmmdkit.cluster"},
-    "assign": BASE | {"hmmdkit.assign", SCALAR},
+    "assign": BASE | WEIGHTED | {"hmmdkit.assign"},
     "tsp": BASE | {"hmmdkit.route"},
-    "synth": BASE | {"hmmdkit.morph"},
+    "synth": BASE | {"hmmdkit.morph", "hmmdkit.synth"},
     "trajectory": BASE | {"hmmdkit.morph", "hmmdkit.trajectory"},
-    "integrate": FRAMEWORKS,
-    "pipeline": FRAMEWORKS | {"hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select", SCALAR},
-    "improve": FRAMEWORKS | {"hmmdkit.select", SCALAR},
+    "integrate": BASE | {"hmmdkit.integrate"},
+    "pipeline": BASE | WEIGHTED | {
+        "hmmdkit.pipeline", "hmmdkit.improve", "hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select"
+    },
+    "improve": BASE | WEIGHTED | {"hmmdkit.improve", "hmmdkit.select"},
+}
+
+#: old import path -> {moved name that perfbench or tools import from it: its home}
+COMPAT = {
+    "core": dict.fromkeys(
+        ("CriteriaFrame", "Criterion", "Direction", "normalize_estimates", "pareto_layers"), "criteria"
+    ),
+    "frameworks": {
+        **dict.fromkeys(("Stage", "TrajectorySpec", "design_trajectory"), "trajectory"),
+        "IntegrationNode": "integrate",
+        **dict.fromkeys(("PairActions", "ThreeSetSpec", "run_three_set_pipeline"), "pipeline"),
+        **dict.fromkeys(("ImprovementPart", "ImprovementSpec", "plan_improvement"), "improve"),
+    },
+    "morph": {"synthesize_tree_trace": "synth"},
+    "probio": {f"{ptype.capitalize()}Problem": owner for ptype, owner in OWNERS.items()},
 }
 
 #: standard modules no subcommand may load: records are built by
@@ -89,6 +106,23 @@ def test_runs_without_weighted_sums_load_no_scalar():
     # not at all, never compiles them
     for command in ("synth", "cluster", "tsp", "trajectory", "integrate"):
         assert SCALAR not in LOADS[command], command
+
+
+def test_runs_without_criteria_load_no_criteria():
+    # criteria holds the frames and their rules; a run whose file has no
+    # criteria never compiles them, and no run loads the frameworks facade
+    for command in ("synth", "trajectory", "integrate", "cluster", "tsp"):
+        assert CRITERIA not in LOADS[command], command
+    assert not any("hmmdkit.frameworks" in loads for loads in LOADS.values())
+
+
+@pytest.mark.parametrize("old", sorted(COMPAT))
+def test_moved_names_keep_their_old_import_path(old):
+    module = importlib.import_module(f"hmmdkit.{old}")
+    for name, home in COMPAT[old].items():
+        assert getattr(module, name) is getattr(importlib.import_module(f"hmmdkit.{home}"), name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["synth", "-h"], ["pipeline", "--help"]])
@@ -199,13 +233,21 @@ def test_each_report_lives_beside_its_solver():
         assert callable(getattr(importlib.import_module(f"hmmdkit.{OWNERS[ptype]}"), f"report_{command}")), command
 
 
-@pytest.mark.parametrize("owner", sorted(set(OWNERS.values())))
+@pytest.mark.parametrize("owner", sorted({*OWNERS.values(), "criteria", "frameworks", "morph"}))
 def test_owner_module_loads_no_probio(owner):
     # an owner builds its file and report shapes from probio's engine only
-    # when probio asks, so the solver alone stays free of the file format
+    # when probio asks, so the solver alone stays free of the file format;
+    # so do criteria (the frame's shapes), morph (the model that trajectory
+    # shares) and frameworks (an old import path)
     loaded = loaded_in_child(f"import hmmdkit.{owner}")
     assert "hmmdkit.probio" not in loaded
     assert f"hmmdkit.{owner}" in loaded
+
+
+def test_probio_loads_no_criteria():
+    # the frame's shapes are built by criteria.shapes, which only the
+    # weighted types' codecs call
+    assert "hmmdkit.criteria" not in loaded_in_child("import hmmdkit.probio")
 
 
 def test_probio_imports_no_solver_module():

@@ -21,8 +21,8 @@ from hmmdkit.core import (
     ValidationError,
     check_guard,
     non_dominated,
-    pareto_layers,
 )
+from hmmdkit.criteria import pareto_layers
 from hmmdkit.morph import (
     MAX_COMBINATIONS,
     CompositeDecision,
@@ -32,12 +32,10 @@ from hmmdkit.morph import (
     QualityVector,
     compose_node,
     n_dominates,
-    quality_vector,
-    synthesize_tree,
-    synthesize_tree_trace,
     walk,
 )
-from hmmdkit.probio import SPEC_VERSION, MorphProblem, ProblemFile, fixture_path, load_fixture, write_problem
+from hmmdkit.probio import SPEC_VERSION, ProblemFile, fixture_path, load_fixture, write_problem
+from hmmdkit.synth import MorphProblem, synthesize_tree, synthesize_tree_trace
 
 
 def qv(w, *counts):
@@ -45,6 +43,26 @@ def qv(w, *counts):
 
 
 # ------------------------------------------------------------- quality_vector
+
+
+def quality_vector(system, node_id, selection):
+    """Quality of an explicit selection over a node's leaf children, through
+    compose_node (the library function of that name, which only tests called)."""
+    node = system.node(node_id)
+    if node.is_leaf:
+        raise ValidationError(f"node {node_id!r} is a leaf")
+    chosen = {}
+    for child in node.children:
+        if child.id not in selection:
+            raise ValidationError(f"selection misses child {child.id!r}")
+        if not child.is_leaf:
+            raise ValidationError(f"child {child.id!r} is internal; use the synthesis entry point")
+        matches = [da for da in child.alternatives if da.id == selection[child.id]]
+        if not matches:
+            raise ValidationError(f"child {child.id!r} has no alternative {selection[child.id]!r}")
+        chosen[child.id] = matches[:1]
+    (decision,) = compose_node(system, node_id, chosen, allow_zero_w=True)
+    return decision.quality
 
 
 def test_quality_of_reference_compositions():
@@ -852,14 +870,16 @@ def test_compose_node_equals_the_product_loop():
 
 
 def test_synthesis_and_trajectories_equal_the_product_loop(monkeypatch):
-    from hmmdkit import morph
-    from hmmdkit.frameworks import Stage, TrajectorySpec, design_trajectory
+    from hmmdkit import morph, synth
+    from hmmdkit.trajectory import Stage, TrajectorySpec, design_trajectory
 
     def both(run):
-        """run() with compose_node, then with the product loop in its place."""
+        """run() with compose_node, then with the product loop in its place:
+        synth calls its own import of it, trajectory reads morph's"""
         outcomes = []
         for compose in (compose_node, reference_compose_node):
             monkeypatch.setattr(morph, "compose_node", compose)
+            monkeypatch.setattr(synth, "compose_node", compose)
             try:
                 outcomes.append(run())
             except ValidationError as exc:

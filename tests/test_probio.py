@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import conftest as data
-from hmmdkit.morph import QualityVector, n_dominates, synthesize_tree
+from hmmdkit.morph import QualityVector, n_dominates
 from hmmdkit.probio import (
     INT,
     Leaf,
@@ -92,6 +92,17 @@ def test_errors_name_the_offending_path():
     with pytest.raises(ParseError, match=r"estimates\[1\]"):
         parse_problem(json.dumps(doc2))
 
+
+@pytest.mark.parametrize("bad", ["\ud800", "a\udfffb", "\udc80\u00e9"])
+def test_ids_that_are_not_utf8_text_are_rejected_at_their_path(bad):
+    # json.loads reads a lone surrogate escape into a str that no text
+    # report could write; any other non-ASCII id stays valid
+    doc = json.loads(minimal_rank_text())
+    doc["payload"]["alternatives"][0]["id"] = bad
+    with pytest.raises(ParseError, match=r"^\$\.payload\.alternatives\[0\]\.id: not UTF-8 text: .* holds a lone surrogate$"):
+        parse_problem(json.dumps(doc))
+    doc["payload"]["alternatives"][0]["id"] = "caf\u00e9 \U0001f600"
+    assert parse_problem(json.dumps(doc)).payload.instance.ids == ["caf\u00e9 \U0001f600"]
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_canonical_write_parse_identity(name):
@@ -284,6 +295,7 @@ def load_quality_cases(text):
 def test_every_fixture_parses_and_solves():
     from hmmdkit.assign import assign_greedy
     from hmmdkit.select import mckp_exact_dp, mckp_greedy
+    from hmmdkit.synth import synthesize_tree
 
     for name in FIXTURES:
         pf = parse_problem(load_fixture(name))

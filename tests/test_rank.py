@@ -4,15 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hmmdkit.core import (
-    Criterion,
-    CriteriaFrame,
-    Direction,
-    EstimateVector,
-    ValidationError,
-    dominates,
-    normalize_estimates,
-)
+from hmmdkit.core import EstimateVector, ValidationError, dominates
+from hmmdkit.criteria import Criterion, CriteriaFrame, Direction, normalize_estimates
 from hmmdkit.rank import (
     RankingInstance,
     RankingResult,

@@ -24,21 +24,11 @@ import pytest
 
 from hmmdkit.assign import AssignmentInstance
 from hmmdkit.cluster import DissimilarityMatrix
-from hmmdkit.core import (
-    Criterion,
-    CriteriaFrame,
-    EstimateVector,
-    ValidationError,
-    normalize_estimates,
-)
-from hmmdkit.frameworks import (
-    ImprovementPart,
-    ImprovementSpec,
-    PairActions,
-    Stage,
-    ThreeSetSpec,
-    TrajectorySpec,
-)
+from hmmdkit.core import EstimateVector, ValidationError
+from hmmdkit.criteria import Criterion, CriteriaFrame, normalize_estimates
+from hmmdkit.improve import ImprovementPart, ImprovementSpec
+from hmmdkit.pipeline import PairActions, ThreeSetSpec
+from hmmdkit.trajectory import Stage, TrajectorySpec
 from hmmdkit.morph import DesignAlternative, MorphNode
 from hmmdkit.rank import RankingInstance
 from hmmdkit.scalar import equal_weight_frame

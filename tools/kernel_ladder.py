@@ -77,8 +77,8 @@ RUNGS = (
     # probio, the module that owns the problem type and the modules it
     # imports, or help for -h), and parsing
     + [("compile", {"module": m})
-       for m in ("cli", "core", "probio", "rank", "select", "cluster", "assign", "route", "morph", "frameworks",
-                 "trajectory", "scalar", "help")]
+       for m in ("cli", "core", "probio", "criteria", "rank", "select", "cluster", "assign", "route", "morph",
+                 "synth", "frameworks", "trajectory", "integrate", "pipeline", "improve", "scalar", "help")]
     + [("parse", {"workload": w, "input": i}) for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
     # the process: a synth run through the package's __main__.py, and a bare interpreter
     + [("process", {"run": r, "phase": p}) for r in ("synth", "pass") for p in ("wall", "exit")]
