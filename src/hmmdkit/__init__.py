@@ -36,7 +36,7 @@ _EXPORTS = {
         "ValidationError",
         "dominates",
     ),
-    "criteria": ("Criterion", "CriteriaFrame", "Direction", "normalize_estimates"),
+    "criteria": ("Criterion", "CriteriaFrame", "Direction", "equal_weight_frame", "scalarize"),
     "improve": ("ImprovementPart", "ImprovementSpec", "plan_improvement"),
     "integrate": ("IntegrationNode", "evaluate_integration_tree"),
     "morph": (
@@ -52,6 +52,7 @@ _EXPORTS = {
     "rank": (
         "RankingInstance",
         "RankingResult",
+        "normalize_estimates",
         "rank_ideal_point",
         "rank_outranking",
         "rank_pareto_layers",
@@ -64,7 +65,6 @@ _EXPORTS = {
         "tsp_nearest_neighbor",
         "tsp_two_opt",
     ),
-    "scalar": ("equal_weight_frame", "scalarize"),
     "select": (
         "Group",
         "GroupRule",

@@ -18,12 +18,10 @@ from .core import (
     ValidationError,
     check_guard,
     check_unique,
-    dominates,
     frozen,
     non_dominated,
 )
-from .criteria import CriteriaFrame, Direction, check_lengths, shapes
-from .scalar import as_ints, scalarize, vector_sum
+from .criteria import CriteriaFrame, as_ints, check_lengths, oriented, scalarize, shapes, vector_sum
 
 ENUMERATION_GUARD = 9
 
@@ -216,20 +214,12 @@ def assign_exact(
     return _solution(inst, pairs, betas)
 
 
-def _adjusted(frame: CriteriaFrame, vec: EstimateVector) -> tuple[Fraction, ...]:
-    # larger-is-better view of an objective sum: flip minimized criteria
-    return tuple(
-        v if d is Direction.MAXIMIZE else -v
-        for v, d in zip(vec, frame.directions)
-    )
-
-
 def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
     """All maximal assignments with a non-dominated objective vector."""
     check_guard(min(len(inst.agents), inst.total_capacity()), ENUMERATION_GUARD, "assigned agents")
     betas = _cell_betas(inst, None)
     sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
-    front = non_dominated(sols, dominates, lambda s: _adjusted(inst.frame, s.objective_vector))
+    front = non_dominated(sols, lambda s: oriented(inst.frame, s.objective_vector))
     return sorted(front, key=lambda s: sorted(s.pairs))
 
 

@@ -4,8 +4,8 @@ ordinal scales, estimate vectors and the dominance relation.
 Everything downstream (ranking, selection, synthesis) works on exact
 rational estimates; the componentwise dominance relation defined here is
 the primitive every solver shares. Criteria frames live in ``criteria``,
-which only the weighted problem types load; their names stay importable
-from here.
+which only the weighted problem types load, and Pareto layers and min-max
+normalization in ``rank``; their names stay importable from here.
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ TOLERANCE = 1e-9
 MAX_DIGITS = 4300
 _PAST_MAX_DIGITS = 10**MAX_DIGITS
 
-#: names that moved to ``criteria``, still importable from here
-_MOVED = dict.fromkeys(("Direction", "Criterion", "CriteriaFrame", "normalize_estimates", "pareto_layers"), "criteria")
+#: names that moved to ``criteria`` and ``rank``, still importable from here
+_MOVED = {
+    **dict.fromkeys(("Direction", "Criterion", "CriteriaFrame"), "criteria"),
+    **dict.fromkeys(("normalize_estimates", "pareto_layers"), "rank"),
+}
 
 
 def __getattr__(name: str):
@@ -273,15 +276,15 @@ def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:
     return all(map(ge, a, b)) and any(map(gt, a, b))
 
 
-def non_dominated(items: Sequence, dom: Callable, key: Callable | None = None) -> list:
+def non_dominated(items: Sequence, key: Callable | None = None) -> list:
     """Items whose key no other item's key strictly dominates, in input order.
 
-    Only the distinct (hashable) keys are compared; the default key is the
-    item. ``dom`` must be strict, so equal keys never dominate each other
-    and the result equals an all-pairs comparison of the items.
+    Only the distinct (hashable) keys are compared, by ``dominates``; the
+    default key is the item. Equal keys never dominate each other, so the
+    result equals an all-pairs comparison of the items.
     """
     keys = list(items) if key is None else [key(x) for x in items]
     distinct = list(dict.fromkeys(keys))
-    alive = {k for k in distinct if not any(dom(o, k) for o in distinct)}
+    alive = {k for k in distinct if not any(dominates(o, k) for o in distinct)}
     return [x for x, k in zip(items, keys) if k in alive]
 

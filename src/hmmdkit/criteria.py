@@ -1,20 +1,26 @@
-"""Criteria frames and the rules of estimate vectors under a frame.
+"""Criteria frames, the rules of estimate vectors under a frame, and the
+arithmetic on those vectors.
 
 A criteria frame is an ordered set of weighted criteria, each maximized or
 minimized; every estimate vector it governs holds one value per criterion.
-Only the weighted problem types (rank, knapsack, mckp, assign, pipeline
-and improve) load this module: a synth, trajectory, integrate, cluster or
-tsp run never compiles it.
+``oriented`` is the one place a criterion's direction is read. scalarize
+is the one weighted sum: utility ranking, knapsack and MCKP selection and
+assignment reduce each estimate vector to one exact scalar through it.
+as_ints lets the exact kernels run on ints, and vector_sum adds estimate
+vectors componentwise. Only the weighted problem types (rank, knapsack,
+mckp, assign, pipeline and improve) load this module: a synth,
+trajectory, integrate, cluster or tsp run never compiles it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+import math
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
 
-from .core import EstimateVector, Number, ValidationError, as_frac, check_unique, frozen, non_dominated
+from .core import EstimateVector, Number, ValidationError, as_frac, check_unique, frozen
 
 
 def check_lengths(frame: CriteriaFrame, entries: Iterable[tuple]) -> None:
@@ -80,10 +86,6 @@ class CriteriaFrame:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(c.weight for c in self.criteria)
 
-    @property
-    def directions(self) -> tuple[Direction, ...]:
-        return tuple(c.direction for c in self.criteria)
-
 
 def check_rows(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> None:
     if not rows:
@@ -91,44 +93,79 @@ def check_rows(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> None:
     check_lengths(frame, ((row, "row {}", i) for i, row in enumerate(rows)))
 
 
-def normalize_estimates(
-    frame: CriteriaFrame, rows: Sequence[EstimateVector]
-) -> list[EstimateVector]:
-    """Min-max rescale each criterion over the rows to canonical [0, 1] form.
+def oriented(frame: CriteriaFrame, values: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """The larger-is-better view of one estimate vector under ``frame``:
+    the value of each minimized criterion is negated."""
+    return tuple(v if c.direction is Direction.MAXIMIZE else -v for c, v in zip(frame.criteria, values))
 
-    Minimized criteria are flipped so 1 is always best; a criterion that is
-    constant across the rows maps to 1/2 for every row (neutral, so it never
-    biases a utility sum).
+
+def equal_weight_frame(k: int) -> CriteriaFrame:
+    """Frame of k maximized criteria with equal weights."""
+    if k < 1:
+        raise ValidationError("a frame needs at least one criterion")
+    return CriteriaFrame(tuple(Criterion(f"c{i + 1}") for i in range(k)))
+
+
+def vector_sum(frame: CriteriaFrame, vectors: Sequence[EstimateVector]) -> EstimateVector:
+    """Componentwise sum; the zero vector of ``frame`` when there are no vectors."""
+    if not vectors:
+        return EstimateVector([Fraction(0)] * len(frame))
+    return EstimateVector([sum(col, Fraction(0)) for col in zip(*(v.values for v in vectors))])
+
+
+def as_ints(values: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators.
+
+    Scaling by one positive constant keeps every order, sign and strict
+    comparison of sums, so exact kernels can run on these ints instead.
     """
-    check_rows(frame, rows)
-    cols = list(zip(*(row.values for row in rows)))
-    out_cols: list[list[Fraction]] = []
-    for k, direction in enumerate(frame.directions):
-        lo, hi = min(cols[k]), max(cols[k])
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def scalarize(
+    frame: CriteriaFrame,
+    values: Sequence[EstimateVector],
+    weights: Sequence[Number] | None = None,
+) -> list[Fraction]:
+    """Scalar value per vector: weighted sum of min-max-normalized components.
+
+    Weights default to the frame's. Explicit weights, one per criterion,
+    replace them under the frame's rules: nonnegative, not all zero, and
+    normalized to sum 1.
+    """
+    if weights is not None:
+        if len(weights) != len(frame):
+            raise ValidationError(f"{len(weights)} weights for {len(frame)} criteria")
+        frame = CriteriaFrame(
+            tuple(Criterion(c.id, c.direction, w) for c, w in zip(frame.criteria, weights))
+        )
+    check_rows(frame, values)
+    # Column k adds w_k·(x - lo)/(hi - lo) on oriented values, and 1/2 for
+    # a constant column. On the column's lcm-scaled ints (as_ints) that is
+    # p·(x - lo) / (q·(hi - lo)) for w_k = p/q, so every term goes over one
+    # common denominator and each row costs one Fraction.
+    cols = list(zip(*(oriented(frame, row) for row in values)))
+    terms = []  # (p, column ints or None when constant, lo, denominator)
+    for c, col in zip(frame.criteria, cols):
+        if not c.weight:
+            continue
+        p, q = c.weight.numerator, c.weight.denominator
+        col = as_ints(col)
+        lo, hi = min(col), max(col)
         if lo == hi:
-            out_cols.append([Fraction(1, 2)] * len(rows))
-        elif direction is Direction.MAXIMIZE:
-            out_cols.append([(v - lo) / (hi - lo) for v in cols[k]])
+            terms.append((p, None, 0, 2 * q))
         else:
-            out_cols.append([(hi - v) / (hi - lo) for v in cols[k]])
-    return [EstimateVector(vals) for vals in zip(*out_cols)]
-
-
-def pareto_layers(items: Sequence, dom: Callable, key: Callable | None = None) -> list[int]:
-    """1-based layer index per item: peel the non-dominated keys repeatedly
-    (``core.non_dominated``'s ``dom`` and ``key``)."""
-    keys = list(items) if key is None else [key(x) for x in items]
-    remaining = list(dict.fromkeys(keys))
-    layer: dict[Hashable, int] = {}
-    current = 1
-    while remaining:
-        front = non_dominated(remaining, dom)
-        if not front:  # cannot happen for a strict partial order
-            raise ValidationError("dominance relation admits a cycle")
-        layer.update(dict.fromkeys(front, current))
-        remaining = [k for k in remaining if k not in layer]
-        current += 1
-    return [layer[k] for k in keys]
+            terms.append((p, col, lo, q * (hi - lo)))
+    den = math.lcm(*(t[3] for t in terms))
+    nums = [0] * len(values)
+    for p, col, lo, d in terms:
+        f = p * (den // d)
+        if col is None:
+            nums = [n + f for n in nums]
+        else:
+            nums = [n + f * (x - lo) for n, x in zip(nums, col)]
+    return [Fraction(n, den) for n in nums]
 
 
 def shapes() -> tuple:

@@ -13,11 +13,18 @@ from fractions import Fraction
 
 from .core import GuardExceeded, Number, OracleError, ValidationError, check_unique, frozen
 from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes
-
-# the solver functions are imported inside the functions that run them
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .select import Item, MckpInstance, SelectionSolution
+from .select import (
+    Group,
+    GroupRule,
+    Item,
+    MckpInstance,
+    SelectionSolution,
+    items_codec,
+    mckp_exact_dp,
+    mckp_greedy,
+    selection_codecs,
+    selection_payload,
+)
 
 
 @frozen
@@ -58,8 +65,6 @@ def plan_improvement(
     spec: ImprovementSpec, weights: Sequence[Number] | None = None
 ) -> ImprovementPlan:
     """At most one improvement action per part within the budget."""
-    from .select import Group, GroupRule, Item, MckpInstance
-
     groups = []
     origin: dict[str, tuple[str, str]] = {}
     for part in spec.parts:
@@ -89,8 +94,6 @@ def plan_improvement(
 
 def _solve_mckp(inst: MckpInstance, weights) -> tuple[SelectionSolution, str]:
     """Exact DP on integral data within the table guard, greedy otherwise."""
-    from .select import mckp_exact_dp, mckp_greedy
-
     # integrality is tested here, not by catching ValidationError, which
     # would also swallow a bad HMMD_KIT_GUARD
     integral = inst.budget.denominator == 1 and all(
@@ -114,8 +117,6 @@ class ImproveProblem:
 
 def report_improve(problem, method, weights, oracle):
     """``hmmdkit improve``: the oracle checks one action per part within budget."""
-    from .select import selection_payload
-
     plan = plan_improvement(problem.spec, weights)
     solution = selection_payload(plan.solution)
     solution["by_part"] = dict(sorted(plan.by_part.items()))
@@ -134,7 +135,6 @@ def codecs(problem_type: str) -> tuple:
     """The improve file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, STR, List, Map, Record, nullable
-    from .select import items_codec, selection_codecs
 
     frame, _ = shapes()
     part = Record(("id", STR, "id"), ("actions", items_codec("effect"), "actions"), build=ImprovementPart)

@@ -322,7 +322,7 @@ def compose_node(
         by_vector[(w, *itertools.accumulate(counts))] = counts, choices
     labels = [[(child.id, da.id) for da in das] for child, das in zip(node.children, pools)]
     decisions = []
-    for vector in sorted(non_dominated(list(by_vector), dominates), reverse=True):
+    for vector in sorted(non_dominated(list(by_vector)), reverse=True):
         counts, choices = by_vector[vector]
         quality = QualityVector(vector[0], counts)
         selections = sorted(

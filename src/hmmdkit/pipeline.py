@@ -10,15 +10,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .assign import AssignmentInstance, assign_greedy
+from .cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
 from .core import EstimateVector, Number, OracleError, ValidationError, check_unique, frozen
-from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes
+from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes, vector_sum
 from .improve import ImprovementPart, ImprovementSpec, plan_improvement
-
-# the solver modules are imported inside the functions that run them
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .cluster import DissimilarityMatrix, Linkage
-    from .select import Item
+from .select import Item, items_codec
 
 
 @frozen
@@ -93,11 +90,7 @@ class PipelineReport:
 
 
 def _mean_vector(frame: CriteriaFrame, vectors: list[EstimateVector]) -> EstimateVector:
-    from .scalar import vector_sum
-
     return EstimateVector([s / len(vectors) for s in vector_sum(frame, vectors)])
-
-
 
 
 def run_three_set_pipeline(
@@ -114,9 +107,6 @@ def run_three_set_pipeline(
     "e1::e2", of the improvement plan that plan_improvement solves under
     the budget with the action frame's own weights.
     """
-    from .assign import AssignmentInstance, assign_greedy
-    from .cluster import Linkage, build_dendrogram, cut_dendrogram
-
     linkage = Linkage.SINGLE if linkage is None else linkage
     clusters1 = tuple(cut_dendrogram(build_dendrogram(spec.set1, linkage), spec.k1))
     clusters2 = tuple(cut_dendrogram(build_dendrogram(spec.set2, linkage), spec.k2))
@@ -223,9 +213,7 @@ def report_pipeline(problem, method, weights, oracle):
 def codecs(problem_type: str) -> tuple:
     """The pipeline file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .cluster import DissimilarityMatrix, Linkage
     from .probio import FRAC, ID_LIST, IDS, INT, MATRIX, STR, List, Record, array, choice, doc, fail, render_number
-    from .select import items_codec
 
     frame, cells = shapes()
     def pair_actions(path: str, pair: tuple, items: tuple) -> PairActions:

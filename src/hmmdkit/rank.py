@@ -9,6 +9,7 @@ score where higher is better.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Hashable, Sequence
 from fractions import Fraction
 
 from .core import (
@@ -21,9 +22,9 @@ from .core import (
     check_unique,
     dominates,
     frozen,
+    non_dominated,
 )
-from .criteria import CriteriaFrame, Direction, check_lengths, normalize_estimates, pareto_layers, shapes
-from .scalar import as_ints, scalarize
+from .criteria import CriteriaFrame, as_ints, check_lengths, check_rows, oriented, scalarize, shapes
 
 DEFAULT_CONCORDANCE = Fraction(3, 5)
 DEFAULT_DISCORDANCE = Fraction(2, 5)
@@ -54,23 +55,61 @@ class RankingResult:
     method: str
 
 
-def _dense_priorities(scored: dict[str, Number]) -> dict[str, int]:
-    """Dense priorities by descending score; scores within tolerance tie."""
+def _dense_priorities(scored: dict[str, Number], tolerance: float = 0) -> dict[str, int]:
+    """Dense priorities by descending score; scores within ``tolerance``
+    tie, so exact scores tie only when they are equal."""
     order = sorted(scored, key=lambda a: (-scored[a], a))
     priorities: dict[str, int] = {}
     level = 0
     prev: Number | None = None
     for aid in order:
         s = scored[aid]
-        if prev is None or prev - s > TOLERANCE:
+        if prev is None or prev - s > tolerance:
             level += 1
             prev = s
         priorities[aid] = level
     return priorities
 
 
-def _normalized(inst: RankingInstance) -> list[EstimateVector]:
-    return normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
+def normalize_estimates(
+    frame: CriteriaFrame, rows: Sequence[EstimateVector]
+) -> list[EstimateVector]:
+    """Min-max rescale each criterion over the rows to canonical [0, 1] form.
+
+    Minimized criteria are flipped so 1 is always best; a criterion that is
+    constant across the rows maps to 1/2 for every row (neutral, so it never
+    biases a utility sum).
+    """
+    check_rows(frame, rows)
+    out_cols: list[list[Fraction]] = []
+    for col in zip(*(oriented(frame, row) for row in rows)):
+        lo, hi = min(col), max(col)
+        if lo == hi:
+            out_cols.append([Fraction(1, 2)] * len(rows))
+        else:
+            out_cols.append([(v - lo) / (hi - lo) for v in col])
+    return [EstimateVector(vals) for vals in zip(*out_cols)]
+
+
+def pareto_layers(items: Sequence, key: Callable | None = None) -> list[int]:
+    """1-based layer index per item: peel the non-dominated keys repeatedly
+    (``core.non_dominated``'s ``key``)."""
+    keys = list(items) if key is None else [key(x) for x in items]
+    remaining = list(dict.fromkeys(keys))
+    layer: dict[Hashable, int] = {}
+    current = 1
+    while remaining:
+        front = non_dominated(remaining)
+        layer.update(dict.fromkeys(front, current))
+        remaining = [k for k in remaining if k not in layer]
+        current += 1
+    return [layer[k] for k in keys]
+
+
+def _oriented(inst: RankingInstance) -> list[tuple[Fraction, ...]]:
+    # min-max normalization is strictly increasing on a non-constant column
+    # and constant on a constant one, so it keeps every dominance test
+    return [oriented(inst.frame, est) for _, est in inst.alternatives]
 
 
 def rank_utility(inst: RankingInstance) -> RankingResult:
@@ -81,8 +120,7 @@ def rank_utility(inst: RankingInstance) -> RankingResult:
 
 def rank_pareto_layers(inst: RankingInstance) -> RankingResult:
     """Priority = index of the Pareto layer the alternative falls into."""
-    norm = _normalized(inst)
-    layers = pareto_layers(norm, dominates)
+    layers = pareto_layers(_oriented(inst))
     priorities = {aid: layer for (aid, _), layer in zip(inst.alternatives, layers)}
     scores = {aid: -layer for aid, layer in priorities.items()}
     return RankingResult(priorities, scores, "pareto")
@@ -164,21 +202,17 @@ def rank_outranking(
     stays within q. Cycles collapse into one priority group; priority is
     the topological layer of the group, sources first.
 
-    Both tests are decided on the raw estimates, exactly. Min-max
-    normalization maps a value x to (x - lo) / (hi - lo), or to
-    (hi - x) / (hi - lo) when the criterion is minimized: increasing once
-    minimized columns are negated. So a is at least as good as b after
-    normalization exactly when it is before, and b beats a by more than q
-    exactly when x_b - x_a > q (hi - lo). A constant column normalizes to
-    1/2 everywhere; on raw values, too, every pair ties on it and it never
-    fails discordance. Columns and weights are scaled to ints, which keeps
-    both tests.
+    Both tests are decided on the oriented estimates, exactly. Min-max
+    normalization maps an oriented value x to (x - lo) / (hi - lo), which
+    is increasing. So a is at least as good as b after normalization
+    exactly when it is before, and b beats a by more than q exactly when
+    x_b - x_a > q (hi - lo). A constant column normalizes to 1/2
+    everywhere; on oriented values, too, every pair ties on it and it
+    never fails discordance. Columns and weights are scaled to ints, which
+    keeps both tests.
     """
     p, q = outranking_thresholds(p, q)
-    cols = []  # larger is better in every column
-    for k, direction in enumerate(inst.frame.directions):
-        col = as_ints([est[k] for _, est in inst.alternatives])
-        cols.append([-x for x in col] if direction is Direction.MINIMIZE else col)
+    cols = [as_ints(col) for col in zip(*_oriented(inst))]  # larger is better in every column
     # b beats a by more than q on a criterion: (x_b - x_a) q.den > q.num (hi - lo)
     limits = [q.numerator * (max(col) - min(col)) for col in cols]
     rows = [tuple(x * q.denominator for x in row) for row in zip(*cols)]
@@ -225,7 +259,7 @@ def rank_outranking(
 
 def rank_ideal_point(inst: RankingInstance) -> RankingResult:
     """Relative closeness to the componentwise ideal of the normalized set."""
-    norm = _normalized(inst)
+    norm = normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
     cols = list(zip(*(row.values for row in norm)))
     ideal = [max(c) for c in cols]
     anti = [min(c) for c in cols]
@@ -235,7 +269,7 @@ def rank_ideal_point(inst: RankingInstance) -> RankingResult:
         d_minus = math.sqrt(sum(float(v - a) ** 2 for a, v in zip(anti, row)))
         total = d_plus + d_minus
         scores[aid] = 0.5 if total == 0 else d_minus / total
-    return RankingResult(_dense_priorities(scores), scores, "ideal")
+    return RankingResult(_dense_priorities(scores, TOLERANCE), scores, "ideal")
 
 
 # ------------------------------------------------ report and file format
@@ -266,11 +300,11 @@ def report_rank(problem, method, weights, oracle):
     }
     diagnostics = {}
     if oracle:
-        norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+        rows = _oriented(inst)
         ids = inst.ids
         for i in range(len(ids)):
             for j in range(len(ids)):
-                if i != j and dominates(norm[i], norm[j]):
+                if i != j and dominates(rows[i], rows[j]):
                     if res.priorities[ids[i]] > res.priorities[ids[j]]:
                         raise OracleError(f"{ids[i]} dominates {ids[j]} but ranks below it")
         diagnostics["oracle"] = "ok (dominance consistency)"

@@ -1,6 +1,6 @@
 """Multicriteria knapsack and multiple-choice knapsack solvers.
 
-Vector-valued items are reduced to scalar values by ``scalar.scalarize``
+Vector-valued items are reduced to scalar values by ``criteria.scalarize``
 (min-max normalization over the instance's item set, then a weighted
 sum; re-exported here); greedy heuristics come paired with exact
 dynamic-programming oracles for integral data.
@@ -23,8 +23,7 @@ from .core import (
     check_unique,
     frozen,
 )
-from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes
-from .scalar import as_ints, scalarize, vector_sum
+from .criteria import CriteriaFrame, as_ints, check_lengths, nonnegative, scalarize, shapes, vector_sum
 
 #: DP table cells of knapsack_exact and mckp_exact_dp
 TABLE_GUARD = 10**7

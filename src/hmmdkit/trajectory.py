@@ -20,12 +20,7 @@ from .core import (
     check_unique,
     frozen,
 )
-
-# morph is imported inside the functions that run it, so that importing
-# frameworks, which re-exports this module's public names, loads no morph
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .morph import QualityVector
+from .morph import DesignAlternative, MorphNode, MorphSystem, QualityVector, compose_node, quality_codecs, quality_payload
 
 
 @frozen
@@ -86,8 +81,6 @@ def design_trajectory(spec: TrajectorySpec, all_pairs: bool = False) -> list[Tra
     pairs with all_pairs), every one of which must be given. Zero-valued
     links stay allowed. Output order is compose_node's canonical order.
     """
-    from .morph import DesignAlternative, MorphNode, MorphSystem, compose_node
-
     stages = [s.decisions for s in spec.stages]
     n = len(stages)
     linked = itertools.combinations(range(n), 2) if all_pairs else zip(range(n), range(1, n))
@@ -125,8 +118,6 @@ class TrajectoryProblem:
 
 def report_trajectory(problem, method, weights, oracle):
     """``hmmdkit trajectory``: the oracle checks one decision per stage."""
-    from .morph import quality_payload
-
     front = design_trajectory(problem.spec, problem.all_pairs)
     solution = {"trajectories": [{"path": t.path, "quality": quality_payload(t.quality)} for t in front]}
     diagnostics = {}
@@ -142,7 +133,6 @@ def report_trajectory(problem, method, weights, oracle):
 def codecs(problem_type: str) -> tuple:
     """The trajectory file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .morph import quality_codecs
     from .probio import BOOL, FRAC, ID_LIST, INT, STR, List, Record, Table, array, doc
 
     stage = Record(

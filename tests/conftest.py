@@ -76,6 +76,40 @@ def replace(record, **changes):
     return type(record)(**fields, **changes)
 
 
+# The direction branches that criteria.oriented replaced, kept as they were
+# written so that the tests comparing against them stay independent of it.
+
+
+def oracle_normalize_estimates(frame, rows):
+    """Min-max rescale each criterion over the rows to [0, 1]: (x - lo) /
+    (hi - lo) when maximized, (hi - x) / (hi - lo) when minimized, and 1/2
+    on a constant column."""
+    from fractions import Fraction
+
+    from hmmdkit.core import EstimateVector
+    from hmmdkit.criteria import Direction, check_rows
+
+    check_rows(frame, rows)
+    cols = list(zip(*(row.values for row in rows)))
+    out_cols = []
+    for k, c in enumerate(frame.criteria):
+        lo, hi = min(cols[k]), max(cols[k])
+        if lo == hi:
+            out_cols.append([Fraction(1, 2)] * len(rows))
+        elif c.direction is Direction.MAXIMIZE:
+            out_cols.append([(v - lo) / (hi - lo) for v in cols[k]])
+        else:
+            out_cols.append([(hi - v) / (hi - lo) for v in cols[k]])
+    return [EstimateVector(vals) for vals in zip(*out_cols)]
+
+
+def oracle_adjusted(frame, vec):
+    """The larger-is-better view of an objective sum: minimized criteria flipped."""
+    from hmmdkit.criteria import Direction
+
+    return tuple(v if c.direction is Direction.MAXIMIZE else -v for v, c in zip(vec, frame.criteria))
+
+
 def pair_triple(student, work):
     return CORRESPONDENCE[student][WORKS.index(work)]
 
@@ -120,7 +154,7 @@ def course_system():
 def table5_assignment_instance():
     from hmmdkit.assign import AssignmentInstance
     from hmmdkit.core import EstimateVector
-    from hmmdkit.scalar import equal_weight_frame
+    from hmmdkit.criteria import equal_weight_frame
 
     return AssignmentInstance(
         agents=tuple(STUDENTS),
@@ -134,7 +168,7 @@ def table5_assignment_instance():
 
 def table5_mckp_instance(budget):
     from hmmdkit.core import EstimateVector
-    from hmmdkit.scalar import equal_weight_frame
+    from hmmdkit.criteria import equal_weight_frame
     from hmmdkit.select import Group, Item, MckpInstance
 
     groups = []

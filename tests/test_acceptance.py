@@ -9,7 +9,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import course_system, table5_assignment_instance, table5_mckp_instance
+from conftest import course_system, oracle_normalize_estimates, table5_assignment_instance, table5_mckp_instance
 from hmmdkit.assign import (
     AssignmentInstance,
     assign_exact,
@@ -18,7 +18,7 @@ from hmmdkit.assign import (
 )
 from hmmdkit.cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
 from hmmdkit.core import EstimateVector, dominates
-from hmmdkit.criteria import normalize_estimates
+from hmmdkit.criteria import equal_weight_frame
 from hmmdkit.morph import (
     CompositeDecision,
     DesignAlternative,
@@ -38,7 +38,6 @@ from hmmdkit.probio import (
 )
 from hmmdkit.rank import RankingInstance, rank_pareto_layers
 from hmmdkit.route import TspInstance, tsp_brute_force, tsp_nearest_neighbor, tsp_two_opt
-from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import (
     Group,
     Item,
@@ -442,7 +441,7 @@ def test_criterion_6_dominance_laws():
             ),
         )
         res = rank_pareto_layers(inst)
-        norm = normalize_estimates(frame, [e for _, e in inst.alternatives])
+        norm = oracle_normalize_estimates(frame, [e for _, e in inst.alternatives])
         front = {
             f"a{i}"
             for i in range(n)

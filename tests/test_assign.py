@@ -1,19 +1,19 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import table5_assignment_instance
+from conftest import oracle_adjusted, table5_assignment_instance
 from hmmdkit.assign import (
     AssignmentInstance,
     assign_exact,
     assign_greedy,
     assign_pareto,
 )
-from hmmdkit.core import EstimateVector, GuardExceeded, ValidationError
-from hmmdkit.criteria import CriteriaFrame, Criterion, Direction
-from hmmdkit.scalar import as_ints, equal_weight_frame
+from hmmdkit.core import EstimateVector, GuardExceeded, ValidationError, dominates
+from hmmdkit.criteria import CriteriaFrame, Criterion, Direction, as_ints, equal_weight_frame
 from hmmdkit.select import scalarize
 
 
@@ -175,6 +175,41 @@ def test_pareto_equals_brute_force_filter():
         inst = random_instance(rng, 4, 4, k=3)
         front = assign_pareto(inst)
         assert sorted((s.pairs for s in front), key=sorted) == _brute_pareto(inst)
+
+
+def adjusted_assign_pareto(inst):
+    """assign_pareto as it was before criteria.oriented: every maximal
+    assignment whose objective vector, minimized criteria flipped by
+    _adjusted, no other one strictly dominates."""
+    from hmmdkit.assign import _cell_betas, _maximal_assignments, _solution
+
+    betas = _cell_betas(inst, None)
+    sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
+    keys = [oracle_adjusted(inst.frame, s.objective_vector) for s in sols]
+    front = [s for s, key in zip(sols, keys) if not any(dominates(o, key) for o in keys)]
+    return sorted(front, key=lambda s: sorted(s.pairs))
+
+
+def test_pareto_equals_the_adjusted_filter():
+    # max and min criteria, constant columns, repeated agent rows, ints and Fractions
+    rng = random.Random(131)
+    number = lambda: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+    sizes = Counter()
+    for _ in range(300):
+        n_a, n_p, k = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        frame = CriteriaFrame(tuple(Criterion(f"c{i}", rng.choice(list(Direction))) for i in range(k)))
+        constant = rng.randrange(k) if rng.random() < 0.3 else None
+        cells = [[vec(*(7 if c == constant else number() for c in range(k))) for _ in range(n_p)]
+                 for _ in range(n_a)]
+        if n_a > 1 and rng.random() < 0.3:
+            cells[-1] = cells[0]
+        positions = tuple(f"p{j}" for j in range(n_p))
+        capacity = {p: rng.randint(1, 2) for p in positions} if rng.random() < 0.5 else None
+        inst = AssignmentInstance(tuple(f"a{i}" for i in range(n_a)), positions, cells, frame, capacity)
+        front = assign_pareto(inst)
+        assert front == adjusted_assign_pareto(inst)
+        sizes[len(front) > 1] += 1
+    assert min(sizes.values()) > 50, sizes
 
 
 def test_pareto_contains_exact_for_random_weight_vectors():

@@ -668,7 +668,7 @@ TWO_ACTION_ORACLES = {
 
 @pytest.mark.parametrize("command", sorted(TWO_ACTION_ORACLES))
 def test_oracle_catches_two_actions_for_one_part(command, tmp_path, capsys, monkeypatch):
-    import hmmdkit.select as select
+    import hmmdkit.improve as improve
 
     payload, ok, failure = TWO_ACTION_ORACLES[command]
     path = tmp_path / "p.json"
@@ -677,7 +677,7 @@ def test_oracle_catches_two_actions_for_one_part(command, tmp_path, capsys, monk
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)["diagnostics"]["oracle"] == ok
-    solve = select.mckp_exact_dp
+    solve = improve.mckp_exact_dp
 
     def both_actions(inst, weights=None):
         (group,) = inst.groups
@@ -686,7 +686,7 @@ def test_oracle_catches_two_actions_for_one_part(command, tmp_path, capsys, monk
             sol, chosen=frozenset(it.id for it in group.items), total_cost=sum(it.cost for it in group.items)
         )
 
-    monkeypatch.setattr(select, "mckp_exact_dp", both_actions)
+    monkeypatch.setattr(improve, "mckp_exact_dp", both_actions)
     assert run(capsys, *argv) == (1, "", f"hmmdkit: error: oracle: {failure}\n")
 
 

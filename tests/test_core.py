@@ -5,6 +5,7 @@ from operator import itemgetter
 
 import pytest
 
+from conftest import oracle_normalize_estimates
 from hmmdkit.core import (
     EstimateVector,
     FrozenInstanceError,
@@ -20,12 +21,13 @@ from hmmdkit.criteria import (
     CriteriaFrame,
     Direction,
     check_lengths,
-    normalize_estimates,
+    equal_weight_frame,
     nonnegative,
-    pareto_layers,
+    scalarize,
+    vector_sum,
 )
 from hmmdkit.morph import QualityVector, n_dominates
-from hmmdkit.scalar import equal_weight_frame, scalarize, vector_sum
+from hmmdkit.rank import normalize_estimates, pareto_layers
 
 
 def rows(*vals):
@@ -248,9 +250,9 @@ def test_non_dominated_and_layers():
         EstimateVector(v)
         for v in ([3, 3], [3, 1], [1, 1], [1, 3], [2, 2])
     ]
-    front = non_dominated(pts, dominates)
+    front = non_dominated(pts)
     assert front == [pts[0]]
-    layers = pareto_layers(pts, dominates)
+    layers = pareto_layers(pts)
     assert layers == [1, 2, 3, 2, 2]
 
 
@@ -294,37 +296,30 @@ def _random_quality(rng):
     return QualityVector(rng.randint(0, 3), tuple(counts))
 
 
-#: key kind -> (seeded key generator, strict dominance on those keys)
+#: key kind -> (seeded key generator, strict dominance on those keys, the
+#: vector non_dominated compares in place of a key, or None for the key)
 KEY_KINDS = {
-    "quality": (_random_quality, n_dominates),
-    "estimate": (lambda rng: EstimateVector([rng.randint(0, 2) for _ in range(3)]), dominates),
-    "tuple": (lambda rng: tuple(rng.randint(0, 3) for _ in range(2)), dominates),
+    "quality": (_random_quality, n_dominates, lambda q: (q.w, *q.cumulative())),
+    "estimate": (lambda rng: EstimateVector([rng.randint(0, 2) for _ in range(3)]), dominates, None),
+    "tuple": (lambda rng: tuple(rng.randint(0, 3) for _ in range(2)), dominates, None),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(KEY_KINDS))
 def test_keyed_front_matches_all_pairs_oracle(kind):
-    draw, dom = KEY_KINDS[kind]
+    draw, dom, vector = KEY_KINDS[kind]
     rng = random.Random(f"keyed-front:{kind}")
     for _ in range(120):
         pool = [draw(rng) for _ in range(rng.randint(1, 6))]
         # few distinct keys, many items: the keyed path must see repeats
         items = [(i, rng.choice(pool)) for i in range(rng.randint(1, 30))]
-        key = itemgetter(1)
+        key = itemgetter(1) if vector is None else lambda x: vector(x[1])
         keyed_dom = lambda x, y: dom(x[1], y[1])
-        assert non_dominated(items, dom, key) == oracle_non_dominated(items, keyed_dom)
-        assert pareto_layers(items, dom, key) == oracle_pareto_layers(items, keyed_dom)
+        assert non_dominated(items, key) == oracle_non_dominated(items, keyed_dom)
+        assert pareto_layers(items, key) == oracle_pareto_layers(items, keyed_dom)
         keys = [k for _, k in items]
-        assert non_dominated(keys, dom) == oracle_non_dominated(keys, dom)
-        assert pareto_layers(keys, dom) == oracle_pareto_layers(keys, dom)
-
-
-def test_pareto_layers_rejects_a_cyclic_relation():
-    def beats(a, b):  # rock-paper-scissors: strict but not transitive
-        return (a - b) % 3 == 1
-
-    with pytest.raises(ValidationError, match="cycle"):
-        pareto_layers([0, 1, 2, 2], beats)
+        assert non_dominated(keys, vector) == oracle_non_dominated(keys, dom)
+        assert pareto_layers(keys, vector) == oracle_pareto_layers(keys, dom)
 
 
 def oracle_scalarize(frame, values, weights=None):
@@ -342,7 +337,7 @@ def oracle_scalarize(frame, values, weights=None):
         if total == 0:
             raise ValidationError("weights must not all be zero")
         lam = tuple(w / total for w in lam)
-    norm = normalize_estimates(frame, values)
+    norm = oracle_normalize_estimates(frame, values)
     return [sum((w * v for w, v in zip(lam, row)), Fraction(0)) for row in norm]
 
 

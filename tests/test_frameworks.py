@@ -23,11 +23,11 @@ from hmmdkit.core import (
     OrdinalScale,
     ValidationError,
 )
+from hmmdkit.criteria import equal_weight_frame
 from hmmdkit.improve import ImprovementPart, ImprovementSpec, plan_improvement
 from hmmdkit.integrate import IntegrationNode, check_tables_total, evaluate_integration_tree
 from hmmdkit.morph import QualityVector, n_dominates
 from hmmdkit.pipeline import PairActions, ThreeSetSpec, run_three_set_pipeline
-from hmmdkit.scalar import equal_weight_frame
 from hmmdkit.select import Group, Item, MckpInstance, mckp_exact_dp, mckp_greedy
 from hmmdkit.trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory
 

@@ -23,10 +23,9 @@ from hmmdkit.probio import OWNERS
 from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
-SCALAR = "hmmdkit.scalar"
 CRITERIA = "hmmdkit.criteria"
 #: what every run of a weighted problem type loads besides its owner
-WEIGHTED = {CRITERIA, SCALAR}
+WEIGHTED = {CRITERIA}
 
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
@@ -47,9 +46,10 @@ LOADS = {
 
 #: old import path -> {moved name that perfbench or tools import from it: its home}
 COMPAT = {
-    "core": dict.fromkeys(
-        ("CriteriaFrame", "Criterion", "Direction", "normalize_estimates", "pareto_layers"), "criteria"
-    ),
+    "core": {
+        **dict.fromkeys(("CriteriaFrame", "Criterion", "Direction"), "criteria"),
+        **dict.fromkeys(("normalize_estimates", "pareto_layers"), "rank"),
+    },
     "frameworks": {
         **dict.fromkeys(("Stage", "TrajectorySpec", "design_trajectory"), "trajectory"),
         "IntegrationNode": "integrate",
@@ -101,16 +101,10 @@ def test_subcommand_loads_only_its_modules(command, tmp_path):
     assert loaded == LOADS[command]  # and so nothing of NEVER
 
 
-def test_runs_without_weighted_sums_load_no_scalar():
-    # scalar holds the weighted sums; a run that ranks by dominance, or
-    # not at all, never compiles them
-    for command in ("synth", "cluster", "tsp", "trajectory", "integrate"):
-        assert SCALAR not in LOADS[command], command
-
-
 def test_runs_without_criteria_load_no_criteria():
-    # criteria holds the frames and their rules; a run whose file has no
-    # criteria never compiles them, and no run loads the frameworks facade
+    # criteria holds the frames, their rules and the weighted sums; a run
+    # whose file has no criteria never compiles them, and no run loads the
+    # frameworks facade
     for command in ("synth", "trajectory", "integrate", "cluster", "tsp"):
         assert CRITERIA not in LOADS[command], command
     assert not any("hmmdkit.frameworks" in loads for loads in LOADS.values())
@@ -206,6 +200,23 @@ def test_uniqueness_rule_lives_only_in_core():
                     assert not ast.unparse(side).startswith("len(set("), (
                         f"{path.name}:{node.lineno} repeats core.check_unique"
                     )
+
+
+def test_orientation_lives_only_in_criteria_oriented():
+    # criteria.oriented is the one place a criterion's direction is read; a
+    # solver that tests a direction itself would flip minimized values again
+    for path in sorted(Path(hmmdkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "criteria.py":
+            (oriented,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "oriented"]
+            exempt = {id(node) for node in ast.walk(oriented)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and id(node) not in exempt:
+                text = ast.unparse(node)
+                assert "Direction.MAXIMIZE" not in text and "Direction.MINIMIZE" not in text, (
+                    f"{path.name}:{node.lineno} reads a criterion's direction outside criteria.oriented"
+                )
 
 
 def _imports_cli(node) -> bool:

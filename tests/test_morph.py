@@ -6,7 +6,6 @@ import math
 import random
 import re
 from collections import Counter
-from operator import attrgetter
 
 import pytest
 
@@ -20,9 +19,7 @@ from hmmdkit.core import (
     OrdinalScale,
     ValidationError,
     check_guard,
-    non_dominated,
 )
-from hmmdkit.criteria import pareto_layers
 from hmmdkit.morph import (
     MAX_COMBINATIONS,
     CompositeDecision,
@@ -35,6 +32,7 @@ from hmmdkit.morph import (
     walk,
 )
 from hmmdkit.probio import SPEC_VERSION, ProblemFile, fixture_path, load_fixture, write_problem
+from hmmdkit.rank import pareto_layers
 from hmmdkit.synth import MorphProblem, synthesize_tree, synthesize_tree_trace
 
 
@@ -161,7 +159,8 @@ def priorities_from_quality(decisions):
     parts = {d.quality.m for d in decisions}
     if len(parts) != 1:
         raise ValidationError(f"mixed part counts: {sorted(parts)}")
-    layers = pareto_layers(decisions, n_dominates, attrgetter("quality"))
+    width = max(len(d.quality.counts) for d in decisions)
+    layers = pareto_layers(decisions, lambda d: (d.quality.w, *d.quality.cumulative(width)))
     return dict(zip(decisions, layers))
 
 
@@ -186,7 +185,9 @@ def reference_compose_node(system, node_id, child_das=None, *, allow_zero_w=Fals
         if has_zero and not allow_zero_w:
             continue
         feasible.append(CompositeDecision(tuple((cid, da.id) for cid, da in combo), quality))
-    return _canonical_sort(non_dominated(feasible, parent_n_dominates, attrgetter("quality")))
+    qualities = list(dict.fromkeys(d.quality for d in feasible))
+    front = {q for q in qualities if not any(parent_n_dominates(o, q) for o in qualities)}
+    return _canonical_sort([d for d in feasible if d.quality in front])
 
 
 def reference_quality_vector(system, node_id, selection):

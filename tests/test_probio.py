@@ -319,7 +319,7 @@ def test_student_fixture_priorities_follow_from_ranking():
     # alternatives carrying estimate vectors get their ordinal priority
     # from utility ranking; the stored priorities must agree
     from hmmdkit.rank import RankingInstance, rank_utility
-    from hmmdkit.scalar import equal_weight_frame
+    from hmmdkit.criteria import equal_weight_frame
 
     pf = parse_problem(load_fixture("student_strategy.morph"))
     basic = pf.payload.system.node("basic")

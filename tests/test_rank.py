@@ -4,19 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from hmmdkit.core import EstimateVector, ValidationError, dominates
-from hmmdkit.criteria import Criterion, CriteriaFrame, Direction, normalize_estimates
+import hmmdkit.rank
+from conftest import oracle_normalize_estimates
+from hmmdkit.core import EstimateVector, OracleError, ValidationError, dominates
+from hmmdkit.criteria import Criterion, CriteriaFrame, Direction, equal_weight_frame
 from hmmdkit.rank import (
     RankingInstance,
     RankingResult,
+    RankProblem,
     _dense_priorities,
     _strongly_connected,
     rank_ideal_point,
     rank_outranking,
     rank_pareto_layers,
     rank_utility,
+    report_rank,
 )
-from hmmdkit.scalar import equal_weight_frame
 
 ALL_METHODS = [rank_utility, rank_pareto_layers, rank_outranking, rank_ideal_point]
 
@@ -48,10 +51,20 @@ def test_utility_degenerate_weights_rank_by_first_criterion():
     assert res.priorities == {"a": 1, "c": 2, "b": 3}
 
 
+def test_exact_scores_tie_only_when_equal():
+    # x and y differ by 1/19999800000, far below the float tolerance of 1e-9
+    inst = make_instance(equal_weight_frame(2), [
+        ("x", [50000, 50000]), ("y", [50001, 49999]), ("a", [100000, 0]), ("b", [0, 99999]), ("lo", [0, 0]),
+    ])
+    res = rank_utility(inst)
+    assert res.scores["x"] - res.scores["y"] == Fraction(1, 19999800000)
+    assert res.priorities == {"x": 1, "y": 2, "a": 3, "b": 3, "lo": 4}
+
+
 def oracle_rank_utility(inst):
     """The weighted sum written out over the normalized estimates, as
     rank_utility did before it called scalar.scalarize."""
-    norm = normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
+    norm = oracle_normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
     weights = inst.frame.weights
     scores = {
         aid: sum((w * v for w, v in zip(weights, row)), Fraction(0))
@@ -114,7 +127,7 @@ def test_pareto_layer1_equals_brute_force_front():
     for _ in range(60):
         inst = random_instance(rng, n_alts=rng.randint(1, 12))
         res = rank_pareto_layers(inst)
-        norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+        norm = oracle_normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
         front = {
             aid
             for i, (aid, _) in enumerate(inst.alternatives)
@@ -151,7 +164,7 @@ def test_outranking_identical_alternatives_share_priority():
 
 def _oracle_outranking_layers(inst, p, q):
     """Independent path: explicit C/D matrices, reachability SCC, peeling."""
-    norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+    norm = oracle_normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
     w = inst.frame.weights
     n = len(norm)
     edges = set()
@@ -260,7 +273,7 @@ def test_dominance_implies_no_worse_priority(method):
     rng = random.Random(31)
     for _ in range(30):
         inst = random_instance(rng)
-        norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+        norm = oracle_normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
         res = method(inst)
         ids = inst.ids
         for i in range(len(ids)):
@@ -342,7 +355,7 @@ def _closure_scc(n, edge):
 def _fraction_outranking(inst, p, q):
     """The outranking definition run on normalized Fractions, as written."""
     p, q = Fraction(p), Fraction(q)
-    norm = normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+    norm = oracle_normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
     weights = inst.frame.weights
     n = len(norm)
     edge = [[False] * n for _ in range(n)]
@@ -416,6 +429,62 @@ def test_outranking_equals_fraction_oracle_sweep():
             p, q = rng.choice(thresholds), rng.choice(thresholds)
         res = rank_outranking(inst, p=p, q=q)
         assert (res.priorities, res.scores) == _fraction_outranking(inst, p, q)
+
+
+# ------------------------------- orientation against the direction branches
+
+
+def _oracle_pareto_layers(inst):
+    """Pareto layers peeled by all pairs of normalized rows."""
+    norm = oracle_normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+    layer, remaining, current = {}, set(range(len(norm))), 1
+    while remaining:
+        front = {i for i in remaining if not any(dominates(norm[j], norm[i]) for j in remaining)}
+        layer.update(dict.fromkeys(front, current))
+        remaining -= front
+        current += 1
+    return {aid: layer[i] for i, aid in enumerate(inst.ids)}
+
+
+def _negated(inst):
+    """The instance with every minimized column negated per column, as
+    rank_outranking did, under a frame of maximized criteria."""
+    flip = [c.direction is Direction.MINIMIZE for c in inst.frame.criteria]
+    frame = CriteriaFrame(tuple(Criterion(c.id, weight=c.weight) for c in inst.frame.criteria))
+    return make_instance(frame, [(aid, [-v if f else v for v, f in zip(est, flip)]) for aid, est in inst.alternatives])
+
+
+def test_oriented_ranks_equal_the_direction_branches(monkeypatch):
+    # max and min criteria, constant columns, repeated rows, ints and Fractions
+    rng = random.Random(83)
+    outcomes = {"ok": 0, "oracle error": 0}
+    for t in range(400):
+        k, n = rng.randint(1, 4), rng.randint(1, 8)
+        constant = rng.randrange(k) if rng.random() < 0.3 else None
+        rows = [[7 if c == constant else _sweep_number(rng) for c in range(k)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = rows[0]
+        inst = make_instance(_sweep_frame(rng, k), [(f"a{i}", row) for i, row in enumerate(rows)])
+        assert rank_pareto_layers(inst).priorities == _oracle_pareto_layers(inst)
+        p, q = rng.choice([0, Fraction(1, 2), Fraction(3, 5), 1]), rng.choice([0, Fraction(2, 5), 1])
+        assert rank_outranking(inst, p, q) == rank_outranking(_negated(inst), p, q)
+        # the --oracle dominance check, on priorities drawn at random
+        priorities = {aid: rng.randint(1, 3) for aid in inst.ids}
+        monkeypatch.setattr(hmmdkit.rank, "rank_utility", lambda _: RankingResult(priorities, {}, "utility"))
+        norm = oracle_normalize_estimates(inst.frame, [e for _, e in inst.alternatives])
+        violated = any(
+            dominates(norm[i], norm[j]) and priorities[a] > priorities[b]
+            for i, a in enumerate(inst.ids) for j, b in enumerate(inst.ids)
+        )
+        try:
+            report_rank(RankProblem(inst, p, q), "utility", None, True)
+        except OracleError:
+            assert violated
+            outcomes["oracle error"] += 1
+        else:
+            assert not violated
+            outcomes["ok"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # ---------------------------------------------------------------- Tarjan SCC

@@ -25,13 +25,12 @@ import pytest
 from hmmdkit.assign import AssignmentInstance
 from hmmdkit.cluster import DissimilarityMatrix
 from hmmdkit.core import EstimateVector, ValidationError
-from hmmdkit.criteria import Criterion, CriteriaFrame, normalize_estimates
+from hmmdkit.criteria import Criterion, CriteriaFrame, equal_weight_frame
 from hmmdkit.improve import ImprovementPart, ImprovementSpec
 from hmmdkit.pipeline import PairActions, ThreeSetSpec
 from hmmdkit.trajectory import Stage, TrajectorySpec
 from hmmdkit.morph import DesignAlternative, MorphNode
-from hmmdkit.rank import RankingInstance
-from hmmdkit.scalar import equal_weight_frame
+from hmmdkit.rank import RankingInstance, normalize_estimates
 from hmmdkit.select import Group, Item, KnapsackInstance, MckpInstance
 
 

@@ -11,7 +11,7 @@ from hmmdkit.core import (
     InfeasibleError,
     ValidationError,
 )
-from hmmdkit.scalar import equal_weight_frame
+from hmmdkit.criteria import equal_weight_frame
 from hmmdkit.select import (
     Group,
     GroupRule,
