@@ -101,6 +101,18 @@ def test_subcommand_loads_only_its_modules(command, tmp_path):
     assert loaded == LOADS[command]  # and so nothing of NEVER
 
 
+def test_runs_without_weighted_sums_load_no_scalar():
+    # the weighted sums live in criteria now; a run that ranks by
+    # dominance, or not at all, never compiles them, and the old scalar
+    # module is gone from every run
+    home = hmmdkit.scalarize.__module__
+    assert home == CRITERIA == hmmdkit.equal_weight_frame.__module__
+    assert importlib.util.find_spec("hmmdkit.scalar") is None
+    for command in ("synth", "cluster", "tsp", "trajectory", "integrate"):
+        assert home not in LOADS[command], command
+    assert not any("hmmdkit.scalar" in loads for loads in LOADS.values())
+
+
 def test_runs_without_criteria_load_no_criteria():
     # criteria holds the frames, their rules and the weighted sums; a run
     # whose file has no criteria never compiles them, and no run loads the
