@@ -39,6 +39,8 @@ _EXPORTS = {
     "criteria": ("Criterion", "CriteriaFrame", "Direction", "equal_weight_frame", "scalarize"),
     "improve": ("ImprovementPart", "ImprovementSpec", "plan_improvement"),
     "integrate": ("IntegrationNode", "evaluate_integration_tree"),
+    "knapsack": ("KnapsackInstance", "knapsack_exact", "knapsack_greedy"),
+    "mckp": ("Group", "GroupRule", "MckpInstance", "mckp_exact_dp", "mckp_greedy"),
     "morph": (
         "CompositeDecision",
         "DesignAlternative",
@@ -65,18 +67,7 @@ _EXPORTS = {
         "tsp_nearest_neighbor",
         "tsp_two_opt",
     ),
-    "select": (
-        "Group",
-        "GroupRule",
-        "Item",
-        "KnapsackInstance",
-        "MckpInstance",
-        "SelectionSolution",
-        "knapsack_exact",
-        "knapsack_greedy",
-        "mckp_exact_dp",
-        "mckp_greedy",
-    ),
+    "select": ("Item", "SelectionSolution"),
     "synth": ("synthesize_tree", "synthesize_tree_trace"),
     "trajectory": ("Stage", "Trajectory", "TrajectorySpec", "design_trajectory"),
 }

@@ -21,7 +21,7 @@ from .core import (
     frozen,
     non_dominated,
 )
-from .criteria import CriteriaFrame, as_ints, check_lengths, oriented, scalarize, shapes, vector_sum
+from .criteria import CriteriaFrame, as_ints, check_lengths, oriented_columns, scalarize, shapes, vector_sum
 
 ENUMERATION_GUARD = 9
 
@@ -219,7 +219,9 @@ def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
     check_guard(min(len(inst.agents), inst.total_capacity()), ENUMERATION_GUARD, "assigned agents")
     betas = _cell_betas(inst, None)
     sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
-    front = non_dominated(sols, lambda s: oriented(inst.frame, s.objective_vector))
+    # dominance on each column's oriented ints is dominance on the vectors
+    keys = list(zip(*oriented_columns(inst.frame, [s.objective_vector for s in sols])))
+    front = [sols[i] for i in non_dominated(range(len(sols)), keys.__getitem__)]
     return sorted(front, key=lambda s: sorted(s.pairs))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
@@ -45,22 +46,30 @@ class Dendrogram:
     merges: tuple[Merge, ...]
 
 
-def _linkage_distance(
-    m: DissimilarityMatrix,
-    idx: dict[str, int],
-    a: tuple[str, ...],
-    b: tuple[str, ...],
-    linkage: Linkage,
-) -> Number:
-    cross = [m.d[idx[x]][idx[y]] for x in a for y in b]
-    if linkage is Linkage.SINGLE:
-        return min(cross)
-    if linkage is Linkage.COMPLETE:
-        return max(cross)
-    total = sum(cross[1:], cross[0])
-    if isinstance(total, float):
-        return total / len(cross)
-    return Fraction(total) / len(cross)  # exact mean for int/Fraction entries
+class _Mean:
+    """The exact mean of int or Fraction entries, ``total / count``, kept
+    unreduced as ``num / den``: two compare by cross-multiplication, and a
+    Fraction is built only for a merge's height. Only a matrix without
+    floats uses it, so a _Mean never meets a float."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, total: int | Fraction, count: int) -> None:
+        self.num, self.den = total.numerator, total.denominator * count
+
+    def __eq__(self, other: _Mean) -> bool:
+        return self.num * other.den == other.num * self.den
+
+    def __lt__(self, other: _Mean) -> bool:
+        return self.num * other.den < other.num * self.den
+
+    def __float__(self) -> float:
+        return self.num / self.den
+
+
+def _fraction_mean(total: Number, count: int) -> Number:
+    """The mean of a cross list: a float if an entry is one, else exact."""
+    return total / count if isinstance(total, float) else Fraction(total) / count
 
 
 def _heap_key(
@@ -69,11 +78,20 @@ def _heap_key(
     a: tuple[str, ...],
     b: tuple[str, ...],
     linkage: Linkage,
+    mean: Callable,
 ) -> tuple:
     """``(float distance, distance, a, b)``. Rounding to float keeps order,
     so the exact distance decides only between equal floats, and the keys
-    sort as ``(distance, a, b)`` does, only faster."""
-    dist = _linkage_distance(m, idx, a, b, linkage)
+    sort as ``(distance, a, b)`` does, only faster. An average is
+    ``mean(total, count)`` of the cross entries."""
+    cols = [idx[y] for y in b]
+    cross = [row[j] for row in (m.d[idx[x]] for x in a) for j in cols]
+    if linkage is Linkage.SINGLE:
+        dist = min(cross)
+    elif linkage is Linkage.COMPLETE:
+        dist = max(cross)
+    else:
+        dist = mean(sum(cross[1:], cross[0]), len(cross))
     try:
         fast = float(dist)
     except OverflowError:  # an int or Fraction beyond float range
@@ -94,8 +112,10 @@ def build_dendrogram(
     """
     idx = {x: i for i, x in enumerate(m.ids)}
     singles = [tuple([x]) for x in sorted(m.ids)]
+    floats = any(isinstance(x, float) for row in m.d for x in row)
+    mean = _fraction_mean if floats else _Mean
     heap = [
-        _heap_key(m, idx, a, b, linkage)
+        _heap_key(m, idx, a, b, linkage, mean)
         for i, a in enumerate(singles)
         for b in singles[i + 1:]
     ]
@@ -106,12 +126,12 @@ def build_dendrogram(
         _, dist, a, b = heapq.heappop(heap)
         if a not in active or b not in active:
             continue
-        merges.append(Merge(a, b, dist))
+        merges.append(Merge(a, b, Fraction(dist.num, dist.den) if dist.__class__ is _Mean else dist))
         active -= {a, b}
         new = tuple(sorted(a + b))
         for c in active:
             lo, hi = (c, new) if c < new else (new, c)
-            heapq.heappush(heap, _heap_key(m, idx, lo, hi, linkage))
+            heapq.heappush(heap, _heap_key(m, idx, lo, hi, linkage, mean))
         active.add(new)
     return Dendrogram(leaves=tuple(m.ids), merges=tuple(merges))
 

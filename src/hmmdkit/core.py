@@ -19,8 +19,6 @@ from operator import attrgetter, ge, gt
 
 Number = int | float | Fraction
 
-#: comparison tolerance wherever real (float) arithmetic is unavoidable
-TOLERANCE = 1e-9
 #: the most digits of a number string's numerator or denominator: Python's
 #: default int/str limit, past which no report could write the number
 MAX_DIGITS = 4300

@@ -3,7 +3,8 @@ arithmetic on those vectors.
 
 A criteria frame is an ordered set of weighted criteria, each maximized or
 minimized; every estimate vector it governs holds one value per criterion.
-``oriented`` is the one place a criterion's direction is read. scalarize
+``oriented`` is the one place a criterion's direction is read, and
+``oriented_columns`` applies it to whole columns of ints. scalarize
 is the one weighted sum: utility ranking, knapsack and MCKP selection and
 assignment reduce each estimate vector to one exact scalar through it.
 as_ints lets the exact kernels run on ints, and vector_sum adds estimate
@@ -99,6 +100,15 @@ def oriented(frame: CriteriaFrame, values: Iterable[Fraction]) -> tuple[Fraction
     return tuple(v if c.direction is Direction.MAXIMIZE else -v for c, v in zip(frame.criteria, values))
 
 
+def oriented_columns(frame: CriteriaFrame, rows: Sequence[EstimateVector]) -> list[list[int]]:
+    """Each criterion's column of ``rows`` as lcm-scaled ints (``as_ints``),
+    larger is better: a minimized column's ints are negated. The directions
+    are read once per frame, not once per row."""
+    signs = oriented(frame, (1,) * len(frame))
+    cols = zip(*(row.values for row in rows))
+    return [as_ints(col) if sign > 0 else [-x for x in as_ints(col)] for sign, col in zip(signs, cols)]
+
+
 def equal_weight_frame(k: int) -> CriteriaFrame:
     """Frame of k maximized criteria with equal weights."""
     if k < 1:
@@ -145,13 +155,11 @@ def scalarize(
     # a constant column. On the column's lcm-scaled ints (as_ints) that is
     # p·(x - lo) / (q·(hi - lo)) for w_k = p/q, so every term goes over one
     # common denominator and each row costs one Fraction.
-    cols = list(zip(*(oriented(frame, row) for row in values)))
     terms = []  # (p, column ints or None when constant, lo, denominator)
-    for c, col in zip(frame.criteria, cols):
+    for c, col in zip(frame.criteria, oriented_columns(frame, values)):
         if not c.weight:
             continue
         p, q = c.weight.numerator, c.weight.denominator
-        col = as_ints(col)
         lo, hi = min(col), max(col)
         if lo == hi:
             terms.append((p, None, 0, 2 * q))

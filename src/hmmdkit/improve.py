@@ -13,18 +13,8 @@ from fractions import Fraction
 
 from .core import GuardExceeded, Number, OracleError, ValidationError, check_unique, frozen
 from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes
-from .select import (
-    Group,
-    GroupRule,
-    Item,
-    MckpInstance,
-    SelectionSolution,
-    items_codec,
-    mckp_exact_dp,
-    mckp_greedy,
-    selection_codecs,
-    selection_payload,
-)
+from .mckp import Group, GroupRule, MckpInstance, mckp_exact_dp, mckp_greedy
+from .select import Item, SelectionSolution, items_codec, selection_codecs, selection_payload
 
 
 @frozen

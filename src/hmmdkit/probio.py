@@ -387,8 +387,8 @@ class ProblemFile:
 #: report-solution codec and its text-report lines
 OWNERS = {
     "rank": "rank",
-    "knapsack": "select",
-    "mckp": "select",
+    "knapsack": "knapsack",
+    "mckp": "mckp",
     "cluster": "cluster",
     "assign": "assign",
     "tsp": "route",

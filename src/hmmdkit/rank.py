@@ -9,11 +9,11 @@ score where higher is better.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Hashable, Sequence
 from fractions import Fraction
 
 from .core import (
-    TOLERANCE,
     EstimateVector,
     Number,
     OracleError,
@@ -24,7 +24,7 @@ from .core import (
     frozen,
     non_dominated,
 )
-from .criteria import CriteriaFrame, as_ints, check_lengths, check_rows, oriented, scalarize, shapes
+from .criteria import CriteriaFrame, as_ints, check_lengths, check_rows, oriented_columns, scalarize, shapes
 
 DEFAULT_CONCORDANCE = Fraction(3, 5)
 DEFAULT_DISCORDANCE = Fraction(2, 5)
@@ -55,16 +55,15 @@ class RankingResult:
     method: str
 
 
-def _dense_priorities(scored: dict[str, Number], tolerance: float = 0) -> dict[str, int]:
-    """Dense priorities by descending score; scores within ``tolerance``
-    tie, so exact scores tie only when they are equal."""
+def _dense_priorities(scored: dict[str, Number]) -> dict[str, int]:
+    """Dense priorities by descending exact score; equal scores tie."""
     order = sorted(scored, key=lambda a: (-scored[a], a))
     priorities: dict[str, int] = {}
     level = 0
     prev: Number | None = None
     for aid in order:
         s = scored[aid]
-        if prev is None or prev - s > tolerance:
+        if s != prev:
             level += 1
             prev = s
         priorities[aid] = level
@@ -82,12 +81,13 @@ def normalize_estimates(
     """
     check_rows(frame, rows)
     out_cols: list[list[Fraction]] = []
-    for col in zip(*(oriented(frame, row) for row in rows)):
+    # (x - lo) / (hi - lo) is the same on a column's lcm-scaled ints
+    for col in oriented_columns(frame, rows):
         lo, hi = min(col), max(col)
         if lo == hi:
             out_cols.append([Fraction(1, 2)] * len(rows))
         else:
-            out_cols.append([(v - lo) / (hi - lo) for v in col])
+            out_cols.append([Fraction(x - lo, hi - lo) for x in col])
     return [EstimateVector(vals) for vals in zip(*out_cols)]
 
 
@@ -106,10 +106,15 @@ def pareto_layers(items: Sequence, key: Callable | None = None) -> list[int]:
     return [layer[k] for k in keys]
 
 
-def _oriented(inst: RankingInstance) -> list[tuple[Fraction, ...]]:
+def _columns(inst: RankingInstance) -> list[list[int]]:
     # min-max normalization is strictly increasing on a non-constant column
-    # and constant on a constant one, so it keeps every dominance test
-    return [oriented(inst.frame, est) for _, est in inst.alternatives]
+    # and constant on a constant one, so it keeps every dominance test, and
+    # so does scaling a column to ints
+    return oriented_columns(inst.frame, [est for _, est in inst.alternatives])
+
+
+def _oriented(inst: RankingInstance) -> list[tuple[int, ...]]:
+    return list(zip(*_columns(inst)))
 
 
 def rank_utility(inst: RankingInstance) -> RankingResult:
@@ -189,6 +194,63 @@ def outranking_thresholds(p: Number, q: Number) -> tuple[Fraction, Fraction]:
     return p, q
 
 
+def _successor_masks(cols: list[list[int]], weights: list[int], p: Fraction, q: Fraction) -> list[int]:
+    """Bit b of entry a is set when a outranks b (a != b), for columns of
+    oriented ints (larger is better) and int weights.
+
+    Each column is sorted once, with prefix masks over the original indices
+    in that order. On criterion c, "a is at least as good as b" is the
+    prefix up to x_a, and "b does not beat a by more than q" the prefix up
+    to x_a + floor(q (hi - lo)), since the values are ints. The concordance
+    weight of every b at once is a bit-sliced counter: plane t holds bit t
+    of each b's sum, and adding w_c times a mask ripples a carry through the
+    planes. It reaches p * sum(W) where it is at least
+    ceil(p.num * sum(W) / p.den), compared plane by plane from the top.
+    """
+    n = len(cols[0])
+    need = -(-p.numerator * sum(weights) // p.denominator)
+    ladders = []  # per criterion: (sorted values, prefix masks, veto reach)
+    for col in cols:
+        order = sorted(range(n), key=col.__getitem__)
+        prefix = [0] * (n + 1)
+        mask = 0
+        for r, i in enumerate(order, 1):
+            mask |= 1 << i
+            prefix[r] = mask
+        reach = q.numerator * (col[order[-1]] - col[order[0]]) // q.denominator
+        ladders.append(([col[i] for i in order], prefix, reach))
+    # no sum exceeds sum(W), and need <= sum(W) since p <= 1
+    full, width = (1 << n) - 1, sum(weights).bit_length()
+    out = []
+    for a in range(n):
+        allowed = full ^ (1 << a)
+        planes = [0] * width
+        for (values, prefix, reach), w, col in zip(ladders, weights, cols):
+            x = col[a]
+            allowed &= prefix[bisect_right(values, x + reach)]
+            at_least, t = prefix[bisect_right(values, x)], 0
+            while w:
+                if w & 1:
+                    carry, s = at_least, t
+                    while carry:
+                        cur = planes[s]
+                        planes[s] = cur ^ carry
+                        carry &= cur
+                        s += 1
+                w >>= 1
+                t += 1
+        # sum >= need, deciding each bit from the most significant plane down
+        above, equal = 0, allowed
+        for t in range(width - 1, -1, -1):
+            if need >> t & 1:
+                equal &= planes[t]
+            else:
+                above |= equal & planes[t]
+                equal &= ~planes[t]
+        out.append((above | equal) & allowed)
+    return out
+
+
 def rank_outranking(
     inst: RankingInstance,
     p: Number = DEFAULT_CONCORDANCE,
@@ -210,32 +272,22 @@ def rank_outranking(
     everywhere; on oriented values, too, every pair ties on it and it
     never fails discordance. Columns and weights are scaled to ints, which
     keeps both tests.
+
+    Each test is a bitmask over the alternatives (``_successor_masks``),
+    so a row costs a few operations per criterion rather than a loop over
+    every other row.
     """
     p, q = outranking_thresholds(p, q)
-    cols = [as_ints(col) for col in zip(*_oriented(inst))]  # larger is better in every column
-    # b beats a by more than q on a criterion: (x_b - x_a) q.den > q.num (hi - lo)
-    limits = [q.numerator * (max(col) - min(col)) for col in cols]
-    rows = [tuple(x * q.denominator for x in row) for row in zip(*cols)]
-    # concordance: sum of W over criteria where a >= b reaches p * sum(W)
-    weights = as_ints(list(inst.frame.weights))
-    need = p.numerator * sum(weights)
-    crits = list(zip(weights, limits))
-    n = len(rows)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i, row_a in enumerate(rows):
-        out = succ[i]
-        for j, row_b in enumerate(rows):
-            if i == j:
-                continue
-            conc = 0
-            for x_a, x_b, (w, limit) in zip(row_a, row_b, crits):
-                if x_b - x_a > limit:
-                    break
-                if x_a >= x_b:
-                    conc += w
-            else:
-                if conc * p.denominator >= need:
-                    out.append(j)
+    masks = _successor_masks(_columns(inst), as_ints(list(inst.frame.weights)), p, q)
+    succ: list[list[int]] = []
+    for mask in masks:  # the set bits, lowest first: ascending index order
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        succ.append(out)
+    n = len(succ)
     comps = _strongly_connected(succ)
     comp_of = [0] * n
     for c, members in enumerate(comps):
@@ -258,18 +310,29 @@ def rank_outranking(
 
 
 def rank_ideal_point(inst: RankingInstance) -> RankingResult:
-    """Relative closeness to the componentwise ideal of the normalized set."""
+    """Relative closeness to the componentwise ideal of the normalized set.
+
+    The score D- / (D+ + D-) of the distances D+ to the ideal and D- to
+    the anti-ideal is a float. It increases with S- / (S+ + S-) of the
+    squared distances S = D**2, which are exact on the normalized
+    Fractions, so the priorities order by that exact closeness (1/2 when
+    both are 0, as the score), and scores tie only when they are equal.
+    """
     norm = normalize_estimates(inst.frame, [est for _, est in inst.alternatives])
     cols = list(zip(*(row.values for row in norm)))
     ideal = [max(c) for c in cols]
     anti = [min(c) for c in cols]
     scores: dict[str, float] = {}
+    closeness: dict[str, Fraction] = {}
     for (aid, _), row in zip(inst.alternatives, norm):
+        s_plus = sum((i - v) ** 2 for i, v in zip(ideal, row))
+        s_minus = sum((v - a) ** 2 for a, v in zip(anti, row))
         d_plus = math.sqrt(sum(float(i - v) ** 2 for i, v in zip(ideal, row)))
         d_minus = math.sqrt(sum(float(v - a) ** 2 for a, v in zip(anti, row)))
         total = d_plus + d_minus
         scores[aid] = 0.5 if total == 0 else d_minus / total
-    return RankingResult(_dense_priorities(scores, TOLERANCE), scores, "ideal")
+        closeness[aid] = Fraction(1, 2) if not s_plus + s_minus else s_minus / (s_plus + s_minus)
+    return RankingResult(_dense_priorities(closeness), scores, "ideal")
 
 
 # ------------------------------------------------ report and file format

@@ -78,29 +78,32 @@ def tsp_two_opt(inst: TspInstance, initial: Tour) -> Tour:
     """First-improvement 2-opt edge exchanges until no move improves.
 
     Scans segment endpoints i < j by position and restarts after every
-    applied move, so the outcome is deterministic.
+    applied move, so the outcome is deterministic. A move improves when
+    its length change is below 0, or below -1e-12 when the change is a
+    float (float noise). An int change is below one exactly when it is
+    below the other, so the test is picked once for the matrix, and per
+    pair only when it mixes floats and Fractions.
     """
     _require_cities(inst)
     order = _indices(inst, initial)
     n = len(order)
+    dist = inst.dist
+    kinds = {x.__class__ for row in dist for x in row}
+    bound = -1e-12 if float in kinds else 0
+    mixed = float in kinds and Fraction in kinds
     improved = True
     while improved:
         improved = False
+        ring = order + order[:1]
         for i in range(n - 1):
-            for j in range(i + 1, n):
-                if j - i + 1 >= n - 1:
-                    continue  # mirror of the whole cycle, not a real move
-                a, b = order[i - 1], order[i]
-                c, e = order[j], order[(j + 1) % n]
-                delta = (
-                    inst.dist[a][c] + inst.dist[b][e]
-                    - inst.dist[a][b] - inst.dist[c][e]
-                )
-                if isinstance(delta, Fraction):
-                    improving = delta < 0
-                else:
-                    improving = delta < -1e-12  # float-noise guard
-                if improving:
+            a, b = order[i - 1], order[i]
+            d_a, d_b = dist[a], dist[b]
+            d_ab = d_a[b]
+            # j - i + 1 >= n - 1 mirrors the whole cycle: not a real move
+            for j in range(i + 1, min(n, i + n - 2)):
+                c, e = ring[j], ring[j + 1]
+                delta = d_a[c] + d_b[e] - d_ab - dist[c][e]
+                if delta < bound or (mixed and delta < 0 and delta.__class__ is Fraction):
                     order[i : j + 1] = reversed(order[i : j + 1])
                     improved = True
                     break

@@ -617,7 +617,7 @@ SELECTION_ORACLES = {
 
 @pytest.mark.parametrize("command", sorted(SELECTION_ORACLES))
 def test_selection_oracle_texts(command, tmp_path, capsys, monkeypatch):
-    import hmmdkit.select as select
+    owner = importlib.import_module(f"hmmdkit.{command}")
 
     payload, ok, table, worse, failure = SELECTION_ORACLES[command]
     path = tmp_path / "p.json"
@@ -633,13 +633,13 @@ def test_selection_oracle_texts(command, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HMMD_KIT_GUARD", "3")
     assert oracle("greedy") == f"skipped ({table} exceed guard 3)"
     monkeypatch.delenv("HMMD_KIT_GUARD")
-    solve = getattr(select, worse)
+    solve = getattr(owner, worse)
 
     def one_tenth(inst, weights=None):
         sol = solve(inst, weights)
         return replace(sol, objective=sol.objective / 10)
 
-    monkeypatch.setattr(select, worse, one_tenth)
+    monkeypatch.setattr(owner, worse, one_tenth)
     assert run(capsys, *argv, "--method", "greedy") == (1, "", f"hmmdkit: error: oracle: {failure}\n")
 
 

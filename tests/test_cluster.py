@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -173,10 +174,57 @@ def test_from_points_euclidean():
     assert (first.left, first.right) == (("a",), ("c",)) and first.height == pytest.approx(1.0, abs=1e-9)
 
 
+def linkage_distance(m, idx, a, b, linkage):
+    """The distance of clusters a and b, from all their cross entries: an
+    average of ints or Fractions is an exact Fraction."""
+    cross = [m.d[idx[x]][idx[y]] for x in a for y in b]
+    if linkage is Linkage.SINGLE:
+        return min(cross)
+    if linkage is Linkage.COMPLETE:
+        return max(cross)
+    total = sum(cross[1:], cross[0])
+    if isinstance(total, float):
+        return total / len(cross)
+    return Fraction(total) / len(cross)
+
+
+def fraction_heap_dendrogram(m, linkage):
+    """build_dendrogram as it was before its keys held exact ratios: each
+    key is ``(float distance, distance, a, b)`` with the distance from
+    linkage_distance, a Fraction for an exact average."""
+    from hmmdkit.cluster import Merge
+
+    def key(a, b):
+        dist = linkage_distance(m, idx, a, b, linkage)
+        try:
+            fast = float(dist)
+        except OverflowError:
+            fast = math.inf
+        return fast, dist, a, b
+
+    idx = {x: i for i, x in enumerate(m.ids)}
+    singles = [tuple([x]) for x in sorted(m.ids)]
+    heap = [key(a, b) for i, a in enumerate(singles) for b in singles[i + 1:]]
+    heapq.heapify(heap)
+    active = set(singles)
+    merges = []
+    while len(active) > 1:
+        _, dist, a, b = heapq.heappop(heap)
+        if a not in active or b not in active:
+            continue
+        merges.append(Merge(a, b, dist))
+        active -= {a, b}
+        new = tuple(sorted(a + b))
+        for c in active:
+            heapq.heappush(heap, key(*sorted((c, new))))
+        active.add(new)
+    return tuple(merges)
+
+
 def scanning_dendrogram(m, linkage):
     """build_dendrogram as it was before the heap: every merge rescans all
     pairs of active clusters and recomputes each pair's distance."""
-    from hmmdkit.cluster import Merge, _linkage_distance
+    from hmmdkit.cluster import Merge
 
     idx = {x: i for i, x in enumerate(m.ids)}
     active = [tuple([x]) for x in sorted(m.ids)]
@@ -186,7 +234,7 @@ def scanning_dendrogram(m, linkage):
         for i in range(len(active)):
             for j in range(i + 1, len(active)):
                 a, b = sorted((active[i], active[j]))
-                key = (_linkage_distance(m, idx, a, b, linkage), a, b)
+                key = (linkage_distance(m, idx, a, b, linkage), a, b)
                 if best is None or key < best:
                     best = key
         dist, a, b = best
@@ -202,6 +250,11 @@ ENTRIES = (
     lambda rng: Fraction(rng.randint(0, 20), rng.randint(1, 6)),
     lambda rng: rng.random() * 10,
     lambda rng: rng.randint(1, 3),
+)
+#: and ints, Fractions and halves as floats mixed in one matrix, so float
+#: and exact averages tie
+MIXED_ENTRIES = ENTRIES + (
+    lambda rng: rng.choice([rng.randint(1, 4), Fraction(rng.randint(1, 8), 2), rng.randint(2, 8) / 2]),
 )
 
 
@@ -224,6 +277,24 @@ def test_heap_equals_the_scanning_oracle(linkage):
 
 
 @pytest.mark.parametrize("linkage", list(Linkage))
+def test_exact_ratio_keys_equal_the_fraction_keyed_heap(linkage):
+    rng = random.Random(137)
+    for t in range(600):
+        n = rng.randint(1, 34) if t % 10 == 0 else rng.randint(1, 12)
+        ids = [f"x{i}" for i in range(n)]
+        rng.shuffle(ids)
+        entry = MIXED_ENTRIES[t % len(MIXED_ENTRIES)]
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = entry(rng)
+        m = DissimilarityMatrix(tuple(ids), tuple(map(tuple, d)))
+        got, want = build_dendrogram(m, linkage).merges, fraction_heap_dendrogram(m, linkage)
+        assert got == want
+        assert [type(mg.height) for mg in got] == [type(mg.height) for mg in want]
+
+
+@pytest.mark.parametrize("linkage", list(Linkage))
 def test_entries_beyond_float_range_still_order_exactly(linkage):
     big = 10**400
     m = matrix(["a", "b", "c", "d"], {
@@ -231,3 +302,4 @@ def test_entries_beyond_float_range_still_order_exactly(linkage):
         ("b", "c"): big + 2, ("b", "d"): big, ("c", "d"): Fraction(3, 2),
     })
     assert build_dendrogram(m, linkage).merges == scanning_dendrogram(m, linkage)
+    assert build_dendrogram(m, linkage).merges == fraction_heap_dendrogram(m, linkage)

@@ -30,8 +30,8 @@ WEIGHTED = {CRITERIA}
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
     "rank": BASE | WEIGHTED | {"hmmdkit.rank"},
-    "knapsack": BASE | WEIGHTED | {"hmmdkit.select"},
-    "mckp": BASE | WEIGHTED | {"hmmdkit.select"},
+    "knapsack": BASE | WEIGHTED | {"hmmdkit.select", "hmmdkit.knapsack"},
+    "mckp": BASE | WEIGHTED | {"hmmdkit.select", "hmmdkit.mckp"},
     "cluster": BASE | {"hmmdkit.cluster"},
     "assign": BASE | WEIGHTED | {"hmmdkit.assign"},
     "tsp": BASE | {"hmmdkit.route"},
@@ -39,9 +39,9 @@ LOADS = {
     "trajectory": BASE | {"hmmdkit.morph", "hmmdkit.trajectory"},
     "integrate": BASE | {"hmmdkit.integrate"},
     "pipeline": BASE | WEIGHTED | {
-        "hmmdkit.pipeline", "hmmdkit.improve", "hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select"
+        "hmmdkit.pipeline", "hmmdkit.improve", "hmmdkit.assign", "hmmdkit.cluster", "hmmdkit.select", "hmmdkit.mckp"
     },
-    "improve": BASE | WEIGHTED | {"hmmdkit.improve", "hmmdkit.select"},
+    "improve": BASE | WEIGHTED | {"hmmdkit.improve", "hmmdkit.select", "hmmdkit.mckp"},
 }
 
 #: old import path -> {moved name that perfbench or tools import from it: its home}
@@ -57,6 +57,11 @@ COMPAT = {
         **dict.fromkeys(("ImprovementPart", "ImprovementSpec", "plan_improvement"), "improve"),
     },
     "morph": {"synthesize_tree_trace": "synth"},
+    "select": {
+        **dict.fromkeys(("KnapsackInstance", "knapsack_exact", "knapsack_greedy", "report_knapsack"), "knapsack"),
+        **dict.fromkeys(("Group", "GroupRule", "MckpInstance", "mckp_exact_dp", "mckp_greedy", "report_mckp"), "mckp"),
+        **{f"{ptype.capitalize()}Problem": ptype for ptype in ("knapsack", "mckp")},
+    },
     "probio": {f"{ptype.capitalize()}Problem": owner for ptype, owner in OWNERS.items()},
 }
 
@@ -256,12 +261,13 @@ def test_each_report_lives_beside_its_solver():
         assert callable(getattr(importlib.import_module(f"hmmdkit.{OWNERS[ptype]}"), f"report_{command}")), command
 
 
-@pytest.mark.parametrize("owner", sorted({*OWNERS.values(), "criteria", "frameworks", "morph"}))
+@pytest.mark.parametrize("owner", sorted({*OWNERS.values(), "criteria", "frameworks", "morph", "select"}))
 def test_owner_module_loads_no_probio(owner):
     # an owner builds its file and report shapes from probio's engine only
     # when probio asks, so the solver alone stays free of the file format;
     # so do criteria (the frame's shapes), morph (the model that trajectory
-    # shares) and frameworks (an old import path)
+    # shares), select (what knapsack and mckp share) and frameworks (an old
+    # import path)
     loaded = loaded_in_child(f"import hmmdkit.{owner}")
     assert "hmmdkit.probio" not in loaded
     assert f"hmmdkit.{owner}" in loaded

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 import hmmdkit.rank
-from conftest import oracle_normalize_estimates
+from conftest import oracle_adjusted, oracle_normalize_estimates
 from hmmdkit.core import EstimateVector, OracleError, ValidationError, dominates
-from hmmdkit.criteria import Criterion, CriteriaFrame, Direction, equal_weight_frame
+from hmmdkit.criteria import Criterion, CriteriaFrame, Direction, as_ints, equal_weight_frame
 from hmmdkit.rank import (
     RankingInstance,
     RankingResult,
     RankProblem,
+    _columns,
     _dense_priorities,
     _strongly_connected,
+    _successor_masks,
     rank_ideal_point,
     rank_outranking,
     rank_pareto_layers,
@@ -261,6 +263,60 @@ def test_ideal_point_asymmetric_triangle_matches_distance_oracle():
     assert res.priorities == {"c": 1, "a": 2, "b": 2}
 
 
+#: the float tolerance within which rank_ideal_point used to tie scores
+TOLERANCE = 1e-9
+
+
+def test_ideal_point_orders_near_ties_exactly():
+    # x and y score 0.5 and 0.49999999997 (float), within 1e-9, but y is
+    # farther from the ideal on the exact squared distances
+    inst = make_instance(equal_weight_frame(2), [
+        ("x", [50000, 50000]), ("y", [50001, 49999]), ("a", [100000, 0]), ("b", [0, 99999]), ("lo", [0, 0]),
+    ])
+    res = rank_ideal_point(inst)
+    assert res.priorities == {"x": 1, "y": 2, "a": 3, "b": 3, "lo": 4}
+    assert abs(res.scores["x"] - res.scores["y"]) < TOLERANCE
+    # at 10**9 the two float scores are the same float
+    n = 10**9
+    inst = make_instance(equal_weight_frame(2), [
+        ("x", [n, n]), ("y", [n + 1, n - 1]), ("a", [2 * n, 0]), ("b", [0, 2 * n - 1]), ("lo", [0, 0]),
+    ])
+    res = rank_ideal_point(inst)
+    assert res.scores["x"] == res.scores["y"]
+    assert res.priorities == {"x": 1, "y": 2, "a": 3, "b": 3, "lo": 4}
+
+
+def float_ideal_priorities(inst):
+    """rank_ideal_point's priorities as they were: its float scores in
+    descending order, a score within TOLERANCE of its level's first tying."""
+    scores = rank_ideal_point(inst).scores
+    priorities, level, prev = {}, 0, None
+    for aid in sorted(scores, key=lambda a: (-scores[a], a)):
+        if prev is None or prev - scores[aid] > TOLERANCE:
+            level, prev = level + 1, scores[aid]
+        priorities[aid] = level
+    return priorities
+
+
+def test_ideal_point_keeps_the_float_order_away_from_near_ties():
+    # the exact closeness orders as the float scores do wherever no two
+    # unequal scores come within the old tolerance
+    rng = random.Random(181)
+    compared = 0
+    for t in range(400):
+        k, n = rng.randint(1, 4), rng.randint(1, 12)
+        rows = [[_sweep_number(rng) for _ in range(k)] for _ in range(n)]
+        if n > 2 and t % 3 == 0:
+            rows[1] = rows[0]
+        inst = make_instance(_sweep_frame(rng, k), [(f"a{i}", row) for i, row in enumerate(rows)])
+        scores = sorted(rank_ideal_point(inst).scores.values())
+        if any(0 < b - a <= TOLERANCE for a, b in zip(scores, scores[1:])):
+            continue
+        assert rank_ideal_point(inst).priorities == float_ideal_priorities(inst)
+        compared += 1
+    assert compared > 350
+
+
 def test_all_identical_alternatives_score_half_in_ideal_point():
     inst = make_instance(equal_weight_frame(2), [("a", [3, 3]), ("b", [3, 3])])
     res = rank_ideal_point(inst)
@@ -429,6 +485,66 @@ def test_outranking_equals_fraction_oracle_sweep():
             p, q = rng.choice(thresholds), rng.choice(thresholds)
         res = rank_outranking(inst, p=p, q=q)
         assert (res.priorities, res.scores) == _fraction_outranking(inst, p, q)
+
+
+def pair_loop_successors(inst, p, q):
+    """rank_outranking's successor lists as its pair loop built them: for
+    every ordered pair, a loop over the criteria on the oriented ints."""
+    p, q = Fraction(p), Fraction(q)
+    cols = [as_ints(col) for col in zip(*(oracle_adjusted(inst.frame, est) for _, est in inst.alternatives))]
+    limits = [q.numerator * (max(col) - min(col)) for col in cols]
+    rows = [tuple(x * q.denominator for x in row) for row in zip(*cols)]
+    weights = as_ints(list(inst.frame.weights))
+    need = p.numerator * sum(weights)
+    crits = list(zip(weights, limits))
+    succ = [[] for _ in rows]
+    for i, row_a in enumerate(rows):
+        for j, row_b in enumerate(rows):
+            if i == j:
+                continue
+            conc = 0
+            for x_a, x_b, (w, limit) in zip(row_a, row_b, crits):
+                if x_b - x_a > limit:
+                    break
+                if x_a >= x_b:
+                    conc += w
+            else:
+                if conc * p.denominator >= need:
+                    succ[i].append(j)
+    return succ
+
+
+def test_successor_masks_equal_the_pair_loop():
+    # ints and Fractions, max and min criteria, zero weights, constant
+    # columns, repeated rows; p and q at 0, 1 and non-decimal fractions
+    rng = random.Random(191)
+    thresholds = [0, 1, Fraction(1, 2), Fraction(3, 5), Fraction(2, 7), Fraction(1, 3), Fraction(9, 10)]
+    for t in range(400):
+        k = rng.randint(1, 10)
+        n = rng.randint(1, 60) if t % 5 == 0 else rng.randint(1, 12)
+        constant = rng.randrange(k) if rng.random() < 0.3 else None
+        rows = [[7 if c == constant else _sweep_number(rng) for c in range(k)] for _ in range(n)]
+        if n > 2 and rng.random() < 0.3:
+            rows[-1] = rows[1]
+        inst = make_instance(_sweep_frame(rng, k), [(f"a{i}", row) for i, row in enumerate(rows)])
+        p, q = (t % 2, t // 2 % 2) if t < 40 else (rng.choice(thresholds), rng.choice(thresholds))
+        masks = _successor_masks(_columns(inst), as_ints(list(inst.frame.weights)), Fraction(p), Fraction(q))
+        got = [[j for j in range(n) if mask >> j & 1] for mask in masks]
+        assert got == pair_loop_successors(inst, p, q), (t, p, q)
+
+
+def test_successor_masks_count_large_weights():
+    # weights of many bits carry through every plane of the counter
+    rng = random.Random(193)
+    for _ in range(200):
+        k, n = rng.randint(1, 6), rng.randint(1, 20)
+        weights = [rng.choice([0, 1, 2**20 - 1, 2**33 + 5, 3**15]) for _ in range(k)]
+        weights[0] = weights[0] or 1
+        frame = CriteriaFrame(tuple(Criterion(f"c{i}", weight=w) for i, w in enumerate(weights)))
+        inst = make_instance(frame, [(f"a{i}", [rng.randint(0, 6) for _ in range(k)]) for i in range(n)])
+        p, q = Fraction(rng.randint(0, 20), 20), Fraction(rng.randint(0, 3), 3)
+        masks = _successor_masks(_columns(inst), as_ints(list(inst.frame.weights)), p, q)
+        assert [[j for j in range(n) if m >> j & 1] for m in masks] == pair_loop_successors(inst, p, q)
 
 
 # ------------------------------- orientation against the direction branches

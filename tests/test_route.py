@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -152,3 +153,63 @@ def test_reported_length_recomputes_exactly():
         ):
             idx = [inst.ids.index(c) for c in tour.order]
             assert tour.length == tour_length(inst, idx)
+
+
+def reference_two_opt(inst, initial):
+    """tsp_two_opt as it was written first: every pair reads its four
+    distances through the instance and picks its improvement test by the
+    type of its length change."""
+    order = [inst.ids.index(c) for c in initial.order]
+    n = len(order)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                if j - i + 1 >= n - 1:
+                    continue
+                a, b = order[i - 1], order[i]
+                c, e = order[j], order[(j + 1) % n]
+                delta = inst.dist[a][c] + inst.dist[b][e] - inst.dist[a][b] - inst.dist[c][e]
+                if isinstance(delta, Fraction):
+                    improving = delta < 0
+                else:
+                    improving = delta < -1e-12
+                if improving:
+                    order[i : j + 1] = reversed(order[i : j + 1])
+                    improved = True
+                    break
+            if improved:
+                break
+    return Tour(tuple(inst.ids[i] for i in order), tour_length(inst, order))
+
+
+#: entry kinds of the 2-opt sweep: ints, Fractions, floats, tie-heavy ints,
+#: float noise around ints, and ints, Fractions and floats mixed in one matrix
+TWO_OPT_ENTRIES = (
+    lambda rng: rng.randint(1, 50),
+    lambda rng: Fraction(rng.randint(1, 40), rng.randint(1, 7)),
+    lambda rng: rng.uniform(0.5, 10),
+    lambda rng: rng.randint(1, 3),
+    lambda rng: rng.randint(1, 4) + rng.choice([0, 1e-13, -1e-13, 3e-12]),
+    lambda rng: rng.choice([rng.randint(1, 6), Fraction(rng.randint(1, 12), 2), rng.randint(2, 12) / 2,
+                            Fraction(1, 10**13) + 2]),
+)
+
+
+def test_two_opt_equals_the_reference_loop():
+    rng = random.Random(197)
+    for t in range(300):
+        n = rng.randint(3, 14)
+        entry = TWO_OPT_ENTRIES[t % len(TWO_OPT_ENTRIES)]
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = entry(rng)
+        inst = TspInstance(tuple(f"c{i}" for i in range(n)), tuple(map(tuple, d)))
+        order = list(inst.ids)
+        rng.shuffle(order)
+        start = Tour(tuple(order), 0)
+        got, want = tsp_two_opt(inst, start), reference_two_opt(inst, start)
+        assert got == want
+        assert type(got.length) is type(want.length)

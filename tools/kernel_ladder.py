@@ -1,8 +1,8 @@
 """Kernel ladders for the solvers, and compile, parse and process rungs
 for start-up and exit.
 
-Times each rung of eight scaling ladders (outranking, knapsack, MCKP,
-dendrogram, assignment, synthesis, compose, trajectory) on seeded
+Times each rung of nine scaling ladders (outranking, knapsack, MCKP,
+dendrogram, assignment, 2-opt, synthesis, compose, trajectory) on seeded
 instances from the benchmark's generators (``perfbench/workloads.py``,
 imported, not edited), one ``compile()`` of each module a CLI run may
 compile from source, a warm ``probio.parse_problem`` of two seed-0
@@ -23,11 +23,14 @@ warm-up call, runs a full garbage collection and then makes one timed
 call of each rung's kernel. The collection keeps a full collection made
 due by earlier rungs out of the timed call (without it, the
 ``solver_mix`` pipeline parse read 1.6x in one tree and not in the
-other). A rung's time is the median over the rounds. Its ratio is the
-median over the rounds of each tree's time over the first tree's, taken
-within one round, so a slow phase of a shared host cancels out. Rungs
-whose code every tree shares should read about 1; when they do not, the
-host did not hold steady. A rung whose kernel a tree refuses with
+other). A rung's time is the median over the rounds. Its ratio is taken
+within each round, each tree's time over the first tree's, so a slow
+phase of a shared host cancels out when it lasts less than a round; the
+report gives the quartiles of those per-round ratios. A rung whose
+quartiles straddle 1 is listed as unresolved for that tree: its rounds
+do not agree on which tree is faster. Rungs whose code every tree shares
+should read about 1, and a ratio away from 1 on such a rung means a slow
+phase lasted most of the run. A rung whose kernel a tree refuses with
 GuardExceeded, or whose module a tree does not have, reads null there.
 """
 
@@ -54,7 +57,7 @@ ROUNDS = 15
 
 #: (kernel, size) per rung; sizes follow the solver_mix instances
 RUNGS = (
-    [("outranking", {"n": n, "k": 4}) for n in (20, 40, 80, 160)]
+    [("outranking", {"n": n, "k": 4}) for n in (20, 40, 80, 160, 320, 640)]
     + [("knapsack", {"n": n, "budget": b}) for n, b in ((30, 300), (60, 600), (120, 1200))]
     + [("mckp", {"groups": 28, "per_group": m, "budget": 360}) for m in (2, 4, 8)]
     + [("dendrogram", {"n": n, "linkage": "average"}) for n in (15, 30, 60)]
@@ -63,6 +66,8 @@ RUNGS = (
     # that enumeration needs
     + [("assign", {"agents": n, "positions": p, "capacity": 2})
        for n, p in ((6, 4), (8, 4), (9, 4), (20, 10), (40, 20))]
+    # 2-opt from the nearest-neighbour tour: the solver_mix size, then double
+    + [("two_opt", {"cities": n}) for n in (60, 120)]
     # the synth_front grid's first model of each widest node shape: the whole
     # synthesis, then compose_node on the widest node alone
     + [(kernel, {"widest": w, "front": f, "checks": c, "zero_share": z, "density": d,
@@ -77,8 +82,8 @@ RUNGS = (
     # probio, the module that owns the problem type and the modules it
     # imports, or help for -h), and parsing
     + [("compile", {"module": m})
-       for m in ("cli", "core", "probio", "criteria", "rank", "select", "cluster", "assign", "route", "morph",
-                 "synth", "frameworks", "trajectory", "integrate", "pipeline", "improve", "scalar", "help")]
+       for m in ("cli", "core", "probio", "criteria", "rank", "select", "knapsack", "mckp", "cluster", "assign",
+                 "route", "morph", "synth", "frameworks", "trajectory", "integrate", "pipeline", "improve", "help")]
     + [("parse", {"workload": w, "input": i}) for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
     # the process: a synth run through the package's __main__.py, and a bare interpreter
     + [("process", {"run": r, "phase": p}) for r in ("synth", "pass") for p in ("wall", "exit")]
@@ -129,6 +134,7 @@ def _call(kernel: str, size: dict):
     from hmmdkit.frameworks import design_trajectory
     from hmmdkit.morph import compose_node, synthesize_tree_trace, walk
     from hmmdkit.rank import rank_outranking
+    from hmmdkit.route import tsp_nearest_neighbor, tsp_two_opt
     from hmmdkit.select import knapsack_exact, mckp_exact_dp
 
     if kernel == "compile":
@@ -187,6 +193,10 @@ def _call(kernel: str, size: dict):
     if kernel == "assign":
         prob = workloads._assign(rng, size["agents"], size["positions"], 3, size["capacity"])
         return lambda: assign_exact(prob.instance)
+    if kernel == "two_opt":
+        inst = workloads._tsp(rng, size["cities"]).instance
+        tour = tsp_nearest_neighbor(inst, inst.ids[0])
+        return lambda: tsp_two_opt(inst, tour)
     prob = workloads._mckp(rng, size["groups"], size["per_group"], 3, 20, size["budget"])
     return lambda: mckp_exact_dp(prob.instance)
 
@@ -235,6 +245,13 @@ def _median(values: list, digits: int) -> float | None:
     return None if None in values else round(statistics.median(values), digits)
 
 
+def _quartiles(ratios: list) -> list[float] | None:
+    """The rounded quartiles of the per-round ratios, or None when a round has none."""
+    if None in ratios:
+        return None
+    return [round(q, 3) for q in statistics.quantiles(ratios, n=4, method="inclusive")]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
@@ -256,11 +273,17 @@ def main(argv: list[str] | None = None) -> int:
             )
             for rounds, ms in zip(samples[label], json.loads(proc.stdout)):
                 rounds.append(ms)
-    first = samples[next(iter(trees))]
+    base = next(iter(trees))
+    first = samples[base]
+    ratios = {  # label -> rung -> each round's time over the first tree's
+        label: [[None if None in (x, y) else x / y for x, y in zip(s[i], first[i])] for i in range(len(RUNGS))]
+        for label, s in list(samples.items())[1:]
+    }
+    quartiles = {label: [_quartiles(r) for r in rungs] for label, rungs in ratios.items()}
     report = {
         "what": "median ms of one kernel call per rung (of one child's wall or exit phase per "
-                "process rung), and the median per-round ratio of each tree's time to the first "
-                "tree's; instances from perfbench/workloads.py",
+                "process rung), and the quartiles of the per-round ratio of each tree's time to the "
+                "first tree's; instances from perfbench/workloads.py",
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "commit": _commit(),
@@ -269,12 +292,17 @@ def main(argv: list[str] | None = None) -> int:
         "rungs": [
             {"kernel": kernel, **size,
              "median_ms": {label: _median(s[i], 2) for label, s in samples.items()},
-             f"median_round_ratio_to_{next(iter(trees))}": {
-                 label: _median([None if None in (x, y) else x / y for x, y in zip(s[i], first[i])], 3)
-                 for label, s in list(samples.items())[1:]
-             }}
+             f"round_ratio_quartiles_to_{base}": {label: q[i] for label, q in quartiles.items()}}
             for i, (kernel, size) in enumerate(RUNGS)
         ],
+        # (kernel, size) of each rung whose ratio quartiles straddle 1
+        "unresolved": {
+            label: [
+                {"kernel": kernel, **size} for (kernel, size), qs in zip(RUNGS, q)
+                if qs is not None and qs[0] <= 1 <= qs[2]
+            ]
+            for label, q in quartiles.items()
+        },
     }
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
