@@ -266,7 +266,7 @@ def report_assign(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The assign file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, FRACS, IDS, INT, PAIRS, Map, Record, array, doc, render_number

@@ -177,7 +177,7 @@ def report_cluster(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The cluster file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import ID_LIST, IDS, INT, MATRIX, NUM, Record, array, choice, doc, fail, nullable

@@ -1,29 +1,15 @@
 """The old import path of the composite schemes that chain the base solvers.
 
-Each scheme now lives in the module that owns its problem type:
+Each scheme lives in the module that owns its problem type:
 ``trajectory`` (design_trajectory), ``integrate``
 (evaluate_integration_tree), ``pipeline`` (run_three_set_pipeline) and
-``improve`` (plan_improvement). Their public names stay importable from
-here, each loading only its own module on first access (PEP 562); no
-``hmmdkit`` run loads this module.
+``improve`` (plan_improvement). This module re-exports only the names
+that the benchmark harness (``perfbench``) still imports from here;
+everything else imports each name from its home. No ``hmmdkit`` run
+loads this module.
 """
 
-from __future__ import annotations
-
-#: public name -> the module that defines it
-_MOVED = {
-    **dict.fromkeys(("Stage", "Trajectory", "TrajectorySpec", "design_trajectory"), "trajectory"),
-    **dict.fromkeys(
-        ("IntegrationNode", "IntegrationResult", "check_tables_total", "evaluate_integration_tree"), "integrate"
-    ),
-    **dict.fromkeys(("PairActions", "PipelineReport", "ThreeSetSpec", "run_three_set_pipeline"), "pipeline"),
-    **dict.fromkeys(("ImprovementPart", "ImprovementPlan", "ImprovementSpec", "plan_improvement"), "improve"),
-}
-
-
-def __getattr__(name: str):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
+from .improve import ImprovementPart, ImprovementSpec, plan_improvement
+from .integrate import IntegrationNode
+from .pipeline import PairActions, ThreeSetSpec, run_three_set_pipeline
+from .trajectory import Stage, TrajectorySpec, design_trajectory

@@ -121,7 +121,7 @@ def report_improve(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The improve file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, STR, List, Map, Record, nullable

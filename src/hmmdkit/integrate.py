@@ -125,7 +125,7 @@ def report_integrate(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The integrate file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import INT, STR, List, Map, Record, Ref, Table, doc, scale, wrap

@@ -119,7 +119,7 @@ def report_knapsack(problem, method, weights, oracle):
     return report_selection(problem.instance, method, weights, oracle, knapsack_greedy, knapsack_exact, True)
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The knapsack file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, Record

@@ -185,7 +185,7 @@ def report_mckp(problem, method, weights, oracle):
     return report_selection(problem.instance, method, weights, oracle, mckp_greedy, mckp_exact_dp, False)
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The mckp file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, STR, List, Record, choice

@@ -7,9 +7,10 @@ Composing one alternative per child yields a quality vector
 N(S) = (w; n1, n2, ...): the worst pairwise compatibility inside the
 composition plus the count of chosen parts at each priority level.
 compose_node keeps the dominance-maximal compositions of one node.
-Bottom-up synthesis over the whole tree lives in ``synth``, the owner of
-the morph problem type; ``trajectory`` composes one node with this
-module alone.
+Bottom-up synthesis over the whole tree (``synthesize_tree`` and its
+trace) lives in ``synth``, the owner of the morph problem type, and is
+imported from there; ``trajectory`` composes one node with this module
+alone.
 
 Dominance over quality vectors is intentionally weak: w must not drop and
 no prefix of the priority-level counts may lose mass (shifting parts
@@ -35,18 +36,6 @@ from .core import (
     frozen,
     non_dominated,
 )
-
-#: synthesis names that moved to ``synth``, still importable from here
-_MOVED = dict.fromkeys(("NodeSynthesis", "SynthesisTrace", "synthesize_tree", "synthesize_tree_trace"), "synth")
-
-
-def __getattr__(name: str):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
-
 
 MAX_COMBINATIONS = 10**6
 

@@ -210,7 +210,7 @@ def report_pipeline(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The pipeline file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, ID_LIST, IDS, INT, MATRIX, STR, List, Record, array, choice, doc, fail, render_number

@@ -383,7 +383,7 @@ class ProblemFile:
 
 #: problem_type -> the module that owns the type: its domain records, its
 #: ``<Type>Problem`` record, its report_<subcommand> functions and
-#: ``codecs(problem_type)``, which returns its payload codec, its
+#: ``codecs()``, which returns its payload codec, its
 #: report-solution codec and its text-report lines
 OWNERS = {
     "rank": "rank",
@@ -414,7 +414,7 @@ def __getattr__(name: str):
 def _codecs(problem_type: str) -> tuple:
     """(payload codec, report-solution codec, text-report body lines) of
     ``problem_type``, built by its owner module on first use."""
-    return import_module(f".{OWNERS[problem_type]}", __package__).codecs(problem_type)
+    return import_module(f".{OWNERS[problem_type]}", __package__).codecs()
 
 
 def _canonical(doc: Any) -> str:

@@ -374,7 +374,7 @@ def report_rank(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The rank file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
     from .probio import FRAC, INT, NUM, STR, VECTOR, List, Map, Record, doc, render_number

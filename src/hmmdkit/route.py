@@ -174,7 +174,7 @@ def report_tsp(problem, method, weights, oracle):
     return {"order": tour.order, "length": tour.length}, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The tsp file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
     from .probio import ID_LIST, IDS, MATRIX, NUM, STR, Record, doc, fail, render_number, wrap

@@ -36,7 +36,6 @@ class NodeSynthesis:
     node_id: str
     decisions: tuple[CompositeDecision, ...]
     composite_ids: tuple[str, ...]  # one derived id per decision
-    priorities: tuple[int, ...]
     leaf_selections: tuple[tuple[tuple[str, str], ...], ...]
 
 
@@ -88,7 +87,6 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
             node_id=node.id,
             decisions=tuple(decisions),
             composite_ids=ids,
-            priorities=(lo,) * len(ids),
             leaf_selections=tuple(expansions[cid] for cid in ids),
         )
         return [DesignAlternative(cid, lo) for cid in ids], expansions
@@ -112,6 +110,8 @@ def report_synth(problem, method, weights, oracle):
     """``hmmdkit synth``: the oracle checks that every composite's level
     counts sum to its node's part count."""
     trace = synthesize_tree_trace(problem.system)
+    # every composite sits on its node's front, one dominance layer
+    priority = problem.system.priority_scale.lo
     nodes = []
     for nid in sorted(trace.nodes):
         rec = trace.nodes[nid]
@@ -124,11 +124,9 @@ def report_synth(problem, method, weights, oracle):
                         "selection": d.selection,
                         "leaves": leaves,
                         "quality": quality_payload(d.quality),
-                        "priority": prio,
+                        "priority": priority,
                     }
-                    for cid, d, prio, leaves in zip(
-                        rec.composite_ids, rec.decisions, rec.priorities, rec.leaf_selections
-                    )
+                    for cid, d, leaves in zip(rec.composite_ids, rec.decisions, rec.leaf_selections)
                 ],
             }
         )
@@ -144,7 +142,7 @@ def report_synth(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The morph file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
     from .probio import INT, PAIRS, STR, VECTOR, List, Record, Ref, Table, array, doc, scale

@@ -130,7 +130,7 @@ def report_trajectory(problem, method, weights, oracle):
     return solution, diagnostics
 
 
-def codecs(problem_type: str) -> tuple:
+def codecs() -> tuple:
     """The trajectory file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import BOOL, FRAC, ID_LIST, INT, STR, List, Record, Table, array, doc

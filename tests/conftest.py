@@ -169,7 +169,8 @@ def table5_assignment_instance():
 def table5_mckp_instance(budget):
     from hmmdkit.core import EstimateVector
     from hmmdkit.criteria import equal_weight_frame
-    from hmmdkit.select import Group, Item, MckpInstance
+    from hmmdkit.mckp import Group, MckpInstance
+    from hmmdkit.select import Item
 
     groups = []
     for s, w in ASSIGNED_PAIRS:

@@ -18,7 +18,9 @@ from hmmdkit.assign import (
 )
 from hmmdkit.cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
 from hmmdkit.core import EstimateVector, dominates
-from hmmdkit.criteria import equal_weight_frame
+from hmmdkit.criteria import equal_weight_frame, scalarize
+from hmmdkit.knapsack import KnapsackInstance, knapsack_exact, knapsack_greedy
+from hmmdkit.mckp import Group, MckpInstance, mckp_exact_dp, mckp_greedy
 from hmmdkit.morph import (
     CompositeDecision,
     DesignAlternative,
@@ -38,17 +40,7 @@ from hmmdkit.probio import (
 )
 from hmmdkit.rank import RankingInstance, rank_pareto_layers
 from hmmdkit.route import TspInstance, tsp_brute_force, tsp_nearest_neighbor, tsp_two_opt
-from hmmdkit.select import (
-    Group,
-    Item,
-    KnapsackInstance,
-    MckpInstance,
-    knapsack_exact,
-    knapsack_greedy,
-    mckp_exact_dp,
-    mckp_greedy,
-    scalarize,
-)
+from hmmdkit.select import Item
 from hmmdkit.synth import synthesize_tree_trace
 from hmmdkit.trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory
 

@@ -13,8 +13,7 @@ from hmmdkit.assign import (
     assign_pareto,
 )
 from hmmdkit.core import EstimateVector, GuardExceeded, ValidationError, dominates
-from hmmdkit.criteria import CriteriaFrame, Criterion, Direction, as_ints, equal_weight_frame
-from hmmdkit.select import scalarize
+from hmmdkit.criteria import CriteriaFrame, Criterion, Direction, as_ints, equal_weight_frame, scalarize
 
 
 def vec(*v):

@@ -26,9 +26,10 @@ from hmmdkit.core import (
 from hmmdkit.criteria import equal_weight_frame
 from hmmdkit.improve import ImprovementPart, ImprovementSpec, plan_improvement
 from hmmdkit.integrate import IntegrationNode, check_tables_total, evaluate_integration_tree
+from hmmdkit.mckp import Group, MckpInstance, mckp_exact_dp, mckp_greedy
 from hmmdkit.morph import QualityVector, n_dominates
 from hmmdkit.pipeline import PairActions, ThreeSetSpec, run_three_set_pipeline
-from hmmdkit.select import Group, Item, MckpInstance, mckp_exact_dp, mckp_greedy
+from hmmdkit.select import Item
 from hmmdkit.trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory
 
 SCALE13 = OrdinalScale(1, 3, Best.HIGH)
@@ -688,7 +689,7 @@ def test_improvement_equals_brute_force():
             for aid, _, cost in actions
         }
         inst_groups = []
-        from hmmdkit.select import scalarize
+        from hmmdkit.criteria import scalarize
 
         flat = [
             Item(f"{pid}::{aid}", vec(*val), cost)

@@ -33,7 +33,7 @@ from hmmdkit.morph import (
 )
 from hmmdkit.probio import SPEC_VERSION, ProblemFile, fixture_path, load_fixture, write_problem
 from hmmdkit.rank import pareto_layers
-from hmmdkit.synth import MorphProblem, synthesize_tree, synthesize_tree_trace
+from hmmdkit.synth import MorphProblem, report_synth, synthesize_tree, synthesize_tree_trace
 
 
 def qv(w, *counts):
@@ -924,6 +924,12 @@ def leaves_reversed(system):
     return MorphSystem(flip(system.root), system.compat, system.compat_scale, system.priority_scale)
 
 
+def report_priorities(system):
+    """node id -> the priority of each composite in the synth report."""
+    solution, _ = report_synth(MorphProblem(system), "synthesis", None, False)
+    return {node["id"]: tuple(c["priority"] for c in node["composites"]) for node in solution["nodes"]}
+
+
 def test_synthesis_passes_each_front_up_at_the_scale_lo():
     # each node's decisions are one front: the peel synthesis ran over them
     # finds a single layer, and they come in the canonical order, whatever
@@ -939,10 +945,11 @@ def test_synthesis_passes_each_front_up_at_the_scale_lo():
             continue
         assert synthesize_tree_trace(leaves_reversed(system)) == trace
         lo = system.priority_scale.lo
+        priorities = report_priorities(system)
         for rec in trace.nodes.values():
             n = len(rec.decisions)
             assert set(priorities_from_quality(rec.decisions).values()) == {1}
-            assert rec.priorities == (lo,) * n
+            assert priorities[rec.node_id] == (lo,) * n
             assert list(rec.decisions) == _canonical_sort(rec.decisions)
             # a derived composite counts at level lo in its parent's vector
             node = system.node(rec.node_id)
@@ -967,7 +974,7 @@ def test_derived_priorities_count_from_the_scale_lo(tmp_path, capsys):
     system = MorphSystem(MorphNode("r", children=(m, c)), {},
                          priority_scale=OrdinalScale(2, 4, Best.LOW))
     trace = synthesize_tree_trace(system)
-    assert trace.nodes["m"].priorities == (2,) and trace.root.priorities == (2,)
+    assert report_priorities(system) == {"m": (2,), "r": (2,)}
     assert [d.quality for d in trace.root.decisions] == [qv(3, 2, 0, 0)]
     path = tmp_path / "r.morph"
     path.write_text(write_problem(ProblemFile(SPEC_VERSION, "morph", MorphProblem(system))))
@@ -1036,9 +1043,9 @@ def test_full_synthesis_of_reference_system():
 
 
 def test_synthesis_priorities_of_subsystem_composites_are_all_best():
-    trace = synthesize_tree_trace(course_system())
+    priorities = report_priorities(course_system())
     for part in ("E", "H", "W"):
-        assert set(trace.nodes[part].priorities) == {1}
+        assert set(priorities[part]) == {1}
 
 
 def test_priorities_from_quality_examples():

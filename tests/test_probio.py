@@ -294,7 +294,7 @@ def load_quality_cases(text):
 
 def test_every_fixture_parses_and_solves():
     from hmmdkit.assign import assign_greedy
-    from hmmdkit.select import mckp_exact_dp, mckp_greedy
+    from hmmdkit.mckp import mckp_exact_dp, mckp_greedy
     from hmmdkit.synth import synthesize_tree
 
     for name in FIXTURES:

@@ -27,11 +27,13 @@ from hmmdkit.cluster import DissimilarityMatrix
 from hmmdkit.core import EstimateVector, ValidationError
 from hmmdkit.criteria import Criterion, CriteriaFrame, equal_weight_frame
 from hmmdkit.improve import ImprovementPart, ImprovementSpec
-from hmmdkit.pipeline import PairActions, ThreeSetSpec
-from hmmdkit.trajectory import Stage, TrajectorySpec
+from hmmdkit.knapsack import KnapsackInstance
+from hmmdkit.mckp import Group, MckpInstance
 from hmmdkit.morph import DesignAlternative, MorphNode
+from hmmdkit.pipeline import PairActions, ThreeSetSpec
 from hmmdkit.rank import RankingInstance, normalize_estimates
-from hmmdkit.select import Group, Item, KnapsackInstance, MckpInstance
+from hmmdkit.select import Item
+from hmmdkit.trajectory import Stage, TrajectorySpec
 
 
 def first_repeat(ids):

@@ -11,20 +11,10 @@ from hmmdkit.core import (
     InfeasibleError,
     ValidationError,
 )
-from hmmdkit.criteria import equal_weight_frame
-from hmmdkit.select import (
-    Group,
-    GroupRule,
-    Item,
-    KnapsackInstance,
-    MckpInstance,
-    _solution,
-    knapsack_exact,
-    knapsack_greedy,
-    mckp_exact_dp,
-    mckp_greedy,
-    scalarize,
-)
+from hmmdkit.criteria import equal_weight_frame, scalarize
+from hmmdkit.knapsack import KnapsackInstance, knapsack_exact, knapsack_greedy
+from hmmdkit.mckp import Group, GroupRule, MckpInstance, mckp_exact_dp, mckp_greedy
+from hmmdkit.select import Item, _solution
 
 
 def vec(*v):

@@ -131,11 +131,13 @@ def _call(kernel: str, size: dict):
     import workloads
     from hmmdkit.assign import assign_exact
     from hmmdkit.cluster import Linkage, build_dendrogram
-    from hmmdkit.frameworks import design_trajectory
-    from hmmdkit.morph import compose_node, synthesize_tree_trace, walk
+    from hmmdkit.knapsack import knapsack_exact
+    from hmmdkit.mckp import mckp_exact_dp
+    from hmmdkit.morph import compose_node, walk
     from hmmdkit.rank import rank_outranking
     from hmmdkit.route import tsp_nearest_neighbor, tsp_two_opt
-    from hmmdkit.select import knapsack_exact, mckp_exact_dp
+    from hmmdkit.synth import synthesize_tree_trace
+    from hmmdkit.trajectory import design_trajectory
 
     if kernel == "compile":
         import hmmdkit
