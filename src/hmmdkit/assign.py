@@ -116,28 +116,26 @@ def assign_greedy(
 
 def _maximal_assignments(inst: AssignmentInstance):
     """Yield every maximal assignment as a list of (agent, position) pairs."""
-    target = min(len(inst.agents), inst.total_capacity())
-    n = len(inst.agents)
+    return _extend(inst, min(len(inst.agents), inst.total_capacity()), 0, dict(inst.capacity), [])
 
-    def rec(i: int, room: dict[str, int], chosen: list[tuple[str, str]]):
-        if i == n:
-            if len(chosen) == target:
-                yield list(chosen)
-            return
-        remaining_after = n - i - 1
-        agent = inst.agents[i]
-        for p in inst.positions:
-            if room[p] > 0:
-                room[p] -= 1
-                chosen.append((agent, p))
-                yield from rec(i + 1, room, chosen)
-                chosen.pop()
-                room[p] += 1
-        # skipping this agent is allowed only if the target is still reachable
-        if len(chosen) + remaining_after >= target:
-            yield from rec(i + 1, room, chosen)
 
-    yield from rec(0, dict(inst.capacity), [])
+def _extend(inst: AssignmentInstance, target: int, i: int, room: dict[str, int], chosen: list[tuple[str, str]]):
+    """The maximal assignments that extend the pairs ``chosen`` for the agents
+    before ``i``; not nested, as a closure reaching itself is a reference cycle."""
+    if i == len(inst.agents):
+        if len(chosen) == target:
+            yield list(chosen)
+        return
+    for p in inst.positions:
+        if room[p] > 0:
+            room[p] -= 1
+            chosen.append((inst.agents[i], p))
+            yield from _extend(inst, target, i + 1, room, chosen)
+            chosen.pop()
+            room[p] += 1
+    # skipping this agent is allowed only if the target is still reachable
+    if len(chosen) + len(inst.agents) - i - 1 >= target:
+        yield from _extend(inst, target, i + 1, room, chosen)
 
 
 def assign_exact(
@@ -215,13 +213,16 @@ def assign_exact(
 
 
 def assign_pareto(inst: AssignmentInstance) -> list[AssignmentSolution]:
-    """All maximal assignments with a non-dominated objective vector."""
+    """All maximal assignments with a non-dominated objective vector, by sorted pairs."""
     check_guard(min(len(inst.agents), inst.total_capacity()), ENUMERATION_GUARD, "assigned agents")
     betas = _cell_betas(inst, None)
-    sols = [_solution(inst, set(pairs), betas) for pairs in _maximal_assignments(inst)]
-    # dominance on each column's oriented ints is dominance on the vectors
-    keys = list(zip(*oriented_columns(inst.frame, [s.objective_vector for s in sols])))
-    front = [sols[i] for i in non_dominated(range(len(sols)), keys.__getitem__)]
+    # an assignment's key sums its cells' oriented ints, each column scaled
+    # by one positive constant, so dominance on keys is dominance on vectors
+    ints = dict(zip(betas, zip(*oriented_columns(inst.frame, [v for row in inst.cells for v in row]))))
+    groups = {}  # key -> its assignments
+    for pairs in _maximal_assignments(inst):
+        groups.setdefault(tuple(map(sum, zip(*map(ints.__getitem__, pairs)))), []).append(pairs)
+    front = [_solution(inst, set(pairs), betas) for key in non_dominated(list(groups)) for pairs in groups[key]]
     return sorted(front, key=lambda s: sorted(s.pairs))
 
 
@@ -252,14 +253,14 @@ def report_assign(problem, method, weights, oracle):
         solution = {"solutions": [_entry(sol)]}
     diagnostics = {}
     if oracle:
-        exact = assign_exact(inst, weights)
+        exact = sol if method == "exact" else assign_exact(inst, weights)
         if method == "pareto":
             front_pairs = {frozenset(map(tuple, e["pairs"])) for e in solution["solutions"]}
             if frozenset(exact.pairs) not in front_pairs:
                 raise OracleError("exact solution missing from front")
             diagnostics["oracle"] = "ok (front contains exact solution)"
         else:
-            greedy = assign_greedy(inst, weights)
+            greedy = sol if method == "greedy" else assign_greedy(inst, weights)
             if exact.objective < greedy.objective:
                 raise OracleError(f"exact objective {exact.objective} below greedy {greedy.objective}")
             diagnostics["oracle"] = "ok (exact >= greedy)"

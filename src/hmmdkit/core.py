@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter, ge, gt
@@ -274,15 +274,16 @@ def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:
     return all(map(ge, a, b)) and any(map(gt, a, b))
 
 
-def non_dominated(items: Sequence, key: Callable | None = None) -> list:
-    """Items whose key no other item's key strictly dominates, in input order.
+def non_dominated(keys: Sequence[Sequence[Number]]) -> list:
+    """The distinct keys that no key strictly dominates, largest first.
 
-    Only the distinct (hashable) keys are compared, by ``dominates``; the
-    default key is the item. Equal keys never dominate each other, so the
-    result equals an all-pairs comparison of the items.
+    Keys must be orderable vectors, such as tuples of ints. Each distinct
+    key, largest first, is tested by ``dominates`` against the front kept
+    so far (Kung, Luccio & Preparata, JACM 1975): a strict dominator is
+    lexicographically larger, and dominance is transitive.
     """
-    keys = list(items) if key is None else [key(x) for x in items]
-    distinct = list(dict.fromkeys(keys))
-    alive = {k for k in distinct if not any(dominates(o, k) for o in distinct)}
-    return [x for x, k in zip(items, keys) if k in alive]
-
+    front: list = []
+    for k in sorted(set(keys), reverse=True):
+        if not any(dominates(f, k) for f in front):
+            front.append(k)
+    return front

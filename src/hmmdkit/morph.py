@@ -166,9 +166,12 @@ def _check_pairs(
 
 
 def walk(node: MorphNode) -> Iterable[MorphNode]:
-    yield node
-    for child in node.children:
-        yield from walk(child)
+    """The nodes in pre-order, by an explicit stack: no recursion limit."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 @frozen
@@ -311,7 +314,7 @@ def compose_node(
         by_vector[(w, *itertools.accumulate(counts))] = counts, choices
     labels = [[(child.id, da.id) for da in das] for child, das in zip(node.children, pools)]
     decisions = []
-    for vector in sorted(non_dominated(list(by_vector)), reverse=True):
+    for vector in non_dominated(list(by_vector)):
         counts, choices = by_vector[vector]
         quality = QualityVector(vector[0], counts)
         selections = sorted(

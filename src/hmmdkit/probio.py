@@ -429,6 +429,8 @@ def _envelope(text: str, kind: str, kinds: Container[str], *keys: str) -> dict:
         raw = json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # a JSONDecodeError, or an int past Python's int/str digit limit
         raise ParseError("$", f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("$", "nested too deeply") from None
     doc = _obj(raw, "$", ("spec_version", kind, *keys))
     version = _int(doc["spec_version"], "$.spec_version")
     if version != SPEC_VERSION:
@@ -447,7 +449,10 @@ def parse_problem(text: str) -> ProblemFile:
     """
     doc = _envelope(text, "problem_type", OWNERS, "payload")
     ptype = doc["problem_type"]
-    return ProblemFile(SPEC_VERSION, ptype, _codecs(ptype)[0].parse(doc["payload"], "$.payload"))
+    try:
+        return ProblemFile(SPEC_VERSION, ptype, _codecs(ptype)[0].parse(doc["payload"], "$.payload"))
+    except RecursionError:  # a codec recurses through a tree's Ref, level by level
+        raise ParseError("$", "nested too deeply") from None
 
 
 def write_problem(pf: ProblemFile) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .core import (
@@ -22,7 +22,6 @@ from .core import (
     check_unique,
     dominates,
     frozen,
-    non_dominated,
 )
 from .criteria import CriteriaFrame, as_ints, check_lengths, check_rows, oriented_columns, scalarize, shapes
 
@@ -91,18 +90,14 @@ def normalize_estimates(
     return [EstimateVector(vals) for vals in zip(*out_cols)]
 
 
-def pareto_layers(items: Sequence, key: Callable | None = None) -> list[int]:
-    """1-based layer index per item: peel the non-dominated keys repeatedly
-    (``core.non_dominated``'s ``key``)."""
-    keys = list(items) if key is None else [key(x) for x in items]
-    remaining = list(dict.fromkeys(keys))
-    layer: dict[Hashable, int] = {}
-    current = 1
-    while remaining:
-        front = non_dominated(remaining)
-        layer.update(dict.fromkeys(front, current))
-        remaining = [k for k in remaining if k not in layer]
-        current += 1
+def pareto_layers(keys: Sequence[Sequence[Number]]) -> list[int]:
+    """1-based Pareto layer per key (orderable vectors, as for
+    ``core.non_dominated``): one more than the deepest layer of any key that
+    strictly dominates it. One pass over the distinct keys, largest first,
+    so every dominator has its layer when a key is reached."""
+    layer: dict[Sequence[Number], int] = {}
+    for k in sorted(set(keys), reverse=True):
+        layer[k] = 1 + max((layer[o] for o in layer if dominates(o, k)), default=0)
     return [layer[k] for k in keys]
 
 

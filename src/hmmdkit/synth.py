@@ -9,8 +9,6 @@ morph file's shapes. A trajectory run, which composes one node with
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .core import DEFAULT_COMPAT_SCALE, DEFAULT_PRIORITY_SCALE, Best, OracleError, ValidationError, frozen
 from .morph import (
     CompositeDecision,
@@ -53,22 +51,25 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
     """Bottom-up synthesis keeping every internal node's Pareto record."""
     if system.root.is_leaf:
         raise ValidationError("the root must be an internal node")
+    # the internal nodes in pre-order with children right to left, so that
+    # reversed, children come left to right and each before its parent
+    internal, stack = [], [system.root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            internal.append(node)
+            stack.extend(node.children)
     records: dict[str, NodeSynthesis] = {}
+    # (internal node id, composite id) -> its leaf parts; a leaf's (node id,
+    # alternative id) is not a key and stands for itself
+    leaves: dict[tuple[str, str], tuple] = {}
     # a node passes up its front, one dominance layer, so each composite gets the best level
     lo = system.priority_scale.lo
-
-    def expand(node: MorphNode) -> tuple[list[DesignAlternative], dict[str, tuple]]:
-        """Alternatives this node offers upward + leaf expansion per DA id."""
-        if node.is_leaf:
-            return list(node.alternatives), {
-                da.id: ((node.id, da.id),) for da in node.alternatives
-            }
-        child_das: dict[str, Sequence[DesignAlternative]] = {}
-        child_leaves: dict[str, dict[str, tuple]] = {}
-        for child in node.children:
-            das, leaves = expand(child)
-            child_das[child.id] = das
-            child_leaves[child.id] = leaves
+    for node in reversed(internal):
+        child_das = {
+            c.id: c.alternatives if c.is_leaf else [DesignAlternative(cid, lo) for cid in records[c.id].composite_ids]
+            for c in node.children
+        }
         if not all(child.is_leaf for child in node.children):
             _check_pairs(node.id, child_das, system._pairs[node.id])
         decisions = compose_node(system, node.id, child_das)
@@ -77,24 +78,14 @@ def synthesize_tree_trace(system: MorphSystem) -> SynthesisTrace:
                 f"node {node.id!r}: every composition contains an infeasible pair"
             )
         ids = tuple(f"{node.id}_{k + 1}" for k in range(len(decisions)))
-        expansions = {}
-        for cid, decision in zip(ids, decisions):
-            flat: list[tuple[str, str]] = []
-            for child_id, da_id in decision.selection:
-                flat.extend(child_leaves[child_id][da_id])
-            expansions[cid] = tuple(flat)
+        expansions = tuple(tuple(part for sel in d.selection for part in leaves.get(sel, (sel,))) for d in decisions)
+        leaves.update(((node.id, cid), parts) for cid, parts in zip(ids, expansions))
         records[node.id] = NodeSynthesis(
             node_id=node.id,
             decisions=tuple(decisions),
             composite_ids=ids,
-            leaf_selections=tuple(expansions[cid] for cid in ids),
+            leaf_selections=expansions,
         )
-        return [DesignAlternative(cid, lo) for cid in ids], expansions
-
-    try:
-        expand(system.root)
-    finally:
-        del expand  # as compose_node's walk: break the closure's cycle
     return SynthesisTrace(nodes=records, root_id=system.root.id)
 
 

@@ -168,6 +168,22 @@ def _brute_pareto(inst):
     return sorted(front, key=sorted)
 
 
+def test_pareto_builds_a_solution_only_for_the_front(monkeypatch):
+    from hmmdkit import assign
+
+    real, built = assign.AssignmentSolution, []
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(assign, "AssignmentSolution", counting)
+    inst = table5_assignment_instance()
+    front = assign_pareto(inst)
+    assert sum(1 for _ in assign._maximal_assignments(inst)) == 120
+    assert len(built) == len(front) == 5
+
+
 def test_pareto_equals_brute_force_filter():
     rng = random.Random(103)
     for _ in range(20):

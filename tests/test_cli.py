@@ -743,6 +743,42 @@ def test_repeated_key_exits_3(tmp_path, capsys):
     assert run(capsys, "mckp", "--input", str(path)) == (3, "", "hmmdkit: error: parse: $.payload: duplicate key 'budget'\n")
 
 
+#: subcommand -> (problem type, payload keys after the tree, the bottom node,
+#: and an internal node's text before and after its one chain child, where
+#: "#" stands for its level)
+CHAIN = {
+    "synth": ("morph", ', "compat": []', '{"id": "bottom", "alternatives": [{"id": "a", "priority": 1}]}',
+              '{"id": "n#", "children": [', ', {"id": "l#", "alternatives": [{"id": "x", "priority": 2}]}]}'),
+    "integrate": ("integrate", "", '{"id": "bottom", "scale": {"lo": 1, "hi": 2}, "estimate": 1}',
+                  '{"id": "n#", "scale": {"lo": 1, "hi": 2}, "children": [',
+                  '], "table": [{"inputs": [1], "output": 1}, {"inputs": [2], "output": 2}]}'),
+}
+
+
+def chain_text(command, depth):
+    """A problem file whose tree is a chain ``depth`` internal nodes deep,
+    written as text: json.dumps would reach the recursion limit itself."""
+    ptype, rest, bottom, head, tail = CHAIN[command]
+    levels = [str(i) for i in range(depth)]
+    tree = "".join(head.replace("#", i) for i in levels) + bottom
+    tree += "".join(tail.replace("#", i) for i in reversed(levels))
+    return f'{{"spec_version": 1, "problem_type": "{ptype}", "payload": {{"tree": {tree}{rest}}}}}'
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN))
+def test_input_nested_too_deeply_exits_3_with_one_line(command, tmp_path, capsys):
+    # json.loads and the codec's recursion through a tree each reach the
+    # recursion limit on a deep enough chain
+    path = tmp_path / "deep.json"
+    for depth in (400, 1000):
+        path.write_text(chain_text(command, depth))
+        assert run(capsys, command, "--input", str(path)) == (3, "", "hmmdkit: error: parse: $: nested too deeply\n")
+    path.write_text(chain_text(command, 100))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "n99" in out
+
+
 # ------------------------------------------------------------- front end
 
 GENERAL_HELP = """\

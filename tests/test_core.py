@@ -1,7 +1,6 @@
 import dataclasses
 import random
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 
@@ -247,13 +246,20 @@ def test_dominates_is_strict_partial_order():
 
 def test_non_dominated_and_layers():
     pts = [
-        EstimateVector(v)
+        tuple(EstimateVector(v))
         for v in ([3, 3], [3, 1], [1, 1], [1, 3], [2, 2])
     ]
     front = non_dominated(pts)
     assert front == [pts[0]]
     layers = pareto_layers(pts)
     assert layers == [1, 2, 3, 2, 2]
+
+
+def test_non_dominated_returns_the_distinct_front_largest_first():
+    keys = [(1, 3), (2, 2), (1, 3), (0, 0), (3, 1), (2, 2), (1, 1)]
+    assert non_dominated(keys) == [(3, 1), (2, 2), (1, 3)]
+    assert non_dominated([(5,), (5,)]) == [(5,)]
+    assert non_dominated([]) == []
 
 
 # ------------------------------------------------- keyed front vs all-pairs oracle
@@ -297,11 +303,11 @@ def _random_quality(rng):
 
 
 #: key kind -> (seeded key generator, strict dominance on those keys, the
-#: vector non_dominated compares in place of a key, or None for the key)
+#: orderable vector non_dominated compares in place of a key)
 KEY_KINDS = {
     "quality": (_random_quality, n_dominates, lambda q: (q.w, *q.cumulative())),
-    "estimate": (lambda rng: EstimateVector([rng.randint(0, 2) for _ in range(3)]), dominates, None),
-    "tuple": (lambda rng: tuple(rng.randint(0, 3) for _ in range(2)), dominates, None),
+    "estimate": (lambda rng: EstimateVector([rng.randint(0, 2) for _ in range(3)]), dominates, tuple),
+    "tuple": (lambda rng: tuple(rng.randint(0, 3) for _ in range(2)), dominates, tuple),
 }
 
 
@@ -311,15 +317,16 @@ def test_keyed_front_matches_all_pairs_oracle(kind):
     rng = random.Random(f"keyed-front:{kind}")
     for _ in range(120):
         pool = [draw(rng) for _ in range(rng.randint(1, 6))]
-        # few distinct keys, many items: the keyed path must see repeats
+        # few distinct keys, many items: the front must see repeats
         items = [(i, rng.choice(pool)) for i in range(rng.randint(1, 30))]
-        key = itemgetter(1) if vector is None else lambda x: vector(x[1])
         keyed_dom = lambda x, y: dom(x[1], y[1])
-        assert non_dominated(items, key) == oracle_non_dominated(items, keyed_dom)
-        assert pareto_layers(items, key) == oracle_pareto_layers(items, keyed_dom)
+        vectors = [vector(k) for _, k in items]
+        front = {vector(k) for _, k in oracle_non_dominated(items, keyed_dom)}
+        assert non_dominated(vectors) == sorted(front, reverse=True)
+        assert pareto_layers(vectors) == oracle_pareto_layers(items, keyed_dom)
         keys = [k for _, k in items]
-        assert non_dominated(keys, vector) == oracle_non_dominated(keys, dom)
-        assert pareto_layers(keys, vector) == oracle_pareto_layers(keys, dom)
+        assert {vector(k) for k in oracle_non_dominated(keys, dom)} == front
+        assert pareto_layers(vectors) == oracle_pareto_layers(keys, dom)
 
 
 def oracle_scalarize(frame, values, weights=None):

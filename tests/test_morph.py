@@ -160,7 +160,7 @@ def priorities_from_quality(decisions):
     if len(parts) != 1:
         raise ValidationError(f"mixed part counts: {sorted(parts)}")
     width = max(len(d.quality.counts) for d in decisions)
-    layers = pareto_layers(decisions, lambda d: (d.quality.w, *d.quality.cumulative(width)))
+    layers = pareto_layers([(d.quality.w, *d.quality.cumulative(width)) for d in decisions])
     return dict(zip(decisions, layers))
 
 
@@ -1087,10 +1087,27 @@ def test_priorities_from_quality_examples():
         )
 
 
+def test_a_2000_level_chain_constructs_and_synthesizes():
+    # construction walks the tree and synthesis visits it bottom-up, both
+    # without recursion, so depth meets no recursion limit
+    node = MorphNode("bottom", alternatives=(DesignAlternative("a", 1), DesignAlternative("b", 2)))
+    for i in reversed(range(2000)):
+        node = MorphNode(f"n{i}", (node, MorphNode(f"l{i}", alternatives=(DesignAlternative("x", 2),))))
+    system = MorphSystem(node, {})
+    assert sum(1 for _ in walk(system.root)) == 4001
+    trace = synthesize_tree_trace(system)
+    assert len(trace.nodes) == 2000
+    assert [d.selection for d in trace.root.decisions] == [(("n1", "n1_1"), ("l0", "x"))]
+    assert trace.root.leaf_selections[0][0] == ("bottom", "a")
+    assert len(trace.root.leaf_selections[0]) == 2001
+
+
 def test_synthesis_leaves_no_cyclic_garbage():
-    # compose_node's walk and synthesize_tree_trace's expand call themselves
-    # through their closure cells; a cycle left behind holds the enumeration's
-    # work tables until the collector runs, which a CLI run may never do
+    # compose_node's walk calls itself through its closure cell, and so did
+    # assign's enumeration; a cycle left behind holds the enumeration's work
+    # tables until the collector runs, which a CLI run may never do
+    from conftest import table5_assignment_instance
+    from hmmdkit.assign import assign_pareto
     from hmmdkit.trajectory import design_trajectory
     from test_frameworks import random_trajectory_spec
 
@@ -1115,6 +1132,8 @@ def test_synthesis_leaves_no_cyclic_garbage():
         for k, spec in enumerate(specs):
             design_trajectory(spec, all_pairs=k % 2 == 1)
             assert gc.collect() == 0, "design_trajectory"
+        assign_pareto(table5_assignment_instance())
+        assert gc.collect() == 0, "assign_pareto"
     finally:
         if enabled:
             gc.enable()

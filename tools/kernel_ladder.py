@@ -1,8 +1,9 @@
 """Kernel ladders for the solvers, and compile, parse and process rungs
 for start-up and exit.
 
-Times each rung of nine scaling ladders (outranking, knapsack, MCKP,
-dendrogram, assignment, 2-opt, synthesis, compose, trajectory) on seeded
+Times each rung of eleven scaling ladders (outranking, Pareto layers,
+knapsack, MCKP, dendrogram, assignment, Pareto assignment, 2-opt,
+synthesis, compose, trajectory) on seeded
 instances from the benchmark's generators (``perfbench/workloads.py``,
 imported, not edited), one ``compile()`` of each module a CLI run may
 compile from source, a warm ``probio.parse_problem`` of two seed-0
@@ -58,6 +59,7 @@ ROUNDS = 15
 #: (kernel, size) per rung; sizes follow the solver_mix instances
 RUNGS = (
     [("outranking", {"n": n, "k": 4}) for n in (20, 40, 80, 160, 320, 640)]
+    + [("pareto_layers", {"n": n, "k": 3}) for n in (200, 800)]
     + [("knapsack", {"n": n, "budget": b}) for n, b in ((30, 300), (60, 600), (120, 1200))]
     + [("mckp", {"groups": 28, "per_group": m, "budget": 360}) for m in (2, 4, 8)]
     + [("dendrogram", {"n": n, "linkage": "average"}) for n in (15, 30, 60)]
@@ -66,6 +68,9 @@ RUNGS = (
     # that enumeration needs
     + [("assign", {"agents": n, "positions": p, "capacity": 2})
        for n, p in ((6, 4), (8, 4), (9, 4), (20, 10), (40, 20))]
+    # the Pareto front of all maximal assignments: the solver_mix front op's
+    # shape, then 9 agents on 4 positions, 3,024 maximal assignments
+    + [("assign_pareto", {"agents": n, "positions": p, "capacity": 1}) for n, p in ((8, 2), (9, 4))]
     # 2-opt from the nearest-neighbour tour: the solver_mix size, then double
     + [("two_opt", {"cities": n}) for n in (60, 120)]
     # the synth_front grid's first model of each widest node shape: the whole
@@ -129,12 +134,12 @@ def _call(kernel: str, size: dict):
     kernel, or None for a compile rung whose module the tree lacks. A
     process rung's call returns the ms it reads."""
     import workloads
-    from hmmdkit.assign import assign_exact
+    from hmmdkit.assign import assign_exact, assign_pareto
     from hmmdkit.cluster import Linkage, build_dendrogram
     from hmmdkit.knapsack import knapsack_exact
     from hmmdkit.mckp import mckp_exact_dp
     from hmmdkit.morph import compose_node, walk
-    from hmmdkit.rank import rank_outranking
+    from hmmdkit.rank import rank_outranking, rank_pareto_layers
     from hmmdkit.route import tsp_nearest_neighbor, tsp_two_opt
     from hmmdkit.synth import synthesize_tree_trace
     from hmmdkit.trajectory import design_trajectory
@@ -171,6 +176,9 @@ def _call(kernel: str, size: dict):
     if kernel == "outranking":
         prob = workloads._ranking(rng, size["n"], size["k"])
         return lambda: rank_outranking(prob.instance, prob.p, prob.q)
+    if kernel == "pareto_layers":
+        prob = workloads._ranking(rng, size["n"], size["k"])
+        return lambda: rank_pareto_layers(prob.instance)
     if kernel == "knapsack":
         prob = workloads._knapsack(rng, size["n"], 3, 20, size["budget"])
         return lambda: knapsack_exact(prob.instance)
@@ -195,6 +203,9 @@ def _call(kernel: str, size: dict):
     if kernel == "assign":
         prob = workloads._assign(rng, size["agents"], size["positions"], 3, size["capacity"])
         return lambda: assign_exact(prob.instance)
+    if kernel == "assign_pareto":
+        prob = workloads._assign(rng, size["agents"], size["positions"], 3, size["capacity"])
+        return lambda: assign_pareto(prob.instance)
     if kernel == "two_opt":
         inst = workloads._tsp(rng, size["cities"]).instance
         tour = tsp_nearest_neighbor(inst, inst.ids[0])
