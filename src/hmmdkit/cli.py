@@ -1,9 +1,10 @@
 """Command-line front end: dispatch problem files to solvers, emit reports.
 
-Exit codes: 0 success, 1 solve failure or oracle mismatch, 2 usage error
-(unknown flags, method, or subcommand/problem-type mismatch), 3 parse or
-validation error. Every failure prints one machine-parseable line to
-stderr: "hmmdkit: error: <category>: <detail>".
+Exit codes: 0 success, 1 solve failure, oracle mismatch or a report that
+cannot be written (to stdout or to ``--output``), 2 usage error (unknown
+flags, method, or subcommand/problem-type mismatch), 3 parse or validation
+error. Every failure prints one machine-parseable line to stderr:
+"hmmdkit: error: <category>: <detail>".
 
 Arguments are ``hmmdkit <subcommand> [flag ...]``. A flag is spelled out
 in full and given at most once; it takes its value as ``--flag value`` or
@@ -14,6 +15,8 @@ instead of running.
 
 from __future__ import annotations
 
+import atexit
+import os
 import sys
 from fractions import Fraction
 from importlib import import_module
@@ -111,6 +114,20 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
     return command, opts
 
 
+def _write(text: str, output: str | None):
+    """Write ``text`` to the file ``output``, or to stdout when it is None,
+    and flush it, so that a failed write is reported here."""
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise CliError("output", f"cannot write {output or 'stdout'}: {exc.strerror}", EXIT_SOLVE)
+
+
 def _parse_weights(raw: str | None) -> list[Fraction] | None:
     if raw is None:
         return None
@@ -167,18 +184,7 @@ def run_command(command: str, opts: dict) -> int:
         diagnostics=diagnostics,
     )
     fmt = ResultFormat.STRUCTURED if opts.get("--format") == "json" else ResultFormat.TEXT
-    rendered = write_result(result, fmt)
-    output = opts.get("--output")
-    if output is not None:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        except OSError as exc:
-            raise CliError(
-                "output", f"cannot write {output}: {exc.strerror}", EXIT_SOLVE
-            )
-    else:
-        sys.stdout.write(rendered)
+    _write(write_result(result, fmt), opts.get("--output"))
     return EXIT_OK
 
 
@@ -188,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         if opts is None:
             from .help import help_text
 
-            sys.stdout.write(help_text(command, COMMANDS, FLAGS))
+            _write(help_text(command, COMMANDS, FLAGS), None)
             return EXIT_OK
         return run_command(command, opts)
     except CliError as exc:
@@ -200,17 +206,23 @@ def entry():
     """The process entry of ``hmmdkit``, ``python -m hmmdkit`` and ``python
     -m hmmdkit.cli``: exit with ``main()``'s code.
 
-    ``gc.freeze()`` first moves every object alive after the import (the
-    interpreter's and those of the standard and hmmdkit modules loaded so
-    far) into the collector's permanent generation, which no collection
-    traverses, the ones at interpreter shutdown included. What the run
-    creates stays collectable. ``main`` does not freeze, so a caller that
-    runs it in process keeps its own collector state.
+    ``main`` has written and flushed the report, or reported why it could
+    not. The entry then flushes stderr, runs the registered ``atexit`` hooks
+    and ends the process with ``os._exit``, which skips the interpreter's
+    teardown: clearing every module and freeing a heap that the OS reclaims
+    anyway. hmmdkit starts no thread, so skipping ``threading._shutdown``
+    loses nothing. stdout is not flushed here: after a failed write its
+    buffer still holds the report, and ``os._exit`` drops it. An exception
+    out of ``main`` (a bug, ``KeyboardInterrupt``) takes the normal exit
+    with its traceback.
     """
-    import gc
-
-    gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # None (fd 2 closed at start) or unwritable: keep main's code
+        pass
+    atexit._run_exitfuncs()  # the only way to run every registered hook
+    os._exit(code)
 
 
 if __name__ == "__main__":

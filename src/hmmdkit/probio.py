@@ -457,13 +457,16 @@ def parse_problem(text: str) -> ProblemFile:
 
 def write_problem(pf: ProblemFile) -> str:
     """Canonical text for a problem file (sorted keys, exact numbers)."""
-    return _canonical(
-        {
-            "spec_version": pf.spec_version,
-            "problem_type": pf.problem_type,
-            "payload": _codecs(pf.problem_type)[0].dump(pf.payload),
-        }
-    )
+    try:
+        return _canonical(
+            {
+                "spec_version": pf.spec_version,
+                "problem_type": pf.problem_type,
+                "payload": _codecs(pf.problem_type)[0].dump(pf.payload),
+            }
+        )
+    except RecursionError:  # a codec recurses through a tree's Ref, level by level
+        raise ValidationError("nested too deeply") from None
 
 
 # -------------------------------------------------------------------- results
@@ -488,18 +491,21 @@ _DIAGNOSTICS = Map(STR)
 def write_result(result: ResultFile, fmt: ResultFormat = ResultFormat.STRUCTURED) -> str:
     """Structured: canonical machine format. Text: human-readable report."""
     _, solution, text = _codecs(result.problem_type)
-    if fmt is ResultFormat.TEXT:
-        lines = [f"problem: {result.problem_type}", f"method: {result.method}", *text(result.solution)]
-        return "\n".join(lines) + "\n"
-    return _canonical(
-        {
-            "spec_version": result.spec_version,
-            "problem_type": result.problem_type,
-            "method": result.method,
-            "solution": solution.dump(result.solution),
-            "diagnostics": _DIAGNOSTICS.dump({k: v for k, v in result.diagnostics.items() if v is not None}),
-        }
-    )
+    try:
+        if fmt is ResultFormat.TEXT:
+            lines = [f"problem: {result.problem_type}", f"method: {result.method}", *text(result.solution)]
+            return "\n".join(lines) + "\n"
+        return _canonical(
+            {
+                "spec_version": result.spec_version,
+                "problem_type": result.problem_type,
+                "method": result.method,
+                "solution": solution.dump(result.solution),
+                "diagnostics": _DIAGNOSTICS.dump({k: v for k, v in result.diagnostics.items() if v is not None}),
+            }
+        )
+    except RecursionError:  # a value nested past the recursion limit
+        raise ValidationError("nested too deeply") from None
 
 
 def parse_result(text: str) -> ResultFile:

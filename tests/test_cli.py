@@ -1,8 +1,10 @@
 import ast
+import errno
 import gc
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -518,15 +520,21 @@ def test_knapsack_end_to_end(tmp_path, capsys):
         assert result.solution["total_cost"] <= 6
 
 
-def test_module_entry_point_runs_in_subprocess():
-    # the child imports the same hmmdkit as this process, installed or not
+def child_env():
+    """The environment of a child that imports the same hmmdkit as this
+    process, installed or not, with stdout buffered."""
     src = str(Path(hmmdkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_module_entry_point_runs_in_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hmmdkit", "synth", "--input", COURSE, "--format", "json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     result = parse_result(proc.stdout)
@@ -542,16 +550,100 @@ def _kernel_ladder():
     return module
 
 
-def test_process_entry_freezes_the_import_heap(capsys):
+#: a module-global text stream on the child's stderr (a pipe, so not line
+#: buffered) holding an unflushed line; the stream's __del__ closes it and
+#: so writes the line, when the interpreter's teardown frees the module
+TEARDOWN_SENTINEL = 'sentinel = open(2, "w", closefd=False)\nsentinel.write("torn down\\n")\n'
+
+
+def test_process_entry_runs_the_atexit_hooks_and_skips_teardown(tmp_path, capsys):
     # the child runs python -m hmmdkit through runpy under an atexit probe
     # that runs after every other hook, as tools/kernel_ladder.py times it
-    ladder = _kernel_ladder()
-    src = str(Path(hmmdkit.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["synth", "--input", COURSE, "--format", "json"]
-    proc, probe = ladder.run_probed(ladder.PROBED_MAIN, argv, env)  # raises unless it exits 0
-    assert probe["frozen"] > 0
-    assert proc.stdout == run(capsys, *argv)[1]
+    program = TEARDOWN_SENTINEL + _kernel_ladder().PROBED_MAIN
+    rng = random.Random(2000)  # 2,000 alternatives: a JSON report over 64 KiB
+    alternatives = [{"id": f"a{i}", "estimates": [rng.randint(0, 9) for _ in range(3)]} for i in range(2000)]
+    (tmp_path / "big.rank").write_text(problem_text("rank", {"criteria": [{"id": c} for c in "xyz"],
+                                                             "alternatives": alternatives}))
+    (tmp_path / "infeasible.mckp").write_text(problem_text("mckp", {
+        "criteria": [{"id": "v"}], "groups": [{"id": "g", "items": [{"id": "a", "value": [1], "cost": 9}]}],
+        "budget": 4, "group_rule": "exactly_one",
+    }))
+    output = tmp_path / "report.json"
+
+    def written():
+        """The --output file's bytes, or None; the file is then removed."""
+        data = output.read_bytes() if output.exists() else None
+        output.unlink(missing_ok=True)
+        return data
+
+    for code, argv in [
+        (0, ["synth", "--input", COURSE, "--format", "json"]),
+        (0, ["rank", "--input", str(tmp_path / "big.rank"), "--format", "json"]),
+        (0, ["synth", "--input", COURSE, "--format", "json", "--output", str(output)]),
+        (1, ["mckp", "--input", str(tmp_path / "infeasible.mckp")]),
+        (2, ["synth"]),
+        (3, ["synth", "--input", str(tmp_path / "missing.morph")]),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", program, *argv], capture_output=True, env=child_env())
+        stderr = proc.stderr.decode()
+        assert "torn down" not in stderr, argv
+        *lines, probe = stderr.splitlines(keepends=True)
+        float(probe)  # the atexit probe's clock reading ends stderr
+        child = proc.returncode, proc.stdout.decode(), "".join(lines), written()
+        assert child == (*run(capsys, *argv), written()), argv
+        assert child[0] == code, argv
+        assert (child[3] is not None) == ("--output" in argv), argv
+        if argv[0] == "rank":
+            assert len(proc.stdout) > 1 << 16  # more than a pipe's buffer holds
+
+
+@pytest.mark.parametrize("code, argv", [(0, ["synth", "--input", COURSE]), (2, ["synth"])], ids=["ok", "usage"])
+def test_process_entry_keeps_the_code_when_stderr_is_closed(code, argv):
+    # with fd 2 closed at start, the interpreter sets sys.stderr to None
+    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=subprocess.DEVNULL, env=child_env(),
+                          preexec_fn=lambda: os.close(2))
+    assert proc.returncode == code
+
+
+#: a report that fills more than stdout's buffer, one that fits in it, and help
+UNWRITABLE = {
+    "large": ["synth", "--input", COURSE, "--format", "json"],
+    "small": ["tsp", "--input", "{tsp}", "--method", "nearest", "--format", "text"],
+    "help": ["--help"],
+}
+
+
+def write_to_unwritable_stdout(tmp_path, report, stdout, env):
+    """Run ``python -m hmmdkit`` on the UNWRITABLE ``report`` with ``stdout``
+    as its standard output; return the exit code and stderr."""
+    tsp = tmp_path / "p.tsp"
+    tsp.write_text(problem_text("tsp", MINIMAL["tsp"][0]))
+    argv = [arg.format(tsp=tsp) for arg in UNWRITABLE[report]]
+    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("report", sorted(UNWRITABLE))
+def test_a_report_to_a_full_device_exits_1_with_one_line(report, unbuffered, tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {**child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    with open("/dev/full", "wb") as full:
+        got = write_to_unwritable_stdout(tmp_path, report, full, env)
+    assert got == (1, f"hmmdkit: error: output: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("report", sorted(UNWRITABLE))
+def test_a_report_to_a_closed_pipe_exits_1_with_one_line(report, tmp_path):
+    # the read end is closed before the child starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        got = write_to_unwritable_stdout(tmp_path, report, write, child_env())
+    finally:
+        os.close(write)
+    assert got == (1, f"hmmdkit: error: output: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):

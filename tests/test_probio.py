@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 import conftest as data
-from hmmdkit.morph import QualityVector, n_dominates
+from hmmdkit.core import ValidationError
+from hmmdkit.morph import DesignAlternative, MorphNode, MorphSystem, QualityVector, n_dominates
 from hmmdkit.probio import (
     INT,
     Leaf,
     List,
     ParseError,
+    ProblemFile,
     Record,
     ResultFile,
     ResultFormat,
@@ -24,6 +26,7 @@ from hmmdkit.probio import (
     write_problem,
     write_result,
 )
+from hmmdkit.synth import MorphProblem
 
 FIXTURES = [
     "course_example.morph",
@@ -726,3 +729,31 @@ def test_text_report_for_empty_selection():
     text = write_result(result, ResultFormat.TEXT)
     assert "chosen: (none)" in text
     assert "objective: 0" in text
+
+
+def morph_chain(depth):
+    """A morph problem file whose tree is a chain ``depth`` internal nodes
+    deep, built in Python."""
+    node = MorphNode("bottom", alternatives=(DesignAlternative("a", 1),))
+    for i in reversed(range(depth)):
+        node = MorphNode(f"n{i}", (node, MorphNode(f"l{i}", alternatives=(DesignAlternative("x", 2),))))
+    return ProblemFile(1, "morph", MorphProblem(MorphSystem(node, {})))
+
+
+@pytest.mark.parametrize("depth", [250, 2000])
+def test_write_problem_refuses_a_tree_nested_too_deeply(depth):
+    # the codec recurses through the tree level by level, as parse_problem does
+    with pytest.raises(ValidationError, match="^nested too deeply$"):
+        write_problem(morph_chain(depth))
+
+
+@pytest.mark.parametrize("fmt", list(ResultFormat), ids=lambda fmt: fmt.value)
+def test_write_result_refuses_a_value_nested_too_deeply(fmt):
+    # a report's codecs pass a leaf value through as it is, and json.dumps
+    # or the text report's repr recurses through it
+    value = 1
+    for _ in range(2000):
+        value = [value]
+    result = ResultFile(1, "integrate", "tables", {"root_estimate": value, "trace": {}}, {})
+    with pytest.raises(ValidationError, match="^nested too deeply$"):
+        write_result(result, fmt)

@@ -4,7 +4,9 @@ The benchmark (``perfbench/run.py``) builds each workload's inputs for a
 seed with ``perfbench/workloads.py``, which imports hmmdkit names, and
 counts an op correct when it exits 0 and its JSON report round-trips.
 A seed-dependent failure or a moved name fails the benchmark outright;
-this runs the same build and the same checks in process on seeds 1-3.
+this runs the same build and the same checks in process on seeds 1-3,
+and on seed 1 also runs each op once as the benchmark does, in a child
+process through the ``hmmdkit`` process entry.
 """
 
 import importlib.util
@@ -40,3 +42,14 @@ def test_every_op_runs_and_round_trips(workload, seed, tmp_path):
         code, report = run.run_in_process(cli, op)
         checker.ok(op, code, report)
     assert checker.failures == {}
+
+
+@pytest.mark.parametrize("workload", ["cli_mix", "synth_front", "solver_mix"])
+def test_every_op_reports_the_same_in_a_child_process(workload, tmp_path):
+    workloads, run = _perfbench("workloads"), _perfbench("run")
+    built = workloads.build(workload, 1, tmp_path)
+    env = run.child_env()
+    for op in built.ops:
+        code, report, _ = run.run_op(op, env)
+        assert code == 0, op.id
+        assert (code, report) == run.run_in_process(cli, op), op.id

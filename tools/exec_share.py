@@ -76,7 +76,10 @@ def measure(called: set[tuple[str, int, str]]) -> dict:
 
 def _worker(src: str, argv: list[str]) -> None:
     """Run ``python -m hmmdkit *argv`` in this process under the profiler;
-    print the op's figures."""
+    an ``atexit`` hook prints the op's figures, since the process entry
+    may end the process with ``os._exit``, which runs the hooks and no
+    code after the op. The process exits with the op's code."""
+    import atexit
     import contextlib
     import io
     import runpy
@@ -89,17 +92,15 @@ def _worker(src: str, argv: list[str]) -> None:
             code = frame.f_code
             called.add((code.co_filename, code.co_firstlineno, code.co_name))
 
+    def report():
+        sys.setprofile(None)
+        print(json.dumps(measure(called)), file=sys.__stdout__, flush=True)
+
+    atexit.register(report)
     sys.argv = ["hmmdkit", *argv]
-    code = 0
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         sys.setprofile(profile)
-        try:
-            runpy.run_module("hmmdkit", run_name="__main__", alter_sys=True)
-        except SystemExit as exc:
-            code = exc.code
-        finally:
-            sys.setprofile(None)
-    print(json.dumps({"exit": code, **measure(called)}))
+        runpy.run_module("hmmdkit", run_name="__main__", alter_sys=True)
 
 
 def _means(rows: list[dict]) -> dict:
@@ -132,11 +133,11 @@ def main(argv: list[str] | None = None) -> int:
                 for label, src in trees.items():
                     proc = subprocess.run(
                         [sys.executable, __file__, "--worker", src, "--", *op.argv],
-                        capture_output=True, text=True, check=True,
+                        capture_output=True, text=True,
                     )
+                    if proc.returncode != 0:
+                        raise RuntimeError(f"{label}: {op.id} exited {proc.returncode}: {proc.stderr}")
                     row = json.loads(proc.stdout.splitlines()[-1])
-                    if row["exit"] != 0:
-                        raise RuntimeError(f"{label}: {op.id} exited {row['exit']}")
                     first = row["compiled"] if first is None else first
                     over[label] = max(over[label], row["compiled"] - first)
                     rows[label][workload].append(row)

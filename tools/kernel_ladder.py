@@ -11,7 +11,10 @@ benchmark inputs, and two child processes: ``python -m hmmdkit synth``
 on the course example and a bare ``python -c pass``, the tree-independent
 reference. A process rung reads either the child's whole wall time or its
 exit phase, from the last ``atexit`` hook (EXIT_PROBE) to the moment this
-process has waited for the child. The tool writes the medians as JSON:
+process has waited for the child: the interpreter's teardown, which the
+``hmmdkit`` entry skips with ``os._exit`` and ``python -c pass`` does not,
+and the kernel's release of the process. The tool writes the medians as
+JSON:
 
     python tools/kernel_ladder.py --tree parent=/path/to/old/src \\
         --tree change=src --out BENCH_kernels.json
@@ -94,29 +97,28 @@ RUNGS = (
     + [("process", {"run": r, "phase": p}) for r in ("synth", "pass") for p in ("wall", "exit")]
 )
 
-#: the first atexit hook registered runs last; it writes the collector's
-#: freeze count and the clock (CLOCK_MONOTONIC, shared by every process)
-#: to stderr
+#: the first atexit hook registered runs last; it writes the clock
+#: (CLOCK_MONOTONIC, shared by every process) to stderr as the last line
 EXIT_PROBE = (
-    "import atexit, gc, sys, time\n"
-    "atexit.register(lambda: print(gc.get_freeze_count(), time.perf_counter(), file=sys.stderr))\n"
+    "import atexit, sys, time\n"
+    "atexit.register(lambda: print(time.perf_counter(), file=sys.stderr))\n"
 )
 #: ``python -m hmmdkit`` under EXIT_PROBE: runpy runs the package's
 #: __main__.py as ``-m`` does; the arguments follow the ``-c`` program
 PROBED_MAIN = EXIT_PROBE + 'import runpy\nrunpy.run_module("hmmdkit", run_name="__main__", alter_sys=True)\n'
 
 
-def run_probed(program: str, argv: list[str], env: dict) -> tuple[subprocess.CompletedProcess, dict]:
+def run_probed(program: str, argv: list[str], env: dict) -> dict:
     """Run ``python -c program *argv``, where ``program`` starts with
-    EXIT_PROBE; return the finished child and its probe: the freeze count,
-    the wall ms from spawn to exit and the exit phase's ms."""
+    EXIT_PROBE; return its probe: the wall ms from spawn to exit and the
+    exit phase's ms."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True)
     end = time.perf_counter()
     if proc.returncode:
         raise RuntimeError(f"child exited {proc.returncode}: {proc.stderr}")
-    frozen, at = proc.stderr.split()[-2:]
-    return proc, {"frozen": int(frozen), "wall": (end - start) * 1000, "exit": (end - float(at)) * 1000}
+    at = proc.stderr.split()[-1]
+    return {"wall": (end - start) * 1000, "exit": (end - float(at)) * 1000}
 
 
 @functools.cache
@@ -164,7 +166,7 @@ def _call(kernel: str, size: dict):
         else:
             course = str(Path(hmmdkit.__file__).with_name("fixtures") / "course_example.morph")
             program, argv = PROBED_MAIN, ["synth", "--input", course, "--format", "json"]
-        return lambda: run_probed(program, argv, env)[1][size["phase"]]
+        return lambda: run_probed(program, argv, env)[size["phase"]]
     if kernel == "parse":
         from hmmdkit.probio import parse_problem
 
