@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 solve failure, oracle mismatch or a report that
 cannot be written (to stdout or to ``--output``), 2 usage error (unknown
 flags, method, or subcommand/problem-type mismatch), 3 parse or validation
-error. Every failure prints one machine-parseable line to stderr:
-"hmmdkit: error: <category>: <detail>".
+error. Every failure prints one machine-parseable line to stderr, unless
+it was closed at start: "hmmdkit: error: <category>: <detail>".
 
 Arguments are ``hmmdkit <subcommand> [flag ...]``. A flag is spelled out
 in full and given at most once; it takes its value as ``--flag value`` or
@@ -16,6 +16,7 @@ instead of running.
 from __future__ import annotations
 
 import atexit
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -121,11 +122,13 @@ def _write(text: str, output: str | None):
         if output:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # fd 1 was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
-    except OSError as exc:
-        raise CliError("output", f"cannot write {output or 'stdout'}: {exc.strerror}", EXIT_SOLVE)
+    except (OSError, UnicodeEncodeError) as exc:  # the latter: stdout's encoding, ascii say, lacks a character
+        raise CliError("output", f"cannot write {output or 'stdout'}: {getattr(exc, 'strerror', exc)}", EXIT_SOLVE)
 
 
 def _parse_weights(raw: str | None) -> list[Fraction] | None:
@@ -198,7 +201,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         return run_command(command, opts)
     except CliError as exc:
-        print(f"hmmdkit: error: {exc.category}: {exc}", file=sys.stderr)
+        try:  # not print, which writes to stdout when sys.stderr is None
+            sys.stderr.write(f"hmmdkit: error: {exc.category}: {exc}\n")
+        except (AttributeError, OSError):  # None (fd 2 closed at start) or unwritable: keep the code
+            pass
         return exc.code
 
 

@@ -183,11 +183,11 @@ def codecs() -> tuple:
     from .probio import ID_LIST, IDS, INT, MATRIX, NUM, Record, array, choice, doc, fail, nullable
     from .probio import render_number, wrap
 
-    def build(path: str, ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
-        with wrap(f"{path}.matrix"):
+    def build(ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
+        with wrap(".matrix"):
             m = DissimilarityMatrix(ids, matrix)
         if k is not None and not 1 <= k <= len(ids):
-            fail(f"{path}.k", f"k={k} outside 1..{len(ids)}")
+            fail(f"k={k} outside 1..{len(ids)}", ".k")
         return ClusterProblem(m, linkage, k)
 
     payload = Record(
@@ -196,7 +196,6 @@ def codecs() -> tuple:
         ("linkage", choice(Linkage), "linkage", Linkage.SINGLE),
         ("k", INT, "k", None),
         build=build,
-        with_path=True,
     )
     solution = doc(
         ("merges", array(doc(("left", ID_LIST), ("right", ID_LIST), ("height", NUM)))),

@@ -41,6 +41,7 @@ def __getattr__(name: str):
 
 class ValidationError(ValueError):
     """An input violates a structural invariant."""
+    at = ""  #: the failing value's path below the value being read (probio's codecs)
 
 
 class GuardExceeded(RuntimeError):

@@ -130,8 +130,8 @@ def codecs() -> tuple:
     the body lines of its text report (``probio.OWNERS``)."""
     from .probio import INT, STR, List, Map, Record, Ref, Table, doc, scale, wrap
 
-    def build(path: str, tree: IntegrationNode) -> IntegrateProblem:
-        with wrap(f"{path}.tree"):
+    def build(tree: IntegrationNode) -> IntegrateProblem:
+        with wrap(".tree"):
             check_tables_total(tree)
         return IntegrateProblem(tree)
 
@@ -144,7 +144,7 @@ def codecs() -> tuple:
         ("estimate", INT, "estimate", None),
         build=IntegrationNode,
     )
-    payload = Record(("tree", node, "tree"), build=build, with_path=True)
+    payload = Record(("tree", node, "tree"), build=build)
 
     def text(sol: dict) -> list[str]:
         lines = [f"root estimate: {sol['root_estimate']}"]

@@ -216,9 +216,9 @@ def codecs() -> tuple:
     from .probio import FRAC, ID_LIST, IDS, INT, MATRIX, STR, List, Record, array, choice, doc, fail, render_number
 
     frame, cells = shapes()
-    def pair_actions(path: str, pair: tuple, items: tuple) -> PairActions:
+    def pair_actions(pair: tuple, items: tuple) -> PairActions:
         if len(pair) != 2:
-            fail(f"{path}.pair", "expected [element1, element2]")
+            fail("expected [element1, element2]", ".pair")
         return PairActions(*pair, items)
 
     element_set = Record(("ids", IDS, "ids"), ("matrix", MATRIX, "d"), build=DissimilarityMatrix)
@@ -226,7 +226,6 @@ def codecs() -> tuple:
         ("pair", List(STR), lambda a: (a.element1, a.element2)),
         ("items", items_codec("value"), "items"),
         build=pair_actions,
-        with_path=True,
     )
     payload = Record(
         ("set1", element_set, "spec.set1"),

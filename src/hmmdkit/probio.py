@@ -75,8 +75,11 @@ def render_number(x: Any) -> str:
 # ---------------------------------------------------------- low-level access
 
 
-def fail(path: str, message: str) -> None:
-    raise ParseError(path, message)
+def fail(message: str, at: str = "") -> None:
+    """Raise a ValidationError at the relative path ``at`` below the value being read."""
+    exc = ValidationError(message)
+    exc.at = at
+    raise exc
 
 
 class _Repeated(dict):
@@ -93,108 +96,97 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _obj(raw: Any, path: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
+def _obj(raw: Any, required: Iterable[str], optional: Iterable[str] = ()) -> None:
     if not isinstance(raw, dict):
-        fail(path, f"expected an object, got {type(raw).__name__}")
+        fail(f"expected an object, got {type(raw).__name__}")
     if raw.__class__ is _Repeated:
-        with wrap(path):
-            check_unique(raw.read_keys, "duplicate key")
+        check_unique(raw.read_keys, "duplicate key")
     missing = sorted(set(required) - set(raw))
     if missing:
-        fail(path, f"missing keys {missing}")
+        fail(f"missing keys {missing}")
     unknown = sorted(set(raw) - set(required) - set(optional))
     if unknown:
-        fail(path, f"unknown keys {unknown}")
-    return raw
+        fail(f"unknown keys {unknown}")
 
 
-def _list(raw: Any, path: str, min_len: int = 0) -> list:
+def _list(raw: Any, min_len: int = 0) -> None:
     if not isinstance(raw, list):
-        fail(path, f"expected an array, got {type(raw).__name__}")
+        fail(f"expected an array, got {type(raw).__name__}")
     if len(raw) < min_len:
-        fail(path, f"expected at least {min_len} entries, got {len(raw)}")
-    return raw
+        fail(f"expected at least {min_len} entries, got {len(raw)}")
 
 
-def _str(raw: Any, path: str) -> str:
+def _str(raw: Any) -> str:
     if not isinstance(raw, str) or not raw:
-        fail(path, "expected a non-empty string")
+        fail("expected a non-empty string")
     if not raw.isascii():
         # json.loads reads a lone surrogate escape, "\ud800", into a str
         # that no text report could write as UTF-8
         try:
             raw.encode()
         except UnicodeEncodeError:
-            fail(path, f"not UTF-8 text: {raw!r} holds a lone surrogate")
+            fail(f"not UTF-8 text: {raw!r} holds a lone surrogate")
     return raw
 
 
-def _int(raw: Any, path: str) -> int:
+def _int(raw: Any) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
-        fail(path, f"expected an integer, got {raw!r}")
+        fail(f"expected an integer, got {raw!r}")
     return raw
 
 
-def _bool(raw: Any, path: str) -> bool:
+def _bool(raw: Any) -> bool:
     if not isinstance(raw, bool):
-        fail(path, f"expected a boolean, got {raw!r}")
+        fail(f"expected a boolean, got {raw!r}")
     return raw
 
 
-def _frac(raw: Any, path: str) -> Fraction:
+def _frac(raw: Any) -> Fraction:
     if raw.__class__ is int:
         return Fraction(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str, Fraction)):
-        fail(path, f"expected a number, got {raw!r}")
-    try:
-        return as_frac(raw)
-    except ValidationError as exc:
-        fail(path, str(exc))
+        fail(f"expected a number, got {raw!r}")
+    return as_frac(raw)
 
 
-def _number(raw: Any, path: str) -> Any:
-    """Matrix entry: int stays int, float stays float, string becomes exact."""
-    if isinstance(raw, bool):
-        fail(path, f"expected a number, got {raw!r}")
-    if isinstance(raw, float) and not math.isfinite(raw):
-        fail(path, f"expected a finite number, got {raw!r}")
-    if isinstance(raw, (int, float)):
+def _number(raw: Any) -> Any:
+    """Matrix entry: an int or a finite float as is, anything else as by ``_frac``."""
+    if raw.__class__ is int or (raw.__class__ is float and math.isfinite(raw)):
         return raw
-    if isinstance(raw, str):
-        try:
-            return as_frac(raw)
-        except ValidationError as exc:
-            fail(path, str(exc))
-    fail(path, f"expected a number, got {raw!r}")
+    return _frac(raw)
 
 
 class wrap:
-    """Re-raise domain validation errors with position information."""
+    """Locate a ValidationError raised in the block at ``step`` below the value being read."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, step: str) -> None:
+        self.step = step
 
     def __enter__(self) -> None:
         pass
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if isinstance(exc, ValidationError) and not isinstance(exc, ParseError):
-            raise ParseError(self.path, str(exc)) from exc
+        if isinstance(exc, ValidationError):
+            exc.at = self.step + exc.at
         return False
 
 
 # -------------------------------------------------------------------- codecs
 #
-# A codec reads one JSON shape into a value with parse(raw, path) and
-# writes the value back with dump(value). Each problem type's payload and
-# report shapes are built from these codecs by ``codecs`` in the module
-# that owns the type (OWNERS), so a key is named in one place only.
+# A codec reads one JSON shape into a value with parse(raw) and writes the
+# value back with dump(value). Each problem type's shapes are built from
+# these codecs by ``codecs`` in the module that owns the type (OWNERS), so a
+# key is named in one place only. A codec or a ``build`` raises a plain
+# ValidationError for the value it is reading; each List, Map, Record or
+# Table the error passes out of prepends to its ``at`` the step that read
+# the failing value, ``[i]`` or ``.key``, and a file reader raises it as
+# one ParseError at root + ``at``. So a path is put together only on failure.
 
 
 class Leaf:
     """A scalar: ``parse`` checks and converts it, ``dump`` encodes it."""
 
-    def __init__(self, parse: Callable[[Any, str], Any], dump: Callable[[Any], Any] = lambda v: v) -> None:
+    def __init__(self, parse: Callable[[Any], Any], dump: Callable[[Any], Any] = lambda v: v) -> None:
         self.parse, self.dump = parse, dump
 
 
@@ -203,9 +195,9 @@ def choice(enum: type[Enum]) -> Leaf:
     values = tuple(e.value for e in enum)
     expected = ", ".join(map(repr, values[:-1])) + f" or {values[-1]!r}"
 
-    def parse(raw: Any, path: str) -> Enum:
+    def parse(raw: Any) -> Enum:
         if raw not in values:
-            fail(path, f"expected {expected}, got {raw!r}")
+            fail(f"expected {expected}, got {raw!r}")
         return enum(raw)
 
     return Leaf(parse, attrgetter("value"))
@@ -218,15 +210,16 @@ class List:
     def __init__(self, item: Any, min_len: int = 0, build: Callable = tuple, entries: Callable = iter) -> None:
         self.item, self.min_len, self.build, self.entries = item, min_len, build, entries
 
-    def parse(self, raw: Any, path: str) -> Any:
-        parse = self.item.parse
-        vals = tuple([parse(x, f"{path}[{i}]") for i, x in enumerate(_list(raw, path, self.min_len))])
+    def parse(self, raw: Any) -> Any:
+        parse, vals = self.item.parse, []
+        _list(raw, self.min_len)
         try:
-            return self.build(vals)
-        except ParseError:
-            raise
+            for x in raw:
+                vals.append(parse(x))
         except ValidationError as exc:
-            raise ParseError(path, str(exc)) from exc
+            exc.at = f"[{len(vals)}]{exc.at}"  # one value per entry read before it
+            raise
+        return self.build(tuple(vals))
 
     def dump(self, value: Any) -> list:
         return [self.item.dump(x) for x in self.entries(value)]
@@ -238,9 +231,16 @@ class Map:
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def parse(self, raw: Any, path: str) -> dict:
-        _obj(raw, path, (), raw)  # any key is allowed
-        return {k: self.value.parse(v, f"{path}.{k}") for k, v in raw.items()}
+    def parse(self, raw: Any) -> dict:
+        out = {}
+        _obj(raw, (), raw)  # any key is allowed
+        try:
+            for k, v in raw.items():
+                out[k] = self.value.parse(v)
+        except ValidationError as exc:
+            exc.at = f".{k}{exc.at}"
+            raise
+        return out
 
     def dump(self, value: dict) -> dict:
         return {k: self.value.dump(v) for k, v in value.items()}
@@ -260,33 +260,30 @@ class Record:
 
     The getter reads the field back from the built value: a dotted
     attribute name, a tuple index or a callable. The parsed fields go to
-    ``build`` in table order, after the record's path when ``with_path``
-    is set. ``dump`` leaves out an optional field whose getter returns
-    None and hands a required one to its codec.
+    ``build`` in table order. ``dump`` leaves out an optional field whose
+    getter returns None and hands a required one to its codec.
     """
 
-    def __init__(self, *fields: tuple, build: Callable = lambda *vals: vals, with_path: bool = False) -> None:
+    def __init__(self, *fields: tuple, build: Callable = lambda *vals: vals) -> None:
         self.fields = [(key, codec, _getter(get), default) for key, codec, get, *default in fields]
         self.keys = [f[0] for f in self.fields]
         self.required = [key for key, _, _, default in self.fields if not default]
         self.need, self.allowed = frozenset(self.required), frozenset(self.keys)
-        self.build, self.with_path = build, with_path
+        self.build = build
 
-    def parse(self, raw: Any, path: str) -> Any:
+    def parse(self, raw: Any) -> Any:
         # a plain dict with the right keys passes; anything else gets _obj's
         # message (a repeated key makes a _Repeated, never a dict)
         if not (raw.__class__ is dict and self.need <= raw.keys() <= self.allowed):
-            _obj(raw, path, self.required, self.keys)
-        vals = [
-            codec.parse(raw[key], f"{path}.{key}") if key in raw else default[0]
-            for key, codec, _, default in self.fields
-        ]
+            _obj(raw, self.required, self.keys)
+        vals = []
         try:
-            return self.build(path, *vals) if self.with_path else self.build(*vals)
-        except ParseError:
-            raise
+            for key, codec, _, default in self.fields:
+                vals.append(codec.parse(raw[key]) if key in raw else default[0])
         except ValidationError as exc:
-            raise ParseError(path, str(exc)) from exc
+            exc.at = f".{key}{exc.at}"
+            raise
+        return self.build(*vals)
 
     def dump(self, value: Any) -> dict:
         out = {}
@@ -306,14 +303,19 @@ class Table:
         self.row = Record(*((key, codec, i) for i, (key, codec) in enumerate(fields)))
         self.flat, self.min_len = len(fields) > 2, min_len
 
-    def parse(self, raw: Any, path: str) -> dict:
+    def parse(self, raw: Any) -> dict:
         table = {}
-        for i, row in enumerate(_list(raw, path, self.min_len)):
-            *key, value = self.row.parse(row, f"{path}[{i}]")
-            key = tuple(key) if self.flat else key[0]
-            if key in table:
-                fail(f"{path}[{i}]", f"duplicate entry for {key!r}")
-            table[key] = value
+        _list(raw, self.min_len)
+        try:
+            for row in raw:
+                *key, value = self.row.parse(row)
+                key = tuple(key) if self.flat else key[0]
+                if key in table:
+                    fail(f"duplicate entry for {key!r}")
+                table[key] = value
+        except ValidationError as exc:
+            exc.at = f"[{len(table)}]{exc.at}"  # one entry per row read before it
+            raise
         return table
 
     def dump(self, table: dict) -> list:
@@ -325,8 +327,8 @@ class Ref:
 
     target: Any
 
-    def parse(self, raw: Any, path: str) -> Any:
-        return self.target.parse(raw, path)
+    def parse(self, raw: Any) -> Any:
+        return self.target.parse(raw)
 
     def dump(self, value: Any) -> Any:
         return self.target.dump(value)
@@ -334,7 +336,7 @@ class Ref:
 
 def nullable(codec: Any) -> Leaf:
     """``codec``, or JSON null for None."""
-    return Leaf(lambda raw, path: None if raw is None else codec.parse(raw, path),
+    return Leaf(lambda raw: None if raw is None else codec.parse(raw),
                 lambda value: None if value is None else codec.dump(value))
 
 
@@ -421,22 +423,30 @@ def _canonical(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _read(parse: Callable, raw: Any, root: str) -> Any:
+    """``parse(raw)``, a ValidationError raised as the ParseError at ``root + exc.at``."""
+    try:
+        return parse(raw)
+    except ValidationError as exc:
+        raise ParseError(root + exc.at, str(exc)) from exc
+
+
 def _envelope(text: str, kind: str, kinds: Container[str], *keys: str) -> dict:
     """The top-level object of a file, after the checks every file shares:
     JSON with exactly the keys spec_version, ``kind`` and ``keys``, the
     current spec_version, and a ``kind`` value among ``kinds``."""
     try:
-        raw = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # a JSONDecodeError, or an int past Python's int/str digit limit
         raise ParseError("$", f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("$", "nested too deeply") from None
-    doc = _obj(raw, "$", ("spec_version", kind, *keys))
-    version = _int(doc["spec_version"], "$.spec_version")
+    _read(lambda raw: _obj(raw, ("spec_version", kind, *keys)), doc, "$")
+    version = _read(_int, doc["spec_version"], "$.spec_version")
     if version != SPEC_VERSION:
-        fail("$.spec_version", f"unsupported version {version}, expected {SPEC_VERSION}")
-    if _str(doc[kind], f"$.{kind}") not in kinds:
-        fail(f"$.{kind}", f"unknown {kind.replace('_', ' ')} {doc[kind]!r}")
+        raise ParseError("$.spec_version", f"unsupported version {version}, expected {SPEC_VERSION}")
+    if _read(_str, doc[kind], f"$.{kind}") not in kinds:
+        raise ParseError(f"$.{kind}", f"unknown {kind.replace('_', ' ')} {doc[kind]!r}")
     return doc
 
 
@@ -450,7 +460,7 @@ def parse_problem(text: str) -> ProblemFile:
     doc = _envelope(text, "problem_type", OWNERS, "payload")
     ptype = doc["problem_type"]
     try:
-        return ProblemFile(SPEC_VERSION, ptype, _codecs(ptype)[0].parse(doc["payload"], "$.payload"))
+        return ProblemFile(SPEC_VERSION, ptype, _read(_codecs(ptype)[0].parse, doc["payload"], "$.payload"))
     except RecursionError:  # a codec recurses through a tree's Ref, level by level
         raise ParseError("$", "nested too deeply") from None
 
@@ -516,9 +526,9 @@ def parse_result(text: str) -> ResultFile:
     return ResultFile(
         spec_version=SPEC_VERSION,
         problem_type=ptype,
-        method=_str(doc["method"], "$.method"),
-        solution=_codecs(ptype)[1].parse(doc["solution"], "$.solution"),
-        diagnostics=_DIAGNOSTICS.parse(doc["diagnostics"], "$.diagnostics"),
+        method=_read(_str, doc["method"], "$.method"),
+        solution=_read(_codecs(ptype)[1].parse, doc["solution"], "$.solution"),
+        diagnostics=_read(_DIAGNOSTICS.parse, doc["diagnostics"], "$.diagnostics"),
     )
 
 

@@ -179,11 +179,11 @@ def codecs() -> tuple:
     body lines of its text report (``probio.OWNERS``)."""
     from .probio import ID_LIST, IDS, MATRIX, NUM, STR, Record, doc, fail, render_number, wrap
 
-    def build(path: str, ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
-        with wrap(f"{path}.matrix"):
+    def build(ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
+        with wrap(".matrix"):
             inst = TspInstance(ids, matrix)
         if start is not None and start not in ids:
-            fail(f"{path}.start", f"unknown city {start!r}")
+            fail(f"unknown city {start!r}", ".start")
         return TspProblem(inst, start)
 
     payload = Record(
@@ -191,7 +191,6 @@ def codecs() -> tuple:
         ("matrix", MATRIX, "instance.dist"),
         ("start", STR, "start", None),
         build=build,
-        with_path=True,
     )
 
     def text(sol: dict) -> list[str]:

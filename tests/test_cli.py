@@ -598,11 +598,24 @@ def test_process_entry_runs_the_atexit_hooks_and_skips_teardown(tmp_path, capsys
 
 
 @pytest.mark.parametrize("code, argv", [(0, ["synth", "--input", COURSE]), (2, ["synth"])], ids=["ok", "usage"])
-def test_process_entry_keeps_the_code_when_stderr_is_closed(code, argv):
-    # with fd 2 closed at start, the interpreter sets sys.stderr to None
-    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=subprocess.DEVNULL, env=child_env(),
-                          preexec_fn=lambda: os.close(2))
-    assert proc.returncode == code
+def test_process_entry_keeps_the_code_when_stderr_is_closed(code, argv, capsys):
+    # with fd 2 closed at start, the interpreter sets sys.stderr to None; the
+    # error line is then dropped, not printed to stdout with the report (an
+    # unbuffered stdout, which os._exit cannot drop, would show it)
+    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=subprocess.PIPE,
+                          env={**child_env(), "PYTHONUNBUFFERED": "1"}, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout.decode()) == (code, run(capsys, *argv)[1])
+
+
+@pytest.mark.parametrize("code, argv", [(2, ["synth"]), (3, ["synth", "--input", "missing.morph"])],
+                         ids=["usage", "parse"])
+def test_process_entry_keeps_the_code_when_stderr_is_full(code, argv, tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=subprocess.PIPE, stderr=full,
+                              env=child_env(), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 #: a report that fills more than stdout's buffer, one that fits in it, and help
@@ -613,13 +626,15 @@ UNWRITABLE = {
 }
 
 
-def write_to_unwritable_stdout(tmp_path, report, stdout, env):
+def write_to_unwritable_stdout(tmp_path, report, stdout, env, **options):
     """Run ``python -m hmmdkit`` on the UNWRITABLE ``report`` with ``stdout``
-    as its standard output; return the exit code and stderr."""
+    as its standard output and ``options`` for ``subprocess.run``; return
+    the exit code and stderr."""
     tsp = tmp_path / "p.tsp"
     tsp.write_text(problem_text("tsp", MINIMAL["tsp"][0]))
     argv = [arg.format(tsp=tsp) for arg in UNWRITABLE[report]]
-    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          **options)
     return proc.returncode, proc.stderr.decode()
 
 
@@ -644,6 +659,26 @@ def test_a_report_to_a_closed_pipe_exits_1_with_one_line(report, tmp_path):
     finally:
         os.close(write)
     assert got == (1, f"hmmdkit: error: output: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.parametrize("report", sorted(UNWRITABLE))
+def test_a_report_to_a_closed_stdout_exits_1_with_one_line(report, tmp_path):
+    # with fd 1 closed at start, the interpreter sets sys.stdout to None
+    got = write_to_unwritable_stdout(tmp_path, report, None, child_env(), preexec_fn=lambda: os.close(1))
+    assert got == (1, f"hmmdkit: error: output: cannot write stdout: {os.strerror(errno.EBADF)}\n")
+
+
+def test_a_report_that_stdout_cannot_encode_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "p.tsp"
+    path.write_text(problem_text("tsp", {**MINIMAL["tsp"][0], "ids": ["\u00e9", "b", "c"]}))
+    argv = ["tsp", "--input", str(path), "--format", "text"]
+    with pytest.raises(UnicodeEncodeError) as exc:
+        run(capsys, *argv)[1].encode("ascii")
+    proc = subprocess.run([sys.executable, "-m", "hmmdkit", *argv], capture_output=True,
+                          env={**child_env(), "PYTHONIOENCODING": "ascii"})
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        1, b"", f"hmmdkit: error: output: cannot write stdout: {exc.value}\n"
+    )
 
 
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):

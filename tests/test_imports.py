@@ -268,6 +268,27 @@ def test_uniqueness_rule_lives_only_in_core():
                     )
 
 
+def test_parse_errors_are_made_only_by_the_file_readers():
+    # a codec or a build raises a plain ValidationError, and the containers
+    # it passes out of put its path together; a ParseError made anywhere
+    # else would carry a path of its own
+    readers = {"_read", "_envelope", "parse_problem", "parse_result"}
+    for path in sorted(Path(hmmdkit.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "with_path" not in text, path.name
+        tree = ast.parse(text)
+        exempt = set()
+        if path.name == "probio.py":
+            functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in readers]
+            assert {f.name for f in functions} == readers
+            exempt = {id(node) for f in functions for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in exempt:
+                assert not ast.unparse(node.func).endswith("ParseError"), (
+                    f"{path.name}:{node.lineno} makes a ParseError outside probio's file readers"
+                )
+
+
 def test_orientation_lives_only_in_criteria_oriented():
     # criteria.oriented is the one place a criterion's direction is read; a
     # solver that tests a direction itself would flip minimized values again

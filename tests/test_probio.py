@@ -288,11 +288,13 @@ def load_quality_cases(text):
     """The (a, b, relation) cases of the auxiliary fixture format: expected
     dominance relations between quality-vector pairs, read strictly by
     probio's codecs."""
+    from hmmdkit.probio import _read
+
     quality = Record(("w", INT, "w"), ("counts", List(INT, 1), "counts"), build=QualityVector)
-    relation = Leaf(lambda raw, path: raw if raw in RELATIONS else fail(path, f"unknown relation {raw!r}"))
+    relation = Leaf(lambda raw: raw if raw in RELATIONS else fail(f"unknown relation {raw!r}"))
     case = Record(("a", quality, 0), ("b", quality, 1), ("relation", relation, 2))
     doc = _envelope(text, "kind", ("quality_cases",), "cases")
-    return List(case, 1, list).parse(doc["cases"], "$.cases")
+    return _read(List(case, 1, list).parse, doc["cases"], "$.cases")
 
 
 def test_every_fixture_parses_and_solves():
@@ -620,6 +622,74 @@ RANK_REPORT = {
 }
 
 
+MORPH_TWO_LEVELS = {
+    "tree": {"id": "r", "children": [
+        {"id": "s", "children": [
+            {"id": "x", "alternatives": [{"id": "x1", "priority": 1}]},
+            {"id": "y", "alternatives": [{"id": "y1", "priority": 1}]},
+        ]},
+        {"id": "z", "alternatives": [{"id": "z1", "priority": 1}]},
+    ]},
+    "compat": [],
+}
+MCKP_TWO_GROUPS = {"criteria": C, "budget": 1, "groups": [
+    {"id": "g", "items": [ITEM]}, {"id": "h", "items": [{**ITEM, "id": "b"}]},
+]}
+COMPAT_ROW = {"node": "r", "left": "x1", "right": "y1", "value": 1}
+TSP, RANK = problem_text("tsp", CANONICAL["tsp"]), problem_text("rank", MINIMAL["rank"][0])
+
+#: case -> (reader, a file it reads, the keys and indices of one value, a
+#: value put there, the exact error): each kind of path the codecs put
+#: together, for a leaf, a build's sub-step, a domain record or a table row
+PATH_ERRORS = {
+    "cluster-k": (parse_problem, problem_text("cluster", MINIMAL["cluster"][0]), ("payload", "k"), 3,
+                  "$.payload.k: k=3 outside 1..2"),
+    "tsp-start": (parse_problem, TSP, ("payload", "start"), "z", "$.payload.start: unknown city 'z'"),
+    "pipeline-pair": (parse_problem, problem_text("pipeline", CANONICAL["pipeline"]),
+                      ("payload", "actions", 0, "pair"), ["e1"],
+                      "$.payload.actions[0].pair: expected [element1, element2]"),
+    "morph-compat": (parse_problem, problem_text("morph", MINIMAL["morph"][0]), ("payload", "compat"),
+                     [COMPAT_ROW, COMPAT_ROW], "$.payload.compat[1]: duplicate entry for ('r', 'x1', 'y1')"),
+    "trajectory-all-pairs": (parse_problem, problem_text("trajectory", CANONICAL["trajectory"]),
+                             ("payload", "all_pairs"), 1, "$.payload.all_pairs: expected a boolean, got 1"),
+    "tsp-matrix-str": (parse_problem, TSP, ("payload", "matrix", 1, 2), "x",
+                       "$.payload.matrix[1][2]: not a number: 'x'"),
+    "tsp-matrix-true": (parse_problem, TSP, ("payload", "matrix", 1, 2), True,
+                        "$.payload.matrix[1][2]: expected a number, got True"),
+    "tsp-matrix-null": (parse_problem, TSP, ("payload", "matrix", 1, 2), None,
+                        "$.payload.matrix[1][2]: expected a number, got None"),
+    "tsp-matrix-list": (parse_problem, TSP, ("payload", "matrix", 1, 2), [1],
+                        "$.payload.matrix[1][2]: expected a number, got [1]"),
+    "criteria-duplicate": (parse_problem, RANK, ("payload", "criteria"), C + C,
+                           "$.payload.criteria: duplicate criterion id 'c'"),
+    "assign-capacity": (parse_problem, problem_text("assign", MINIMAL["assign"][0]), ("payload", "capacity"),
+                        {"p": "two"}, "$.payload.capacity.p: expected an integer, got 'two'"),
+    "diagnostics-oracle": (parse_result, json.dumps(RANK_REPORT), ("diagnostics", "oracle"), "",
+                           "$.diagnostics.oracle: expected a non-empty string"),
+    "morph-nested": (parse_problem, problem_text("morph", MORPH_TWO_LEVELS),
+                     ("payload", "tree", "children", 0, "children", 1, "alternatives", 0, "priority"), "high",
+                     "$.payload.tree.children[0].children[1].alternatives[0].priority: expected an integer, got 'high'"),
+    "mckp-nested": (parse_problem, problem_text("mckp", MCKP_TWO_GROUPS), ("payload", "groups", 1, "items", 0, "cost"),
+                    -1, "$.payload.groups[1].items[0]: item 'b': cost must be nonnegative"),
+    "integrate-nested": (parse_problem, problem_text("integrate", CANONICAL["integrate"]),
+                         ("payload", "tree", "table", 1, "output"), "x",
+                         "$.payload.tree.table[1].output: expected an integer, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_ERRORS))
+def test_an_error_is_reported_at_the_value_being_read(case):
+    read, text, where, value, message = PATH_ERRORS[case]
+    read(text)  # the file reads until the one value is changed
+    doc = node = json.loads(text)
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = value
+    with pytest.raises(ParseError) as exc:
+        read(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def with_solution(report, **changes):
     return {**report, "solution": {**report["solution"], **changes}}
 
@@ -745,6 +815,21 @@ def test_write_problem_refuses_a_tree_nested_too_deeply(depth):
     # the codec recurses through the tree level by level, as parse_problem does
     with pytest.raises(ValidationError, match="^nested too deeply$"):
         write_problem(morph_chain(depth))
+
+
+def test_the_deepest_tree_write_problem_writes_parses_back():
+    # the codecs recurse through three frames a level when parsing, fewer
+    # than when writing, so the reader takes every tree the writer writes
+    lo, hi = 1, 250  # a chain write_problem writes, and one it refuses
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            write_problem(morph_chain(mid))
+            lo = mid
+        except ValidationError:
+            hi = mid
+    text = write_problem(morph_chain(lo))
+    assert write_problem(parse_problem(text)) == text
 
 
 @pytest.mark.parametrize("fmt", list(ResultFormat), ids=lambda fmt: fmt.value)
