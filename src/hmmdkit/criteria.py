@@ -35,11 +35,14 @@ def check_lengths(frame: CriteriaFrame, entries: Iterable[tuple]) -> None:
             raise ValidationError(f"{entry[1].format(*entry[2:])}: {n} values for {k} criteria")
 
 
-def nonnegative(value: Number | str, what: str, *args: object) -> Fraction:
-    """``as_frac(value)``; raise ``<what> must be nonnegative`` below 0."""
+def nonnegative(value: Number | str, what: str, *args: object, at: str = "") -> Fraction:
+    """``as_frac(value)``; raise ``<what> must be nonnegative`` below 0, at
+    the field ``at`` of the record being built (``ValidationError.at``)."""
     value = as_frac(value)
     if value < 0:
-        raise ValidationError(f"{what.format(*args)} must be nonnegative")
+        exc = ValidationError(f"{what.format(*args)} must be nonnegative")
+        exc.at = at
+        raise exc
     return value
 
 
@@ -57,7 +60,7 @@ class Criterion:
     def __post_init__(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise ValidationError("criterion id must be a non-empty string")
-        object.__setattr__(self, "weight", nonnegative(self.weight, "criterion {!r}: weight", self.id))
+        object.__setattr__(self, "weight", nonnegative(self.weight, "criterion {!r}: weight", self.id, at=".weight"))
 
 
 @frozen

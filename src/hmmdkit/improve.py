@@ -35,7 +35,7 @@ class ImprovementSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget", at=".budget"))
         if not self.parts:
             raise ValidationError("an improvement spec needs at least one part")
         check_unique([p.id for p in self.parts], "duplicate part id")

@@ -33,7 +33,7 @@ class KnapsackInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget", at=".budget"))
         check_unique([it.id for it in self.items], "duplicate item id")
         check_lengths(self.frame, ((it.value, "item {!r}", it.id) for it in self.items))
 

@@ -55,7 +55,7 @@ class MckpInstance:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise ValidationError("an instance needs at least one group")
-        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget", at=".budget"))
         check_unique([g.id for g in self.groups], "duplicate group id")
         items = self.all_items()
         check_unique([it.id for it in items], "duplicate item id")

@@ -46,7 +46,7 @@ class ThreeSetSpec:
     budget: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "budget", nonnegative(self.budget, "budget"))
+        object.__setattr__(self, "budget", nonnegative(self.budget, "budget", at=".budget"))
         object.__setattr__(
             self, "correspondence", tuple(tuple(r) for r in self.correspondence)
         )

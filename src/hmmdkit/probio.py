@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from importlib import import_module
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
 from .core import EstimateVector, OrdinalScale, ValidationError, as_frac, check_unique, frozen
@@ -174,20 +175,42 @@ class wrap:
 # -------------------------------------------------------------------- codecs
 #
 # A codec reads one JSON shape into a value with parse(raw) and writes the
-# value back with dump(value). Each problem type's shapes are built from
-# these codecs by ``codecs`` in the module that owns the type (OWNERS), so a
-# key is named in one place only. A codec or a ``build`` raises a plain
+# value back as JSON text with write(value, pad), laid out as
+# ``json.dumps(sort_keys=True, indent=2)`` lays it out, with ``pad`` the
+# indent of the line the value starts on. Each problem type's shapes are
+# built from these codecs by ``codecs`` in the module that owns the type
+# (OWNERS), so a key is named in one place only. A codec or a ``build`` raises a plain
 # ValidationError for the value it is reading; each List, Map, Record or
 # Table the error passes out of prepends to its ``at`` the step that read
 # the failing value, ``[i]`` or ``.key``, and a file reader raises it as
 # one ParseError at root + ``at``. So a path is put together only on failure.
 
 
-class Leaf:
-    """A scalar: ``parse`` checks and converts it, ``dump`` encodes it."""
+def _text(x: Any, pad: str = "") -> str:
+    """JSON text of a scalar, byte for byte as ``json.dumps`` writes it."""
+    if x.__class__ is str:
+        return _quote(x)
+    if x.__class__ is int:
+        return int.__repr__(x)
+    return json.dumps(x)  # bool, None and floats, NaN and the infinities among them
 
-    def __init__(self, parse: Callable[[Any], Any], dump: Callable[[Any], Any] = lambda v: v) -> None:
-        self.parse, self.dump = parse, dump
+
+def _number_text(x: Any, pad: str) -> str:
+    return _text(encode_number(x))
+
+
+def _join(texts: list[str], inner: str, pad: str, brackets: str) -> str:
+    """An array or object of the entry ``texts``, one a line at ``inner``."""
+    if not texts:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}{brackets[1]}"
+
+
+class Leaf:
+    """A scalar: ``parse`` checks and converts it, ``write`` writes its text."""
+
+    def __init__(self, parse: Callable[[Any], Any], write: Callable[[Any, str], str] = _text) -> None:
+        self.parse, self.write = parse, write
 
 
 def choice(enum: type[Enum]) -> Leaf:
@@ -200,7 +223,7 @@ def choice(enum: type[Enum]) -> Leaf:
             fail(f"expected {expected}, got {raw!r}")
         return enum(raw)
 
-    return Leaf(parse, attrgetter("value"))
+    return Leaf(parse, lambda member, pad: _text(member.value))
 
 
 class List:
@@ -221,8 +244,11 @@ class List:
             raise
         return self.build(tuple(vals))
 
-    def dump(self, value: Any) -> list:
-        return [self.item.dump(x) for x in self.entries(value)]
+    def write(self, value: Any, pad: str) -> str:
+        write, inner, texts = self.item.write, pad + "  ", []
+        for x in self.entries(value):
+            texts.append(write(x, inner))
+        return _join(texts, inner, pad, "[]")
 
 
 class Map:
@@ -242,8 +268,12 @@ class Map:
             raise
         return out
 
-    def dump(self, value: dict) -> dict:
-        return {k: self.value.dump(v) for k, v in value.items()}
+    def write(self, value: dict, pad: str) -> str:
+        """Keys sorted; a key that is not a str raises TypeError."""
+        write, inner, texts = self.value.write, pad + "  ", []
+        for k in sorted(value):
+            texts.append(f"{_quote(k)}: {write(value[k], inner)}")
+        return _join(texts, inner, pad, "{}")
 
 
 def _getter(get: Any) -> Callable[[Any], Any]:
@@ -260,8 +290,9 @@ class Record:
 
     The getter reads the field back from the built value: a dotted
     attribute name, a tuple index or a callable. The parsed fields go to
-    ``build`` in table order. ``dump`` leaves out an optional field whose
-    getter returns None and hands a required one to its codec.
+    ``build`` in table order. ``write`` writes the fields sorted by key,
+    leaves out an optional field whose getter returns None and hands a
+    required one to its codec.
     """
 
     def __init__(self, *fields: tuple, build: Callable = lambda *vals: vals) -> None:
@@ -270,6 +301,7 @@ class Record:
         self.required = [key for key, _, _, default in self.fields if not default]
         self.need, self.allowed = frozenset(self.required), frozenset(self.keys)
         self.build = build
+        self.writers = [(_quote(key) + ": ", *field) for key, *field in sorted(self.fields, key=itemgetter(0))]
 
     def parse(self, raw: Any) -> Any:
         # a plain dict with the right keys passes; anything else gets _obj's
@@ -285,13 +317,13 @@ class Record:
             raise
         return self.build(*vals)
 
-    def dump(self, value: Any) -> dict:
-        out = {}
-        for key, codec, get, default in self.fields:
+    def write(self, value: Any, pad: str) -> str:
+        inner, texts = pad + "  ", []
+        for name, codec, get, default in self.writers:
             x = get(value)
             if x is not None or not default:
-                out[key] = codec.dump(x)
-        return out
+                texts.append(name + codec.write(x, inner))
+        return _join(texts, inner, pad, "{}")
 
 
 class Table:
@@ -302,6 +334,9 @@ class Table:
     def __init__(self, *fields: tuple, min_len: int = 0) -> None:
         self.row = Record(*((key, codec, i) for i, (key, codec) in enumerate(fields)))
         self.flat, self.min_len = len(fields) > 2, min_len
+        # a table is written as the array of its rows, sorted by key
+        self.write = List(self.row, 0, tuple,
+                          lambda table: sorted((*k, v) if self.flat else (k, v) for k, v in table.items())).write
 
     def parse(self, raw: Any) -> dict:
         table = {}
@@ -318,9 +353,6 @@ class Table:
             raise
         return table
 
-    def dump(self, table: dict) -> list:
-        return [self.row.dump((*k, v) if self.flat else (k, v)) for k, v in sorted(table.items())]
-
 
 class Ref:
     """Forward reference for a recursive shape; set ``target`` once it exists."""
@@ -330,14 +362,14 @@ class Ref:
     def parse(self, raw: Any) -> Any:
         return self.target.parse(raw)
 
-    def dump(self, value: Any) -> Any:
-        return self.target.dump(value)
+    def write(self, value: Any, pad: str) -> str:
+        return self.target.write(value, pad)
 
 
 def nullable(codec: Any) -> Leaf:
     """``codec``, or JSON null for None."""
     return Leaf(lambda raw: None if raw is None else codec.parse(raw),
-                lambda value: None if value is None else codec.dump(value))
+                lambda value, pad: "null" if value is None else codec.write(value, pad))
 
 
 def doc(*fields: tuple) -> Record:
@@ -359,7 +391,7 @@ def array(item: Any) -> List:
 
 
 STR, INT, BOOL = Leaf(_str), Leaf(_int), Leaf(_bool)
-FRAC, NUM = Leaf(_frac, encode_number), Leaf(_number, encode_number)
+FRAC, NUM = Leaf(_frac, _number_text), Leaf(_number, _number_text)
 IDS = List(STR, 1)
 VECTOR = List(FRAC, 1, EstimateVector)
 MATRIX = List(List(NUM), 1)
@@ -419,10 +451,6 @@ def _codecs(problem_type: str) -> tuple:
     return import_module(f".{OWNERS[problem_type]}", __package__).codecs()
 
 
-def _canonical(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _read(parse: Callable, raw: Any, root: str) -> Any:
     """``parse(raw)``, a ValidationError raised as the ParseError at ``root + exc.at``."""
     try:
@@ -467,14 +495,10 @@ def parse_problem(text: str) -> ProblemFile:
 
 def write_problem(pf: ProblemFile) -> str:
     """Canonical text for a problem file (sorted keys, exact numbers)."""
+    file = Record(("spec_version", INT, "spec_version"), ("problem_type", STR, "problem_type"),
+                  ("payload", _codecs(pf.problem_type)[0], "payload"))
     try:
-        return _canonical(
-            {
-                "spec_version": pf.spec_version,
-                "problem_type": pf.problem_type,
-                "payload": _codecs(pf.problem_type)[0].dump(pf.payload),
-            }
-        )
+        return file.write(pf, "") + "\n"
     except RecursionError:  # a codec recurses through a tree's Ref, level by level
         raise ValidationError("nested too deeply") from None
 
@@ -505,15 +529,13 @@ def write_result(result: ResultFile, fmt: ResultFormat = ResultFormat.STRUCTURED
         if fmt is ResultFormat.TEXT:
             lines = [f"problem: {result.problem_type}", f"method: {result.method}", *text(result.solution)]
             return "\n".join(lines) + "\n"
-        return _canonical(
-            {
-                "spec_version": result.spec_version,
-                "problem_type": result.problem_type,
-                "method": result.method,
-                "solution": solution.dump(result.solution),
-                "diagnostics": _DIAGNOSTICS.dump({k: v for k, v in result.diagnostics.items() if v is not None}),
-            }
-        )
+        return Record(
+            ("spec_version", INT, "spec_version"),
+            ("problem_type", STR, "problem_type"),
+            ("method", STR, "method"),
+            ("solution", solution, "solution"),
+            ("diagnostics", _DIAGNOSTICS, lambda r: {k: v for k, v in r.diagnostics.items() if v is not None}),
+        ).write(result, "") + "\n"
     except RecursionError:  # a value nested past the recursion limit
         raise ValidationError("nested too deeply") from None
 

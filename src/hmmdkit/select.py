@@ -53,7 +53,7 @@ class Item:
     cost: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cost", nonnegative(self.cost, "item {!r}: cost", self.id))
+        object.__setattr__(self, "cost", nonnegative(self.cost, "item {!r}: cost", self.id, at=".cost"))
 
 
 @frozen

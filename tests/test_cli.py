@@ -14,7 +14,7 @@ import pytest
 import hmmdkit
 from conftest import replace
 from hmmdkit.cli import COMMANDS, main
-from hmmdkit.probio import ParseError, fixture_path, parse_problem, parse_result, write_result
+from hmmdkit.probio import ParseError, fixture_path, parse_problem, parse_result, write_problem, write_result
 from test_probio import CANONICAL, MINIMAL, problem_text
 
 COURSE = fixture_path("course_example.morph")
@@ -843,8 +843,8 @@ ACTION_ERRORS = [
         "$.payload.actions[0]",
         "pair ('e1', 'f1'): duplicate action id 't1'",
     ),
-    ("improve", _with(CANONICAL["improve"], lambda p: p.update(budget=-3)), "$.payload", "budget must be nonnegative"),
-    ("pipeline", _with(CANONICAL["pipeline"], lambda p: p.update(budget=-3)), "$.payload", "budget must be nonnegative"),
+    ("improve", _with(CANONICAL["improve"], lambda p: p.update(budget=-3)), "$.payload.budget", "budget must be nonnegative"),
+    ("pipeline", _with(CANONICAL["pipeline"], lambda p: p.update(budget=-3)), "$.payload.budget", "budget must be nonnegative"),
 ]
 
 
@@ -904,6 +904,21 @@ def test_input_nested_too_deeply_exits_3_with_one_line(command, tmp_path, capsys
     code, out, err = run(capsys, command, "--input", str(path))
     assert (code, err) == (0, "")
     assert "n99" in out
+
+
+def test_the_deepest_chain_parse_problem_reads_writes_back():
+    # write_problem recurses through a tree in the same three frames a level
+    # as parse_problem, so it writes back every tree the reader takes
+    lo, hi = 100, 400  # a chain parse_problem reads, and one it refuses
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse_problem(chain_text("synth", mid))
+            lo = mid
+        except ParseError:
+            hi = mid
+    text = write_problem(parse_problem(chain_text("synth", lo)))
+    assert write_problem(parse_problem(text)) == text
 
 
 # ------------------------------------------------------------- front end

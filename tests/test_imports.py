@@ -371,7 +371,7 @@ def test_every_problem_type_has_an_owner_with_codecs():
     assert {ptype for ptype, *_ in COMMANDS.values()} == set(OWNERS)
     for ptype, owner in OWNERS.items():
         payload, solution, text = importlib.import_module(f"hmmdkit.{owner}").codecs()
-        assert callable(payload.parse) and callable(solution.dump) and callable(text), ptype
+        assert callable(payload.parse) and callable(solution.write) and callable(text), ptype
 
 
 #: perfbench layers whose function is no longer in the program:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hmmdkit.core import ValidationError
 from hmmdkit.morph import DesignAlternative, MorphNode, MorphSystem, QualityVector, n_dominates
 from hmmdkit.probio import (
     INT,
+    MATRIX,
     Leaf,
     List,
     ParseError,
@@ -580,6 +582,74 @@ def test_result_round_trip_on_random_results():
         assert write_result(back, ResultFormat.STRUCTURED) == text
 
 
+def json_text(text):
+    """What ``json.dumps`` writes for the document in ``text``: the layout
+    the codecs' writer reproduces byte for byte."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_write_problem_and_write_result_lay_out_text_as_json_does():
+    rng = random.Random(43)
+    sources = [load_fixture(name) for name in FIXTURES]
+    sources += [problem_text(ptype, payload) for ptype, payload in CANONICAL.items()]
+    sources += [problem_text(ptype, payload) for ptype, (payload, _) in MINIMAL.items()]
+    problems = []
+    for text in sources:
+        problems.append(text)
+        # the mutants that still parse: keys dropped, values changed, entries repeated
+        all_mutants = list(mutants(json.loads(text)))
+        problems += [json.dumps(doc) for doc in rng.sample(all_mutants, min(200, len(all_mutants)))]
+    written = 0
+    for text in problems:
+        try:
+            pf = parse_problem(text)
+        except ParseError:
+            continue
+        canonical = write_problem(pf)
+        assert canonical == json_text(canonical)
+        assert write_problem(parse_problem(canonical)) == canonical
+        written += 1
+    assert written > 100
+    for _ in range(100):
+        result = random_result(rng)
+        text = write_result(result)
+        assert text == json_text(text)
+        assert parse_result(text) == result
+
+
+def test_the_writer_matches_json_on_edge_values():
+    def written(solution, diagnostics=()):
+        return write_result(ResultFile(1, "tsp", "two_opt", solution, dict(diagnostics)))
+
+    def expected(solution, diagnostics=()):
+        doc = {"spec_version": 1, "problem_type": "tsp", "method": "two_opt",
+               "solution": solution, "diagnostics": dict(diagnostics)}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    edges = [
+        ({"order": [], "length": 0}, {}),  # an empty list and an empty map
+        ({"order": ["caf\u00e9", "\U0001f600", "\ud800"], "length": 1}, {"solver": "\u00e9", "oracle": "ok"}),
+        ({"order": ("a", "b"), "length": 2}, {}),
+        *(({"order": ["a"], "length": x}, {}) for x in (1e308, -0.0, 0.1, math.nan, math.inf, -math.inf)),
+    ]
+    for solution, diagnostics in edges:
+        text = written(solution, diagnostics)
+        assert text == expected(solution, diagnostics)
+    matrix = [[1e308, -0.0, 2], [math.nan, math.inf, -math.inf], []]
+    assert MATRIX.write(matrix, "") == json.dumps(matrix, indent=2)
+    assert math.copysign(1, parse_result(written({"order": ["a"], "length": -0.0})).solution["length"]) == -1
+    # past Python's int/str digit limit, json raises ValueError and so does the writer
+    huge = {"order": ["a"], "length": 10**5000}
+    with pytest.raises(ValueError):
+        expected(huge)
+    with pytest.raises(ValueError):
+        written(huge)
+    # json writes the int key 1 as "1"; the writer refuses a key that is not a str
+    rank = ResultFile(1, "rank", "utility", {"priorities": {1: 1}, "scores": {1: 0}}, {})
+    with pytest.raises(TypeError):
+        write_result(rank)
+
+
 def test_id_keyed_maps_round_trip_whatever_the_ids():
     # part and node ids that match numeric field names stay plain ids
     improve = ResultFile(
@@ -670,7 +740,11 @@ PATH_ERRORS = {
                      ("payload", "tree", "children", 0, "children", 1, "alternatives", 0, "priority"), "high",
                      "$.payload.tree.children[0].children[1].alternatives[0].priority: expected an integer, got 'high'"),
     "mckp-nested": (parse_problem, problem_text("mckp", MCKP_TWO_GROUPS), ("payload", "groups", 1, "items", 0, "cost"),
-                    -1, "$.payload.groups[1].items[0]: item 'b': cost must be nonnegative"),
+                    -1, "$.payload.groups[1].items[0].cost: item 'b': cost must be nonnegative"),
+    "mckp-budget": (parse_problem, problem_text("mckp", MCKP_TWO_GROUPS), ("payload", "budget"), -1,
+                    "$.payload.budget: budget must be nonnegative"),
+    "rank-weight": (parse_problem, RANK, ("payload", "criteria", 0, "weight"), -1,
+                    "$.payload.criteria[0].weight: criterion 'c': weight must be nonnegative"),
     "integrate-nested": (parse_problem, problem_text("integrate", CANONICAL["integrate"]),
                          ("payload", "tree", "table", 1, "output"), "x",
                          "$.payload.tree.table[1].output: expected an integer, got 'x'"),
@@ -810,17 +884,19 @@ def morph_chain(depth):
     return ProblemFile(1, "morph", MorphProblem(MorphSystem(node, {})))
 
 
-@pytest.mark.parametrize("depth", [250, 2000])
+@pytest.mark.parametrize("depth", [400, 2000])
 def test_write_problem_refuses_a_tree_nested_too_deeply(depth):
-    # the codec recurses through the tree level by level, as parse_problem does
+    # the codec recurses through the tree level by level, as parse_problem
+    # does, and parse_problem refuses a chain 400 levels deep too
     with pytest.raises(ValidationError, match="^nested too deeply$"):
         write_problem(morph_chain(depth))
 
 
 def test_the_deepest_tree_write_problem_writes_parses_back():
-    # the codecs recurse through three frames a level when parsing, fewer
-    # than when writing, so the reader takes every tree the writer writes
-    lo, hi = 1, 250  # a chain write_problem writes, and one it refuses
+    # the codecs recurse through the same three frames a level when writing
+    # as when parsing, so at the top level the reader takes every tree the
+    # writer writes (and test_cli's deepest-chain test pins the converse)
+    lo, hi = 1, 400  # a chain write_problem writes, and one it refuses
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:

@@ -1,4 +1,4 @@
-"""Kernel ladders for the solvers, and compile, parse and process rungs
+"""Kernel ladders for the solvers, and compile, parse, write and process rungs
 for start-up and exit.
 
 Times each rung of eleven scaling ladders (outranking, Pareto layers,
@@ -7,9 +7,9 @@ synthesis, compose, trajectory) on seeded
 instances from the benchmark's generators (``perfbench/workloads.py``,
 imported, not edited), one ``compile()`` of each module a CLI run may
 compile from source, a warm ``probio.parse_problem`` of two seed-0
-benchmark inputs, and two child processes: ``python -m hmmdkit synth``
-on the course example and a bare ``python -c pass``, the tree-independent
-reference. A process rung reads either the child's whole wall time or its
+benchmark inputs and a ``probio.write_problem`` of each, parsed once, and
+two child processes: ``python -m hmmdkit synth`` on the course example and
+a bare ``python -c pass``, the tree-independent reference. A process rung reads either the child's whole wall time or its
 exit phase, from the last ``atexit`` hook (EXIT_PROBE) to the moment this
 process has waited for the child: the interpreter's teardown, which the
 ``hmmdkit`` entry skips with ``os._exit`` and ``python -c pass`` does not,
@@ -92,7 +92,9 @@ RUNGS = (
     + [("compile", {"module": m})
        for m in ("cli", "core", "probio", "criteria", "rank", "select", "knapsack", "mckp", "cluster", "assign",
                  "route", "morph", "synth", "frameworks", "trajectory", "integrate", "pipeline", "improve", "help")]
-    + [("parse", {"workload": w, "input": i}) for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
+    # parsing and writing back two seed-0 benchmark inputs
+    + [(kernel, {"workload": w, "input": i})
+       for kernel in ("parse", "write") for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
     # the process: a synth run through the package's __main__.py, and a bare interpreter
     + [("process", {"run": r, "phase": p}) for r in ("synth", "pass") for p in ("wall", "exit")]
 )
@@ -172,6 +174,11 @@ def _call(kernel: str, size: dict):
 
         text = _inputs(size["workload"])[size["input"]]
         return lambda: parse_problem(text)
+    if kernel == "write":
+        from hmmdkit.probio import parse_problem, write_problem
+
+        pf = parse_problem(_inputs(size["workload"])[size["input"]])
+        return lambda: write_problem(pf)
     # a compose rung draws the same model as the synthesis rung of its size
     model = "synthesis" if kernel == "compose" else kernel
     rng = random.Random(f"ladder:{model}:{sorted(size.items())}")
