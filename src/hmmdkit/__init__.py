@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "core": (
         "Best",
-        "EstimateVector",
         "GuardExceeded",
         "InfeasibleError",
         "OracleError",
@@ -37,6 +36,7 @@ _EXPORTS = {
         "dominates",
     ),
     "criteria": ("Criterion", "CriteriaFrame", "Direction", "equal_weight_frame", "scalarize"),
+    "exact": ("EstimateVector",),
     "improve": ("ImprovementPart", "ImprovementSpec", "plan_improvement"),
     "integrate": ("IntegrationNode", "evaluate_integration_tree"),
     "knapsack": ("KnapsackInstance", "knapsack_exact", "knapsack_greedy"),

@@ -11,17 +11,9 @@ import heapq
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import (
-    EstimateVector,
-    Number,
-    OracleError,
-    ValidationError,
-    check_guard,
-    check_unique,
-    frozen,
-    non_dominated,
-)
+from .core import OracleError, ValidationError, check_guard, check_unique, frozen, non_dominated
 from .criteria import CriteriaFrame, as_ints, check_lengths, oriented_columns, scalarize, shapes, vector_sum
+from .exact import EstimateVector, Number
 
 ENUMERATION_GUARD = 9
 
@@ -270,7 +262,8 @@ def report_assign(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The assign file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, FRACS, IDS, INT, PAIRS, Map, Record, array, doc, render_number
+    from .exact import FRAC, FRACS, render_number
+    from .probio import IDS, INT, PAIRS, Map, Record, array, doc
 
     frame, cells = shapes()
 

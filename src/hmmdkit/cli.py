@@ -19,19 +19,15 @@ import atexit
 import errno
 import os
 import sys
-from fractions import Fraction
 from importlib import import_module
 
 from . import probio
-from .core import (
-    GuardExceeded,
-    InfeasibleError,
-    OracleError,
-    ValidationError,
-    as_frac,
-    guard_limit,
-)
+from .core import GuardExceeded, InfeasibleError, OracleError, ValidationError, guard_limit
 from .probio import ResultFile, ResultFormat, parse_problem, write_result
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_SOLVE = 1
@@ -134,6 +130,8 @@ def _write(text: str, output: str | None):
 def _parse_weights(raw: str | None) -> list[Fraction] | None:
     if raw is None:
         return None
+    from .exact import as_frac  # only weights load exact numbers here
+
     try:
         return [as_frac(tok.strip()) for tok in raw.split(",")]
     except ValidationError as exc:

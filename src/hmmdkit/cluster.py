@@ -13,7 +13,8 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
-from .core import Number, OracleError, ValidationError, check_dissimilarities, frozen
+from .core import OracleError, ValidationError, check_dissimilarities, frozen
+from .exact import Number
 
 
 class Linkage(Enum):
@@ -180,8 +181,8 @@ def report_cluster(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The cluster file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import ID_LIST, IDS, INT, MATRIX, NUM, Record, array, choice, doc, fail, nullable
-    from .probio import render_number, wrap
+    from .exact import MATRIX, NUM, render_number
+    from .probio import ID_LIST, IDS, INT, Record, array, choice, doc, fail, nullable, wrap
 
     def build(ids: tuple, matrix: tuple, linkage: Linkage, k: int | None) -> ClusterProblem:
         with wrap(".matrix"):

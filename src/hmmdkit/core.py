@@ -1,33 +1,32 @@
-"""Shared domain types: errors, frozen records, guards, exact numbers,
-ordinal scales, estimate vectors and the dominance relation.
+"""Shared domain types: errors, frozen records, guards, ordinal scales,
+the record rules and the dominance relation.
 
 Everything downstream (ranking, selection, synthesis) works on exact
 rational estimates; the componentwise dominance relation defined here is
-the primitive every solver shares. Criteria frames live in ``criteria``,
-which only the weighted problem types load, and Pareto layers and min-max
-normalization in ``rank``; their names stay importable from here.
+the primitive every solver shares. Exact numbers (``as_frac``, estimate
+vectors and their codecs) live in ``exact``, the one module that imports
+``fractions``, so a run whose file needs no Fraction never loads it.
+Criteria frames live in ``criteria``, which only the weighted problem
+types load, and Pareto layers and min-max normalization in ``rank``;
+their names, and ``EstimateVector``, stay importable from here.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from enum import Enum
-from fractions import Fraction
 from operator import attrgetter, ge, gt
 
-Number = int | float | Fraction
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from .exact import Number
 
-#: the most digits of a number string's numerator or denominator: Python's
-#: default int/str limit, past which no report could write the number
-MAX_DIGITS = 4300
-_PAST_MAX_DIGITS = 10**MAX_DIGITS
-
-#: names that moved to ``criteria`` and ``rank``, still importable from here
+#: names that moved to ``criteria``, ``rank`` and ``exact``, still importable from here
 _MOVED = {
     **dict.fromkeys(("Direction", "Criterion", "CriteriaFrame"), "criteria"),
     **dict.fromkeys(("normalize_estimates", "pareto_layers"), "rank"),
+    "EstimateVector": "exact",
 }
 
 
@@ -148,39 +147,6 @@ def check_guard(size: int, default: int, what: str) -> None:
         raise GuardExceeded(f"{size} {what} exceed guard {limit}")
 
 
-def as_frac(x: Number | str) -> Fraction:
-    """Coerce a number to an exact Fraction.
-
-    Floats go through their shortest decimal repr, so 0.1 becomes 1/10
-    rather than the binary expansion. Strings accept "p/q" and decimal
-    forms.
-    """
-    if x.__class__ is int:  # before isinstance(x, Fraction), an ABC check
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise ValidationError(f"expected a number, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValidationError(f"expected a finite number, got {x!r}")
-        return Fraction(str(x))
-    if isinstance(x, str):
-        # Fraction builds 10**exponent first, which takes seconds for an
-        # exponent of a million
-        _, e, exponent = x.lower().partition("e")
-        try:
-            value = None if e and abs(int(exponent)) > MAX_DIGITS else Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a number: {x!r}") from exc
-        if value is None or max(abs(value.numerator), value.denominator) >= _PAST_MAX_DIGITS:
-            raise ValidationError(f"number out of range: {x!r} has more than {MAX_DIGITS} digits")
-        return value
-    raise ValidationError(f"not a number: {x!r}")
-
-
 # The record rules (``criteria`` holds the two about frames). Each message
 # is formatted only on failure: ``message.format(*args)`` names the record
 # or the entry.
@@ -223,27 +189,6 @@ class OrdinalScale:
 DEFAULT_COMPAT_SCALE = OrdinalScale(0, 3, Best.HIGH)
 #: priority scale of design alternatives (1 is best)
 DEFAULT_PRIORITY_SCALE = OrdinalScale(1, 3, Best.LOW)
-
-
-@frozen
-class EstimateVector:
-    """One estimate per criterion of the governing frame."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[Number | str]) -> None:
-        object.__setattr__(self, "values", tuple(as_frac(v) for v in values))
-        if not self.values:
-            raise ValidationError("an estimate vector must not be empty")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
 
 
 def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> None:

@@ -21,7 +21,8 @@ from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
 
-from .core import EstimateVector, Number, ValidationError, as_frac, check_unique, frozen
+from .core import ValidationError, check_unique, frozen
+from .exact import EstimateVector, Number, as_frac
 
 
 def check_lengths(frame: CriteriaFrame, entries: Iterable[tuple]) -> None:
@@ -183,7 +184,8 @@ def shapes() -> tuple:
     """The problem-file codecs of a criteria frame and of a matrix of
     estimate vectors (one row per agent or element, one vector per cell),
     built from ``probio``'s engine; the weighted types' ``codecs`` use them."""
-    from .probio import FRAC, STR, VECTOR, List, Record, choice
+    from .exact import FRAC, VECTOR
+    from .probio import STR, List, Record, choice
 
     frame = List(
         Record(

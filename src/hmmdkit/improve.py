@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import GuardExceeded, Number, OracleError, ValidationError, check_unique, frozen
+from .core import GuardExceeded, OracleError, ValidationError, check_unique, frozen
 from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes
+from .exact import Number
 from .mckp import Group, GroupRule, MckpInstance, mckp_exact_dp, mckp_greedy
 from .select import Item, SelectionSolution, items_codec, selection_codecs, selection_payload
 
@@ -124,7 +125,8 @@ def report_improve(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The improve file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, STR, List, Map, Record, nullable
+    from .exact import FRAC
+    from .probio import STR, List, Map, Record, nullable
 
     frame, _ = shapes()
     part = Record(("id", STR, "id"), ("actions", items_codec("effect"), "actions"), build=ImprovementPart)

@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import Number, check_guard, check_unique, frozen
+from .core import check_guard, check_unique, frozen
 from .criteria import CriteriaFrame, as_ints, check_lengths, nonnegative, shapes
+from .exact import Number
 from .select import (
     TABLE_GUARD,
     Item,
@@ -122,7 +123,8 @@ def report_knapsack(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The knapsack file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, Record
+    from .exact import FRAC
+    from .probio import Record
 
     frame, _ = shapes()
     payload = Record(

@@ -13,8 +13,9 @@ from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
-from .core import InfeasibleError, Number, ValidationError, check_guard, check_unique, frozen
+from .core import InfeasibleError, ValidationError, check_guard, check_unique, frozen
 from .criteria import CriteriaFrame, as_ints, check_lengths, nonnegative, shapes
+from .exact import Number
 from .select import (
     TABLE_GUARD,
     Item,
@@ -188,7 +189,8 @@ def report_mckp(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The mckp file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, STR, List, Record, choice
+    from .exact import FRAC
+    from .probio import STR, List, Record, choice
 
     frame, _ = shapes()
     group = Record(("id", STR, "id"), ("items", items_codec("value"), "items"), build=Group)

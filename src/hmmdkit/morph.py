@@ -27,7 +27,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from .core import (
     DEFAULT_COMPAT_SCALE,
     DEFAULT_PRIORITY_SCALE,
-    EstimateVector,
     OrdinalScale,
     ValidationError,
     check_guard,
@@ -36,6 +35,10 @@ from .core import (
     frozen,
     non_dominated,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a file without estimates never loads exact
+    from .exact import EstimateVector
 
 MAX_COMBINATIONS = 10**6
 
@@ -324,7 +327,24 @@ def compose_node(
     return decisions
 
 
-# ------------------------------------------------ report shapes
+# ------------------------------------------------ file and report shapes
+
+
+class LazyExact:
+    """The codec ``exact.<name>`` (``FRAC``, ``VECTOR``) of a field that
+    synth and trajectory files seldom hold: ``exact`` and ``fractions`` are
+    imported when a file first holds such a value, and the first lookup of
+    ``parse`` or ``write`` binds both to the codec's."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __getattr__(self, attr: str):  # parse or write, the first time
+        from . import exact
+
+        codec = getattr(exact, self.name)
+        self.parse, self.write = codec.parse, codec.write
+        return getattr(codec, attr)
 
 
 def quality_codecs() -> tuple:

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from .assign import AssignmentInstance, assign_greedy
 from .cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
-from .core import EstimateVector, Number, OracleError, ValidationError, check_unique, frozen
+from .core import OracleError, ValidationError, check_unique, frozen
 from .criteria import CriteriaFrame, check_lengths, nonnegative, shapes, vector_sum
+from .exact import EstimateVector, Number
 from .improve import ImprovementPart, ImprovementSpec, plan_improvement
 from .select import Item, items_codec
 
@@ -213,7 +214,8 @@ def report_pipeline(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The pipeline file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, ID_LIST, IDS, INT, MATRIX, STR, List, Record, array, choice, doc, fail, render_number
+    from .exact import FRAC, MATRIX, render_number
+    from .probio import ID_LIST, IDS, INT, STR, List, Record, array, choice, doc, fail
 
     frame, cells = shapes()
     def pair_actions(pair: tuple, items: tuple) -> PairActions:

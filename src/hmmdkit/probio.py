@@ -4,23 +4,23 @@ One self-describing JSON document per file: a spec_version, a
 problem_type discriminator, and a type-specific payload. Numbers are
 exact end to end: rationals serialize as ints, exact decimal strings, or
 "p/q" strings; floats keep their shortest repr. Structured output is
-canonical (sorted keys), so identical runs emit identical bytes.
+canonical (sorted keys), so identical runs emit identical bytes. The
+number encoding and the codecs of exact numbers live in ``exact``, which
+builds them on this engine, so this module imports no ``fractions``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Callable, Container, Iterable
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from importlib import import_module
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
-from .core import EstimateVector, OrdinalScale, ValidationError, as_frac, check_unique, frozen
+from .core import OrdinalScale, ValidationError, check_unique, frozen
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; probio reaches a domain module through OWNERS
@@ -40,37 +40,6 @@ class ParseError(ValidationError):
 class ResultFormat(Enum):
     STRUCTURED = "json"
     TEXT = "text"
-
-
-# ----------------------------------------------------------- number encoding
-
-
-def encode_number(x: Any) -> Any:
-    """Fraction -> int | exact decimal string | "p/q"; float/int unchanged."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        num, den = x.numerator, x.denominator
-        rest, twos, fives = den, 0, 0
-        while rest % 2 == 0:
-            rest //= 2
-            twos += 1
-        while rest % 5 == 0:
-            rest //= 5
-            fives += 1
-        if rest == 1:
-            k = max(twos, fives)
-            digits = str(abs(num) * 10**k // den).rjust(k + 1, "0")
-            return ("-" if num < 0 else "") + f"{digits[:-k]}.{digits[-k:]}"
-        return f"{num}/{den}"
-    return x
-
-
-def render_number(x: Any) -> str:
-    enc = encode_number(x)
-    if isinstance(enc, float):
-        return repr(enc)
-    return str(enc)
 
 
 # ---------------------------------------------------------- low-level access
@@ -142,21 +111,6 @@ def _bool(raw: Any) -> bool:
     return raw
 
 
-def _frac(raw: Any) -> Fraction:
-    if raw.__class__ is int:
-        return Fraction(raw)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str, Fraction)):
-        fail(f"expected a number, got {raw!r}")
-    return as_frac(raw)
-
-
-def _number(raw: Any) -> Any:
-    """Matrix entry: an int or a finite float as is, anything else as by ``_frac``."""
-    if raw.__class__ is int or (raw.__class__ is float and math.isfinite(raw)):
-        return raw
-    return _frac(raw)
-
-
 class wrap:
     """Locate a ValidationError raised in the block at ``step`` below the value being read."""
 
@@ -193,10 +147,6 @@ def _text(x: Any, pad: str = "") -> str:
     if x.__class__ is int:
         return int.__repr__(x)
     return json.dumps(x)  # bool, None and floats, NaN and the infinities among them
-
-
-def _number_text(x: Any, pad: str) -> str:
-    return _text(encode_number(x))
 
 
 def _join(texts: list[str], inner: str, pad: str, brackets: str) -> str:
@@ -387,18 +337,15 @@ def array(item: Any) -> List:
 #
 # Only shapes built from core types live here; a shape naming a domain
 # class is built by its owner module (a criteria frame's by
-# ``criteria.shapes``), so importing probio loads no solver module.
+# ``criteria.shapes``), and the exact numbers' by ``exact.shapes``, so
+# importing probio loads no solver module and no ``fractions``.
 
 
 STR, INT, BOOL = Leaf(_str), Leaf(_int), Leaf(_bool)
-FRAC, NUM = Leaf(_frac, _number_text), Leaf(_number, _number_text)
 IDS = List(STR, 1)
-VECTOR = List(FRAC, 1, EstimateVector)
-MATRIX = List(List(NUM), 1)
 # report shapes
 ID_LIST = array(STR)
 PAIRS = array(ID_LIST)  # [id, id] entries
-FRACS = array(FRAC)
 
 
 def scale(best: Best) -> Record:

@@ -13,17 +13,9 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import (
-    EstimateVector,
-    Number,
-    OracleError,
-    ValidationError,
-    as_frac,
-    check_unique,
-    dominates,
-    frozen,
-)
+from .core import OracleError, ValidationError, check_unique, dominates, frozen
 from .criteria import CriteriaFrame, as_ints, check_lengths, check_rows, oriented_columns, scalarize, shapes
+from .exact import EstimateVector, Number, as_frac
 
 DEFAULT_CONCORDANCE = Fraction(3, 5)
 DEFAULT_DISCORDANCE = Fraction(2, 5)
@@ -372,7 +364,8 @@ def report_rank(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The rank file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
-    from .probio import FRAC, INT, NUM, STR, VECTOR, List, Map, Record, doc, render_number
+    from .exact import FRAC, NUM, VECTOR, render_number
+    from .probio import INT, STR, List, Map, Record, doc
 
     frame, _ = shapes()
 

@@ -6,15 +6,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import (
-    GuardExceeded,
-    Number,
-    OracleError,
-    ValidationError,
-    check_dissimilarities,
-    check_guard,
-    frozen,
-)
+from .core import GuardExceeded, OracleError, ValidationError, check_dissimilarities, check_guard, frozen
+from .exact import Number
 
 BRUTE_FORCE_GUARD = 10
 
@@ -177,7 +170,8 @@ def report_tsp(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The tsp file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
-    from .probio import ID_LIST, IDS, MATRIX, NUM, STR, Record, doc, fail, render_number, wrap
+    from .exact import MATRIX, NUM, render_number
+    from .probio import ID_LIST, IDS, STR, Record, doc, fail, wrap
 
     def build(ids: tuple, matrix: tuple, start: str | None) -> TspProblem:
         with wrap(".matrix"):

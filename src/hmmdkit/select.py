@@ -17,16 +17,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from importlib import import_module
 
-from .core import (
-    EstimateVector,
-    GuardExceeded,
-    InfeasibleError,
-    Number,
-    OracleError,
-    ValidationError,
-    frozen,
-)
+from .core import GuardExceeded, InfeasibleError, OracleError, ValidationError, frozen
 from .criteria import CriteriaFrame, nonnegative, scalarize, vector_sum
+from .exact import EstimateVector, Number
 
 #: DP table cells of knapsack_exact and mckp_exact_dp
 TABLE_GUARD = 10**7
@@ -134,7 +127,8 @@ def report_selection(inst, method, weights, oracle, greedy_solve, exact_solve, k
 def items_codec(value_key: str):
     """An array of items whose value vectors sit under ``value_key``;
     knapsack, mckp, pipeline and improve files share it."""
-    from .probio import FRAC, STR, VECTOR, List, Record
+    from .exact import FRAC, VECTOR
+    from .probio import STR, List, Record
 
     return List(Record(("id", STR, "id"), (value_key, VECTOR, "value"), ("cost", FRAC, "cost"), build=Item), 1)
 
@@ -143,7 +137,8 @@ def selection_codecs(*extra: tuple) -> tuple:
     """The solution codec of a selection report, with ``extra`` ``(key,
     codec)`` fields, and the body lines of its text report; knapsack, mckp
     and improve share them."""
-    from .probio import FRAC, FRACS, ID_LIST, doc, render_number
+    from .exact import FRAC, FRACS, render_number
+    from .probio import ID_LIST, doc
 
     def text(sol: dict) -> list[str]:
         chosen = sol["chosen"]

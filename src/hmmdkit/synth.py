@@ -13,6 +13,7 @@ from .core import DEFAULT_COMPAT_SCALE, DEFAULT_PRIORITY_SCALE, Best, OracleErro
 from .morph import (
     CompositeDecision,
     DesignAlternative,
+    LazyExact,
     MorphNode,
     MorphSystem,
     _check_pairs,
@@ -136,12 +137,12 @@ def report_synth(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The morph file's payload codec, its report's solution codec and the
     body lines of its text report (``probio.OWNERS``)."""
-    from .probio import INT, PAIRS, STR, VECTOR, List, Record, Ref, Table, array, doc, scale
+    from .probio import INT, PAIRS, STR, List, Record, Ref, Table, array, doc, scale
 
     alternative = Record(
         ("id", STR, "id"),
         ("priority", INT, "priority"),
-        ("estimates", VECTOR, "estimates", None),
+        ("estimates", LazyExact("VECTOR"), "estimates", None),
         build=DesignAlternative,
     )
     node = Ref()

@@ -8,28 +8,36 @@ composition over inter-stage compatibilities. The module owns the
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .core import (
-    DEFAULT_COMPAT_SCALE,
-    Best,
-    OracleError,
-    OrdinalScale,
-    ValidationError,
-    as_frac,
-    check_unique,
-    frozen,
+from .core import DEFAULT_COMPAT_SCALE, Best, OracleError, OrdinalScale, ValidationError, check_unique, frozen
+from .morph import (
+    DesignAlternative,
+    LazyExact,
+    MorphNode,
+    MorphSystem,
+    QualityVector,
+    compose_node,
+    quality_codecs,
+    quality_payload,
 )
-from .morph import DesignAlternative, MorphNode, MorphSystem, QualityVector, compose_node, quality_codecs, quality_payload
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
 
 
 @frozen
 class Stage:
-    time: Fraction
+    """One stage: its time, an int or else an exact Fraction, and its decisions."""
+
+    time: int | Fraction
     decisions: tuple[tuple[str, int], ...]  # (decision id, priority)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "time", as_frac(self.time))
+        if self.time.__class__ is not int:  # an int time loads no exact numbers
+            from .exact import as_frac
+
+            object.__setattr__(self, "time", as_frac(self.time))
         object.__setattr__(self, "decisions", tuple(self.decisions))
         if not self.decisions:
             raise ValidationError("a stage needs at least one decision")
@@ -133,10 +141,14 @@ def report_trajectory(problem, method, weights, oracle):
 def codecs() -> tuple:
     """The trajectory file's payload codec, its report's solution codec and
     the body lines of its text report (``probio.OWNERS``)."""
-    from .probio import BOOL, FRAC, ID_LIST, INT, STR, List, Record, Table, array, doc
+    from .probio import BOOL, ID_LIST, INT, STR, Leaf, List, Record, Table, array, doc
 
+    frac = LazyExact("FRAC")
+    # an int time is read and written as it is; any other goes through FRAC
+    time = Leaf(lambda raw: raw if raw.__class__ is int else frac.parse(raw),
+                lambda t, pad: INT.write(t, pad) if t.__class__ is int else frac.write(t, pad))
     stage = Record(
-        ("time", FRAC, "time"),
+        ("time", time, "time"),
         ("decisions", List(Record(("id", STR, 0), ("priority", INT, 1)), 1), "decisions"),
         build=Stage,
     )

@@ -86,7 +86,7 @@ def oracle_normalize_estimates(frame, rows):
     on a constant column."""
     from fractions import Fraction
 
-    from hmmdkit.core import EstimateVector
+    from hmmdkit.exact import EstimateVector
     from hmmdkit.criteria import Direction, check_rows
 
     check_rows(frame, rows)
@@ -122,7 +122,7 @@ def level_value(student, work, level):
 
 def course_system():
     """The three-subsystem course model with the documented priority fixture."""
-    from hmmdkit.core import EstimateVector
+    from hmmdkit.exact import EstimateVector
     from hmmdkit.morph import DesignAlternative, MorphNode, MorphSystem
 
     def leaf(nid, das):
@@ -153,7 +153,7 @@ def course_system():
 
 def table5_assignment_instance():
     from hmmdkit.assign import AssignmentInstance
-    from hmmdkit.core import EstimateVector
+    from hmmdkit.exact import EstimateVector
     from hmmdkit.criteria import equal_weight_frame
 
     return AssignmentInstance(
@@ -167,7 +167,7 @@ def table5_assignment_instance():
 
 
 def table5_mckp_instance(budget):
-    from hmmdkit.core import EstimateVector
+    from hmmdkit.exact import EstimateVector
     from hmmdkit.criteria import equal_weight_frame
     from hmmdkit.mckp import Group, MckpInstance
     from hmmdkit.select import Item

@@ -17,8 +17,9 @@ from hmmdkit.assign import (
     assign_pareto,
 )
 from hmmdkit.cluster import DissimilarityMatrix, Linkage, build_dendrogram, cut_dendrogram
-from hmmdkit.core import EstimateVector, dominates
+from hmmdkit.core import dominates
 from hmmdkit.criteria import equal_weight_frame, scalarize
+from hmmdkit.exact import EstimateVector
 from hmmdkit.knapsack import KnapsackInstance, knapsack_exact, knapsack_greedy
 from hmmdkit.mckp import Group, MckpInstance, mckp_exact_dp, mckp_greedy
 from hmmdkit.morph import (

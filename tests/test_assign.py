@@ -12,8 +12,9 @@ from hmmdkit.assign import (
     assign_greedy,
     assign_pareto,
 )
-from hmmdkit.core import EstimateVector, GuardExceeded, ValidationError, dominates
+from hmmdkit.core import GuardExceeded, ValidationError, dominates
 from hmmdkit.criteria import CriteriaFrame, Criterion, Direction, as_ints, equal_weight_frame, scalarize
+from hmmdkit.exact import EstimateVector
 
 
 def vec(*v):

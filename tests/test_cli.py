@@ -287,6 +287,29 @@ def test_numbers_past_the_digit_limit_fail_while_parsing(budget, value, where, t
     assert err.startswith(f"hmmdkit: error: parse: {where}") and err.count("\n") == 1
 
 
+#: number strings with a run of more than 4,300 digits, and how their error quotes them
+LONG_NUMBERS = {
+    "4301 ones": ("1" * 4301, "'111111111111...1111111111111'"),
+    "1/ and 5000 threes": ("1/" + "3" * 5000, "'1/3333333333...3333333333333'"),
+    "0. and 5000 ones": ("0." + "1" * 5000, "'0.1111111111...1111111111111'"),
+}
+
+
+@pytest.mark.parametrize("text, quoted", LONG_NUMBERS.values(), ids=LONG_NUMBERS)
+def test_long_number_strings_fail_as_out_of_range(text, quoted, tmp_path, capsys):
+    # int() refuses more than 4,300 digits in a row, so these read as "not a
+    # number" and quoted the whole value, a 4-5 KB line; the error now names
+    # the digit limit and quotes 30 characters, in a file and in --weights
+    message = f"number out of range: {quoted} has more than 4300 digits\n"
+    path = _mckp_with(tmp_path, value=json.dumps([text]))
+    assert run(capsys, "mckp", "--input", path) == (
+        3, "", f"hmmdkit: error: parse: $.payload.groups[0].items[1].value[0]: {message}"
+    )
+    assert run(capsys, "assign", "--input", ASSIGN, f"--weights=1,2,{text}") == (
+        2, "", f"hmmdkit: error: usage: bad --weights: {message}"
+    )
+
+
 def test_a_huge_exponent_fails_at_once(tmp_path):
     # Fraction("1e999999999") would build 10**999999999 first; a child with
     # a timeout keeps a regression from hanging the suite

@@ -1,15 +1,15 @@
 import dataclasses
 import random
+import re
+import reprlib
 from fractions import Fraction
 
 import pytest
 
 from conftest import oracle_normalize_estimates
 from hmmdkit.core import (
-    EstimateVector,
     FrozenInstanceError,
     ValidationError,
-    as_frac,
     check_unique,
     dominates,
     frozen,
@@ -25,6 +25,7 @@ from hmmdkit.criteria import (
     scalarize,
     vector_sum,
 )
+from hmmdkit.exact import EstimateVector, as_frac
 from hmmdkit.morph import QualityVector, n_dominates
 from hmmdkit.rank import normalize_estimates, pareto_layers
 
@@ -117,10 +118,44 @@ def test_as_frac_rejects_numbers_past_the_digit_limit(text):
         as_frac(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 4301, "-" + "0" * 4301 + "1", "1/" + "3" * 5000, "0." + "1" * 5000, "1e" + "0" * 4301, "1_" * 4300 + "1"],
+    ids=["4301 ones", "-, 4301 zeros, 1", "1/ and 5000 threes", "0. and 5000 ones", "exponent of 4302 digits",
+         "4301 digits with underscores"],
+)
+def test_as_frac_rejects_digit_runs_past_the_limit_before_fraction(text):
+    # Fraction hands each run of digits to int(), which refuses more than
+    # 4,300; the run is counted first, and the message quotes 30 characters
+    with pytest.raises(ValidationError) as info:
+        as_frac(text)
+    assert str(info.value) == f"number out of range: {reprlib.repr(text)} has more than 4300 digits"
+    assert len(reprlib.repr(text)) == 30
+
+
+@pytest.mark.parametrize("value", [None, True, [1], {"a": 1}], ids=["None", "True", "list", "dict"])
+def test_as_frac_refuses_a_value_of_another_type(value):
+    # one message for every value that is not a number, bool included, so
+    # the file codec FRAC parses through as_frac itself
+    with pytest.raises(ValidationError, match=rf"^expected a number, got {re.escape(repr(value))}$"):
+        as_frac(value)
+
+
+def test_as_frac_quotes_a_bounded_prefix_of_a_long_non_number():
+    with pytest.raises(ValidationError, match=r"^not a number: 'x{12}\.\.\.x{13}'$"):
+        as_frac("x" * 5000)
+    with pytest.raises(ValidationError, match=r"^not a number: '1/0'$"):
+        as_frac("1/0")
+
+
 def test_as_frac_keeps_numbers_at_the_digit_limit():
     assert as_frac("1e4299") == 10**4299
     assert as_frac("-1e-4299") == Fraction(-1, 10**4299)
     assert as_frac("9" * 4299 + ".5") == Fraction(int("9" * 4299 + "5"), 10)
+    # runs of at most 4,300 digits each, in a string of more
+    assert as_frac("1" * 3000 + "/" + "3" * 3000) == Fraction(int("1" * 3000), int("3" * 3000))
+    assert as_frac("1" * 2200 + "." + "0" * 2200) == int("1" * 2200)
+    assert as_frac("1_" * 4299 + "1") == int("1" * 4300)
     with pytest.raises(ValidationError, match="not a number"):
         as_frac("1e")
 

@@ -18,12 +18,12 @@ from hmmdkit.cluster import DissimilarityMatrix, Linkage
 from hmmdkit.core import (
     DEFAULT_COMPAT_SCALE,
     Best,
-    EstimateVector,
     GuardExceeded,
     OrdinalScale,
     ValidationError,
 )
 from hmmdkit.criteria import equal_weight_frame
+from hmmdkit.exact import EstimateVector
 from hmmdkit.improve import ImprovementPart, ImprovementSpec, plan_improvement
 from hmmdkit.integrate import IntegrationNode, check_tables_total, evaluate_integration_tree
 from hmmdkit.mckp import Group, MckpInstance, mckp_exact_dp, mckp_greedy
@@ -31,6 +31,7 @@ from hmmdkit.morph import QualityVector, n_dominates
 from hmmdkit.pipeline import PairActions, ThreeSetSpec, run_three_set_pipeline
 from hmmdkit.select import Item
 from hmmdkit.trajectory import Stage, Trajectory, TrajectorySpec, design_trajectory
+from test_probio import problem_text
 
 SCALE13 = OrdinalScale(1, 3, Best.HIGH)
 
@@ -364,6 +365,33 @@ def test_trajectory_missing_adjacency_entry():
     )
     with pytest.raises(ValidationError):
         design_trajectory(spec)
+
+
+def test_stage_time_stays_an_int_and_is_exact_otherwise():
+    from hmmdkit.probio import parse_problem, write_problem
+
+    # an int time needs no Fraction, so a trajectory run of an integer-only
+    # file never loads the exact-number layer; equal, same hash, same bytes
+    stage = Stage(3, (("a", 1),))
+    assert stage.time.__class__ is int and stage == Stage(Fraction(3), (("a", 1),))
+    assert hash(stage) == hash(Stage(Fraction(3), (("a", 1),)))
+    for time in ("1/2", 0.5, Fraction(1, 2)):
+        assert Stage(time, (("a", 1),)).time.__class__ is Fraction
+        assert Stage(time, (("a", 1),)).time == Fraction(1, 2)
+    with pytest.raises(ValidationError, match="expected a number, got True"):
+        Stage(True, (("a", 1),))
+    text = write_problem(parse_problem(problem_text("trajectory", {
+        "stages": [{"time": 3, "decisions": [{"id": "a", "priority": 1}]},
+                   {"time": "1/2", "decisions": [{"id": "b", "priority": 1}]}],
+        "compat": [{"from": "a", "to": "b", "value": 2}],
+    })))
+    parsed = parse_problem(text)
+    times = [s.time for s in parsed.payload.spec.stages]
+    assert times == [3, Fraction(1, 2)] and times[0].__class__ is int
+    exact = replace(parsed, payload=replace(parsed.payload, spec=TrajectorySpec(
+        [Stage(Fraction(s.time), s.decisions) for s in parsed.payload.spec.stages], parsed.payload.spec.compat)))
+    assert write_problem(exact) == write_problem(parsed) == text
+    assert '"time": 3\n' in text and '"time": "0.5"\n' in text
 
 
 def test_trajectory_guard(monkeypatch):

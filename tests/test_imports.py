@@ -1,7 +1,8 @@
 """The package loads submodules on first use, each CLI subcommand
 imports only the solver modules it runs and none of the slow-to-import
-standard modules in NEVER, and the runtime needs nothing beyond the
-standard library."""
+standard modules in NEVER, the exact-number layer and its standard
+modules load only when a file's values need them, and the runtime needs
+nothing beyond the standard library."""
 
 import ast
 import contextlib
@@ -19,22 +20,25 @@ import pytest
 
 import hmmdkit
 from hmmdkit.cli import COMMANDS
-from hmmdkit.probio import OWNERS
+from hmmdkit.probio import OWNERS, load_fixture
 from test_probio import MINIMAL, problem_text
 
 BASE = {"hmmdkit", "hmmdkit.cli", "hmmdkit.core", "hmmdkit.probio"}
 CRITERIA = "hmmdkit.criteria"
+EXACT = "hmmdkit.exact"
 #: what every run of a weighted problem type loads besides its owner
-WEIGHTED = {CRITERIA}
+WEIGHTED = {CRITERIA, EXACT}
+#: the standard modules that importing fractions loads
+NUMERIC = {"fractions", "decimal", "numbers"}
 
 #: subcommand -> every hmmdkit module a run of it may load
 LOADS = {
     "rank": BASE | WEIGHTED | {"hmmdkit.rank"},
     "knapsack": BASE | WEIGHTED | {"hmmdkit.select", "hmmdkit.knapsack"},
     "mckp": BASE | WEIGHTED | {"hmmdkit.select", "hmmdkit.mckp"},
-    "cluster": BASE | {"hmmdkit.cluster"},
+    "cluster": BASE | {EXACT, "hmmdkit.cluster"},
     "assign": BASE | WEIGHTED | {"hmmdkit.assign"},
-    "tsp": BASE | {"hmmdkit.route"},
+    "tsp": BASE | {EXACT, "hmmdkit.route"},
     "synth": BASE | {"hmmdkit.morph", "hmmdkit.synth"},
     "trajectory": BASE | {"hmmdkit.morph", "hmmdkit.trajectory"},
     "integrate": BASE | {"hmmdkit.integrate"},
@@ -49,6 +53,7 @@ COMPAT = {
     "core": {
         **dict.fromkeys(("CriteriaFrame", "Criterion", "Direction"), "criteria"),
         **dict.fromkeys(("normalize_estimates", "pareto_layers"), "rank"),
+        "EstimateVector": "exact",
     },
     "frameworks": {
         **dict.fromkeys(("Stage", "TrajectorySpec", "design_trajectory"), "trajectory"),
@@ -77,13 +82,13 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hmmdkit" o
 
 
 def loaded_in_child(body: str, *argv: str) -> list[str]:
-    """The hmmdkit modules, and those of NEVER, that a fresh interpreter
-    holds after running ``body``."""
+    """The hmmdkit modules, and those of NEVER and NUMERIC, that a fresh
+    interpreter holds after running ``body``."""
     src = str(Path(hmmdkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # -S: a .pth file in site-packages may import typing before hmmdkit runs
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD.format(body=body, never=sorted(NEVER)), *argv],
+        [sys.executable, "-S", "-c", CHILD.format(body=body, never=sorted(NEVER | NUMERIC)), *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -101,7 +106,30 @@ def test_subcommand_loads_only_its_modules(command, tmp_path):
     path.write_text(problem_text(ptype, MINIMAL[ptype][0]))
     body = "from hmmdkit.cli import main\nassert main(sys.argv[1:]) == 0"
     loaded = set(loaded_in_child(body, command, "--input", str(path), "--output", str(tmp_path / "out")))
-    assert loaded == LOADS[command]  # and so nothing of NEVER
+    # nothing of NEVER, and fractions exactly when the exact-number layer loads
+    assert loaded == LOADS[command] | (NUMERIC if EXACT in LOADS[command] else set())
+
+
+STAGE_TIME_HALF = {"stages": [{"time": "1/2", "decisions": [{"id": "a", "priority": 1}]}], "compat": []}
+
+
+@pytest.mark.parametrize("command, ptype, payload, loads", [
+    ("synth", "morph", MINIMAL["morph"][0], False),
+    ("trajectory", "trajectory", MINIMAL["trajectory"][0], False),
+    ("integrate", "integrate", MINIMAL["integrate"][0], False),
+    ("synth", "morph", "student_strategy.morph", True),
+    ("trajectory", "trajectory", STAGE_TIME_HALF, True),
+], ids=["synth", "trajectory", "integrate", "synth-estimates", "trajectory-time-1/2"])
+def test_exact_numbers_load_only_when_a_value_needs_them(command, ptype, payload, loads, tmp_path):
+    # an integer-only morph, trajectory or integrate file needs no Fraction,
+    # so its run loads neither hmmdkit.exact nor fractions, decimal and
+    # numbers; an alternative's estimates or a stage time of 1/2 loads them
+    text = load_fixture(payload) if isinstance(payload, str) else problem_text(ptype, payload)
+    path = tmp_path / f"{ptype}.json"
+    path.write_text(text)
+    body = "from hmmdkit.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = set(loaded_in_child(body, command, "--input", str(path), "--output", str(tmp_path / "out")))
+    assert loaded & (NUMERIC | {EXACT}) == (NUMERIC | {EXACT} if loads else set())
 
 
 def test_runs_without_weighted_sums_load_no_scalar():
@@ -122,6 +150,8 @@ def test_runs_without_criteria_load_no_criteria():
     # frameworks facade
     for command in ("synth", "trajectory", "integrate", "cluster", "tsp"):
         assert CRITERIA not in LOADS[command], command
+    for command in ("synth", "trajectory", "integrate"):
+        assert EXACT not in LOADS[command], command
     assert not any("hmmdkit.frameworks" in loads for loads in LOADS.values())
 
 

@@ -14,12 +14,12 @@ from hmmdkit.cli import main
 from hmmdkit.core import (
     DEFAULT_COMPAT_SCALE,
     Best,
-    EstimateVector,
     GuardExceeded,
     OrdinalScale,
     ValidationError,
     check_guard,
 )
+from hmmdkit.exact import EstimateVector
 from hmmdkit.morph import (
     MAX_COMBINATIONS,
     CompositeDecision,

@@ -10,7 +10,6 @@ from hmmdkit.core import ValidationError
 from hmmdkit.morph import DesignAlternative, MorphNode, MorphSystem, QualityVector, n_dominates
 from hmmdkit.probio import (
     INT,
-    MATRIX,
     Leaf,
     List,
     ParseError,
@@ -19,7 +18,6 @@ from hmmdkit.probio import (
     ResultFile,
     ResultFormat,
     _envelope,
-    encode_number,
     fail,
     fixture_path,
     load_fixture,
@@ -463,6 +461,8 @@ def test_mutated_fixtures_fail_only_with_a_json_path():
 
 
 def test_number_encoding():
+    from hmmdkit.exact import encode_number  # not at the top: tools/report_diff.py imports this file on older trees
+
     assert encode_number(Fraction(5)) == 5
     assert encode_number(Fraction(5, 4)) == "1.25"
     assert encode_number(Fraction(1, 2)) == "0.5"
@@ -470,6 +470,35 @@ def test_number_encoding():
     assert encode_number(Fraction(1, 3)) == "1/3"
     assert encode_number(Fraction(-7, 6)) == "-7/6"
     assert encode_number(0.25) == 0.25
+
+
+def oracle_encode_number(x):
+    """The decimal form when the denominator's only primes are 2 and 5,
+    found by stripping both factors, as encode_number did before it took
+    the bit length as the bound on both exponents."""
+    if x.denominator == 1:
+        return x.numerator
+    rest, twos, fives = x.denominator, 0, 0
+    while rest % 2 == 0:
+        rest, twos = rest // 2, twos + 1
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if rest != 1:
+        return f"{x.numerator}/{x.denominator}"
+    k = max(twos, fives)
+    digits = str(abs(x.numerator) * 10**k // x.denominator).rjust(k + 1, "0")
+    return ("-" if x < 0 else "") + f"{digits[:-k]}.{digits[-k:]}"
+
+
+def test_number_encoding_matches_the_factor_stripping_oracle():
+    from hmmdkit.exact import encode_number  # not at the top: tools/report_diff.py imports this file on older trees
+
+    rng = random.Random(32)
+    for _ in range(5000):
+        den = 2 ** rng.randint(0, 40) * 5 ** rng.randint(0, 30) * rng.choice([1, 1, 3, 7, 9, 11])
+        x = Fraction(rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30)), den)
+        expected = oracle_encode_number(x)
+        assert encode_number(x) == expected and type(encode_number(x)) is type(expected), x
 
 
 def random_result(rng):
@@ -635,6 +664,8 @@ def test_the_writer_matches_json_on_edge_values():
     for solution, diagnostics in edges:
         text = written(solution, diagnostics)
         assert text == expected(solution, diagnostics)
+    from hmmdkit.exact import MATRIX  # not at the top: tools/report_diff.py imports this file on older trees
+
     matrix = [[1e308, -0.0, 2], [math.nan, math.inf, -math.inf], []]
     assert MATRIX.write(matrix, "") == json.dumps(matrix, indent=2)
     assert math.copysign(1, parse_result(written({"order": ["a"], "length": -0.0})).solution["length"]) == -1

@@ -6,8 +6,9 @@ import pytest
 
 import hmmdkit.rank
 from conftest import oracle_adjusted, oracle_normalize_estimates
-from hmmdkit.core import EstimateVector, OracleError, ValidationError, dominates
+from hmmdkit.core import OracleError, ValidationError, dominates
 from hmmdkit.criteria import Criterion, CriteriaFrame, Direction, as_ints, equal_weight_frame
+from hmmdkit.exact import EstimateVector
 from hmmdkit.rank import (
     RankingInstance,
     RankingResult,

@@ -24,8 +24,9 @@ import pytest
 
 from hmmdkit.assign import AssignmentInstance
 from hmmdkit.cluster import DissimilarityMatrix
-from hmmdkit.core import EstimateVector, ValidationError
+from hmmdkit.core import ValidationError
 from hmmdkit.criteria import Criterion, CriteriaFrame, equal_weight_frame
+from hmmdkit.exact import EstimateVector
 from hmmdkit.improve import ImprovementPart, ImprovementSpec
 from hmmdkit.knapsack import KnapsackInstance
 from hmmdkit.mckp import Group, MckpInstance

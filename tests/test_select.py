@@ -6,12 +6,12 @@ import pytest
 
 from conftest import ASSIGNED_PAIRS, pair_triple, table5_mckp_instance
 from hmmdkit.core import (
-    EstimateVector,
     GuardExceeded,
     InfeasibleError,
     ValidationError,
 )
 from hmmdkit.criteria import equal_weight_frame, scalarize
+from hmmdkit.exact import EstimateVector
 from hmmdkit.knapsack import KnapsackInstance, knapsack_exact, knapsack_greedy
 from hmmdkit.mckp import Group, GroupRule, MckpInstance, mckp_exact_dp, mckp_greedy
 from hmmdkit.select import Item, _solution

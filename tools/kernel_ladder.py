@@ -8,8 +8,10 @@ instances from the benchmark's generators (``perfbench/workloads.py``,
 imported, not edited), one ``compile()`` of each module a CLI run may
 compile from source, a warm ``probio.parse_problem`` of two seed-0
 benchmark inputs and a ``probio.write_problem`` of each, parsed once, and
-two child processes: ``python -m hmmdkit synth`` on the course example and
-a bare ``python -c pass``, the tree-independent reference. A process rung reads either the child's whole wall time or its
+three child processes: ``python -m hmmdkit synth`` on the course example
+(integers only, so it loads no exact numbers), ``python -m hmmdkit mckp``
+on the MCKP fixture (whose weights load ``exact`` and ``fractions``) and a
+bare ``python -c pass``, the tree-independent reference. A process rung reads either the child's whole wall time or its
 exit phase, from the last ``atexit`` hook (EXIT_PROBE) to the moment this
 process has waited for the child: the interpreter's teardown, which the
 ``hmmdkit`` entry skips with ``os._exit`` and ``python -c pass`` does not,
@@ -88,15 +90,17 @@ RUNGS = (
        for n, w, a in ((5, 4, False), (4, 6, True))]
     # start-up: what a run compiles when bytecode is not cached (cli, core,
     # probio, the module that owns the problem type and the modules it
-    # imports, or help for -h), and parsing
+    # imports, exact when the file needs an exact number, or help for -h)
     + [("compile", {"module": m})
-       for m in ("cli", "core", "probio", "criteria", "rank", "select", "knapsack", "mckp", "cluster", "assign",
-                 "route", "morph", "synth", "frameworks", "trajectory", "integrate", "pipeline", "improve", "help")]
+       for m in ("cli", "core", "probio", "exact", "criteria", "rank", "select", "knapsack", "mckp", "cluster",
+                 "assign", "route", "morph", "synth", "frameworks", "trajectory", "integrate", "pipeline", "improve",
+                 "help")]
     # parsing and writing back two seed-0 benchmark inputs
     + [(kernel, {"workload": w, "input": i})
        for kernel in ("parse", "write") for w, i in (("synth_front", "model1"), ("solver_mix", "pipeline"))]
-    # the process: a synth run through the package's __main__.py, and a bare interpreter
-    + [("process", {"run": r, "phase": p}) for r in ("synth", "pass") for p in ("wall", "exit")]
+    # the process: a synth run and an mckp run through the package's
+    # __main__.py, and a bare interpreter
+    + [("process", {"run": r, "phase": p}) for r in ("synth", "mckp", "pass") for p in ("wall", "exit")]
 )
 
 #: the first atexit hook registered runs last; it writes the clock
@@ -108,6 +112,8 @@ EXIT_PROBE = (
 #: ``python -m hmmdkit`` under EXIT_PROBE: runpy runs the package's
 #: __main__.py as ``-m`` does; the arguments follow the ``-c`` program
 PROBED_MAIN = EXIT_PROBE + 'import runpy\nrunpy.run_module("hmmdkit", run_name="__main__", alter_sys=True)\n'
+#: process rung -> (subcommand, shipped fixture) of its hmmdkit run
+PROCESS_RUNS = {"synth": ("synth", "course_example.morph"), "mckp": ("mckp", "table5_mckp.mckp")}
 
 
 def run_probed(program: str, argv: list[str], env: dict) -> dict:
@@ -166,8 +172,9 @@ def _call(kernel: str, size: dict):
         if size["run"] == "pass":
             program, argv = EXIT_PROBE, []
         else:
-            course = str(Path(hmmdkit.__file__).with_name("fixtures") / "course_example.morph")
-            program, argv = PROBED_MAIN, ["synth", "--input", course, "--format", "json"]
+            command, fixture = PROCESS_RUNS[size["run"]]
+            path = str(Path(hmmdkit.__file__).with_name("fixtures") / fixture)
+            program, argv = PROBED_MAIN, [command, "--input", path, "--format", "json"]
         return lambda: run_probed(program, argv, env)[size["phase"]]
     if kernel == "parse":
         from hmmdkit.probio import parse_problem
