@@ -57,7 +57,7 @@ def as_frac(x: Number | str) -> Fraction:
         # int() refuses a run of more than MAX_DIGITS digits (underscores
         # apart), so count them first; and Fraction builds 10**exponent
         # first, which takes seconds for an exponent of a million
-        long = len(x) > MAX_DIGITS and any(len(run) - run.count("_") > MAX_DIGITS for run in re.findall(r"[\d_]+", x))
+        long = len(x) > MAX_DIGITS and max(map(len, re.findall(r"\d+", x.replace("_", ""))), default=0) > MAX_DIGITS
         _, e, exponent = x.lower().partition("e")
         try:
             value = None if long or e and abs(int(exponent)) > MAX_DIGITS else Fraction(x)
@@ -94,17 +94,18 @@ def encode_number(x: Any) -> Any:
     """Fraction -> int | exact decimal string | "p/q"; float/int unchanged."""
     if not isinstance(x, Fraction):
         return x
-    num, den = x.numerator, x.denominator
+    num, den = x.as_integer_ratio()
     if den == 1:
         return num
-    # a denominator divides some power of ten only when its primes are 2
-    # and 5, and then it divides 10**k for k its bit length, a bound on both
-    # exponents; the digits past the last nonzero one are dropped
-    k = den.bit_length()
+    # a decimal form exists when den is 2**twos * 5**fives, and it has
+    # max(twos, fives) digits after the point; log5 of a power of 5 rounds
+    # to its exponent, and 10**k % den catches any other denominator
+    twos = (den & -den).bit_length() - 1
+    k = max(twos, round(math.log(den >> twos, 5)))
     if 10**k % den:
         return f"{num}/{den}"
     digits = str(abs(num) * 10**k // den).rjust(k + 1, "0")
-    return ("-" if num < 0 else "") + f"{digits[:-k]}.{digits[-k:].rstrip('0')}"
+    return ("-" if num < 0 else "") + f"{digits[:-k]}.{digits[-k:]}"
 
 
 def render_number(x: Any) -> str:

@@ -8,6 +8,7 @@ composition over inter-stage compatibilities. The module owns the
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .core import DEFAULT_COMPAT_SCALE, Best, OracleError, OrdinalScale, ValidationError, check_unique, frozen
 from .morph import (
@@ -26,6 +27,14 @@ if TYPE_CHECKING:  # annotations only
     from fractions import Fraction
 
 
+@cache
+def _as_frac():
+    """``exact.as_frac``, imported for the first stage time that is not an int."""
+    from .exact import as_frac
+
+    return as_frac
+
+
 @frozen
 class Stage:
     """One stage: its time, an int or else an exact Fraction, and its decisions."""
@@ -35,9 +44,7 @@ class Stage:
 
     def __post_init__(self) -> None:
         if self.time.__class__ is not int:  # an int time loads no exact numbers
-            from .exact import as_frac
-
-            object.__setattr__(self, "time", as_frac(self.time))
+            object.__setattr__(self, "time", _as_frac()(self.time))
         object.__setattr__(self, "decisions", tuple(self.decisions))
         if not self.decisions:
             raise ValidationError("a stage needs at least one decision")

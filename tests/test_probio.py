@@ -474,8 +474,7 @@ def test_number_encoding():
 
 def oracle_encode_number(x):
     """The decimal form when the denominator's only primes are 2 and 5,
-    found by stripping both factors, as encode_number did before it took
-    the bit length as the bound on both exponents."""
+    found by stripping both factors one at a time."""
     if x.denominator == 1:
         return x.numerator
     rest, twos, fives = x.denominator, 0, 0
@@ -499,6 +498,16 @@ def test_number_encoding_matches_the_factor_stripping_oracle():
         x = Fraction(rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30)), den)
         expected = oracle_encode_number(x)
         assert encode_number(x) == expected and type(encode_number(x)) is type(expected), x
+    # denominators at the digit limit: the digits written are only those the number has
+    for x in (Fraction(1, 10**2000), Fraction(-1, 10**4299), Fraction(1, 5**2700), Fraction(3, 2**5000)):
+        assert encode_number(x) == oracle_encode_number(x), x
+
+
+def test_a_number_at_the_digit_limit_is_written_back_as_a_decimal():
+    text = problem_text("knapsack", {"criteria": C, "items": [ITEM], "budget": "1e-4299"})
+    canonical = write_problem(parse_problem(text))
+    assert '"budget": "0.' + "0" * 4298 + '1"' in canonical
+    assert write_problem(parse_problem(canonical)) == canonical
 
 
 def random_result(rng):
