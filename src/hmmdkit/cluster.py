@@ -13,8 +13,8 @@ from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
-from .core import OracleError, ValidationError, check_dissimilarities, frozen
-from .exact import Number
+from .core import OracleError, ValidationError, frozen
+from .exact import Number, check_dissimilarities
 
 
 class Linkage(Enum):

@@ -4,8 +4,9 @@ the record rules and the dominance relation.
 Everything downstream (ranking, selection, synthesis) works on exact
 rational estimates; the componentwise dominance relation defined here is
 the primitive every solver shares. Exact numbers (``as_frac``, estimate
-vectors and their codecs) live in ``exact``, the one module that imports
-``fractions``, so a run whose file needs no Fraction never loads it.
+vectors and their codecs) and the dissimilarity-matrix check live in
+``exact``, the one module that imports ``fractions``, so a run whose file
+needs no Fraction never loads or compiles them.
 Criteria frames live in ``criteria``, which only the weighted problem
 types load, and Pareto layers and min-max normalization in ``rank``;
 their names, and ``EstimateVector``, stay importable from here.
@@ -189,27 +190,6 @@ class OrdinalScale:
 DEFAULT_COMPAT_SCALE = OrdinalScale(0, 3, Best.HIGH)
 #: priority scale of design alternatives (1 is best)
 DEFAULT_PRIORITY_SCALE = OrdinalScale(1, 3, Best.LOW)
-
-
-def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> None:
-    """Distinct ids and an n x n matrix with a zero diagonal, no negative
-    entry and d[i][j] == d[j][i]."""
-    if not ids:
-        raise ValidationError("a dissimilarity matrix needs at least one id")
-    check_unique(ids, "duplicate id")
-    n = len(ids)
-    if len(d) != n or any(len(row) != n for row in d):
-        raise ValidationError(f"matrix must be {n}x{n}")
-    for i in range(n):
-        if d[i][i] != 0:
-            raise ValidationError(f"diagonal entry d[{i}][{i}] must be 0")
-        for j in range(n):
-            if d[i][j] < 0:
-                raise ValidationError(f"negative dissimilarity d[{i}][{j}]")
-            if d[i][j] != d[j][i]:
-                raise ValidationError(
-                    f"matrix must be symmetric: d[{i}][{j}] != d[{j}][{i}]"
-                )
 
 
 def dominates(a: Sequence[Number], b: Sequence[Number]) -> bool:

@@ -2,7 +2,9 @@
 
 ``as_frac`` turns an input number into a ``Fraction``, ``EstimateVector``
 holds one exact estimate per criterion, and ``encode_number`` and
-``render_number`` write an exact number back as a report shows it. The
+``render_number`` write an exact number back as a report shows it.
+``check_dissimilarities`` checks the dissimilarity matrices of ``cluster``
+and ``tsp``, whose entries the MATRIX codec reads. The
 codecs of exact numbers in files, ``FRAC``, ``NUM``, ``VECTOR``,
 ``MATRIX`` and ``FRACS``, are built on probio's engine by ``shapes()`` on
 first use. Every problem type with weights, costs, thresholds or matrices
@@ -17,11 +19,11 @@ from __future__ import annotations
 import math
 import re
 import reprlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 
-from .core import ValidationError, frozen
+from .core import ValidationError, check_unique, frozen
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
@@ -91,7 +93,10 @@ class EstimateVector:
 
 
 def encode_number(x: Any) -> Any:
-    """Fraction -> int | exact decimal string | "p/q"; float/int unchanged."""
+    """Fraction -> int | exact decimal string | "p/q"; float/int unchanged.
+
+    A number whose decimal digits, leading zeros aside, would pass
+    MAX_DIGITS is written as "p/q", which Python can still write."""
     if not isinstance(x, Fraction):
         return x
     num, den = x.as_integer_ratio()
@@ -102,14 +107,36 @@ def encode_number(x: Any) -> Any:
     # to its exponent, and 10**k % den catches any other denominator
     twos = (den & -den).bit_length() - 1
     k = max(twos, round(math.log(den >> twos, 5)))
-    if 10**k % den:
+    power = 10**k
+    if power % den or (scaled := abs(num) * power // den) >= _PAST_MAX_DIGITS:
         return f"{num}/{den}"
-    digits = str(abs(num) * 10**k // den).rjust(k + 1, "0")
+    digits = str(scaled).rjust(k + 1, "0")
     return ("-" if num < 0 else "") + f"{digits[:-k]}.{digits[-k:]}"
 
 
 def render_number(x: Any) -> str:
     return str(encode_number(x))  # a float's str is its repr
+
+
+def check_dissimilarities(ids: Sequence[str], d: Sequence[Sequence[Number]]) -> None:
+    """Distinct ids and an n x n matrix with a zero diagonal, no negative
+    entry and d[i][j] == d[j][i]."""
+    if not ids:
+        raise ValidationError("a dissimilarity matrix needs at least one id")
+    check_unique(ids, "duplicate id")
+    n = len(ids)
+    if len(d) != n or any(len(row) != n for row in d):
+        raise ValidationError(f"matrix must be {n}x{n}")
+    for i in range(n):
+        if d[i][i] != 0:
+            raise ValidationError(f"diagonal entry d[{i}][{i}] must be 0")
+        for j in range(n):
+            if d[i][j] < 0:
+                raise ValidationError(f"negative dissimilarity d[{i}][{j}]")
+            if d[i][j] != d[j][i]:
+                raise ValidationError(
+                    f"matrix must be symmetric: d[{i}][{j}] != d[{j}][{i}]"
+                )
 
 
 # ------------------------------------------------------------------ codecs

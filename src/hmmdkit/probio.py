@@ -7,17 +7,20 @@ exact end to end: rationals serialize as ints, exact decimal strings, or
 canonical (sorted keys), so identical runs emit identical bytes. The
 number encoding and the codecs of exact numbers live in ``exact``, which
 builds them on this engine, so this module imports no ``fractions``.
+Text is read by the C scanner and quoted by the C escaper of ``_json``,
+the accelerator that CPython's ``json`` package wraps, so a run never
+imports ``json`` itself.
 """
 
 from __future__ import annotations
 
-import json
 import os
+from _json import encode_basestring_ascii as _quote
+from _json import make_scanner
 from collections.abc import Callable, Container, Iterable
 from enum import Enum
 from functools import cache
 from importlib import import_module
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
 from .core import OrdinalScale, ValidationError, check_unique, frozen
@@ -64,6 +67,43 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
         obj = _Repeated(obj)
         obj.read_keys = [key for key, _ in pairs]
     return obj
+
+
+class _Settings:
+    """What ``json.loads`` hands its scanner, with ``_object`` as the object-pairs hook."""
+
+    strict, object_hook, object_pairs_hook = True, None, _object
+    parse_int, parse_float = int, float
+    parse_constant = float  # the value json.loads gives NaN, Infinity and -Infinity
+
+
+_scan = make_scanner(_Settings)
+
+
+def _skip(text: str, i: int) -> int:
+    """The index of the first character at or after ``i`` that is not JSON whitespace."""
+    while text.startswith((" ", "\t", "\n", "\r"), i):
+        i += 1
+    return i
+
+
+def _loads(text: str) -> Any:
+    """``json.loads(text, object_pairs_hook=_object)``: the same value, or the same error.
+
+    The scanner reads the value and raises its own errors; a text that
+    holds no value (empty, whitespace only, or starting with a byte order
+    mark) or holds more after it fails again in ``json.loads``, for its
+    message."""
+    try:
+        value, end = _scan(text, _skip(text, 0))
+    except StopIteration:
+        pass
+    else:
+        if _skip(text, end) == len(text):
+            return value
+    import json  # on failure only
+
+    return json.loads(text, object_pairs_hook=_object)
 
 
 def _obj(raw: Any, required: Iterable[str], optional: Iterable[str] = ()) -> None:
@@ -140,13 +180,22 @@ class wrap:
 # one ParseError at root + ``at``. So a path is put together only on failure.
 
 
+#: JSON text of the scalars whose repr is not their JSON text
+_WORDS = {"True": "true", "False": "false", "None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _text(x: Any, pad: str = "") -> str:
-    """JSON text of a scalar, byte for byte as ``json.dumps`` writes it."""
+    """JSON text of a value, byte for byte as ``json.dumps`` writes it."""
     if x.__class__ is str:
         return _quote(x)
     if x.__class__ is int:
         return int.__repr__(x)
-    return json.dumps(x)  # bool, None and floats, NaN and the infinities among them
+    if x.__class__ in (float, bool, type(None)):
+        text = repr(x)
+        return _WORDS.get(text, text)
+    import json  # a subclass or a container, which no report holds
+
+    return json.dumps(x)
 
 
 def _join(texts: list[str], inner: str, pad: str, brackets: str) -> str:
@@ -411,7 +460,7 @@ def _envelope(text: str, kind: str, kinds: Container[str], *keys: str) -> dict:
     JSON with exactly the keys spec_version, ``kind`` and ``keys``, the
     current spec_version, and a ``kind`` value among ``kinds``."""
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = _loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past Python's int/str digit limit
         raise ParseError("$", f"malformed JSON: {exc}") from exc
     except RecursionError:

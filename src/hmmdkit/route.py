@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import GuardExceeded, OracleError, ValidationError, check_dissimilarities, check_guard, frozen
-from .exact import Number
+from .core import GuardExceeded, OracleError, ValidationError, check_guard, frozen
+from .exact import Number, check_dissimilarities
 
 BRUTE_FORCE_GUARD = 10
 

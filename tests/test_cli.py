@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,22 @@ def test_long_number_strings_fail_as_out_of_range(text, quoted, tmp_path, capsys
     assert run(capsys, "assign", "--input", ASSIGN, f"--weights=1,2,{text}") == (
         2, "", f"hmmdkit: error: usage: bad --weights: {message}"
     )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_cost_whose_decimal_form_passes_the_digit_limit_is_reported_as_a_fraction(fmt, tmp_path, capsys):
+    # 1/2**14000 has a 4,215-digit denominator, within the limit, but 14,000
+    # decimal places: both reports write it as p/q instead of failing
+    cost = "1/" + str(2**14000)
+    payload = {"criteria": [{"id": "c"}], "items": [{"id": "i", "value": [1], "cost": cost}], "budget": 1}
+    path = tmp_path / "tiny.knapsack"
+    path.write_text(problem_text("knapsack", payload), encoding="utf-8")
+    code, out, err = run(capsys, "knapsack", "--input", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert parse_result(out).solution["total_cost"] == Fraction(1, 2**14000)
+    else:
+        assert f"total cost: {cost}\n" in out
 
 
 def test_a_huge_exponent_fails_at_once(tmp_path):

@@ -9,7 +9,6 @@ import contextlib
 import importlib
 import importlib.util
 import io
-import json
 import os
 import re
 import subprocess
@@ -70,29 +69,31 @@ COMPAT = {
 
 #: standard modules no subcommand may load: records are built by
 #: core.frozen, not dataclasses (which imports inspect), annotations need
-#: no typing at run time, and cli reads its flags without argparse (which
-#: imports gettext, locale and shutil)
-NEVER = {"argparse", "dataclasses", "gettext", "inspect", "locale", "shutil", "typing"}
+#: no typing at run time, cli reads its flags without argparse (which
+#: imports gettext, locale and shutil), and probio reads and writes
+#: through _json's scanner and escaper, not the json package
+NEVER = {"argparse", "dataclasses", "gettext", "inspect", "json", "locale", "shutil", "typing"}
 
+#: the child prints a repr, so it imports nothing of its own after the body
 CHILD = """
-import json, sys
+import sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hmmdkit" or m in {never})))
+print(sorted(m for m in sys.modules if m.split(".")[0] in {tops}))
 """
 
 
 def loaded_in_child(body: str, *argv: str) -> list[str]:
-    """The hmmdkit modules, and those of NEVER and NUMERIC, that a fresh
-    interpreter holds after running ``body``."""
+    """The hmmdkit modules, and those of NEVER and NUMERIC and their
+    submodules, that a fresh interpreter holds after running ``body``."""
     src = str(Path(hmmdkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # -S: a .pth file in site-packages may import typing before hmmdkit runs
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD.format(body=body, never=sorted(NEVER | NUMERIC)), *argv],
+        [sys.executable, "-S", "-c", CHILD.format(body=body, tops=sorted(NEVER | NUMERIC | {"hmmdkit"})), *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return ast.literal_eval(proc.stdout)
 
 
 def test_bare_import_loads_no_submodule():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -474,7 +475,8 @@ def test_number_encoding():
 
 def oracle_encode_number(x):
     """The decimal form when the denominator's only primes are 2 and 5,
-    found by stripping both factors one at a time."""
+    found by stripping both factors one at a time, and when str() can
+    write its digits."""
     if x.denominator == 1:
         return x.numerator
     rest, twos, fives = x.denominator, 0, 0
@@ -485,7 +487,10 @@ def oracle_encode_number(x):
     if rest != 1:
         return f"{x.numerator}/{x.denominator}"
     k = max(twos, fives)
-    digits = str(abs(x.numerator) * 10**k // x.denominator).rjust(k + 1, "0")
+    try:
+        digits = str(abs(x.numerator) * 10**k // x.denominator).rjust(k + 1, "0")
+    except ValueError:  # past Python's int/str digit limit
+        return f"{x.numerator}/{x.denominator}"
     return ("-" if x < 0 else "") + f"{digits[:-k]}.{digits[-k:]}"
 
 
@@ -498,15 +503,29 @@ def test_number_encoding_matches_the_factor_stripping_oracle():
         x = Fraction(rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30)), den)
         expected = oracle_encode_number(x)
         assert encode_number(x) == expected and type(encode_number(x)) is type(expected), x
-    # denominators at the digit limit: the digits written are only those the number has
-    for x in (Fraction(1, 10**2000), Fraction(-1, 10**4299), Fraction(1, 5**2700), Fraction(3, 2**5000)):
+    # denominators at the digit limit: the digits written are only those the
+    # number has; 1/2**14000 has 4,215 digits in its denominator but 9,786 in
+    # its decimal digits, so it is written as p/q
+    for x in (Fraction(1, 10**2000), Fraction(-1, 10**4299), Fraction(1, 5**2700), Fraction(3, 2**5000),
+              Fraction(1, 2**14000), Fraction(-(10**4299), 2**14000), Fraction(7, 5**6000)):
         assert encode_number(x) == oracle_encode_number(x), x
+    assert encode_number(Fraction(1, 2**14000)) == f"1/{2**14000}"
 
 
 def test_a_number_at_the_digit_limit_is_written_back_as_a_decimal():
     text = problem_text("knapsack", {"criteria": C, "items": [ITEM], "budget": "1e-4299"})
     canonical = write_problem(parse_problem(text))
     assert '"budget": "0.' + "0" * 4298 + '1"' in canonical
+    assert write_problem(parse_problem(canonical)) == canonical
+
+
+def test_a_number_whose_decimal_form_passes_the_digit_limit_round_trips_as_a_fraction():
+    # the number is within the limit, but its exact decimal has 14,000
+    # digits after the point, more than str() writes
+    cost = "1/" + str(2**14000)
+    text = problem_text("knapsack", {"criteria": C, "items": [{**ITEM, "cost": cost}], "budget": 1})
+    canonical = write_problem(parse_problem(text))
+    assert f'"cost": "{cost}"' in canonical
     assert write_problem(parse_problem(canonical)) == canonical
 
 
@@ -688,6 +707,97 @@ def test_the_writer_matches_json_on_edge_values():
     rank = ResultFile(1, "rank", "utility", {"priorities": {1: 1}, "scores": {1: 0}}, {})
     with pytest.raises(TypeError):
         write_result(rank)
+
+
+#: JSON scalars: escapes, lone and paired surrogates, raw non-ASCII, the
+#: constants json.loads reads (NaN, Infinity, -Infinity) and a float past range
+JSON_SCALARS = ["0", "-12", "1.5e3", "-0.0", "5e-324", "1e999", "-1e999", "NaN", "Infinity", "-Infinity",
+                "true", "false", "null", '""', '"a"', '"caf\\u00e9"', '"\\ud800"', '"\\ud83d\\ude00"',
+                '"\\udc00\\ud800"', '"\\"\\\\\\/\\b\\f\\n\\r\\t"', '"é\U0001f600"']
+#: object keys; "a" is "a" again, so objects repeat keys often
+JSON_KEYS = ['"a"', '"b"', '"\\u0061"', '"é"', '"\\ud800"']
+
+
+def random_json(rng, depth=0):
+    """A random JSON text with JSON whitespace, all four characters, between its tokens."""
+    def ws():
+        return "".join(rng.choice(" \t\n\r") for _ in range(rng.randint(0, 2)))
+
+    kind = rng.random() if depth < 3 else 1
+    if kind < 0.25:
+        return "[" + ws() + ",".join(ws() + random_json(rng, depth + 1) + ws() for _ in range(rng.randint(0, 3))) + "]"
+    if kind < 0.5:
+        entries = (ws() + rng.choice(JSON_KEYS) + ws() + ":" + ws() + random_json(rng, depth + 1) + ws()
+                   for _ in range(rng.randint(0, 4)))
+        return "{" + ws() + ",".join(entries) + "}"
+    return rng.choice(JSON_SCALARS)
+
+
+def exactly(value):
+    """``value`` in a form that compares NaN, -0.0, types and repeated keys exactly."""
+    if isinstance(value, dict):
+        return type(value), getattr(value, "read_keys", None), [(k, exactly(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [exactly(v) for v in value]
+    return type(value), repr(value)
+
+
+def decoded(load, text):
+    """What ``load(text)`` gives: the value, or the exception's type and message."""
+    try:
+        return "value", exactly(load(text))
+    except (ValueError, RecursionError) as exc:
+        return "error", type(exc), str(exc)
+
+
+#: texts at the edges: malformed ones, a float past range, an int past the
+#: int/str digit limit and nesting past the recursion limit
+EDGE_JSON = ["", " \t\n\r", "\ufeff{}", "{} x", "[1,]", '{"a" 1}', '"\x01"', "[1] \n ]", "{", "nul",
+             '"\\x"', '"\\ud80"', "01", "1e999", "1" * 5000, "[" * 100_000]
+
+
+def test_loads_gives_what_json_loads_gives(monkeypatch):
+    # probio drives _json's C scanner itself: every value, and every error's
+    # type and message, is what json.loads with the object-pairs hook gives;
+    # a value is read without the json package, which only an error imports
+    from hmmdkit.probio import _loads, _object  # not at the top: tools/report_diff.py imports this file on older trees
+
+    def reference(text):
+        return json.loads(text, object_pairs_hook=_object)
+
+    rng = random.Random(33)
+    texts = list(EDGE_JSON)
+    for _ in range(3000):
+        text = random_json(rng)
+        texts.append(rng.choice(["", " ", "\t\n", "\r"]) + text + rng.choice(["", " ", "\n", " \r\t"]))
+        if text:  # and a copy with one character deleted or inserted
+            i = rng.randrange(len(text))
+            cut = text[i + 1:] if rng.random() < 0.5 else rng.choice('[]{},:" 1x') + text[i:]
+            texts.append(text[:i] + cut)
+    outcomes = {"value": 0, "error": 0}
+    for text in texts:
+        expected = decoded(reference, text)
+        with monkeypatch.context() as patch:
+            if expected[0] == "value":
+                patch.setitem(sys.modules, "json", None)  # import json raises ImportError
+            assert decoded(_loads, text) == expected, repr(text[:80])
+        outcomes[expected[0]] += 1
+    assert min(outcomes.values()) > 500, outcomes  # both values and errors are swept
+
+
+def test_text_is_what_json_dumps_writes():
+    from hmmdkit.probio import _text
+
+    class Real(float):
+        pass
+
+    class Whole(int):
+        pass
+
+    values = [True, False, None, -0.0, 0.0, 1e16, 5e-324, 1e308, 0.1, math.nan, -math.nan, math.inf, -math.inf,
+              Real(2.5), Real(math.inf), Whole(1), Whole(-7), 0, -(10**30), "café \ud800 \"\\\n", [1, [None]]]
+    for x in values:
+        assert _text(x) == json.dumps(x), repr(x)
 
 
 def test_id_keyed_maps_round_trip_whatever_the_ids():

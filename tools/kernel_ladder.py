@@ -23,7 +23,12 @@ JSON:
 
 Each ``--tree LABEL=SRC`` is a source directory holding the ``hmmdkit``
 package; it is timed in child processes of its own, so two versions never
-share an interpreter. The trees take turns in ABBA order over ROUNDS short
+share an interpreter. Every child, the worker and each process rung's
+run, starts with ``-B`` and a ``PYTHONPYCACHEPREFIX`` of one fresh empty
+directory, so it neither reads nor writes ``.pyc`` files and every tree
+compiles from source whatever ``__pycache__`` it holds; so do the
+standard modules, so a process rung also counts compiling whatever
+``site`` imports. The trees take turns in ABBA order over ROUNDS short
 rounds: in each round every tree's child builds the instances, makes one
 warm-up call, runs a full garbage collection and then makes one timed
 call of each rung's kernel. The collection keeps a full collection made
@@ -121,7 +126,7 @@ def run_probed(program: str, argv: list[str], env: dict) -> dict:
     EXIT_PROBE; return its probe: the wall ms from spawn to exit and the
     exit phase's ms."""
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", program, *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-B", "-c", program, *argv], env=env, capture_output=True, text=True)
     end = time.perf_counter()
     if proc.returncode:
         raise RuntimeError(f"child exited {proc.returncode}: {proc.stderr}")
@@ -294,14 +299,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give at least one --tree LABEL=SRC")
     trees = dict(t.split("=", 1) for t in args.tree)
     samples = {label: [[] for _ in RUNGS] for label in trees}  # label -> rung -> ms per round
-    for r in range(ROUNDS):
-        for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--worker", os.path.abspath(trees[label])],
-                capture_output=True, text=True, check=True,
-            )
-            for rounds, ms in zip(samples[label], json.loads(proc.stdout)):
-                rounds.append(ms)
+    with tempfile.TemporaryDirectory() as no_cache:  # stays empty: every child runs with -B
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": no_cache}
+        for r in range(ROUNDS):
+            for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
+                proc = subprocess.run(
+                    [sys.executable, "-B", __file__, "--worker", os.path.abspath(trees[label])],
+                    capture_output=True, text=True, check=True, env=env,
+                )
+                for rounds, ms in zip(samples[label], json.loads(proc.stdout)):
+                    rounds.append(ms)
     base = next(iter(trees))
     first = samples[base]
     ratios = {  # label -> rung -> each round's time over the first tree's
